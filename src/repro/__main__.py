@@ -279,7 +279,19 @@ def _cmd_tune(argv: list[str]) -> int:
     table, report = tuning.fit_decision_table(
         rank_grid=rank_grid, payload_grid=payload_grid, topology=topology
     )
-    print(json.dumps(table.to_dict(), indent=2))
+    doc = table.to_dict()
+    print(json.dumps(doc, indent=2))
+    print("fitted radix bands (doubling allreduce / binomial scan fan-out):")
+    lo_ranks = 1
+    for band in doc["radix"]:  # None = unbounded
+        top = band["max_ranks"]
+        spans = ", ".join(
+            f"radix {k} " + ("above" if mb is None else f"<= {mb} B")
+            for mb, k in band["cutoffs"]
+        )
+        ranks = f">= {lo_ranks}" if top is None else f"{lo_ranks}..{top}"
+        print(f"  ranks {ranks}: {spans}")
+        lo_ranks = None if top is None else top + 1
     n_cells = sum(len(v) for v in report["grid"].values())
     print(f"({n_cells} simulated grid cells)")
     if ns.dry_run:

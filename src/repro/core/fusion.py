@@ -29,6 +29,12 @@ blocking calls, for every operator (commutative or not):
   association order — because fusing them would trade away their
   bandwidth-optimal schedule for no latency win.
 
+A wave whose *own* auto choice is recursive doubling too (always, for
+the non-splittable product state; under the byte threshold for a
+concatenated array) is issued as ``"auto"`` rather than by name, which
+lets it take the tuner's fitted fan-out: the radix moves rounds and
+messages, never the association.
+
 The fuse-or-dispatch watermark comes from the same fitted
 :class:`~repro.mpi.tuning.DecisionTable` as ``algorithm="auto"``
 (``python -m repro tune`` fits both), so the two decisions share one
@@ -190,12 +196,7 @@ class ReductionBucket:
     def _enqueue(self, wire: Op, state: Any,
                  generate: Callable[[Any], Any] | None) -> PendingReduction:
         pending = PendingReduction(self, wire, state, generate)
-        comm = self._comm
-        nbytes, splittable = comm._tuning_inputs(state, wire, comm.size)
-        choice = _tuning.choose_allreduce(
-            nbytes, comm.size, wire.commutative, splittable
-        )
-        if choice != "recursive_doubling":
+        if not self._auto_is_doubling(state, wire):
             # This entry's own auto schedule segments the payload; fusing
             # it would both break bit-identity with the blocking call and
             # forfeit the bandwidth-optimal schedule.  Dispatch it alone.
@@ -206,6 +207,16 @@ class ReductionBucket:
         if self._queued_bytes > self._max_bytes and len(self._queue) > 1:
             self.flush()
         return pending
+
+    def _auto_is_doubling(self, value: Any, op: Op) -> bool:
+        """Would ``algorithm="auto"`` run this allreduce on recursive
+        doubling (at whatever radix)?"""
+        comm = self._comm
+        nbytes, splittable = comm._tuning_inputs(value, op, comm.size)
+        choice = _tuning.choose_allreduce(
+            nbytes, comm.size, op.commutative, splittable
+        )
+        return choice == "recursive_doubling"
 
     # -- flushing ----------------------------------------------------------
 
@@ -238,7 +249,10 @@ class ReductionBucket:
             return
         wave = _WaveState(e._state for e in entries)
         wop = _wave_op([e._wire for e in entries])
-        req = comm.iallreduce(wave, wop, algorithm="recursive_doubling")
+        # A list state is never splittable, so auto resolves to recursive
+        # doubling for it; asking for auto lets the wave take the fitted
+        # radix (same association at every radix).
+        req = comm.iallreduce(wave, wop)
         self._inflight.append((req, entries, self._deliver_wave))
 
     def _concat_wave(self, entries: list[PendingReduction]):
@@ -268,8 +282,15 @@ class ReductionBucket:
                 piece = raw[offsets[i]:offsets[i + 1]]
                 e._deliver(piece[0] if shapes[i] == 0 else piece)
 
+        wave = np.concatenate(parts)
+        # Pinned to recursive doubling either way; "auto" where that is
+        # the concatenation's own choice, so it takes the fitted radix.
         req = self._comm.iallreduce(
-            np.concatenate(parts), first, algorithm="recursive_doubling"
+            wave, first,
+            algorithm=(
+                "auto" if self._auto_is_doubling(wave, first)
+                else "recursive_doubling"
+            ),
         )
         return (req, entries, deliver)
 

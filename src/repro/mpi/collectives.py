@@ -18,6 +18,10 @@ Algorithm choices mirror common MPI implementations:
 * scan/exscan: simultaneous binomial (recursive doubling) parallel
   prefix, order-preserving; a linear-chain pipeline as the
   minimal-traffic alternative;
+* both doubling schedules take a power-of-two ``radix``: each level
+  fans out to ``radix - 1`` peers and folds locally in the doubling
+  rounds' own association, so the radix moves rounds and message
+  counts, never bytes of the result (``algorithm="auto"`` fits it);
 * broadcast/gather/scatter: binomial trees; allgather: gather+bcast;
   alltoall(v): shifted pairwise exchange; barrier: dissemination.
 
@@ -48,6 +52,7 @@ __all__ = [
     "reduce_ring_pipelined_plan",
     "allreduce_recursive_doubling",
     "allreduce_recursive_doubling_plan",
+    "fanout_levels",
     "allreduce_ring",
     "allreduce_ring_plan",
     "allreduce_rabenseifner",
@@ -301,24 +306,44 @@ def reduce_ring_pipelined(
     )
 
 
+def _check_radix(radix: int) -> None:
+    if radix < 2 or radix & (radix - 1):
+        raise CommunicatorError(
+            f"collective radix must be a power of two >= 2, got {radix!r}"
+        )
+
+
+def fanout_levels(size: int, radix: int) -> list[int]:
+    """Per-level group sizes of the doubling allreduce over ``size``
+    ranks (a power of two) at fan-out ``radix``: full ``radix``-way
+    levels first, the leftover power of two last (8 ranks at radix 4 ->
+    ``[4, 2]``)."""
+    _check_radix(radix)
+    levels = []
+    while size > 1:
+        levels.append(min(radix, size))
+        size //= levels[-1]
+    return levels
+
+
 def allreduce_recursive_doubling_plan(
     ch: CollChannel, value: Any, op: Op | Callable[[Any, Any], Any],
-    *, combine_seconds: float = 0.0,
+    *, combine_seconds: float = 0.0, radix: int = 2,
 ) -> Plan:
     """Plan form of :func:`allreduce_recursive_doubling`."""
     rank, size = ch.rank, ch.size
     if size == 1:
         return value
     pof2 = 1 << (size.bit_length() - 1)
-    if pof2 == size:
-        pof2 = size
     rem = size - pof2
+    levels = fanout_levels(pof2, radix)
     m = _metrics(ch)
     if m.enabled and rank == 0:
         m.counter("collective.allreduce_rd.calls").inc()
         m.histogram("collective.allreduce_rd.rounds").observe(
-            (pof2 - 1).bit_length() + (2 if rem else 0)
+            len(levels) + (2 if rem else 0)
         )
+        m.histogram("collective.allreduce_rd.radix").observe(radix)
 
     partial = value
     # Fold the first 2*rem ranks pairwise so pof2 ranks remain.
@@ -334,20 +359,36 @@ def allreduce_recursive_doubling_plan(
     else:
         newrank = rank - rem
 
+    def real(nr: int) -> int:
+        """Translate a folded rank back to its group rank."""
+        return nr * 2 + 1 if nr < rem else nr + rem
+
     if newrank >= 0:
-        mask = 1
-        while mask < pof2:
-            partner = newrank ^ mask
-            # translate back to real rank
-            real = partner * 2 + 1 if partner < rem else partner + rem
-            ch.send(real, partial)
-            theirs = yield Recv(real)
-            if partner > newrank:
-                partial = op(partial, theirs)
-            else:
-                partial = op(theirs, partial)
-            _charge_combine(ch, combine_seconds)
-            mask <<= 1
+        stride = 1
+        for k in levels:
+            # One level: the k ranks differing only in this base-k digit
+            # exchange partials all-to-all.  Rotation order makes my i-th
+            # receive the sender's i-th send, i.e. arrival order.
+            digit = newrank // stride % k
+            base = newrank - digit * stride
+            vals = [None] * k
+            vals[digit] = partial
+            for i in range(1, k):
+                ch.send(real(base + (digit + i) % k * stride), partial)
+            for i in range(1, k):
+                e = (digit - i) % k
+                vals[e] = yield Recv(real(base + e * stride))
+            # Fold in exactly the association log2(k) doubling rounds
+            # would have produced: a balanced binary tree in digit order,
+            # lower rank on the left.
+            h = 1
+            while h < k:
+                for i in range(0, k, 2 * h):
+                    vals[i] = op(vals[i], vals[i + h])
+                    _charge_combine(ch, combine_seconds)
+                h <<= 1
+            partial = vals[0]
+            stride *= k
 
     # Send results back to the folded-out even ranks.
     if rank < 2 * rem:
@@ -360,14 +401,22 @@ def allreduce_recursive_doubling_plan(
 
 def allreduce_recursive_doubling(
     ch: CollChannel, value: Any, op: Op | Callable[[Any, Any], Any],
-    *, combine_seconds: float = 0.0,
+    *, combine_seconds: float = 0.0, radix: int = 2,
 ) -> Any:
     """All-reduce by recursive doubling with the MPICH fold-in step for
-    non-power-of-two sizes.  Order-preserving (non-commutative safe)."""
+    non-power-of-two sizes.  Order-preserving (non-commutative safe).
+
+    ``radix`` (a power of two) is the fan-out of each level: a rank
+    exchanges partials with the ``radix - 1`` other members of its digit
+    group at once and folds them locally in the association the
+    ``log2(radix)`` doubling rounds would have produced, so the result is
+    byte-identical at every radix — only rounds (fewer) and messages
+    (more) change.  The default 2 is classic recursive doubling.
+    """
     return run_plan(
         ch,
         allreduce_recursive_doubling_plan(
-            ch, value, op, combine_seconds=combine_seconds
+            ch, value, op, combine_seconds=combine_seconds, radix=radix
         ),
     )
 
@@ -385,23 +434,47 @@ def scan_simultaneous_binomial_plan(
     exclusive: bool = False,
     identity: Callable[[], Any] | None = None,
     combine_seconds: float = 0.0,
+    radix: int = 2,
 ) -> Plan:
     """Plan form of :func:`scan_simultaneous_binomial`."""
     rank, size = ch.rank, ch.size
+    _check_radix(radix)
     m = _metrics(ch)
     if m.enabled and rank == 0:
+        levels, s = 0, 1
+        while s < size:  # ceil(log_radix size)
+            levels += 1
+            s *= radix
         m.counter("collective.scan_binomial.calls").inc()
-        m.histogram("collective.scan_binomial.rounds").observe(
-            max(size - 1, 0).bit_length()  # ceil(log2 size)
-        )
+        m.histogram("collective.scan_binomial.rounds").observe(levels)
+        m.histogram("collective.scan_binomial.radix").observe(radix)
     full = value
     partial = None if exclusive else value
-    d = 1
-    while d < size:
-        if rank + d < size:
-            ch.send(rank + d, full)
-        if rank - d >= 0:
-            theirs = yield Recv(rank - d)  # covers ranks [rank-2d+1 .. rank-d]
+    s = 1
+    while s < size:
+        # One level stands for the log2(radix) binomial rounds at
+        # distances s, 2s, 4s, ...: every window those rounds would have
+        # relayed is fetched from its origin at once.
+        for i in range(1, radix):
+            if rank + i * s >= size:
+                break
+            ch.send(rank + i * s, full)
+        # wins[i] covers the s ranks ending at rank - i*s.
+        wins = [full]
+        for i in range(1, radix):
+            if rank - i * s < 0:
+                break
+            wins.append((yield Recv(rank - i * s)))
+        n = len(wins) - 1
+        h = 1
+        while h <= n:
+            # Replay the round at distance h*s: first what the ranks
+            # 2h*s, 4h*s, ... below me folded in it (their results reach
+            # me in later rounds), then my own fold.
+            for i in range(2 * h, n - h + 1, 2 * h):
+                wins[i] = op(wins[i + h], wins[i])
+                _charge_combine(ch, combine_seconds)
+            theirs = wins[h]  # covers ranks [rank-2hs+1 .. rank-hs]
             # A combine may mutate its left operand (the Chapel/RSMPI
             # contract), and ``theirs`` feeds two combines — isolate one use.
             if partial is None:
@@ -413,7 +486,8 @@ def scan_simultaneous_binomial_plan(
                 _charge_combine(ch, combine_seconds)
             full = op(theirs_for_full, full)
             _charge_combine(ch, combine_seconds)
-        d <<= 1
+            h <<= 1
+        s *= radix
     if exclusive and partial is None:
         # rank 0's exclusive prefix: the identity, if one is known
         # (MPI_Exscan leaves it undefined; the paper's LOCAL_XSCAN takes
@@ -430,9 +504,15 @@ def scan_simultaneous_binomial(
     exclusive: bool = False,
     identity: Callable[[], Any] | None = None,
     combine_seconds: float = 0.0,
+    radix: int = 2,
 ) -> Any:
     """Parallel prefix over ranks by simultaneous binomial (recursive
     doubling): ceil(log2 p) rounds, order-preserving.
+
+    With ``radix = 2^j`` each level stands for ``j`` binomial rounds: a
+    rank sends its window to up to ``radix - 1`` ranks above it and
+    replays those rounds locally on the windows it receives, in the same
+    association — ceil(log_radix p) levels, byte-identical results.
 
     For ``exclusive=True``, rank 0 returns ``identity()`` if an identity
     function is given, else ``None`` (the MPI_Exscan "undefined" slot —
@@ -443,7 +523,7 @@ def scan_simultaneous_binomial(
         ch,
         scan_simultaneous_binomial_plan(
             ch, value, op, exclusive=exclusive, identity=identity,
-            combine_seconds=combine_seconds,
+            combine_seconds=combine_seconds, radix=radix,
         ),
     )
 

@@ -23,9 +23,11 @@ from repro.mpi import collectives as _coll
 from repro.mpi import request as _req
 from repro.mpi import tuning as _tuning
 from repro.mpi.op import Op
+from repro.mpi.schedule_cache import ScheduleCache
 from repro.runtime.channels import ANY_SOURCE, ANY_TAG
 from repro.runtime.fabric import contiguous_node_groups
 from repro.runtime.world import RankContext
+from repro.util.sizing import cheap_nbytes
 
 __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
 
@@ -106,6 +108,9 @@ _SCAN_PLANS = {
     "binomial": _coll.scan_simultaneous_binomial_plan,
     "chain": _coll.scan_linear_chain_plan,
 }
+
+#: Fallback size for payloads :func:`cheap_nbytes` cannot size.
+_UNSIZED = 1 << 62
 
 _IREDUCE_PLANS = {
     "binomial": _coll.reduce_binomial_plan,
@@ -251,13 +256,17 @@ class Communicator:
     def _tuning_inputs(value: Any, op: Any, nprocs: int) -> tuple[int, bool]:
         """``(nbytes, splittable)`` for the algorithm tuner.
 
-        ``nbytes`` is only computed for splittable payloads (1-D NumPy
-        arrays), where it is a cheap attribute read; sizing arbitrary
-        payloads would mean pickling them, and no segmenting algorithm
-        can use them anyway.
+        Sized without pickling (:func:`~repro.util.sizing.cheap_nbytes`:
+        arrays, scalars, states that report their own wire size and
+        containers of those).  An unknown size is reported as
+        unboundedly large: no segmenting algorithm can use such a
+        payload anyway, and the radix guard then keeps plain doubling.
         """
-        splittable = _tuning.is_splittable(value, op, nprocs)
-        return (int(value.nbytes) if splittable else 0), splittable
+        nbytes = cheap_nbytes(value)
+        return (
+            _UNSIZED if nbytes is None else nbytes,
+            _tuning.is_splittable(value, op, nprocs),
+        )
 
     def _node_groups(self) -> tuple[tuple[int, ...], ...] | None:
         """The members' node partition under the world's topology (group
@@ -274,37 +283,32 @@ class Communicator:
         topo = getattr(self._ctx.world, "topology", None)
         return "flat" if topo is None else topo.signature
 
-    def _auto_choice(self, kind: str, value: Any, op: Any) -> str:
-        """Resolve ``algorithm="auto"`` for one collective call.
+    def _auto_choice(
+        self, kind: str, value: Any, op: Any, combine_seconds: float = 0.0
+    ) -> tuple[str, int]:
+        """Resolve ``algorithm="auto"`` for one collective call to
+        ``(algorithm, radix)``.
 
-        Goes through the world's cross-job :class:`ScheduleCache` when
-        one is attached (always, for worlds built by this package):
-        cached constant-decision spans return exactly what the tuning
-        choice functions would, amortized across every job sharing the
-        world.  The world's topology signature joins the decision key:
-        a fabric with a fitted per-topology table gets its own answers
-        (possibly ``"hierarchical"``), everyone else falls back to the
-        flat table.
+        One lookup in the world's cross-job :class:`ScheduleCache`
+        (attached to every world built by this package): cached
+        constant-decision spans return exactly what the tuning choice
+        functions would, amortized across every job sharing the world.
+        The world's topology signature joins the decision key: a fabric
+        with a fitted per-topology table gets its own answers (possibly
+        ``"hierarchical"``), everyone else falls back to the flat table.
+        The radix is the fitted fan-out of the doubling schedules and 2
+        for every other algorithm.
         """
         commutative = op.commutative if isinstance(op, Op) else True
         nbytes, splittable = self._tuning_inputs(value, op, self.size)
-        topology = self._topology_signature()
         cache = getattr(self._ctx.world, "schedule_cache", None)
-        if cache is not None:
-            return cache.choose(
-                kind, nbytes, self.size, commutative, splittable,
-                topology=topology,
-            )
-        if kind == "allreduce":
-            return _tuning.choose_allreduce(
-                nbytes, self.size, commutative, splittable, topology=topology
-            )
-        if kind == "reduce":
-            return _tuning.choose_reduce(
-                nbytes, self.size, commutative, splittable, topology=topology
-            )
-        return _tuning.choose_scan(
-            nbytes, self.size, commutative, splittable, topology=topology
+        if cache is None:
+            cache = ScheduleCache()
+        return cache.schedule(
+            kind, nbytes, self.size, commutative, splittable,
+            topology=self._topology_signature(),
+            combine_seconds=combine_seconds,
+            cost_model=self._ctx.cost_model,
         )
 
     # -- collectives ----------------------------------------------------------
@@ -412,7 +416,7 @@ class Communicator:
         commutative = op.commutative if isinstance(op, Op) else True
         if fanout > 2 and commutative:
             return "kary"
-        return self._auto_choice("reduce", value, op)
+        return self._auto_choice("reduce", value, op)[0]
 
     def _reduce_impl(
         self,
@@ -483,11 +487,6 @@ class Communicator:
         ):
             return self._allreduce_impl(value, op, combine_seconds, algorithm)
 
-    def _resolve_allreduce_algorithm(self, value: Any, op: Any, algorithm: str) -> str:
-        if algorithm != "auto":
-            return algorithm
-        return self._auto_choice("allreduce", value, op)
-
     def _allreduce_plan(
         self,
         ch: _Channel,
@@ -496,7 +495,11 @@ class Communicator:
         combine_seconds: float,
         algorithm: str,
     ):
-        algorithm = self._resolve_allreduce_algorithm(value, op, algorithm)
+        radix = 2  # an explicitly named schedule is the classic one
+        if algorithm == "auto":
+            algorithm, radix = self._auto_choice(
+                "allreduce", value, op, combine_seconds
+            )
         if algorithm == "hierarchical":
             # Needs the node partition, so it lives outside the flat
             # dispatch dict.  With no hierarchy (flat fabric, or all
@@ -513,7 +516,12 @@ class Communicator:
                 "'auto', 'recursive_doubling', 'ring', 'rabenseifner' "
                 "or 'hierarchical'"
             )
-        return factory(ch, value, op, combine_seconds=combine_seconds)
+        # A radix other than 2 is only ever auto's answer for the
+        # doubling plan — the one factory that takes it.
+        fanout = {"radix": radix} if radix != 2 else {}
+        return factory(
+            ch, value, op, combine_seconds=combine_seconds, **fanout
+        )
 
     def _allreduce_impl(
         self,
@@ -625,8 +633,11 @@ class Communicator:
         combine_seconds: float,
         algorithm: str,
     ):
+        radix = 2  # an explicitly named schedule is the classic one
         if algorithm == "auto":
-            algorithm = self._auto_choice("scan", value, op)
+            algorithm, radix = self._auto_choice(
+                "scan", value, op, combine_seconds
+            )
         if algorithm == "hierarchical":
             return _coll.scan_hierarchical_plan(
                 ch, value, op, groups=self._node_groups(),
@@ -639,10 +650,12 @@ class Communicator:
                 f"unknown {name} algorithm {algorithm!r}; choose "
                 "'auto', 'binomial', 'chain' or 'hierarchical'"
             )
+        # As in _allreduce_plan: only the binomial plan ever gets one.
+        fanout = {"radix": radix} if radix != 2 else {}
         return factory(
             ch, value, op,
             exclusive=exclusive, identity=identity,
-            combine_seconds=combine_seconds,
+            combine_seconds=combine_seconds, **fanout,
         )
 
     def _scan_dispatch(

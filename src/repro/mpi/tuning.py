@@ -25,7 +25,13 @@ the table so a bad fit can never produce a wrong answer:
 * payload-segmenting schedules (ring, Rabenseifner, pipelined ring) are
   only chosen for *splittable* payloads: 1-D NumPy arrays with at least
   one element per rank combined by an op that declares itself
-  ``elementwise`` (:class:`repro.mpi.op.Op`).
+  ``elementwise`` (:class:`repro.mpi.op.Op`);
+* a fan-out above 2 for the doubling schedules (the ``radix``
+  dimension) is only admitted where the cost model's answer is exact —
+  payloads whose wire time fits inside one send overhead — and where
+  its extra serial folds cost less than the rounds it saves
+  (:func:`fanout_admitted`).  Every radix returns the same bytes, so
+  this pair guards speed only.
 """
 
 from __future__ import annotations
@@ -33,10 +39,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
+
+from repro.mpi import collectives as _coll
+from repro.runtime.costmodel import CostModel
 
 __all__ = [
     "ALLREDUCE_ALGORITHMS",
@@ -44,6 +54,8 @@ __all__ = [
     "SCAN_ALGORITHMS",
     "FUSION_CANDIDATES",
     "KERNEL_CANDIDATES",
+    "RADIX_CANDIDATES",
+    "RADIX_SCHEDULES",
     "Band",
     "DecisionTable",
     "DEFAULT_TABLE",
@@ -52,6 +64,9 @@ __all__ = [
     "choose_scan",
     "choose_fusion",
     "choose_kernel",
+    "choose_radix",
+    "fanout_admitted",
+    "radix_band",
     "constant_span",
     "fusion_flush_bytes",
     "is_splittable",
@@ -88,6 +103,18 @@ FUSION_CANDIDATES = ("fuse", "flush")
 #: safety invariants above — a bad fit can change speed, never results.
 KERNEL_CANDIDATES = ("scalar", "compiled")
 
+#: "radix" is the fan-out of the two latency-bound doubling schedules
+#: (recursive-doubling allreduce, simultaneous-binomial scan): radix
+#: 2^j does j rounds' worth of exchange in one level, trading messages
+#: for rounds.  Results are byte-identical at every radix (the local
+#: fold replays the doubling rounds' association), so — like "kernel" —
+#: the fitted value can change speed, never results.  Table entries are
+#: the integers themselves.
+RADIX_CANDIDATES = (2, 4, 8, 16)
+
+#: The doubling schedule of each collective kind — where a radix applies.
+RADIX_SCHEDULES = {"allreduce": "recursive_doubling", "scan": "binomial"}
+
 _UNBOUNDED = 1 << 62  # "no upper limit" sentinel for thresholds
 
 
@@ -98,13 +125,14 @@ class Band:
     Applies to communicators with ``nprocs <= max_ranks`` (bands are kept
     sorted ascending; the last band catches everything).  ``cutoffs`` is
     an ascending sequence of ``(max_bytes, algorithm)`` pairs: the first
-    entry whose ``max_bytes`` is >= the payload size wins.
+    entry whose ``max_bytes`` is >= the payload size wins.  (In the
+    ``radix`` dimension the "algorithm" is the integer fan-out.)
     """
 
     max_ranks: int
-    cutoffs: tuple[tuple[int, str], ...]
+    cutoffs: tuple[tuple[int, str | int], ...]
 
-    def lookup(self, nbytes: int) -> str:
+    def lookup(self, nbytes: int) -> str | int:
         for max_bytes, algorithm in self.cutoffs:
             if nbytes <= max_bytes:
                 return algorithm
@@ -126,6 +154,20 @@ _KERNEL_FALLBACK_BANDS = (
 )
 
 
+# Radix fallback for tables fitted before the radix dimension existed:
+# plain doubling everywhere, so a loaded (e.g. per-topology) table
+# changes nothing until it is re-fitted.
+_RADIX_FALLBACK_BANDS = (Band(_UNBOUNDED, ((_UNBOUNDED, 2),)),)
+
+
+def _band_for(bands: tuple[Band, ...], nprocs: int) -> Band:
+    """The first band covering ``nprocs`` (the last one catches all)."""
+    for band in bands:
+        if nprocs <= band.max_ranks:
+            return band
+    return bands[-1]
+
+
 @dataclass(frozen=True)
 class DecisionTable:
     """Byte-threshold decision tables for the tuned collectives, plus the
@@ -137,6 +179,7 @@ class DecisionTable:
     source: str = "default"
     fusion: tuple[Band, ...] = _FUSION_FALLBACK_BANDS
     kernel: tuple[Band, ...] = _KERNEL_FALLBACK_BANDS
+    radix: tuple[Band, ...] = _RADIX_FALLBACK_BANDS
     #: Fabric signature this table was fitted against
     #: (:attr:`repro.runtime.fabric.Topology.signature`).  ``"flat"``
     #: tables are the process-wide default; non-flat tables install into
@@ -144,12 +187,8 @@ class DecisionTable:
     #: world runs on that fabric.
     topology: str = "flat"
 
-    def lookup(self, kind: str, nbytes: int, nprocs: int) -> str:
-        bands: tuple[Band, ...] = getattr(self, kind)
-        for band in bands:
-            if nprocs <= band.max_ranks:
-                return band.lookup(nbytes)
-        return bands[-1].lookup(nbytes)
+    def lookup(self, kind: str, nbytes: int, nprocs: int) -> str | int:
+        return _band_for(getattr(self, kind), nprocs).lookup(nbytes)
 
     # -- serialization ----------------------------------------------------
 
@@ -176,6 +215,7 @@ class DecisionTable:
             "scan": enc(self.scan),
             "fusion": enc(self.fusion),
             "kernel": enc(self.kernel),
+            "radix": enc(self.radix),
         }
 
     @classmethod
@@ -188,7 +228,10 @@ class DecisionTable:
                         else int(b["max_ranks"])
                     ),
                     cutoffs=tuple(
-                        (_UNBOUNDED if mb is None else int(mb), str(algo))
+                        (
+                            _UNBOUNDED if mb is None else int(mb),
+                            algo if isinstance(algo, int) else str(algo),
+                        )
                         for mb, algo in b["cutoffs"]
                     ),
                 )
@@ -197,15 +240,17 @@ class DecisionTable:
 
         fusion = data.get("fusion")
         kernel = data.get("kernel")
+        radix = data.get("radix")
         return cls(
             allreduce=dec(data["allreduce"]),
             reduce=dec(data["reduce"]),
             scan=dec(data["scan"]),
             source=str(data.get("source", "loaded")),
-            # Tables written before the fusion/kernel dimensions existed
-            # load with the conservative fallback thresholds.
+            # Tables written before the fusion/kernel/radix dimensions
+            # existed load with the conservative fallback thresholds.
             fusion=dec(fusion) if fusion else _FUSION_FALLBACK_BANDS,
             kernel=dec(kernel) if kernel else _KERNEL_FALLBACK_BANDS,
+            radix=dec(radix) if radix else _RADIX_FALLBACK_BANDS,
             # Tables written before fabrics existed are flat tables.
             topology=str(data.get("topology", "flat")),
         )
@@ -259,6 +304,19 @@ DEFAULT_TABLE = DecisionTable(
         # two-element blocks up, so only single-element payloads route
         # to the scalar loop.  Rank-independent — accumulation is local.
         Band(_UNBOUNDED, ((8, "scalar"), (_UNBOUNDED, "compiled"))),
+    ),
+    radix=(
+        # Under LogGP with o << L a rank injects several messages inside
+        # one latency, so fewer, wider levels beat log2(p) rounds — up to
+        # the point where a level's (k-1)(o_s + o_r) outgrows the
+        # latency it hides: 8 ranks finish in one 8-way level (14.0 us
+        # vs 21.0), 16 in two 4-way levels (18.0 vs 28.1; 8+2 is 21.0,
+        # one 16-way level 30.0), 32 in 8+4 (23.0 vs 35.1).  Every band
+        # ends at the byte guard of fanout_admitted() (500 B here).
+        Band(4, ((500, 4), (_UNBOUNDED, 2))),
+        Band(8, ((500, 8), (_UNBOUNDED, 2))),
+        Band(16, ((500, 4), (_UNBOUNDED, 2))),
+        Band(_UNBOUNDED, ((500, 8), (_UNBOUNDED, 2))),
     ),
     source="default (fitted against CostModel() defaults)",
 )
@@ -414,11 +472,7 @@ def _band_span(
 ) -> tuple[int, int, str]:
     """The maximal ``[lo, hi]`` byte interval containing ``nbytes`` over
     which the banded lookup is constant, plus the algorithm it returns."""
-    chosen = bands[-1]
-    for band in bands:
-        if nprocs <= band.max_ranks:
-            chosen = band
-            break
+    chosen = _band_for(bands, nprocs)
     lo = 0
     for max_bytes, algorithm in chosen.cutoffs:
         if nbytes <= max_bytes:
@@ -468,6 +522,8 @@ def constant_span(
         return _band_span(tbl.fusion, nbytes, nprocs)
     if kind == "kernel":
         return _band_span(tbl.kernel, nbytes, nprocs)
+    if kind == "radix":
+        return _band_span(tbl.radix, nbytes, nprocs)
     raise ValueError(f"unknown tuning kind {kind!r}")
 
 
@@ -498,16 +554,150 @@ def choose_kernel(
     return (table or _active_table).lookup("kernel", nbytes, nprocs)
 
 
+def _exchange_seconds(
+    k: int, o_s: float, o_r: float, wire: float, fold: float
+) -> float:
+    """Closed-form time of one ``k``-way level entered by all members at
+    once: ``k - 1`` sends back to back, the ``k - 1`` receives in arrival
+    order (the i-th arrives ``i * o_s + wire`` after the level began),
+    then ``k - 1`` folds.  ``k = 2`` is one doubling round."""
+    t = (k - 1) * o_s
+    for i in range(1, k):
+        t = max(t, i * o_s + wire) + o_r
+    return t + (k - 1) * fold
+
+
+@lru_cache(maxsize=256)
+def _fold_budget(
+    radix: int, nprocs: int, o_s: float, o_r: float, latency: float
+) -> float:
+    """Largest ``combine_seconds`` at which ``radix``-way levels still
+    finish no later than the doubling rounds they replace.
+
+    Each level's ``k - 1`` folds are serial where doubling spreads
+    ``log2 k`` of them over as many rounds; the rounds saved pay for the
+    difference only while a fold is cheap.  The closed form holds for
+    power-of-two groups, where every rank enters each level together
+    (elsewhere the fold-in overlaps doubling's first round and the
+    baseline is faster than any formula this simple), so other sizes
+    get no budget.  The payload's byte time is left out of the wire —
+    the byte guard keeps it under one send overhead, and a longer wire
+    only widens the saving — so the budget depends on nothing the
+    schedule cache does not key on.
+    """
+    if nprocs & (nprocs - 1):
+        return 0.0
+    rounds = nprocs.bit_length() - 1
+    levels = _coll.fanout_levels(nprocs, radix)
+    extra_folds = sum(k - 1 for k in levels) - rounds
+    if extra_folds <= 0:
+        return math.inf
+    saved = rounds * _exchange_seconds(2, o_s, o_r, latency, 0.0) - sum(
+        _exchange_seconds(k, o_s, o_r, latency, 0.0) for k in levels
+    )
+    return saved / extra_folds
+
+
+_DEFAULT_COST = CostModel()
+
+
+def _wire_fits_overhead(nbytes: int, cm: CostModel) -> bool:
+    # The relative epsilon keeps the boundary payload (500 B at 500 MB/s
+    # and 1 us) on the admitted side of float rounding.
+    return nbytes * cm.byte_time <= cm.send_overhead * (1.0 + 1e-9)
+
+
+def _fanout_byte_limit(cm: CostModel) -> int:
+    """Largest payload the byte guard of :func:`fanout_admitted` lets
+    fan out under ``cm``."""
+    if cm.byte_time <= 0.0:
+        return _UNBOUNDED
+    n = int(cm.send_overhead / cm.byte_time) + 1
+    while n > 0 and not _wire_fits_overhead(n, cm):
+        n -= 1
+    return n
+
+
+def fanout_admitted(
+    radix: int,
+    nbytes: int,
+    nprocs: int,
+    combine_seconds: float = 0.0,
+    cost_model: CostModel | None = None,
+) -> bool:
+    """May a doubling schedule fan out ``radix`` ways for this call?
+
+    Two guards, kept out of the table because the simulator that fits it
+    cannot see what they protect against:
+
+    * **bytes** — ``radix - 1`` sends leave back to back and the model
+      charges each only its send overhead; nothing serialises their
+      bytes through the NIC.  That is exact only while injection is
+      overhead-bound, ``nbytes * byte_time <= send_overhead`` (500 B
+      under the default model); beyond it concurrent large sends would
+      look free, so fan-out is refused.
+    * **folds** — with ``combine_seconds > 0`` the ``radix - 1`` serial
+      folds of a level must cost no more than the rounds it saves
+      (:func:`_fold_budget`; decidable in closed form for power-of-two
+      groups only, plain doubling otherwise).
+    """
+    cm = cost_model if cost_model is not None else _DEFAULT_COST
+    if not _wire_fits_overhead(nbytes, cm):
+        return False
+    if combine_seconds <= 0.0:
+        return True
+    return combine_seconds <= _fold_budget(
+        radix, nprocs, cm.send_overhead, cm.recv_overhead, cm.latency
+    )
+
+
+def choose_radix(
+    nbytes: int,
+    nprocs: int,
+    *,
+    combine_seconds: float = 0.0,
+    cost_model: CostModel | None = None,
+    table: DecisionTable | None = None,
+    topology: str = "flat",
+) -> int:
+    """Fan-out for the doubling schedules (recursive-doubling allreduce,
+    binomial scan) under ``algorithm="auto"``: the table's fitted radix
+    for this rank band and payload size if :func:`fanout_admitted` lets
+    it through, else 2.  Every radix returns the same bytes."""
+    radix = (table or get_decision_table(topology)).lookup(
+        "radix", nbytes, nprocs
+    )
+    if radix > 2 and fanout_admitted(
+        radix, nbytes, nprocs, combine_seconds, cost_model
+    ):
+        return radix
+    return 2
+
+
+def radix_band(
+    nbytes: int,
+    nprocs: int,
+    *,
+    table: DecisionTable | None = None,
+    topology: str = "flat",
+) -> tuple[int | None, int | None]:
+    """``(max_ranks, max_bytes)`` of the ``radix`` table entry that
+    answers ``(nbytes, nprocs)`` — the provenance half of a schedule
+    decision record (``None`` = unbounded)."""
+    tbl = table or get_decision_table(topology)
+    _, hi, _ = _band_span(tbl.radix, nbytes, nprocs)
+    max_ranks = _band_for(tbl.radix, nprocs).max_ranks
+    return (
+        max_ranks if max_ranks < _UNBOUNDED else None,
+        hi if hi < _UNBOUNDED else None,
+    )
+
+
 def fusion_flush_bytes(nprocs: int, *, table: DecisionTable | None = None) -> int:
     """The pending-byte threshold at which :func:`choose_fusion` flips
     from "fuse" to "flush" for ``nprocs`` ranks — the auto-flush
     watermark of :class:`repro.core.fusion.ReductionBucket`."""
-    bands = (table or _active_table).fusion
-    for band in bands:
-        if nprocs <= band.max_ranks:
-            break
-    else:  # pragma: no cover - bands always end unbounded
-        band = bands[-1]
+    band = _band_for((table or _active_table).fusion, nprocs)
     threshold = 0
     for max_bytes, algorithm in band.cutoffs:
         if algorithm == "fuse":
@@ -562,6 +752,37 @@ def _simulate(
                 raise ValueError(f"unknown fusion candidate {algorithm!r}")
         else:  # pragma: no cover - internal misuse
             raise ValueError(f"unknown collective kind {kind!r}")
+
+    return spmd_run(
+        prog, nprocs, cost_model=cost_model, topology=topology
+    ).time
+
+
+def _simulate_radix(
+    kind: str, radix: int, nbytes: int, nprocs: int, cost_model,
+    topology=None,
+):
+    """Virtual makespan of one doubling-schedule call at fan-out
+    ``radix``.  The communicator deliberately has no way to ask for a
+    radix (it is ``auto``'s decision alone), so this drives the plan on
+    a raw collective channel."""
+    from repro.mpi.op import SUM
+    from repro.runtime.executor import spmd_run
+
+    n = max(1, nbytes // 8)
+
+    def prog(comm):
+        arr = np.zeros(n, dtype=np.float64)
+        ch = comm._channel(kind)
+        if kind == "allreduce":
+            plan = _coll.allreduce_recursive_doubling_plan(
+                ch, arr, SUM, radix=radix
+            )
+        else:
+            plan = _coll.scan_simultaneous_binomial_plan(
+                ch, arr, SUM, radix=radix
+            )
+        _coll.run_plan(ch, plan)
 
     return spmd_run(
         prog, nprocs, cost_model=cost_model, topology=topology
@@ -624,12 +845,12 @@ def _measure_kernel(algorithm: str, nbytes: int) -> float:
 
 
 def _cutoffs_from_winners(
-    payloads: Sequence[int], winners: Sequence[str]
-) -> tuple[tuple[int, str], ...]:
+    payloads: Sequence[int], winners: Sequence[str | int]
+) -> tuple[tuple[int, str | int], ...]:
     """Collapse a winner-per-payload row into byte thresholds, placing
     each crossover at the geometric midpoint of the bracketing grid
     points."""
-    cutoffs: list[tuple[int, str]] = []
+    cutoffs: list[tuple[int, str | int]] = []
     current = winners[0]
     for i in range(1, len(winners)):
         if winners[i] != current:
@@ -697,6 +918,13 @@ def fit_decision_table(
             return kernel_memo[key]
         return _simulate(kind, algorithm, nbytes, p, cm, fit_topology)
 
+    # The radix dimension is fitted only where fanout_admitted() could
+    # let it through — up to the byte guard's limit, which joins the
+    # grid so the fitted cutoff can sit exactly on it; past the limit
+    # the answer is 2 by construction.
+    fan_limit = max(1, min(_fanout_byte_limit(cm), payloads[-1]))
+    radix_payloads = sorted({b for b in payloads if b < fan_limit} | {fan_limit})
+
     grid: dict[str, list[dict[str, Any]]] = {}
     bands: dict[str, list[Band]] = {}
     for kind, algos in candidates.items():
@@ -715,6 +943,37 @@ def fit_decision_table(
                      "winner": winner}
                 )
             bands[kind].append(Band(p, _cutoffs_from_winners(payloads, winners)))
+    grid["radix"] = []
+    bands["radix"] = []
+    for p in ranks:
+        fanouts: list[int] = []
+        for nbytes in radix_payloads:
+            # One radix serves both doubling schedules, so a candidate
+            # is scored on the pair; min() keeps the first — smallest —
+            # radix on ties.
+            times = {
+                k: sum(
+                    _simulate_radix(c, k, nbytes, p, cm, fit_topology)
+                    for c in ("allreduce", "scan")
+                )
+                for k in RADIX_CANDIDATES
+                if k < 2 * p
+            }
+            winner = min(times, key=times.get)
+            fanouts.append(winner)
+            grid["radix"].append(
+                {"nprocs": p, "nbytes": nbytes, "times": times,
+                 "winner": winner}
+            )
+        bands["radix"].append(
+            Band(
+                p,
+                _cutoffs_from_winners(
+                    radix_payloads + [radix_payloads[-1] + 1], fanouts + [2]
+                ),
+            )
+        )
+    for kind in bands:
         # the largest fitted band also covers everything above it
         last = bands[kind][-1]
         bands[kind][-1] = replace(last, max_ranks=_UNBOUNDED)
@@ -724,6 +983,7 @@ def fit_decision_table(
         scan=tuple(bands["scan"]),
         fusion=tuple(bands["fusion"]),
         kernel=tuple(bands["kernel"]),
+        radix=tuple(bands["radix"]),
         source=(
             f"fitted (ranks={ranks}, payloads={payloads[0]}.."
             f"{payloads[-1]}B, topology={topo_sig})"

@@ -26,6 +26,7 @@ from repro.errors import TransferError
 
 __all__ = [
     "payload_nbytes",
+    "cheap_nbytes",
     "copy_for_transfer",
     "ensure_transferable",
     "TransferSized",
@@ -65,6 +66,43 @@ class TransferSized:
         raise NotImplementedError
 
 
+def _nbytes(obj: Any, may_pickle: bool) -> int | None:
+    if obj is None:
+        return 1
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return int(obj.nbytes)
+    if isinstance(obj, (bool, int, float, complex)):
+        return _SCALAR_BYTES
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8"))
+    meth = getattr(obj, "transfer_nbytes", None)
+    if callable(meth):
+        return int(meth())
+    if isinstance(obj, dict):
+        # keys and values as two sequences: one per-item overhead a pair
+        keys = _nbytes(tuple(obj.keys()), may_pickle)
+        values = _nbytes(tuple(obj.values()), may_pickle)
+        if keys is None or values is None:
+            return None
+        return keys + values - _PER_ITEM_OVERHEAD * len(obj)
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        total = 0
+        for x in obj:
+            n = _nbytes(x, may_pickle)
+            if n is None:
+                return None
+            total += n + _PER_ITEM_OVERHEAD
+        return total
+    if not may_pickle:
+        return None
+    try:
+        return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return _SCALAR_BYTES
+
+
 def payload_nbytes(obj: Any) -> int:
     """Estimate the wire size of ``obj`` in bytes.
 
@@ -73,34 +111,14 @@ def payload_nbytes(obj: Any) -> int:
     per-item overhead; objects implementing ``transfer_nbytes`` are asked;
     anything else falls back to its pickle length.
     """
-    if obj is None:
-        return 1
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, np.generic):
-        return int(obj.nbytes)
-    if isinstance(obj, (bool, int, float, complex)):
-        return _SCALAR_BYTES
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return len(obj)
-    if isinstance(obj, str):
-        return len(obj.encode("utf-8"))
-    if isinstance(obj, TransferSized):
-        return int(obj.transfer_nbytes())
-    meth = getattr(obj, "transfer_nbytes", None)
-    if callable(meth):
-        return int(meth())
-    if isinstance(obj, (tuple, list, set, frozenset)):
-        return sum(payload_nbytes(x) + _PER_ITEM_OVERHEAD for x in obj)
-    if isinstance(obj, dict):
-        return sum(
-            payload_nbytes(k) + payload_nbytes(v) + _PER_ITEM_OVERHEAD
-            for k, v in obj.items()
-        )
-    try:
-        return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return _SCALAR_BYTES
+    return _nbytes(obj, True)
+
+
+def cheap_nbytes(obj: Any) -> int | None:
+    """:func:`payload_nbytes` wherever it can be had without pickling
+    anything, else ``None`` — what a per-call decision path (the
+    collective tuner) can afford to ask."""
+    return _nbytes(obj, False)
 
 
 def copy_for_transfer(obj: Any) -> Any:

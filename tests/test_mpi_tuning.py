@@ -515,3 +515,185 @@ class TestKernelDimension:
         lo, hi, choice = constant_span("kernel", 1 << 20, 4)
         assert lo <= (1 << 20) <= hi
         assert choice in ("scalar", "compiled")
+
+
+class TestRadixDimension:
+    """The fan-out of the doubling schedules (recursive-doubling
+    allreduce, binomial scan) is the table's ``radix`` dimension: fitted
+    by simulation, admitted per call by two guards, byte-identical at
+    every value (tests/test_radix_identity.py) — so only speed is at
+    stake here."""
+
+    @staticmethod
+    def _makespan(kind, p, nbytes, cs, algorithm):
+        def prog(comm):
+            # (n, 1)-shaped: never splittable, so auto stays on the
+            # doubling schedule at every size and only the radix varies.
+            arr = np.zeros((max(1, nbytes // 8), 1))
+            call = comm.allreduce if kind == "allreduce" else comm.scan
+            call(arr, mpi.SUM, combine_seconds=cs, algorithm=algorithm)
+
+        return spmd_run(prog, p).time
+
+    @pytest.mark.parametrize("p", [*range(2, 18), 32, 64])
+    def test_auto_never_slower_than_plain_doubling(self, p):
+        from repro.mpi.tuning import choose_radix
+
+        fanned_out = False
+        for nbytes in (8, 64, 512, 4096, 65536):
+            for cs in (0.0, 2e-6, 2e-5):
+                fanned_out |= choose_radix(nbytes, p, combine_seconds=cs) > 2
+                for kind, plain in (
+                    ("allreduce", "recursive_doubling"), ("scan", "binomial")
+                ):
+                    if kind == "scan" and p == 2:
+                        continue  # auto takes the chain there
+                    auto = self._makespan(kind, p, nbytes, cs, "auto")
+                    base = self._makespan(kind, p, nbytes, cs, plain)
+                    assert auto <= base, (kind, p, nbytes, cs)
+                    if nbytes > 500 or cs == 2e-5:
+                        # above the byte guard / folds dearer than rounds
+                        assert auto == base, (kind, p, nbytes, cs)
+        assert fanned_out  # the grid did exercise radix > 2
+
+    def test_headline_makespans(self):
+        """The numbers the default bands were chosen on (8-byte payload)."""
+        for p, expected_us in ((8, 14.0), (16, 18.032), (32, 23.016)):
+            t = self._makespan("allreduce", p, 8, 0.0, "auto")
+            assert t * 1e6 == pytest.approx(expected_us, abs=1e-6)
+
+    def test_byte_guard_follows_the_cost_model(self):
+        from repro.mpi.tuning import choose_radix, fanout_admitted
+        from repro.runtime.costmodel import CostModel
+
+        # default model: 1 us send overhead / 2 ns per byte = 500 B
+        assert choose_radix(500, 8) == 8
+        assert choose_radix(501, 8) == 2
+        slow_wire = CostModel(byte_time=1e-8)  # 100 B fit in one overhead
+        assert fanout_admitted(8, 100, 8, cost_model=slow_wire)
+        assert not fanout_admitted(8, 101, 8, cost_model=slow_wire)
+        assert choose_radix(128, 8, cost_model=slow_wire) == 2
+
+    def test_fold_guard(self):
+        from repro.mpi.tuning import choose_radix
+
+        # 8 ranks, one 8-way level: 7 serial folds against doubling's 3,
+        # 7.0 us saved — worth it while a fold costs under 1.75 us.
+        assert choose_radix(8, 8, combine_seconds=1.5e-6) == 8
+        assert choose_radix(8, 8, combine_seconds=2e-6) == 2
+        assert choose_radix(8, 8, combine_seconds=2e-5) == 2
+        # Off powers of two the closed form does not hold: plain doubling.
+        assert choose_radix(8, 7, combine_seconds=0.0) > 2
+        assert choose_radix(8, 7, combine_seconds=1e-7) == 2
+
+    def test_pre_radix_table_round_trips_and_selects_radix_2(self):
+        from repro.mpi.tuning import choose_radix
+
+        doc = DEFAULT_TABLE.to_dict()
+        del doc["radix"]
+        old = DecisionTable.from_dict(doc)
+        assert DecisionTable.from_dict(old.to_dict()) == old
+        for p in (2, 4, 8, 16, 64):
+            for nbytes in (8, 64, 512, 65536):
+                assert choose_radix(nbytes, p, table=old) == 2
+
+    def test_round_trip_preserves_radix(self):
+        back = DecisionTable.from_dict(
+            json.loads(json.dumps(DEFAULT_TABLE.to_dict()))
+        )
+        assert back.radix == DEFAULT_TABLE.radix
+        assert all(
+            isinstance(k, int) for b in back.radix for _, k in b.cutoffs
+        )
+
+    def test_fit_includes_radix(self):
+        table, report = fit_decision_table(
+            rank_grid=(8,), payload_grid=(8, 4096)
+        )
+        # fitted up to the byte guard's limit, plain doubling past it
+        assert table.radix == (Band(1 << 62, ((500, 8), (1 << 62, 2))),)
+        cells = report["grid"]["radix"]
+        assert [c["nbytes"] for c in cells] == [8, 500]
+        assert set(cells[0]["times"]) == {2, 4, 8}
+        json.dumps(report)
+
+    def test_dry_run_prints_radix_bands(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["tune", "--dry-run", "--ranks", "8",
+                     "--payloads", "8", "4096"]) == 0
+        out = capsys.readouterr().out
+        assert "fitted radix bands" in out
+        assert "ranks >= 1: radix 8 <= 500 B, radix 2 above" in out
+
+    def test_tuning_inputs_size_without_pickling(self):
+        from repro.mpi.comm import Communicator
+
+        sized = Communicator._tuning_inputs
+        assert sized(3.0, mpi.SUM, 8) == (8, False)
+        assert sized(np.float64(1.0), mpi.SUM, 8) == (8, False)
+        assert sized(np.zeros((4, 2)), mpi.SUM, 8) == (64, False)
+        assert sized(np.zeros(16), mpi.SUM, 8) == (128, True)
+        assert sized((0.0, 7), mpi.MINLOC, 8) == (32, False)
+
+        class Opaque:
+            def __reduce__(self):
+                raise AssertionError("the tuner must not pickle payloads")
+
+        nbytes, splittable = sized(Opaque(), mpi.SUM, 8)
+        assert nbytes > 1 << 40 and not splittable  # unknown: never fans out
+
+    def test_one_cached_lookup_answers_algorithm_and_radix(self):
+        from repro.mpi.schedule_cache import ScheduleCache
+        from repro.mpi.tuning import choose_radix
+
+        cache = ScheduleCache()
+        assert cache.schedule("allreduce", 8, 8, True, False) == (
+            "recursive_doubling", 8)
+        assert cache.schedule("scan", 64, 16, True, False) == ("binomial", 4)
+        assert (cache.hits, cache.misses) == (0, 2)
+        # hits are exact, guards included, on both sides of every cutoff
+        for nbytes in (1, 8, 9, 15, 499, 500, 501, 4096):
+            for cs in (0.0, 1.5e-6, 2e-5):
+                assert cache.schedule(
+                    "allreduce", nbytes, 8, True, False, combine_seconds=cs
+                ) == ("recursive_doubling",
+                      choose_radix(nbytes, 8, combine_seconds=cs))
+        assert cache.choose("allreduce", 8, 8, True, False) == (
+            "recursive_doubling")
+        # a segmenting schedule carries no radix
+        assert cache.schedule("allreduce", 1 << 20, 8, True, True) == (
+            "rabenseifner", 2)
+
+    def test_decision_record_names_radix_and_band(self):
+        from repro.mpi.schedule_cache import ScheduleCache
+
+        cache = ScheduleCache()
+        cache.schedule("allreduce", 8, 8, True, False)
+        cache.schedule("allreduce", 1 << 20, 8, True, True)
+        small, big = cache.decisions()
+        assert small == {
+            "kind": "allreduce", "nprocs": 8, "commutative": True,
+            "splittable": False, "topology": "flat", "bytes": [0, 500],
+            "algorithm": "recursive_doubling", "radix": 8,
+            "radix_band": {"max_ranks": 8, "max_bytes": 500},
+        }
+        assert big["algorithm"] == "rabenseifner" and "radix" not in big
+
+    def test_metrics_observe_levels_and_radix_actually_run(self):
+        from repro.obs import Tracer
+
+        def prog(comm):
+            comm.allreduce(1.0, mpi.SUM)
+            comm.allreduce(1.0, mpi.SUM, algorithm="recursive_doubling")
+            comm.scan(1.0, mpi.SUM)
+            comm.scan(1.0, mpi.SUM, algorithm="binomial")
+
+        tracer = Tracer()
+        spmd_run(prog, 8, tracer=tracer)
+        hist = tracer.metrics.snapshot()["histograms"]
+        for name in ("allreduce_rd", "scan_binomial"):
+            rounds = hist[f"collective.{name}.rounds"]
+            radix = hist[f"collective.{name}.radix"]
+            assert (rounds["min"], rounds["max"]) == (1, 3)  # auto, explicit
+            assert (radix["min"], radix["max"]) == (2, 8)
