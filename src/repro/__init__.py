@@ -40,35 +40,20 @@ Layers (bottom-up):
 * :mod:`repro.analysis` — speedup series and paper-style reports
 """
 
-from repro.core import (
-    ReduceScanOp,
-    check_operator,
-    from_binary,
-    global_reduce,
-    global_reduce_many,
-    global_scan,
-    global_xscan,
-    make_op,
-)
-from repro.engine import Engine, JobHandle, Session
-from repro.runtime import CostModel, SpmdResult, spmd_run
+from repro import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "spmd_run",
-    "SpmdResult",
-    "CostModel",
-    "Engine",
-    "Session",
-    "JobHandle",
-    "ReduceScanOp",
-    "make_op",
-    "from_binary",
-    "global_reduce",
-    "global_reduce_many",
-    "global_scan",
-    "global_xscan",
-    "check_operator",
-]
+__getattr__, __dir__, _exports = _lazy.attach(__name__, {
+    "core.operator": ("ReduceScanOp",),
+    "core.validation": ("check_operator",),
+    "core.functional": ("from_binary", "make_op"),
+    "core.reduce": ("global_reduce",),
+    "core.fusion": ("global_reduce_many",),
+    "core.scan": ("global_scan", "global_xscan"),
+    "engine.core": ("Engine", "Session"),
+    "engine.job": ("JobHandle",),
+    "runtime.costmodel": ("CostModel",),
+    "runtime.executor": ("SpmdResult", "spmd_run"),
+})
+__all__ = ["__version__", *_exports]

@@ -43,12 +43,9 @@ import runpy
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from repro import __version__, global_reduce, global_scan, spmd_run
-from repro.mpi import tuning
-from repro.ops import CountsOp, MinKOp, SortedOp, SumOp
-from repro.rsmpi import RSMPI_Reduceall, load_operator
+# Each subcommand imports what it runs inside its handler, after its
+# arguments parse: ``top`` and ``--help`` load neither numpy nor the
+# runtime.
 
 PAPER_DATA = [6, 7, 6, 3, 8, 2, 8, 4, 8, 3]
 
@@ -75,6 +72,12 @@ def _cmd_tour(argv: list[str]) -> int:
     )
     ns = parser.parse_args(argv)
     nprocs = ns.nprocs
+
+    import numpy as np
+
+    from repro import __version__, global_reduce, global_scan, spmd_run
+    from repro.ops import CountsOp, MinKOp, SortedOp, SumOp
+    from repro.rsmpi import RSMPI_Reduceall, load_operator
 
     print(f"repro {__version__} — Deitz et al., PPoPP 2006, reproduced")
     print(f"paper data {PAPER_DATA} over {nprocs} simulated ranks:\n")
@@ -214,6 +217,8 @@ def _cmd_profile(argv: list[str]) -> int:
 
 
 def _cmd_tune(argv: list[str]) -> int:
+    from repro.mpi import tuning  # the help text quotes its default grid
+
     parser = argparse.ArgumentParser(
         prog="python -m repro tune",
         description="Re-fit the collective algorithm decision table by "

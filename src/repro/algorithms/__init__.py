@@ -14,11 +14,10 @@ primitives:
   made of nothing but scans and routing.
 """
 
-from repro.algorithms.scan_based import (
-    radix_sort,
-    sample_sort,
-    split_by_flag,
-    stream_compact,
-)
+from repro import _lazy
 
-__all__ = ["stream_compact", "split_by_flag", "radix_sort", "sample_sort"]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "scan_based": (
+        "radix_sort", "sample_sort", "split_by_flag", "stream_compact"
+    ),
+})

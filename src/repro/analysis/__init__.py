@@ -1,37 +1,14 @@
 """Analysis: speedup/efficiency series and paper-style reports."""
 
-from repro.analysis.efficiency import Series, crossover, sweep
-from repro.analysis.report import (
-    format_series_csv,
-    format_speedup_figure,
-    format_table,
-)
-from repro.analysis.timeline import (
-    engine_session_to_chrome_trace,
-    to_chrome_trace,
-    tracer_to_chrome_trace,
-    write_chrome_trace,
-    write_engine_session_trace,
-)
-from repro.analysis.utilization import (
-    RankUtilization,
-    format_utilization,
-    utilization,
-)
+from repro import _lazy
 
-__all__ = [
-    "Series",
-    "sweep",
-    "crossover",
-    "format_table",
-    "format_speedup_figure",
-    "format_series_csv",
-    "RankUtilization",
-    "utilization",
-    "format_utilization",
-    "to_chrome_trace",
-    "tracer_to_chrome_trace",
-    "write_chrome_trace",
-    "engine_session_to_chrome_trace",
-    "write_engine_session_trace",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "efficiency": ("Series", "crossover", "sweep"),
+    "report": ("format_series_csv", "format_speedup_figure", "format_table"),
+    "timeline": (
+        "engine_session_to_chrome_trace", "to_chrome_trace",
+        "tracer_to_chrome_trace", "write_chrome_trace",
+        "write_engine_session_trace"
+    ),
+    "utilization": ("RankUtilization", "format_utilization", "utilization"),
+})

@@ -1,21 +1,12 @@
 """Global-view distributed arrays and their distributions."""
 
-from repro.arrays.distribution import (
-    BlockCyclicDist,
-    BlockDist,
-    CyclicDist,
-    Distribution,
-    ExplicitDist,
-)
-from repro.arrays.global_array import GlobalArray
-from repro.arrays.multidim import GlobalMatrix
+from repro import _lazy
 
-__all__ = [
-    "Distribution",
-    "BlockDist",
-    "CyclicDist",
-    "BlockCyclicDist",
-    "ExplicitDist",
-    "GlobalArray",
-    "GlobalMatrix",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "distribution": (
+        "BlockCyclicDist", "BlockDist", "CyclicDist", "Distribution",
+        "ExplicitDist"
+    ),
+    "global_array": ("GlobalArray",),
+    "multidim": ("GlobalMatrix",),
+})

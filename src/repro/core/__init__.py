@@ -1,54 +1,18 @@
 """The paper's primary contribution: global-view user-defined
 reductions and scans (Section 3)."""
 
-from repro.core.chapel import ChapelOp, ChapelOpAdapter
-from repro.core.functional import from_binary, make_op
-from repro.core.fusion import (
-    PendingReduction,
-    ReductionBucket,
-    global_reduce_many,
-)
-from repro.core.kernels import (
-    ElementwiseKernel,
-    FallbackKernel,
-    Kernel,
-    KernelCache,
-    SegmentedKernel,
-    batched_accumulate,
-    compile_kernel,
-)
-from repro.core.operator import ReduceScanOp, state_equal
-from repro.core.reduce import accumulate_local, accumulate_local_many, global_reduce
-from repro.core.scan import global_scan, global_xscan
-from repro.core.validation import (
-    check_operator,
-    sequential_reduce,
-    sequential_scan,
-)
+from repro import _lazy
 
-__all__ = [
-    "ReduceScanOp",
-    "ChapelOp",
-    "ChapelOpAdapter",
-    "state_equal",
-    "make_op",
-    "from_binary",
-    "global_reduce",
-    "global_reduce_many",
-    "ReductionBucket",
-    "PendingReduction",
-    "global_scan",
-    "global_xscan",
-    "accumulate_local",
-    "accumulate_local_many",
-    "Kernel",
-    "ElementwiseKernel",
-    "SegmentedKernel",
-    "FallbackKernel",
-    "KernelCache",
-    "compile_kernel",
-    "batched_accumulate",
-    "check_operator",
-    "sequential_reduce",
-    "sequential_scan",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "chapel": ("ChapelOp", "ChapelOpAdapter"),
+    "functional": ("from_binary", "make_op"),
+    "fusion": ("PendingReduction", "ReductionBucket", "global_reduce_many"),
+    "kernels": (
+        "ElementwiseKernel", "FallbackKernel", "Kernel", "KernelCache",
+        "SegmentedKernel", "batched_accumulate", "compile_kernel"
+    ),
+    "operator": ("ReduceScanOp", "state_equal"),
+    "reduce": ("accumulate_local", "accumulate_local_many", "global_reduce"),
+    "scan": ("global_scan", "global_xscan"),
+    "validation": ("check_operator", "sequential_reduce", "sequential_scan"),
+})

@@ -70,6 +70,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.operator import ReduceScanOp
+from repro.ops.arithmetic import UfuncOp
 
 __all__ = [
     "Kernel",
@@ -381,8 +382,6 @@ def compile_kernel(op: ReduceScanOp, values: Any) -> Kernel:
       :class:`SegmentedKernel` (its own vectorized multi-pass code).
     * Everything else → :class:`FallbackKernel` (base-class loop).
     """
-    from repro.ops.arithmetic import UfuncOp
-
     cls = type(op)
     _, dtype_kind = _classify_value(values)
     if (

@@ -29,7 +29,7 @@ from repro.localview.api import LOCAL_ALLREDUCE, LOCAL_REDUCE
 from repro.mpi import tuning as _tuning
 from repro.mpi.comm import Communicator
 from repro.mpi.op import Op
-from repro.runtime.procworld import MISS as _proc_MISS
+from repro.runtime.channels import MISS as _proc_MISS
 from repro.util.sizing import payload_nbytes
 
 __all__ = [

@@ -36,15 +36,10 @@ for lifecycle, isolation model, backpressure semantics, the schedule
 cache and the self-healing contract.
 """
 
-from repro.engine.core import Engine, Session
-from repro.engine.job import JobHandle
-from repro.engine.resilience import RetryPolicy, Supervisor, SupervisorConfig
+from repro import _lazy
 
-__all__ = [
-    "Engine",
-    "Session",
-    "JobHandle",
-    "RetryPolicy",
-    "Supervisor",
-    "SupervisorConfig",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "core": ("Engine", "Session"),
+    "job": ("JobHandle",),
+    "resilience": ("RetryPolicy", "Supervisor", "SupervisorConfig"),
+})

@@ -59,7 +59,6 @@ which case it is gang-assembled onto the ranks that remain.  See
 from __future__ import annotations
 
 import heapq
-import logging
 import queue
 import threading
 import time
@@ -77,8 +76,9 @@ from repro.errors import (
     SpmdError,
     SpmdTimeout,
 )
+from repro.mpi.comm import Communicator
+from repro.obs.telemetry_null import NULL_ENGINE_TELEMETRY
 from repro.obs.tracer import active_tracer
-from repro.obs.telemetry import NULL_ENGINE_TELEMETRY, EngineTelemetry
 from repro.runtime.costmodel import CostModel
 from repro.runtime.executor import SpmdResult
 from repro.runtime.world import World
@@ -88,7 +88,16 @@ from repro.engine.resilience import RetryPolicy, Supervisor, SupervisorConfig
 
 __all__ = ["Engine", "Session"]
 
-logger = logging.getLogger("repro.engine")
+
+def _resolve_telemetry(telemetry: Any, nprocs: int) -> Any:
+    """``True`` → a fresh :class:`EngineTelemetry`, falsy → the shared
+    null object, anything else is the caller's own instance.  The
+    telemetry stack is imported only by an engine that turns it on."""
+    if telemetry is True:
+        from repro.obs.telemetry import EngineTelemetry
+
+        return EngineTelemetry(nprocs)
+    return telemetry or NULL_ENGINE_TELEMETRY
 
 
 def _probe_fn(comm):
@@ -161,10 +170,7 @@ class Engine:
             raise ValueError(
                 f"placement must be 'locality' or 'lowest', got {placement!r}"
             )
-        if telemetry is True:
-            telemetry = EngineTelemetry(nprocs)
-        elif not telemetry:
-            telemetry = NULL_ENGINE_TELEMETRY
+        telemetry = _resolve_telemetry(telemetry, nprocs)
         self._telemetry = telemetry
         telemetry.bind(self)
         # The shared world validates nprocs >= 1 before any thread starts.
@@ -283,10 +289,7 @@ class Engine:
         old telemetry but report their remaining transitions to the new
         one, so swapping with jobs pending or running skews both series.
         """
-        if telemetry is True:
-            telemetry = EngineTelemetry(self._nprocs)
-        elif not telemetry:
-            telemetry = NULL_ENGINE_TELEMETRY
+        telemetry = _resolve_telemetry(telemetry, self._nprocs)
         with self._lock:
             self._telemetry = telemetry
         telemetry.bind(self)
@@ -598,7 +601,9 @@ class Engine:
                 stragglers.append(t.name)
         clean = not stragglers
         if stragglers:
-            logger.warning(
+            import logging
+
+            logging.getLogger("repro.engine").warning(
                 "engine shutdown: %d worker thread(s) failed to join "
                 "within %.1f s: %s",
                 len(stragglers), join_timeout, ", ".join(stragglers),
@@ -787,8 +792,6 @@ class Engine:
 
     def _run_rank(self, job: _Job, w: int, g: int) -> None:
         """Run one member rank of one job (mirrors executor.run_rank)."""
-        from repro.mpi.comm import Communicator  # local import: cycle
-
         world = job.world
         mailbox = self._world.mailboxes[w]
         lc = job.lifecycle

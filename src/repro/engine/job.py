@@ -14,6 +14,7 @@ import time
 from typing import Any, Callable, Sequence
 
 from repro.errors import SpmdTimeout
+from repro.runtime.world import JobWorld
 
 __all__ = ["JobHandle"]
 
@@ -114,8 +115,6 @@ class _Job:
         abort flag, base cid) and cleared failure state, which is what
         makes a successful retry bit-identical to a fault-free run.
         """
-        from repro.runtime.world import JobWorld
-
         self.failures = {}
         self.failure_states = None
         self.members = tuple(members)

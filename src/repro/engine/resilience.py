@@ -30,7 +30,6 @@ seed arithmetic.  Nothing in this module consumes ambient entropy.
 
 from __future__ import annotations
 
-import random
 import threading
 from dataclasses import dataclass, field
 
@@ -115,6 +114,8 @@ class RetryPolicy:
             self.backoff_base * self.backoff_factor ** (attempt - 1),
         )
         if self.jitter > 0.0 and delay > 0.0:
+            import random
+
             rng = random.Random(f"retry:{self.seed}:{job_id}:{attempt}")
             delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return max(delay, 0.0)

@@ -29,26 +29,13 @@ seed and the rank, so outcomes depend only on (plan, nprocs, program),
 never on the thread schedule.
 """
 
-from repro.faults.injection import FaultInjector
-from repro.faults.plan import (
-    FailStop,
-    FaultPlan,
-    LinkFaults,
-    TransientPlan,
-    random_plan,
-    reseed,
-    transient_plan,
-)
-from repro.faults.reliable import Frame
+from repro import _lazy
 
-__all__ = [
-    "FailStop",
-    "FaultInjector",
-    "FaultPlan",
-    "Frame",
-    "LinkFaults",
-    "TransientPlan",
-    "random_plan",
-    "reseed",
-    "transient_plan",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "injection": ("FaultInjector",),
+    "plan": (
+        "FailStop", "FaultPlan", "LinkFaults", "TransientPlan", "random_plan",
+        "reseed", "transient_plan"
+    ),
+    "reliable": ("Frame",),
+})

@@ -1,64 +1,17 @@
 """Simulated MPI: communicators, the 12 built-in ops, user-defined ops."""
 
-from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Communicator
-from repro.mpi.request import ProgressEngine, Request, waitall
-from repro.mpi.op import (
-    BAND,
-    BOR,
-    BUILTIN_OPS,
-    BXOR,
-    LAND,
-    LOR,
-    LXOR,
-    MAX,
-    MAXLOC,
-    MIN,
-    MINLOC,
-    Op,
-    PROD,
-    SUM,
-    op_create,
-)
-from repro.mpi.topology import binomial_tree, dims_create, kary_tree, tree_depth
-from repro.mpi.tuning import (
-    DecisionTable,
-    choose_allreduce,
-    choose_reduce,
-    choose_scan,
-    get_decision_table,
-    set_decision_table,
-)
+from repro import _lazy
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Communicator",
-    "Request",
-    "ProgressEngine",
-    "waitall",
-    "Op",
-    "op_create",
-    "BUILTIN_OPS",
-    "MAX",
-    "MIN",
-    "SUM",
-    "PROD",
-    "LAND",
-    "BAND",
-    "LOR",
-    "BOR",
-    "LXOR",
-    "BXOR",
-    "MAXLOC",
-    "MINLOC",
-    "binomial_tree",
-    "kary_tree",
-    "tree_depth",
-    "dims_create",
-    "DecisionTable",
-    "choose_allreduce",
-    "choose_reduce",
-    "choose_scan",
-    "get_decision_table",
-    "set_decision_table",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "comm": ("ANY_SOURCE", "ANY_TAG", "Communicator"),
+    "request": ("ProgressEngine", "Request", "waitall"),
+    "op": (
+        "BAND", "BOR", "BUILTIN_OPS", "BXOR", "LAND", "LOR", "LXOR", "MAX",
+        "MAXLOC", "MIN", "MINLOC", "Op", "PROD", "SUM", "op_create"
+    ),
+    "topology": ("binomial_tree", "dims_create", "kary_tree", "tree_depth"),
+    "tuning": (
+        "DecisionTable", "choose_allreduce", "choose_reduce", "choose_scan",
+        "get_decision_table", "set_decision_table"
+    ),
+})

@@ -36,15 +36,14 @@ the table so a bad fit can never produce a wrong answer:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
+from repro import _lazy
 from repro.mpi import collectives as _coll
 from repro.runtime.costmodel import CostModel
 
@@ -380,9 +379,13 @@ def set_decision_table(
     return prev
 
 
-def load_decision_table(path: str | Path) -> DecisionTable:
+def load_decision_table(path) -> DecisionTable:
     """Load a table emitted by ``python -m repro tune`` and install it
-    (under its own topology signature)."""
+    (under its own topology signature).  ``path`` is a ``str`` or
+    :class:`~pathlib.Path`."""
+    import json
+    from pathlib import Path
+
     table = DecisionTable.from_dict(json.loads(Path(path).read_text()))
     set_decision_table(table)
     return table
@@ -705,302 +708,11 @@ def fusion_flush_bytes(nprocs: int, *, table: DecisionTable | None = None) -> in
     return threshold
 
 
-# ---------------------------------------------------------------------------
-# Fitting
-# ---------------------------------------------------------------------------
-
-#: Default payload sweep for fitting: 8 B to 4 MiB in powers of 4.
-DEFAULT_PAYLOAD_GRID = tuple(8 * 4**k for k in range(10))
-DEFAULT_RANK_GRID = (4, 8, 16, 32)
-
-
-def _simulate(
-    kind: str, algorithm: str, nbytes: int, nprocs: int, cost_model,
-    topology=None,
-):
-    """Virtual makespan of one collective call under ``cost_model`` (and
-    optionally a non-flat fabric ``topology``)."""
-    # Imported here: tuning is imported by repro.mpi.comm, and the
-    # executor imports the communicator (cycle otherwise).
-    from repro.mpi.op import SUM
-    from repro.runtime.executor import spmd_run
-
-    n = max(nprocs, nbytes // 8)
-
-    def prog(comm):
-        arr = np.zeros(n, dtype=np.float64)
-        if kind == "allreduce":
-            comm.allreduce(arr, SUM, algorithm=algorithm)
-        elif kind == "reduce":
-            comm.reduce(arr, SUM, algorithm=algorithm)
-        elif kind == "scan":
-            comm.scan(arr, SUM, algorithm=algorithm)
-        elif kind == "fusion":
-            # Two pending n-element reductions: "fuse" merges them into
-            # one recursive-doubling wave over the concatenated payload
-            # (what a ReductionBucket flush does); "flush" dispatches
-            # them as two individual auto-tuned allreduces.
-            if algorithm == "fuse":
-                comm.allreduce(
-                    np.zeros(2 * n, dtype=np.float64), SUM,
-                    algorithm="recursive_doubling",
-                )
-            elif algorithm == "flush":
-                comm.allreduce(arr, SUM)
-                comm.allreduce(np.zeros(n, dtype=np.float64), SUM)
-            else:  # pragma: no cover - internal misuse
-                raise ValueError(f"unknown fusion candidate {algorithm!r}")
-        else:  # pragma: no cover - internal misuse
-            raise ValueError(f"unknown collective kind {kind!r}")
-
-    return spmd_run(
-        prog, nprocs, cost_model=cost_model, topology=topology
-    ).time
-
-
-def _simulate_radix(
-    kind: str, radix: int, nbytes: int, nprocs: int, cost_model,
-    topology=None,
-):
-    """Virtual makespan of one doubling-schedule call at fan-out
-    ``radix``.  The communicator deliberately has no way to ask for a
-    radix (it is ``auto``'s decision alone), so this drives the plan on
-    a raw collective channel."""
-    from repro.mpi.op import SUM
-    from repro.runtime.executor import spmd_run
-
-    n = max(1, nbytes // 8)
-
-    def prog(comm):
-        arr = np.zeros(n, dtype=np.float64)
-        ch = comm._channel(kind)
-        if kind == "allreduce":
-            plan = _coll.allreduce_recursive_doubling_plan(
-                ch, arr, SUM, radix=radix
-            )
-        else:
-            plan = _coll.scan_simultaneous_binomial_plan(
-                ch, arr, SUM, radix=radix
-            )
-        _coll.run_plan(ch, plan)
-
-    return spmd_run(
-        prog, nprocs, cost_model=cost_model, topology=topology
-    ).time
-
-
-#: Scalar-loop measurements run on at most this many elements and are
-#: extrapolated linearly (the loop is O(n) interpreter steps), so a
-#: full-grid fit does not spend seconds per large payload.
-_KERNEL_PROBE_CAP = 8192
-
-
-def _measure_kernel(algorithm: str, nbytes: int) -> float:
-    """Wall-clock seconds to accumulate an ``nbytes`` int64 block under
-    one kernel routing.  Unlike the collective kinds this dimension
-    trades interpreter dispatch against NumPy fixed call overhead —
-    real CPU effects the virtual message cost model does not represent
-    — so it is fitted on the wall clock.  Rank-independent (the
-    accumulate phase is local), measured as best-of-5 over an inner
-    repetition loop sized so each sample is long enough to time."""
-    import time
-
-    from repro.core import kernels as _kernels
-    from repro.ops import SumOp
-
-    op = SumOp()
-    n = max(1, nbytes // 8)
-    if algorithm == "scalar":
-        probe_n = min(n, _KERNEL_PROBE_CAP)
-        arr = np.arange(probe_n, dtype=np.int64)
-        scale = n / probe_n
-        accum = op.accum
-
-        def run():
-            state = op.ident()
-            for x in arr:
-                state = accum(state, x)
-            return state
-
-    elif algorithm == "compiled":
-        arr = np.arange(n, dtype=np.int64)
-        scale = 1.0
-        kern = _kernels.compile_kernel(op, arr)
-
-        def run():
-            return kern.accumulate(op, op.ident(), arr)
-
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(f"unknown kernel candidate {algorithm!r}")
-
-    run()  # warm caches and lazy imports
-    inner = max(1, 4096 // max(1, len(arr)))
-    best = math.inf
-    for _ in range(5):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            run()
-        best = min(best, (time.perf_counter() - t0) / inner)
-    return best * scale
-
-
-def _cutoffs_from_winners(
-    payloads: Sequence[int], winners: Sequence[str | int]
-) -> tuple[tuple[int, str | int], ...]:
-    """Collapse a winner-per-payload row into byte thresholds, placing
-    each crossover at the geometric midpoint of the bracketing grid
-    points."""
-    cutoffs: list[tuple[int, str | int]] = []
-    current = winners[0]
-    for i in range(1, len(winners)):
-        if winners[i] != current:
-            threshold = int(math.sqrt(payloads[i - 1] * payloads[i]))
-            cutoffs.append((threshold, current))
-            current = winners[i]
-    cutoffs.append((_UNBOUNDED, current))
-    return tuple(cutoffs)
-
-
-def fit_decision_table(
-    cost_model=None,
-    *,
-    rank_grid: Sequence[int] = DEFAULT_RANK_GRID,
-    payload_grid: Sequence[int] = DEFAULT_PAYLOAD_GRID,
-    topology=None,
-) -> tuple[DecisionTable, dict[str, Any]]:
-    """Re-fit the decision table by simulating every candidate on every
-    ``(nprocs, payload)`` grid point.
-
-    When ``topology`` (a :class:`repro.runtime.fabric.Topology`) is
-    non-flat, every candidate is simulated on that fabric and the
-    topology-aware ``"hierarchical"`` schedules join the allreduce and
-    scan candidate pools — they only enter decision tables through a
-    fit that actually measured them winning on a multi-tier fabric.
-
-    Returns ``(table, report)``; the report carries the full measurement
-    grid (virtual seconds per candidate per cell) for benchmarking /
-    plotting, and serializes cleanly to JSON.
-    """
-    from repro.runtime.costmodel import CostModel
-
-    cm = cost_model if cost_model is not None else CostModel()
-    topo_sig = "flat"
-    fit_topology = None
-    if topology is not None and not getattr(topology, "is_flat", True):
-        fit_topology = topology
-        topo_sig = topology.signature
-    payloads = sorted(int(b) for b in payload_grid)
-    ranks = sorted(int(p) for p in rank_grid)
-    candidates = {
-        "allreduce": (
-            ALLREDUCE_ALGORITHMS + ("hierarchical",)
-            if fit_topology is not None
-            else ALLREDUCE_ALGORITHMS
-        ),
-        "reduce": REDUCE_ALGORITHMS,
-        "scan": (
-            SCAN_ALGORITHMS + ("hierarchical",)
-            if fit_topology is not None
-            else SCAN_ALGORITHMS
-        ),
-        "fusion": FUSION_CANDIDATES,
-        "kernel": KERNEL_CANDIDATES,
-    }
-    # The kernel dimension is rank-independent and wall-clock-measured;
-    # memoize per (algorithm, payload) so rank bands reuse measurements.
-    kernel_memo: dict[tuple[str, int], float] = {}
-
-    def measure(kind: str, algorithm: str, nbytes: int, p: int) -> float:
-        if kind == "kernel":
-            key = (algorithm, nbytes)
-            if key not in kernel_memo:
-                kernel_memo[key] = _measure_kernel(algorithm, nbytes)
-            return kernel_memo[key]
-        return _simulate(kind, algorithm, nbytes, p, cm, fit_topology)
-
-    # The radix dimension is fitted only where fanout_admitted() could
-    # let it through — up to the byte guard's limit, which joins the
-    # grid so the fitted cutoff can sit exactly on it; past the limit
-    # the answer is 2 by construction.
-    fan_limit = max(1, min(_fanout_byte_limit(cm), payloads[-1]))
-    radix_payloads = sorted({b for b in payloads if b < fan_limit} | {fan_limit})
-
-    grid: dict[str, list[dict[str, Any]]] = {}
-    bands: dict[str, list[Band]] = {}
-    for kind, algos in candidates.items():
-        grid[kind] = []
-        bands[kind] = []
-        for p in ranks:
-            winners: list[str] = []
-            for nbytes in payloads:
-                times = {
-                    a: measure(kind, a, nbytes, p) for a in algos
-                }
-                winner = min(times, key=times.get)
-                winners.append(winner)
-                grid[kind].append(
-                    {"nprocs": p, "nbytes": nbytes, "times": times,
-                     "winner": winner}
-                )
-            bands[kind].append(Band(p, _cutoffs_from_winners(payloads, winners)))
-    grid["radix"] = []
-    bands["radix"] = []
-    for p in ranks:
-        fanouts: list[int] = []
-        for nbytes in radix_payloads:
-            # One radix serves both doubling schedules, so a candidate
-            # is scored on the pair; min() keeps the first — smallest —
-            # radix on ties.
-            times = {
-                k: sum(
-                    _simulate_radix(c, k, nbytes, p, cm, fit_topology)
-                    for c in ("allreduce", "scan")
-                )
-                for k in RADIX_CANDIDATES
-                if k < 2 * p
-            }
-            winner = min(times, key=times.get)
-            fanouts.append(winner)
-            grid["radix"].append(
-                {"nprocs": p, "nbytes": nbytes, "times": times,
-                 "winner": winner}
-            )
-        bands["radix"].append(
-            Band(
-                p,
-                _cutoffs_from_winners(
-                    radix_payloads + [radix_payloads[-1] + 1], fanouts + [2]
-                ),
-            )
-        )
-    for kind in bands:
-        # the largest fitted band also covers everything above it
-        last = bands[kind][-1]
-        bands[kind][-1] = replace(last, max_ranks=_UNBOUNDED)
-    table = DecisionTable(
-        allreduce=tuple(bands["allreduce"]),
-        reduce=tuple(bands["reduce"]),
-        scan=tuple(bands["scan"]),
-        fusion=tuple(bands["fusion"]),
-        kernel=tuple(bands["kernel"]),
-        radix=tuple(bands["radix"]),
-        source=(
-            f"fitted (ranks={ranks}, payloads={payloads[0]}.."
-            f"{payloads[-1]}B, topology={topo_sig})"
-        ),
-        topology=topo_sig,
-    )
-    report = {
-        "cost_model": {
-            "latency": cm.latency,
-            "byte_time": cm.byte_time,
-            "send_overhead": cm.send_overhead,
-            "recv_overhead": cm.recv_overhead,
-        },
-        "topology": topo_sig,
-        "rank_grid": ranks,
-        "payload_grid": payloads,
-        "grid": grid,
-        "table": table.to_dict(),
-    }
-    return table, report
+# The fitter (simulation grids, kernel timing) is only ever wanted by
+# ``python -m repro tune`` and the tests that re-fit; it is imported on
+# first use so looking a decision up does not compile it.
+__getattr__, __dir__, _ = _lazy.attach(__name__, {
+    "tuning_fit": (
+        "fit_decision_table", "DEFAULT_PAYLOAD_GRID", "DEFAULT_RANK_GRID"
+    ),
+})

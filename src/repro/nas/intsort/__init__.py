@@ -1,35 +1,15 @@
 """NAS IS (Integer Sort): keygen, parallel bucket sort, and the three
 verification variants of the paper's Figure 2."""
 
-from repro.nas.intsort.bucket_sort import SortResult, bucket_sort, local_key_block
-from repro.nas.intsort.driver import ISRun, VERIFIERS, run_is
-from repro.nas.intsort.kernels import (
-    count_unsorted_vectorized,
-    sorted_check_scalar,
-    sorted_check_tworef,
-    sorted_check_vectorized,
-)
-from repro.nas.intsort.keygen import generate_keys, generate_keys_block
-from repro.nas.intsort.verify import (
-    verify_mpi,
-    verify_rsmpi,
-    verify_rsmpi_commutative,
-)
+from repro import _lazy
 
-__all__ = [
-    "generate_keys",
-    "generate_keys_block",
-    "bucket_sort",
-    "local_key_block",
-    "SortResult",
-    "verify_mpi",
-    "verify_rsmpi",
-    "verify_rsmpi_commutative",
-    "run_is",
-    "ISRun",
-    "VERIFIERS",
-    "sorted_check_tworef",
-    "sorted_check_scalar",
-    "sorted_check_vectorized",
-    "count_unsorted_vectorized",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "bucket_sort": ("SortResult", "bucket_sort", "local_key_block"),
+    "driver": ("ISRun", "VERIFIERS", "run_is"),
+    "kernels": (
+        "count_unsorted_vectorized", "sorted_check_scalar",
+        "sorted_check_tworef", "sorted_check_vectorized"
+    ),
+    "keygen": ("generate_keys", "generate_keys_block"),
+    "verify": ("verify_mpi", "verify_rsmpi", "verify_rsmpi_commutative"),
+})

@@ -1,18 +1,10 @@
 """NAS MG's ZRAN3 initialization: the 40-reduction F+MPI variant vs. the
 single user-defined-reduction F+RSMPI variant (paper Figure 3)."""
 
-from repro.nas.mg.comm3 import comm3, norm2u3, vcycle_communication_round
-from repro.nas.mg.grid import Block3D, fill_zran_block
-from repro.nas.mg.zran3 import MM, Zran3Result, zran3_mpi, zran3_rsmpi
+from repro import _lazy
 
-__all__ = [
-    "comm3",
-    "norm2u3",
-    "vcycle_communication_round",
-    "Block3D",
-    "fill_zran_block",
-    "zran3_mpi",
-    "zran3_rsmpi",
-    "Zran3Result",
-    "MM",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "comm3": ("comm3", "norm2u3", "vcycle_communication_round"),
+    "grid": ("Block3D", "fill_zran_block"),
+    "zran3": ("MM", "Zran3Result", "zran3_mpi", "zran3_rsmpi"),
+})

@@ -26,77 +26,25 @@ p50/p95/p99 (:mod:`repro.obs.quantiles`), and
 ['accumulate', 'combine', 'generate']
 """
 
-from repro.obs.critpath import CriticalPath, PathStep, critical_path
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.export import (
-    dumps_jsonl,
-    format_text_report,
-    iter_jsonl_records,
-    phase_summary,
-    phase_topmost_spans,
-    write_jsonl,
-)
-from repro.obs.promexport import prom_name, render_prometheus
-from repro.obs.quantiles import DEFAULT_QUANTILES, P2Quantile, QuantileSet
-from repro.obs.telemetry import (
-    LIFECYCLE_STATES,
-    NULL_ENGINE_TELEMETRY,
-    EngineTelemetry,
-    JobLifecycle,
-    SnapshotRing,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    RankTracer,
-    RecvEdge,
-    RunCapture,
-    SendEdge,
-    Span,
-    Tracer,
-    active_profile,
-    active_tracer,
-    profiling,
-)
+from repro import _lazy
 
-__all__ = [
-    "Span",
-    "SendEdge",
-    "RecvEdge",
-    "RankTracer",
-    "RunCapture",
-    "Tracer",
-    "NULL_TRACER",
-    "profiling",
-    "active_tracer",
-    "active_profile",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_METRICS",
-    "CriticalPath",
-    "PathStep",
-    "critical_path",
-    "phase_summary",
-    "phase_topmost_spans",
-    "iter_jsonl_records",
-    "dumps_jsonl",
-    "write_jsonl",
-    "format_text_report",
-    "P2Quantile",
-    "QuantileSet",
-    "DEFAULT_QUANTILES",
-    "EngineTelemetry",
-    "JobLifecycle",
-    "SnapshotRing",
-    "NULL_ENGINE_TELEMETRY",
-    "LIFECYCLE_STATES",
-    "render_prometheus",
-    "prom_name",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "critpath": ("CriticalPath", "PathStep", "critical_path"),
+    "metrics": (
+        "NULL_METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry"
+    ),
+    "export": (
+        "dumps_jsonl", "format_text_report", "iter_jsonl_records",
+        "phase_summary", "phase_topmost_spans", "write_jsonl"
+    ),
+    "promexport": ("prom_name", "render_prometheus"),
+    "quantiles": ("DEFAULT_QUANTILES", "P2Quantile", "QuantileSet"),
+    "telemetry": (
+        "LIFECYCLE_STATES", "NULL_ENGINE_TELEMETRY", "EngineTelemetry",
+        "JobLifecycle", "SnapshotRing"
+    ),
+    "tracer": (
+        "NULL_TRACER", "RankTracer", "RecvEdge", "RunCapture", "SendEdge",
+        "Span", "Tracer", "active_profile", "active_tracer", "profiling"
+    ),
+})

@@ -53,13 +53,13 @@ Exports
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
 from typing import Any, Iterator
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry_null import NULL_ENGINE_TELEMETRY
 
 __all__ = [
     "JobLifecycle",
@@ -577,75 +577,11 @@ class EngineTelemetry:
 
     def dumps_jsonl(self) -> str:
         """The lifecycle records as newline-delimited JSON."""
+        import json
+
         return "\n".join(
             json.dumps(rec, allow_nan=False) for rec in self.jsonl_records()
         ) + "\n"
-
-
-class _NullEngineTelemetry:
-    """Disabled stand-in: ``enabled`` gates every engine call site, so
-    none of these methods run on the hot path; they exist so stray
-    cold-path calls (snapshots of a disabled engine) degrade gracefully."""
-
-    enabled = False
-    nprocs = 0
-    registry = None
-    __slots__ = ()
-
-    def bind(self, engine: Any) -> None:
-        pass
-
-    def now(self) -> float:
-        return 0.0
-
-    def job_admitted(self, *a: Any, **k: Any) -> None:
-        return None
-
-    def job_rejected(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def job_assembled(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def job_running(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def job_done(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def job_retried(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def job_reaped(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def job_shrunk(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def rank_quarantined(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def rank_revived(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def degraded_changed(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def utilization(self, now: float | None = None) -> list[float]:
-        return []
-
-    def intervals(self) -> list:
-        return []
-
-    def recent_jobs(self, n: int = 16) -> list:
-        return []
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"type": "snapshot", "enabled": False}
-
-
-#: Shared no-op telemetry handed to engines constructed without it.
-NULL_ENGINE_TELEMETRY = _NullEngineTelemetry()
 
 
 class SnapshotRing:
@@ -710,6 +646,8 @@ class SnapshotRing:
     def write(self, path: str) -> int:
         """Dump frames + per-job lifecycle records as JSONL; returns the
         number of lines written."""
+        import json
+
         records = [*self.frames(), *self.telemetry.jsonl_records()]
         with open(path, "w") as f:
             for rec in records:

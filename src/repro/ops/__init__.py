@@ -2,61 +2,21 @@
 library-grade generalizations (paper §3.1, §4.2; RSMPI's "library of
 operators")."""
 
-from repro.ops.arithmetic import MaxOp, MinOp, ProdOp, SumOp, UfuncOp
-from repro.ops.collect import ConcatOp, DistinctCountOp, UnionOp
-from repro.ops.counts import CountsOp
-from repro.ops.extrema import ExtremaKLocOp, ExtremaState, MaxKLocOp, MinKLocOp
-from repro.ops.fused import FusedOp
-from repro.ops.histogram import HistogramOp
-from repro.ops.location import MaxiOp, MiniOp
-from repro.ops.logical import AllOp, AnyOp, BandOp, BorOp, BxorOp, XorOp
-from repro.ops.mink import MaxKOp, MinKOp, TranslateMinKOp
-from repro.ops.recurrence import AffineOp, LogSumExpOp, linear_recurrence
-from repro.ops.segmented import SegmentedOp
-from repro.ops.sorted_op import (
-    DishonestCommutativeSortedOp,
-    SortedOp,
-    SortedState,
-)
-from repro.ops.stats import MeanVarOp, MeanVarResult, MeanVarState
-from repro.ops.topk import TopKOp
+from repro import _lazy
 
-__all__ = [
-    "SumOp",
-    "ProdOp",
-    "MinOp",
-    "MaxOp",
-    "UfuncOp",
-    "AllOp",
-    "AnyOp",
-    "XorOp",
-    "BandOp",
-    "BorOp",
-    "BxorOp",
-    "MiniOp",
-    "MaxiOp",
-    "MinKOp",
-    "MaxKOp",
-    "TranslateMinKOp",
-    "CountsOp",
-    "UnionOp",
-    "DistinctCountOp",
-    "ConcatOp",
-    "HistogramOp",
-    "SortedOp",
-    "SortedState",
-    "DishonestCommutativeSortedOp",
-    "MeanVarOp",
-    "MeanVarResult",
-    "MeanVarState",
-    "ExtremaKLocOp",
-    "ExtremaState",
-    "MinKLocOp",
-    "MaxKLocOp",
-    "FusedOp",
-    "SegmentedOp",
-    "TopKOp",
-    "AffineOp",
-    "linear_recurrence",
-    "LogSumExpOp",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "arithmetic": ("MaxOp", "MinOp", "ProdOp", "SumOp", "UfuncOp"),
+    "collect": ("ConcatOp", "DistinctCountOp", "UnionOp"),
+    "counts": ("CountsOp",),
+    "extrema": ("ExtremaKLocOp", "ExtremaState", "MaxKLocOp", "MinKLocOp"),
+    "fused": ("FusedOp",),
+    "histogram": ("HistogramOp",),
+    "location": ("MaxiOp", "MiniOp"),
+    "logical": ("AllOp", "AnyOp", "BandOp", "BorOp", "BxorOp", "XorOp"),
+    "mink": ("MaxKOp", "MinKOp", "TranslateMinKOp"),
+    "recurrence": ("AffineOp", "LogSumExpOp", "linear_recurrence"),
+    "segmented": ("SegmentedOp",),
+    "sorted_op": ("DishonestCommutativeSortedOp", "SortedOp", "SortedState"),
+    "stats": ("MeanVarOp", "MeanVarResult", "MeanVarState"),
+    "topk": ("TopKOp",),
+})

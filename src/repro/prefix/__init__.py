@@ -1,31 +1,14 @@
 """Parallel-prefix networks and algorithms (Ladner–Fischer et al.)."""
 
-from repro.prefix.blelloch import (
-    blelloch_scan,
-    blelloch_xscan,
-    inclusive_from_exclusive,
-)
-from repro.prefix.circuits import PrefixCircuit
-from repro.prefix.networks import (
-    ALL_NETWORKS,
-    brent_kung,
-    hillis_steele,
-    kogge_stone,
-    ladner_fischer,
-    serial,
-    sklansky,
-)
+from repro import _lazy
 
-__all__ = [
-    "PrefixCircuit",
-    "serial",
-    "kogge_stone",
-    "hillis_steele",
-    "sklansky",
-    "brent_kung",
-    "ladner_fischer",
-    "ALL_NETWORKS",
-    "blelloch_scan",
-    "blelloch_xscan",
-    "inclusive_from_exclusive",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "blelloch": (
+        "blelloch_scan", "blelloch_xscan", "inclusive_from_exclusive"
+    ),
+    "circuits": ("PrefixCircuit",),
+    "networks": (
+        "ALL_NETWORKS", "brent_kung", "hillis_steele", "kogge_stone",
+        "ladner_fischer", "serial", "sklansky"
+    ),
+})

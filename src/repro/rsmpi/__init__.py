@@ -1,47 +1,17 @@
 """RSMPI: global-view user-defined reductions and scans for MPI
 programs (paper Section 4)."""
 
-from repro.rsmpi.api import (
-    RSMPI_Reduce,
-    RSMPI_Reduceall,
-    RSMPI_Scan,
-    RSMPI_Xscan,
-)
-from repro.rsmpi.iterators import indexed, mapped, materialize, strided
-from repro.rsmpi.library import OPERATOR_SOURCES, load_operator, operator_names
-from repro.rsmpi.operator_spec import (
-    DBL_MAX,
-    DBL_MIN,
-    INT_MAX,
-    INT_MIN,
-    OperatorSpec,
-    StateRecord,
-)
-from repro.rsmpi.preprocessor import (
-    compile_operator,
-    compile_operator_spec,
-    parse_operator,
-)
+from repro import _lazy
 
-__all__ = [
-    "RSMPI_Reduce",
-    "RSMPI_Reduceall",
-    "RSMPI_Scan",
-    "RSMPI_Xscan",
-    "indexed",
-    "mapped",
-    "strided",
-    "materialize",
-    "OperatorSpec",
-    "StateRecord",
-    "INT_MAX",
-    "INT_MIN",
-    "DBL_MAX",
-    "DBL_MIN",
-    "compile_operator",
-    "compile_operator_spec",
-    "parse_operator",
-    "OPERATOR_SOURCES",
-    "load_operator",
-    "operator_names",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "api": ("RSMPI_Reduce", "RSMPI_Reduceall", "RSMPI_Scan", "RSMPI_Xscan"),
+    "iterators": ("indexed", "mapped", "materialize", "strided"),
+    "library": ("OPERATOR_SOURCES", "load_operator", "operator_names"),
+    "operator_spec": (
+        "DBL_MAX", "DBL_MIN", "INT_MAX", "INT_MIN", "OperatorSpec",
+        "StateRecord"
+    ),
+    "preprocessor": (
+        "compile_operator", "compile_operator_spec", "parse_operator"
+    ),
+})

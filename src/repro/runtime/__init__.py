@@ -1,35 +1,15 @@
 """SPMD runtime: simulated ranks, virtual time, cost models, traces."""
 
-from repro.runtime.channels import ANY_SOURCE, ANY_TAG, Envelope, Mailbox, Membership
-from repro.runtime.clock import VirtualClock
-from repro.runtime.costmodel import (
-    CostModel,
-    DEFAULT_RATES,
-    calibrate_rate,
-    cluster_2006,
-    modern_node,
-)
-from repro.runtime.executor import SpmdResult, spmd_run
-from repro.runtime.trace import Trace, TraceEvent, merge_traces
-from repro.runtime.world import RankContext, World
+from repro import _lazy
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Envelope",
-    "Mailbox",
-    "Membership",
-    "VirtualClock",
-    "CostModel",
-    "DEFAULT_RATES",
-    "calibrate_rate",
-    "cluster_2006",
-    "modern_node",
-    "SpmdResult",
-    "spmd_run",
-    "Trace",
-    "TraceEvent",
-    "merge_traces",
-    "RankContext",
-    "World",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "channels": ("ANY_SOURCE", "ANY_TAG", "Envelope", "Mailbox", "Membership"),
+    "clock": ("VirtualClock",),
+    "costmodel": (
+        "CostModel", "DEFAULT_RATES", "calibrate_rate", "cluster_2006",
+        "modern_node"
+    ),
+    "executor": ("SpmdResult", "spmd_run"),
+    "trace": ("Trace", "TraceEvent", "merge_traces"),
+    "world": ("RankContext", "World"),
+})

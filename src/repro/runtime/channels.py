@@ -565,6 +565,13 @@ import numpy as _np
 
 from repro.errors import TransferError as _TransferError
 
+#: What ``World.proc_pool.accumulate`` answers when the request was not
+#: (or could not be) offloaded; the caller must fold in-process.  It
+#: lives here, not in :mod:`repro.runtime.procworld` (which re-exports
+#: it), so the reduce driver can test for it without a thread-backend
+#: process ever importing ``multiprocessing``.
+MISS = object()
+
 #: Frame kinds.
 FRAME_ND = 1  #: raw ndarray bytes, zero-copy decodable
 FRAME_PICKLE = 2  #: pickled object bytes

@@ -141,7 +141,7 @@ def spmd_run(
     """
     # Local import: repro.engine sits above the runtime layer (it builds
     # SpmdResult and Communicators), so the shim resolves it lazily.
-    from repro.engine import Engine
+    from repro.engine.core import Engine
 
     if tracer is None:
         tracer, forced_ranks = active_profile()

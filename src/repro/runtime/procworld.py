@@ -53,8 +53,14 @@ from typing import Any
 
 import numpy as np
 
+# Everything the worker loop runs is imported here, at the top, so it is
+# loaded in the parent before any fork: a worker that imported its
+# kernel-tier modules itself would do so once per worker, after the
+# fork, with no copy-on-write sharing.
+from repro.core import kernels as _kernels
 from repro.errors import TransferError
 from repro.runtime.channels import (
+    MISS,
     FrameTooLarge,
     decode_frame,
     encode_frame,
@@ -63,10 +69,6 @@ from repro.runtime.channels import (
 from repro.util.sizing import ensure_transferable, payload_nbytes
 
 __all__ = ["MISS", "ProcPool", "DEFAULT_RING_BYTES", "DEFAULT_MIN_OFFLOAD_BYTES"]
-
-#: Sentinel returned by :meth:`ProcPool.accumulate` when the request was
-#: not (or could not be) offloaded; the caller must fold in-process.
-MISS = object()
 
 #: Capacity of each request/response ring (per worker, per direction).
 #: Frames larger than this fall back to the command pipe — they are not
@@ -103,8 +105,6 @@ def _fold_state(op: Any, values: Any) -> Any:
     path could have chosen, so the worker does not need the parent's
     schedule-cache ``kernel`` decision to reproduce its answer.
     """
-    from repro.core import kernels as _kernels
-
     state = op.ident()
     n = len(values)
     if n > 0:
@@ -125,8 +125,6 @@ def _worker_main(conn, req_shm, resp_shm) -> None:
     child never attaches by name, so it owns no resource-tracker
     registration and must never unlink (the parent does both).
     """
-    from repro.core import kernels as _kernels
-
     req_buf = req_shm.buf
     resp_buf = resp_shm.buf
     # The parent's kernel configuration generation at the time of the
@@ -340,8 +338,6 @@ class ProcPool:
             with self._stats_lock:
                 self._inline_fallbacks += 1
             return MISS
-        from repro.core import kernels as _kernels
-
         kcfg = (
             _kernels.kernels_enabled(),
             bool(_kernels.numba_requested()),

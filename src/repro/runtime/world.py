@@ -22,7 +22,9 @@ from __future__ import annotations
 import threading
 from typing import Any, Hashable
 
+from repro.core.kernels import default_cache
 from repro.errors import CommunicatorError
+from repro.mpi.schedule_cache import ScheduleCache
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.channels import Envelope, Mailbox, Membership
@@ -108,16 +110,10 @@ class World:
             self.injector = None
         self._cid_lock = threading.Lock()
         self._next_cid = 1
-        # Cross-job memo for algorithm="auto" decisions.  Local import:
-        # repro.mpi.comm imports this module at its top level, so the
-        # reverse import must wait until both modules exist.
-        from repro.mpi.schedule_cache import ScheduleCache
-
+        # Cross-job memo for algorithm="auto" decisions.
         self.schedule_cache = ScheduleCache()
         # Compiled accumulate kernels are operator/dtype artifacts, not
         # world state, so every world shares the process-wide cache.
-        from repro.core.kernels import default_cache
-
         self.kernel_cache = default_cache()
         # Process-backend accumulate offload pool; installed by the
         # engine when it was built with backend="process", else None

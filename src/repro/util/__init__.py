@@ -1,29 +1,13 @@
 """Shared utilities: the NAS ``randlc`` generator and transfer sizing."""
 
-from repro.util.rng import (
-    RANDLC_A,
-    RANDLC_SEED,
-    Randlc,
-    randlc_array,
-    randlc_pow,
-    randlc_skip,
-)
-from repro.util.sizing import (
-    TransferSafe,
-    TransferSized,
-    copy_for_transfer,
-    payload_nbytes,
-)
+from repro import _lazy
 
-__all__ = [
-    "RANDLC_A",
-    "RANDLC_SEED",
-    "Randlc",
-    "randlc_array",
-    "randlc_pow",
-    "randlc_skip",
-    "payload_nbytes",
-    "copy_for_transfer",
-    "TransferSafe",
-    "TransferSized",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "rng": (
+        "RANDLC_A", "RANDLC_SEED", "Randlc", "randlc_array", "randlc_pow",
+        "randlc_skip"
+    ),
+    "sizing": (
+        "TransferSafe", "TransferSized", "copy_for_transfer", "payload_nbytes"
+    ),
+})

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
 from repro.runtime import spmd_run
 
 #: The paper's running example data set (§1): sum-reduce = 55,
@@ -19,6 +25,19 @@ def block_split(data, p: int, r: int):
     lo = r * base + min(r, extra)
     hi = lo + base + (1 if r < extra else 0)
     return data[lo:hi]
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that sees only this checkout's
+    ``src`` (what it imports is then its own doing); returns stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def run_all(fn, nprocs: int, **kwargs):

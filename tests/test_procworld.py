@@ -19,6 +19,7 @@ from repro.engine import Engine
 from repro.ops import SumOp, SegmentedOp
 from repro.core.reduce import global_reduce
 from repro.runtime.procworld import MISS, ProcPool, SHM_PREFIX, _fold_state
+from tests.conftest import run_fresh
 
 
 def _leaked_segments():
@@ -46,6 +47,43 @@ def test_accumulate_matches_inline_fold(pool):
     assert stats["frames"] >= 2
     assert stats["shm_hits"] >= 1
     assert stats["bytes"] > values.nbytes
+
+
+def test_fresh_worker_first_fold_imports_nothing():
+    """Everything the worker loop runs is imported in the parent before
+    the fork.  With lazy facades a worker would otherwise import its
+    kernel-tier modules itself — once per worker, after the fork, with
+    no copy-on-write sharing.  A fresh interpreter, so the parent holds
+    only what ``procworld`` itself pulled in; the operator is not from
+    ``repro.ops``, so nothing else pre-loads the kernel tier's imports."""
+    run_fresh("""
+        import sys
+        import numpy as np
+        from repro.core.operator import ReduceScanOp
+        from repro.runtime.procworld import MISS, ProcPool
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("repro"))
+
+        class Spy(ReduceScanOp):
+            commutative = True
+            def ident(self): return 0.0
+            def accum(self, state, x): return state + x
+            def combine(self, s1, s2): return s1 + s2
+            def post_accum(self, state, x):   # runs in the worker, after the fold
+                return (state, loaded())
+
+        pool = ProcPool(1, ring_bytes=1 << 20, min_offload_bytes=0)
+        try:
+            at_fork = loaded()
+            state = pool.accumulate(0, Spy(), np.arange(1000.0))
+        finally:
+            pool.shutdown()
+        assert state is not MISS
+        total, in_worker = state
+        assert total == 499500.0, total
+        assert in_worker == at_fork, sorted(set(in_worker) - set(at_fork))
+    """)
 
 
 def test_list_payload_uses_pickle_fallback(pool):
