@@ -23,12 +23,14 @@ import numpy as np
 from benchmarks.conftest import write_result
 from repro import mpi
 from repro.localview import LOCAL_ALLREDUCE
+from repro.mpi.tuning import candidates
 from repro.runtime import spmd_run
 
 P = 16
 PAYLOADS = [1, 64, 1024, 16_384, 262_144]  # doubles
 
-ALGORITHMS = ["recursive_doubling", "ring", "rabenseifner", "auto"]
+#: Every flat schedule the registry offers ``auto``, and ``auto`` itself.
+ALGORITHMS = [*candidates("allreduce"), "auto"]
 
 #: Virtual-time slack for "auto ties the explicit winner": the tuner's
 #: table is fitted on a grid, so at a grid-boundary payload it may pick
@@ -103,7 +105,7 @@ def _time_reduce(n, algorithm, cost_model):
 def test_reduce_pipelined_crossover(benchmark, cost_model, results_dir):
     """Rooted reduce: order-preserving binomial vs. the segmented
     pipelined ring, and the tuned default against both."""
-    algos = ["binomial", "pipelined_ring", "auto"]
+    algos = [*candidates("reduce"), "auto"]
 
     def sweep(cm):
         return [

@@ -1,20 +1,23 @@
-"""EX-HIER — flat vs hierarchical collectives on multi-tier fabrics.
+"""EX-HIER — flat vs hierarchical allreduce on multi-tier fabrics.
 
 The fabric layer (``repro.runtime.fabric``, docs/topology.md) prices
 every message by the network tiers it crosses: intra-node links are
 ~10x faster than the inter-node tier.  The flat collective schedules
 are blind to this — recursive doubling and Rabenseifner send a large
 fraction of their traffic across the slow tier.  The hierarchical
-schedules (``repro.mpi.collectives.allreduce_hierarchical`` /
-``scan_hierarchical``) restructure the communication around the node
-boundary: combine inside each node first, cross the slow tier once per
-node (and, for splittable payloads, in parallel segment columns), then
-redistribute on the fast tier.
+allreduce (``algorithm="hierarchical"``,
+``repro.mpi.collectives.allreduce_hierarchical_plan``) restructures the
+communication around the node boundary: combine inside each node first,
+cross the slow tier once per node (and, for splittable payloads, in
+parallel segment columns), then redistribute on the fast tier.
 
 This ablation sweeps rank counts {16, 32, 64} x ranks-per-node
 {2, 4, 8} x payload sizes, measuring the **virtual makespan** of every
-flat allreduce/scan schedule against the hierarchical one on the same
-fabric, and writes ``results/BENCH_hierarchy.json``.
+flat allreduce schedule in the registry against the fabric-only one on
+the same fabric, and writes ``results/BENCH_hierarchy.json``.  (The
+hierarchical *scan* that used to share this grid lost to the flat
+binomial scan on all 27 of its cells and was removed; EXPERIMENTS.md
+EX-HIER keeps the record.)
 
 Acceptance (ISSUE 10), asserted by ``--smoke`` (the CI topology-smoke
 job) and the full run alike:
@@ -43,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.mpi import tuning as _tuning
+from repro.mpi.collectives import schedules
 from repro.mpi.op import SUM
 from repro.runtime import spmd_run
 from repro.runtime.fabric import multi_node
@@ -53,8 +57,9 @@ RANKS_PER_NODE_GRID = (2, 4, 8)
 PAYLOAD_GRID = (8 * 1024, 256 * 1024, 1 << 20)  # 8 KiB .. 1 MiB
 LARGE_PAYLOAD = 1 << 20
 
-ALLREDUCE_FLAT = ("recursive_doubling", "ring", "rabenseifner")
-SCAN_FLAT = ("binomial", "chain")
+#: The fabric-only schedule under test, and the flat ones it must beat.
+(HIER,) = (s.name for s in schedules("allreduce") if s.groups)
+ALLREDUCE_FLAT = _tuning.candidates("allreduce")
 
 
 def _allreduce_prog(n_elems, algorithm):
@@ -65,52 +70,35 @@ def _allreduce_prog(n_elems, algorithm):
     return prog
 
 
-def _scan_prog(n_elems, algorithm):
-    def prog(comm):
-        arr = np.ones(n_elems, dtype=np.float64) * (comm.rank + 1)
-        return comm.scan(arr, SUM, algorithm=algorithm)
-
-    return prog
-
-
-def _cell(kind, nbytes, nprocs, ranks_per_node):
+def _cell(nbytes, nprocs, ranks_per_node):
     """Virtual makespans of every schedule for one grid cell."""
     n_elems = max(nprocs, nbytes // 8)
     topo = multi_node(ranks_per_node)
-    flat_algos = ALLREDUCE_FLAT if kind == "allreduce" else SCAN_FLAT
-    make = _allreduce_prog if kind == "allreduce" else _scan_prog
     times = {}
-    for algo in flat_algos + ("hierarchical",):
+    for algo in ALLREDUCE_FLAT + (HIER,):
         times[algo] = spmd_run(
-            make(n_elems, algo), nprocs, topology=topo
+            _allreduce_prog(n_elems, algo), nprocs, topology=topo
         ).time
-    best_flat = min(flat_algos, key=times.get)
+    best_flat = min(ALLREDUCE_FLAT, key=times.get)
     return {
-        "kind": kind,
+        "kind": "allreduce",
         "nprocs": nprocs,
         "ranks_per_node": ranks_per_node,
         "nbytes": nbytes,
         "times": times,
         "best_flat": best_flat,
-        "hierarchical_speedup_vs_best_flat": (
-            times[best_flat] / times["hierarchical"]
-        ),
-        "hierarchical_speedup_vs_ring": (
-            times["ring"] / times["hierarchical"]
-            if "ring" in times
-            else None
-        ),
+        "hierarchical_speedup_vs_best_flat": times[best_flat] / times[HIER],
+        "hierarchical_speedup_vs_ring": times["ring"] / times[HIER],
     }
 
 
 def run_grid(rank_grid, rpn_grid, payload_grid):
-    cells = []
-    for kind in ("allreduce", "scan"):
-        for nprocs in rank_grid:
-            for rpn in rpn_grid:
-                for nbytes in payload_grid:
-                    cells.append(_cell(kind, nbytes, nprocs, rpn))
-    return cells
+    return [
+        _cell(nbytes, nprocs, rpn)
+        for nprocs in rank_grid
+        for rpn in rpn_grid
+        for nbytes in payload_grid
+    ]
 
 
 def check_auto_selects_hierarchical(nbytes=LARGE_PAYLOAD, nprocs=16, rpn=4):
@@ -138,7 +126,7 @@ def check_auto_selects_hierarchical(nbytes=LARGE_PAYLOAD, nprocs=16, rpn=4):
             _allreduce_prog(n_elems, "auto"), nprocs, topology=topo
         )
         explicit = spmd_run(
-            _allreduce_prog(n_elems, "hierarchical"), nprocs, topology=topo
+            _allreduce_prog(n_elems, HIER), nprocs, topology=topo
         )
     finally:
         _tuning.set_decision_table(None, topology=sig)
@@ -163,37 +151,36 @@ def assert_acceptance(cells, auto_evidence):
     gate = [
         c
         for c in cells
-        if c["kind"] == "allreduce"
-        and c["nprocs"] >= 16
+        if c["nprocs"] >= 16
         and c["ranks_per_node"] == 4
         and c["nbytes"] >= LARGE_PAYLOAD
     ]
     assert gate, "grid is missing the acceptance cell (16 ranks, rpn=4, 1 MiB)"
     for c in gate:
         t = c["times"]
-        assert t["hierarchical"] < t["ring"], (
-            f"hierarchical ({t['hierarchical']:.3e}s) does not beat the "
+        assert t[HIER] < t["ring"], (
+            f"hierarchical ({t[HIER]:.3e}s) does not beat the "
             f"flat ring ({t['ring']:.3e}s) at {c['nprocs']} ranks, "
             f"{c['nbytes']} B on multi_node:4"
         )
-        assert t["hierarchical"] < t[c["best_flat"]], (
-            f"hierarchical ({t['hierarchical']:.3e}s) does not beat the "
+        assert t[HIER] < t[c["best_flat"]], (
+            f"hierarchical ({t[HIER]:.3e}s) does not beat the "
             f"best flat schedule {c['best_flat']} "
             f"({t[c['best_flat']]:.3e}s) at {c['nprocs']} ranks, "
             f"{c['nbytes']} B on multi_node:4"
         )
-    assert auto_evidence["fitted_choice"] == "hierarchical", auto_evidence
+    assert auto_evidence["fitted_choice"] == HIER, auto_evidence
     assert auto_evidence["auto_matches_explicit"], auto_evidence
 
 
 def render(cells, auto_evidence) -> str:
-    lines = ["flat vs hierarchical collectives (virtual seconds)"]
+    lines = ["flat vs hierarchical allreduce (virtual seconds)"]
     for c in cells:
         t = c["times"]
         lines.append(
             f"  {c['kind']:<9} p={c['nprocs']:<3} rpn={c['ranks_per_node']} "
             f"{c['nbytes'] // 1024:>5} KiB: "
-            f"hier {t['hierarchical']:.3e}s vs best-flat "
+            f"hier {t[HIER]:.3e}s vs best-flat "
             f"{c['best_flat']} {t[c['best_flat']]:.3e}s "
             f"({c['hierarchical_speedup_vs_best_flat']:.2f}x)"
         )

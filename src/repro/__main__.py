@@ -247,7 +247,8 @@ def _cmd_tune(argv: list[str]) -> int:
         "--topology", default=None, metavar="SPEC",
         help="fabric to fit against: 'flat' (default), 'multi_node:R' or "
         "'fat_tree:RxN[xO]' (repro.runtime.fabric.parse_topology); a "
-        "non-flat fit adds the 'hierarchical' candidates and writes "
+        "non-flat fit adds the registry's fabric-only candidates "
+        "(the hierarchical allreduce) and writes "
         "topology-suffixed output files",
     )
     parser.add_argument(
@@ -271,7 +272,7 @@ def _cmd_tune(argv: list[str]) -> int:
         rank_grid = (4, 8)
         payload_grid = tuple(8 * 16**k for k in range(4))
         if topology is not None:
-            # A 2-node smoke cell so the hierarchical candidates are
+            # A 2-node smoke cell so the hierarchical candidate is
             # exercised across the slow tier, not just degenerately.
             rpn = getattr(topology, "ranks_per_node", 4)
             rank_grid = (rpn, 2 * rpn)

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, NamedTuple, Protocol, Sequence
 
+import numpy as np
+
 from repro.errors import CommunicatorError
 from repro.mpi.op import Op
 from repro.mpi.topology import kary_tree
@@ -45,35 +47,30 @@ __all__ = [
     "Recv",
     "run_plan",
     "SubgroupChannel",
-    "reduce_binomial_ordered",
+    "Schedule",
+    "SCHEDULES",
+    "schedule",
+    "schedules",
+    "REMOVED",
+    "REDUCE_KARY",
+    "SCAN_CHAIN",
     "reduce_binomial_plan",
     "reduce_kary_available",
-    "reduce_ring_pipelined",
     "reduce_ring_pipelined_plan",
-    "allreduce_recursive_doubling",
     "allreduce_recursive_doubling_plan",
     "fanout_levels",
-    "allreduce_ring",
     "allreduce_ring_plan",
-    "allreduce_rabenseifner",
     "allreduce_rabenseifner_plan",
-    "allreduce_hierarchical",
     "allreduce_hierarchical_plan",
-    "reduce_scatter_ring",
     "reduce_scatter_ring_plan",
-    "bcast_binomial",
     "bcast_binomial_plan",
-    "scan_simultaneous_binomial",
     "scan_simultaneous_binomial_plan",
-    "scan_linear_chain",
     "scan_linear_chain_plan",
-    "scan_hierarchical",
-    "scan_hierarchical_plan",
-    "gather_binomial",
-    "scatter_binomial",
-    "barrier_dissemination",
+    "gather_binomial_plan",
+    "scatter_binomial_plan",
+    "allgather_plan",
     "barrier_dissemination_plan",
-    "alltoall_pairwise",
+    "alltoall_pairwise_plan",
 ]
 
 
@@ -102,23 +99,51 @@ def _charge_combine(ch: CollChannel, seconds: float) -> None:
         _metrics(ch).histogram("combine.seconds").observe(seconds)
 
 
+def _require_commutative(op: Any, schedule: str) -> None:
+    if isinstance(op, Op) and not op.commutative:
+        raise CommunicatorError(
+            f"{schedule} requires a commutative op, got {op!r}"
+        )
+
+
+def _as_vector(value: Any):
+    """``(arr, scalar)``: a private 1-D-indexable copy of ``value`` for
+    the payload-segmenting schedules; a 0-d input becomes one element
+    and is handed back as a scalar by :func:`_from_vector`."""
+    arr = np.array(value, copy=True)
+    scalar = arr.ndim == 0
+    return (arr.reshape(1) if scalar else arr), scalar
+
+
+def _from_vector(arr, scalar: bool):
+    return arr[0] if scalar else arr
+
+
+def _segment_bounds(n: int, parts: int):
+    """Index bounds splitting ``n`` elements into ``parts`` segments."""
+    return np.linspace(0, n, parts + 1).astype(int)
+
+
 # --------------------------------------------------------------------------
 # Resumable plans
 # --------------------------------------------------------------------------
 #
-# Each schedulable collective below exists in two forms: a ``*_plan``
-# generator that *yields* a :class:`Recv` marker wherever the schedule
-# needs one incoming message (sends stay eager — they are fire-and-forget
-# in this runtime), and a thin blocking wrapper that drives the plan with
-# :func:`run_plan`.  The generator form is what makes nonblocking
-# collectives possible: a ``Request`` holds the suspended generator and a
+# Every collective below has one form: a ``*_plan`` generator that
+# *yields* a :class:`Recv` marker wherever the schedule needs one
+# incoming message (sends stay eager — they are fire-and-forget in this
+# runtime).  A blocking call drives the plan with :func:`run_plan`; a
+# nonblocking one hands the suspended generator to a ``Request`` and a
 # progress engine resumes it one message at a time, interleaving the
-# rounds of several outstanding collectives on the virtual clock.
+# rounds of several outstanding collectives on the virtual clock.  Both
+# perform *exactly* the same sends, receives, combines, and charges in
+# the same program order, so they are bit-identical in results and
+# virtual times.  The :class:`Schedule` registry at the bottom of the
+# file is where each plan's name and properties are declared.
 #
-# Because a plan performs *exactly* the sends, receives, combines, and
-# charges of the original straight-line code — in the same program
-# order — driving it with ``run_plan`` is bit-identical (results and
-# virtual times) to the pre-refactor blocking algorithms.
+# The one exception is :func:`reduce_kary_available`: combining children
+# in the order their messages become available needs their envelopes up
+# front, which a one-message-at-a-time plan cannot express.  It stays a
+# blocking function, registered with ``resumable=False``.
 
 
 class Recv(NamedTuple):
@@ -152,7 +177,12 @@ def reduce_binomial_plan(
     ch: CollChannel, value: Any, op: Op | Callable[[Any, Any], Any],
     *, combine_seconds: float = 0.0,
 ) -> Plan:
-    """Plan form of :func:`reduce_binomial_ordered`."""
+    """Reduce to group rank 0 over the order-preserving binomial tree.
+
+    Safe for non-commutative operations: every partial covers a
+    contiguous rank range and lower ranges are always the left operand.
+    Returns the reduction on rank 0, ``None`` elsewhere.
+    """
     rank, size = ch.rank, ch.size
     partial = value
     rounds = 0
@@ -176,21 +206,6 @@ def reduce_binomial_plan(
     return partial
 
 
-def reduce_binomial_ordered(
-    ch: CollChannel, value: Any, op: Op | Callable[[Any, Any], Any],
-    *, combine_seconds: float = 0.0,
-) -> Any:
-    """Reduce to group rank 0 over the order-preserving binomial tree.
-
-    Safe for non-commutative operations: every partial covers a
-    contiguous rank range and lower ranges are always the left operand.
-    Returns the reduction on rank 0, ``None`` elsewhere.
-    """
-    return run_plan(
-        ch, reduce_binomial_plan(ch, value, op, combine_seconds=combine_seconds)
-    )
-
-
 def reduce_kary_available(
     ch: CollChannel, value: Any, op: Op | Callable[[Any, Any], Any],
     *, fanout: int = 2, combine_seconds: float = 0.0,
@@ -201,11 +216,12 @@ def reduce_kary_available(
     Only valid for commutative operations (the k-ary heap numbering does
     not preserve contiguous rank ranges, and availability order is
     arbitrary).  Returns the reduction on rank 0, ``None`` elsewhere.
+
+    The one schedule without a plan form: sorting the children by
+    availability needs all their envelopes first, so it blocks inside
+    and cannot be issued as a nonblocking request.
     """
-    if isinstance(op, Op) and not op.commutative:
-        raise CommunicatorError(
-            f"reduce_kary_available requires a commutative op, got {op!r}"
-        )
+    _require_commutative(op, "reduce_kary_available")
     tree = kary_tree(ch.size, fanout)
     node = tree[ch.rank]
     partial = value
@@ -239,50 +255,6 @@ def reduce_ring_pipelined_plan(
     segments: int | None = None,
     combine_seconds: float = 0.0,
 ) -> Plan:
-    """Plan form of :func:`reduce_ring_pipelined`."""
-    import numpy as np
-
-    rank, size = ch.rank, ch.size
-    arr = np.array(value, copy=True)
-    scalar = arr.ndim == 0
-    if scalar:
-        arr = arr.reshape(1)
-    if size == 1:
-        return arr[0] if scalar else arr
-    n = len(arr)
-    if segments is None:
-        # ~64 KiB per piece keeps pipeline-fill latency small relative to
-        # per-piece byte time without flooding the run with tiny messages.
-        segments = int(np.ceil(arr.nbytes / 65536)) if arr.nbytes else 1
-    segments = max(1, min(int(segments), n))
-    m = _metrics(ch)
-    if m.enabled and rank == 0:
-        m.counter("collective.reduce_ring_pipelined.calls").inc()
-        m.histogram("collective.reduce_ring_pipelined.stages").observe(
-            size - 2 + segments
-        )
-    bounds = np.linspace(0, n, segments + 1).astype(int)
-    for s in range(segments):
-        sl = slice(bounds[s], bounds[s + 1])
-        if rank < size - 1:
-            got = yield Recv(rank + 1)  # partial over ranks [rank+1, p-1]
-            arr[sl] = op(arr[sl], got)  # own (lower ranks) on the left
-            _charge_combine(ch, combine_seconds)
-        if rank > 0:
-            ch.send(rank - 1, arr[sl].copy())
-    if rank > 0:
-        return None
-    return arr[0] if scalar else arr
-
-
-def reduce_ring_pipelined(
-    ch: CollChannel,
-    value,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    segments: int | None = None,
-    combine_seconds: float = 0.0,
-):
     """Reduce a splittable NumPy vector to group rank 0 by pipelining
     segments down the ring path ``p-1 -> p-2 -> ... -> 0``.
 
@@ -298,12 +270,34 @@ def reduce_ring_pipelined(
 
     Returns the reduction on rank 0, ``None`` elsewhere.
     """
-    return run_plan(
-        ch,
-        reduce_ring_pipelined_plan(
-            ch, value, op, segments=segments, combine_seconds=combine_seconds
-        ),
-    )
+    rank, size = ch.rank, ch.size
+    arr, scalar = _as_vector(value)
+    if size == 1:
+        return _from_vector(arr, scalar)
+    n = len(arr)
+    if segments is None:
+        # ~64 KiB per piece keeps pipeline-fill latency small relative to
+        # per-piece byte time without flooding the run with tiny messages.
+        segments = int(np.ceil(arr.nbytes / 65536)) if arr.nbytes else 1
+    segments = max(1, min(int(segments), n))
+    m = _metrics(ch)
+    if m.enabled and rank == 0:
+        m.counter("collective.reduce_ring_pipelined.calls").inc()
+        m.histogram("collective.reduce_ring_pipelined.stages").observe(
+            size - 2 + segments
+        )
+    bounds = _segment_bounds(n, segments)
+    for s in range(segments):
+        sl = slice(bounds[s], bounds[s + 1])
+        if rank < size - 1:
+            got = yield Recv(rank + 1)  # partial over ranks [rank+1, p-1]
+            arr[sl] = op(arr[sl], got)  # own (lower ranks) on the left
+            _charge_combine(ch, combine_seconds)
+        if rank > 0:
+            ch.send(rank - 1, arr[sl].copy())
+    if rank > 0:
+        return None
+    return _from_vector(arr, scalar)
 
 
 def _check_radix(radix: int) -> None:
@@ -326,11 +320,59 @@ def fanout_levels(size: int, radix: int) -> list[int]:
     return levels
 
 
+# The MPICH treatment of non-power-of-two groups, shared by recursive
+# doubling and Rabenseifner: the first ``2 * rem`` ranks fold pairwise
+# (even into odd) so a power of two remains, the core schedule runs over
+# the folded ranks, and the odd ranks hand the result back afterwards.
+
+
+def _fold_in(
+    ch: CollChannel, partial: Any, op, rem: int, combine_seconds: float
+) -> Plan:
+    """Returns ``(partial, newrank)``; ``newrank`` is the rank's index
+    among the folded ranks, ``-1`` for the evens that sit the core out."""
+    rank = ch.rank
+    if rank >= 2 * rem:
+        return partial, rank - rem
+    if rank % 2 == 0:
+        ch.send(rank + 1, partial)
+        return partial, -1
+    theirs = yield Recv(rank - 1)
+    partial = op(theirs, partial)  # lower rank on the left
+    _charge_combine(ch, combine_seconds)
+    return partial, rank // 2
+
+
+def _unfolded(nr: int, rem: int) -> int:
+    """Translate a folded rank back to its group rank."""
+    return nr * 2 + 1 if nr < rem else nr + rem
+
+
+def _fold_out(ch: CollChannel, partial: Any, rem: int) -> Plan:
+    """Send results back to the folded-out even ranks."""
+    rank = ch.rank
+    if rank < 2 * rem:
+        if rank % 2 == 0:
+            partial = yield Recv(rank + 1)
+        else:
+            ch.send(rank - 1, partial)
+    return partial
+
+
 def allreduce_recursive_doubling_plan(
     ch: CollChannel, value: Any, op: Op | Callable[[Any, Any], Any],
     *, combine_seconds: float = 0.0, radix: int = 2,
 ) -> Plan:
-    """Plan form of :func:`allreduce_recursive_doubling`."""
+    """All-reduce by recursive doubling with the MPICH fold-in step for
+    non-power-of-two sizes.  Order-preserving (non-commutative safe).
+
+    ``radix`` (a power of two) is the fan-out of each level: a rank
+    exchanges partials with the ``radix - 1`` other members of its digit
+    group at once and folds them locally in the association the
+    ``log2(radix)`` doubling rounds would have produced, so the result is
+    byte-identical at every radix — only rounds (fewer) and messages
+    (more) change.  The default 2 is classic recursive doubling.
+    """
     rank, size = ch.rank, ch.size
     if size == 1:
         return value
@@ -345,24 +387,9 @@ def allreduce_recursive_doubling_plan(
         )
         m.histogram("collective.allreduce_rd.radix").observe(radix)
 
-    partial = value
-    # Fold the first 2*rem ranks pairwise so pof2 ranks remain.
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            ch.send(rank + 1, partial)
-            newrank = -1  # idle during the doubling phase
-        else:
-            theirs = yield Recv(rank - 1)
-            partial = op(theirs, partial)  # lower rank on the left
-            _charge_combine(ch, combine_seconds)
-            newrank = rank // 2
-    else:
-        newrank = rank - rem
-
-    def real(nr: int) -> int:
-        """Translate a folded rank back to its group rank."""
-        return nr * 2 + 1 if nr < rem else nr + rem
-
+    partial, newrank = yield from _fold_in(
+        ch, value, op, rem, combine_seconds
+    )
     if newrank >= 0:
         stride = 1
         for k in levels:
@@ -374,10 +401,11 @@ def allreduce_recursive_doubling_plan(
             vals = [None] * k
             vals[digit] = partial
             for i in range(1, k):
-                ch.send(real(base + (digit + i) % k * stride), partial)
+                peer = base + (digit + i) % k * stride
+                ch.send(_unfolded(peer, rem), partial)
             for i in range(1, k):
                 e = (digit - i) % k
-                vals[e] = yield Recv(real(base + e * stride))
+                vals[e] = yield Recv(_unfolded(base + e * stride, rem))
             # Fold in exactly the association log2(k) doubling rounds
             # would have produced: a balanced binary tree in digit order,
             # lower rank on the left.
@@ -389,36 +417,7 @@ def allreduce_recursive_doubling_plan(
                 h <<= 1
             partial = vals[0]
             stride *= k
-
-    # Send results back to the folded-out even ranks.
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            partial = yield Recv(rank + 1)
-        else:
-            ch.send(rank - 1, partial)
-    return partial
-
-
-def allreduce_recursive_doubling(
-    ch: CollChannel, value: Any, op: Op | Callable[[Any, Any], Any],
-    *, combine_seconds: float = 0.0, radix: int = 2,
-) -> Any:
-    """All-reduce by recursive doubling with the MPICH fold-in step for
-    non-power-of-two sizes.  Order-preserving (non-commutative safe).
-
-    ``radix`` (a power of two) is the fan-out of each level: a rank
-    exchanges partials with the ``radix - 1`` other members of its digit
-    group at once and folds them locally in the association the
-    ``log2(radix)`` doubling rounds would have produced, so the result is
-    byte-identical at every radix — only rounds (fewer) and messages
-    (more) change.  The default 2 is classic recursive doubling.
-    """
-    return run_plan(
-        ch,
-        allreduce_recursive_doubling_plan(
-            ch, value, op, combine_seconds=combine_seconds, radix=radix
-        ),
-    )
+    return (yield from _fold_out(ch, partial, rem))
 
 
 # --------------------------------------------------------------------------
@@ -436,7 +435,19 @@ def scan_simultaneous_binomial_plan(
     combine_seconds: float = 0.0,
     radix: int = 2,
 ) -> Plan:
-    """Plan form of :func:`scan_simultaneous_binomial`."""
+    """Parallel prefix over ranks by simultaneous binomial (recursive
+    doubling): ceil(log2 p) rounds, order-preserving.
+
+    With ``radix = 2^j`` each level stands for ``j`` binomial rounds: a
+    rank sends its window to up to ``radix - 1`` ranks above it and
+    replays those rounds locally on the windows it receives, in the same
+    association — ceil(log_radix p) levels, byte-identical results.
+
+    For ``exclusive=True``, rank 0 returns ``identity()`` if an identity
+    function is given, else ``None`` (the MPI_Exscan "undefined" slot —
+    the paper's local-view abstraction requires the identity function
+    precisely so that this slot is well-defined).
+    """
     rank, size = ch.rank, ch.size
     _check_radix(radix)
     m = _metrics(ch)
@@ -496,38 +507,6 @@ def scan_simultaneous_binomial_plan(
     return partial
 
 
-def scan_simultaneous_binomial(
-    ch: CollChannel,
-    value: Any,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    exclusive: bool = False,
-    identity: Callable[[], Any] | None = None,
-    combine_seconds: float = 0.0,
-    radix: int = 2,
-) -> Any:
-    """Parallel prefix over ranks by simultaneous binomial (recursive
-    doubling): ceil(log2 p) rounds, order-preserving.
-
-    With ``radix = 2^j`` each level stands for ``j`` binomial rounds: a
-    rank sends its window to up to ``radix - 1`` ranks above it and
-    replays those rounds locally on the windows it receives, in the same
-    association — ceil(log_radix p) levels, byte-identical results.
-
-    For ``exclusive=True``, rank 0 returns ``identity()`` if an identity
-    function is given, else ``None`` (the MPI_Exscan "undefined" slot —
-    the paper's local-view abstraction requires the identity function
-    precisely so that this slot is well-defined).
-    """
-    return run_plan(
-        ch,
-        scan_simultaneous_binomial_plan(
-            ch, value, op, exclusive=exclusive, identity=identity,
-            combine_seconds=combine_seconds, radix=radix,
-        ),
-    )
-
-
 def scan_linear_chain_plan(
     ch: CollChannel,
     value: Any,
@@ -537,7 +516,15 @@ def scan_linear_chain_plan(
     identity: Callable[[], Any] | None = None,
     combine_seconds: float = 0.0,
 ) -> Plan:
-    """Plan form of :func:`scan_linear_chain`."""
+    """Prefix over ranks by a linear pipeline: rank ``r`` receives the
+    inclusive prefix of ranks ``0..r-1`` from its left neighbor, combines
+    once, and forwards.
+
+    Minimal traffic (``p - 1`` messages and combines in total versus the
+    simultaneous binomial's ``~p log2 p``) at the price of ``p - 1``
+    serialized hops on the critical path — the trade Träff's exscan
+    round/compute analysis maps out.  Order-preserving, any payload.
+    """
     rank, size = ch.rank, ch.size
     m = _metrics(ch)
     if m.enabled and rank == 0:
@@ -560,40 +547,13 @@ def scan_linear_chain_plan(
     return mine if exclusive else inclusive
 
 
-def scan_linear_chain(
-    ch: CollChannel,
-    value: Any,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    exclusive: bool = False,
-    identity: Callable[[], Any] | None = None,
-    combine_seconds: float = 0.0,
-) -> Any:
-    """Prefix over ranks by a linear pipeline: rank ``r`` receives the
-    inclusive prefix of ranks ``0..r-1`` from its left neighbor, combines
-    once, and forwards.
-
-    Minimal traffic (``p - 1`` messages and combines in total versus the
-    simultaneous binomial's ``~p log2 p``) at the price of ``p - 1``
-    serialized hops on the critical path — the trade Träff's exscan
-    round/compute analysis maps out.  Order-preserving, any payload.
-    """
-    return run_plan(
-        ch,
-        scan_linear_chain_plan(
-            ch, value, op, exclusive=exclusive, identity=identity,
-            combine_seconds=combine_seconds,
-        ),
-    )
-
-
 # --------------------------------------------------------------------------
 # Data movement
 # --------------------------------------------------------------------------
 
 
 def bcast_binomial_plan(ch: CollChannel, value: Any, root: int = 0) -> Plan:
-    """Plan form of :func:`bcast_binomial`."""
+    """Broadcast from ``root`` over a binomial tree (rank-renamed)."""
     rank, size = ch.rank, ch.size
     if not 0 <= root < size:
         raise CommunicatorError(f"bcast root {root} out of range [0, {size})")
@@ -613,12 +573,7 @@ def bcast_binomial_plan(ch: CollChannel, value: Any, root: int = 0) -> Plan:
     return value
 
 
-def bcast_binomial(ch: CollChannel, value: Any, root: int = 0) -> Any:
-    """Broadcast from ``root`` over a binomial tree (rank-renamed)."""
-    return run_plan(ch, bcast_binomial_plan(ch, value, root))
-
-
-def gather_binomial(ch: CollChannel, value: Any, root: int = 0) -> list[Any] | None:
+def gather_binomial_plan(ch: CollChannel, value: Any, root: int = 0) -> Plan:
     """Gather one value per rank to ``root`` over a binomial tree.
 
     Returns the list ordered by group rank on the root, ``None`` elsewhere.
@@ -637,16 +592,23 @@ def gather_binomial(ch: CollChannel, value: Any, root: int = 0) -> list[Any] | N
             return None
         src_vr = vr + mask
         if src_vr < size:
-            theirs = ch.recv((src_vr + root) % size)
+            theirs = yield Recv((src_vr + root) % size)
             items.extend(theirs)
         mask <<= 1
     # vr == 0 == root: rotate from virtual order back to group order
     return [items[(r - root) % size] for r in range(size)]
 
 
-def scatter_binomial(
+def allgather_plan(ch: CollChannel, value: Any) -> Plan:
+    """Gather one value per rank onto every rank: binomial gather to
+    rank 0, then binomial broadcast of the list."""
+    items = yield from gather_binomial_plan(ch, value, 0)
+    return (yield from bcast_binomial_plan(ch, items, 0))
+
+
+def scatter_binomial_plan(
     ch: CollChannel, items: Sequence[Any] | None, root: int = 0
-) -> Any:
+) -> Plan:
     """Scatter ``items[i]`` (given on the root) to group rank ``i`` over a
     binomial tree; returns this rank's item."""
     rank, size = ch.rank, ch.size
@@ -674,14 +636,14 @@ def scatter_binomial(
             hi = mid
         else:
             if vr == mid:
-                my = ch.recv((lo + root) % size)
+                my = yield Recv((lo + root) % size)
             lo = mid
     assert my is not None and len(my) == 1
     return my[0]
 
 
 def barrier_dissemination_plan(ch: CollChannel) -> Plan:
-    """Plan form of :func:`barrier_dissemination`."""
+    """Dissemination barrier: ceil(log2 p) rounds of shifted token passing."""
     rank, size = ch.rank, ch.size
     d = 1
     while d < size:
@@ -690,12 +652,7 @@ def barrier_dissemination_plan(ch: CollChannel) -> Plan:
         d <<= 1
 
 
-def barrier_dissemination(ch: CollChannel) -> None:
-    """Dissemination barrier: ceil(log2 p) rounds of shifted token passing."""
-    return run_plan(ch, barrier_dissemination_plan(ch))
-
-
-def alltoall_pairwise(ch: CollChannel, items: Sequence[Any]) -> list[Any]:
+def alltoall_pairwise_plan(ch: CollChannel, items: Sequence[Any]) -> Plan:
     """All-to-all personalized exchange: ``items[i]`` goes to rank ``i``;
     returns the list received (indexed by source rank).  Uses the shifted
     pairwise schedule (size-1 rounds)."""
@@ -710,8 +667,44 @@ def alltoall_pairwise(ch: CollChannel, items: Sequence[Any]) -> list[Any]:
         dest = (rank + shift) % size
         src = (rank - shift) % size
         ch.send(dest, items[dest])
-        out[src] = ch.recv(src)
+        out[src] = yield Recv(src)
     return out
+
+
+# The two phases of the bandwidth-optimal ring, shared by the ring
+# allreduce, the ring reduce-scatter and the hierarchical allreduce's
+# intra-node allgather.  Segment indices are taken modulo the ring size.
+
+
+def _ring_reduce_scatter(
+    ch: CollChannel, arr, bounds, op, first: int, combine_seconds: float
+) -> Plan:
+    """``p - 1`` steps around the ring, each moving one segment of
+    ``arr`` to the right neighbor, which combines it into its own copy:
+    this rank starts by sending segment ``first`` and ends up holding the
+    fully reduced segment ``first + 1``."""
+    rank, size = ch.rank, ch.size
+    right, left = (rank + 1) % size, (rank - 1) % size
+    for t in range(size - 1):
+        i = (first - t) % size
+        ch.send(right, arr[bounds[i] : bounds[i + 1]].copy())
+        got = yield Recv(left)
+        mine = slice(bounds[(i - 1) % size], bounds[(i - 1) % size + 1])
+        arr[mine] = op(got, arr[mine])
+        _charge_combine(ch, combine_seconds)
+
+
+def _ring_allgather(ch: CollChannel, arr, bounds, owned: int) -> Plan:
+    """Circulate the finished segments (this rank holds ``owned``) until
+    every rank has all of ``arr``."""
+    rank, size = ch.rank, ch.size
+    right, left = (rank + 1) % size, (rank - 1) % size
+    for t in range(size - 1):
+        i = (owned - t) % size
+        ch.send(right, arr[bounds[i] : bounds[i + 1]].copy())
+        got = yield Recv(left)
+        j = (i - 1) % size
+        arr[bounds[j] : bounds[j + 1]] = got
 
 
 def allreduce_ring_plan(
@@ -721,61 +714,6 @@ def allreduce_ring_plan(
     *,
     combine_seconds: float = 0.0,
 ) -> Plan:
-    """Plan form of :func:`allreduce_ring`."""
-    import numpy as np
-
-    if isinstance(op, Op) and not op.commutative:
-        raise CommunicatorError(
-            f"allreduce_ring requires a commutative op, got {op!r}"
-        )
-    rank, size = ch.rank, ch.size
-    m = _metrics(ch)
-    if m.enabled and rank == 0:
-        m.counter("collective.allreduce_ring.calls").inc()
-        m.histogram("collective.allreduce_ring.steps").observe(2 * (size - 1))
-    arr = np.array(value, copy=True)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-        scalar = True
-    else:
-        scalar = False
-    if size == 1:
-        out = op(arr, arr[:0]) if False else arr  # no-op; keep dtype
-        return out[0] if scalar else out
-
-    bounds = np.linspace(0, len(arr), size + 1).astype(int)
-
-    def seg(i: int) -> slice:
-        i %= size
-        return slice(bounds[i], bounds[i + 1])
-
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-
-    # reduce-scatter: after this, segment (rank+1)%size is fully reduced
-    for t in range(size - 1):
-        ch.send(right, arr[seg(rank - t)].copy())
-        got = yield Recv(left)
-        s = seg(rank - t - 1)
-        arr[s] = op(got, arr[s])
-        _charge_combine(ch, combine_seconds)
-
-    # all-gather: circulate the finished segments
-    for t in range(size - 1):
-        ch.send(right, arr[seg(rank + 1 - t)].copy())
-        got = yield Recv(left)
-        arr[seg(rank - t)] = got
-
-    return arr[0] if scalar else arr
-
-
-def allreduce_ring(
-    ch: CollChannel,
-    value,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    combine_seconds: float = 0.0,
-):
     """Bandwidth-optimal ring all-reduce for NumPy arrays.
 
     Reduce-scatter around the ring (p-1 steps, each moving 1/p of the
@@ -784,9 +722,20 @@ def allreduce_ring(
     n * log2(p).  The combining order is a ring rotation, not rank
     order, so this schedule requires a **commutative** operation.
     """
-    return run_plan(
-        ch, allreduce_ring_plan(ch, value, op, combine_seconds=combine_seconds)
-    )
+    _require_commutative(op, "allreduce_ring")
+    rank, size = ch.rank, ch.size
+    m = _metrics(ch)
+    if m.enabled and rank == 0:
+        m.counter("collective.allreduce_ring.calls").inc()
+        m.histogram("collective.allreduce_ring.steps").observe(2 * (size - 1))
+    arr, scalar = _as_vector(value)
+    if size > 1:
+        bounds = _segment_bounds(len(arr), size)
+        yield from _ring_reduce_scatter(
+            ch, arr, bounds, op, rank, combine_seconds
+        )
+        yield from _ring_allgather(ch, arr, bounds, rank + 1)
+    return _from_vector(arr, scalar)
 
 
 def reduce_scatter_ring_plan(
@@ -796,60 +745,30 @@ def reduce_scatter_ring_plan(
     *,
     combine_seconds: float = 0.0,
 ) -> Plan:
-    """Plan form of :func:`reduce_scatter_ring`."""
-    import numpy as np
+    """Ring reduce-scatter: rank r ends up with segment r of the
+    element-wise reduction, having moved only (p-1)/p of the data.
 
-    if isinstance(op, Op) and not op.commutative:
-        raise CommunicatorError(
-            f"reduce_scatter_ring requires a commutative op, got {op!r}"
-        )
+    Returns ``(segment, (lo, hi))`` where ``[lo, hi)`` is the global
+    index range of the segment (a 0-d input counts as one element).
+    Commutative operations only (ring order).
+    """
+    _require_commutative(op, "reduce_scatter_ring")
     rank, size = ch.rank, ch.size
     m = _metrics(ch)
     if m.enabled and rank == 0:
         m.counter("collective.reduce_scatter_ring.calls").inc()
         m.histogram("collective.reduce_scatter_ring.steps").observe(size - 1)
-    arr = np.array(value, copy=True)
-    bounds = np.linspace(0, len(arr), size + 1).astype(int)
-
-    def seg(i: int) -> slice:
-        i %= size
-        return slice(bounds[i], bounds[i + 1])
-
+    arr, _ = _as_vector(value)
     if size == 1:
         return arr, (0, len(arr))
-
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    # Shifted by -1 relative to allreduce_ring so the final fully
+    bounds = _segment_bounds(len(arr), size)
+    # Starts one segment behind the ring allreduce so the final fully
     # reduced segment at rank r is segment r (MPI_Reduce_scatter_block).
-    for t in range(size - 1):
-        ch.send(right, arr[seg(rank - t - 1)].copy())
-        got = yield Recv(left)
-        s = seg(rank - t - 2)
-        arr[s] = op(got, arr[s])
-        _charge_combine(ch, combine_seconds)
+    yield from _ring_reduce_scatter(
+        ch, arr, bounds, op, rank - 1, combine_seconds
+    )
     lo, hi = int(bounds[rank]), int(bounds[rank + 1])
     return arr[lo:hi], (lo, hi)
-
-
-def reduce_scatter_ring(
-    ch: CollChannel,
-    value,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    combine_seconds: float = 0.0,
-):
-    """Ring reduce-scatter: rank r ends up with segment r of the
-    element-wise reduction, having moved only (p-1)/p of the data.
-
-    Returns ``(segment, (lo, hi))`` where ``[lo, hi)`` is the global
-    index range of the segment.  Commutative operations only (ring
-    order).
-    """
-    return run_plan(
-        ch,
-        reduce_scatter_ring_plan(ch, value, op, combine_seconds=combine_seconds),
-    )
 
 
 def allreduce_rabenseifner_plan(
@@ -859,20 +778,21 @@ def allreduce_rabenseifner_plan(
     *,
     combine_seconds: float = 0.0,
 ) -> Plan:
-    """Plan form of :func:`allreduce_rabenseifner`."""
-    import numpy as np
+    """Rabenseifner-style all-reduce: recursive-*halving* reduce-scatter
+    followed by recursive-*doubling* allgather over the same pairs.
 
-    if isinstance(op, Op) and not op.commutative:
-        raise CommunicatorError(
-            f"allreduce_rabenseifner requires a commutative op, got {op!r}"
-        )
+    Moves ~``2 n (p-1)/p`` bytes per rank like the ring, but in
+    ``2 log2(p)`` rounds instead of ``2(p-1)`` — the classic large-payload
+    schedule when latency still matters.  Non-power-of-two sizes fold the
+    first ``2*(p - pof2)`` ranks pairwise first (the MPICH approach).
+    Segments are combined independently, so the operation must be
+    **commutative and elementwise** over splittable NumPy payloads.
+    """
+    _require_commutative(op, "allreduce_rabenseifner")
     rank, size = ch.rank, ch.size
-    arr = np.array(value, copy=True)
-    scalar = arr.ndim == 0
-    if scalar:
-        arr = arr.reshape(1)
+    arr, scalar = _as_vector(value)
     if size == 1:
-        return arr[0] if scalar else arr
+        return _from_vector(arr, scalar)
 
     pof2 = 1 << (size.bit_length() - 1)
     rem = size - pof2
@@ -883,25 +803,9 @@ def allreduce_rabenseifner_plan(
             2 * (pof2 - 1).bit_length() + (2 if rem else 0)
         )
 
-    # Fold the first 2*rem ranks pairwise so a power of two remains.
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            ch.send(rank + 1, arr)
-            newrank = -1  # idle until the final un-fold
-        else:
-            theirs = yield Recv(rank - 1)
-            arr = op(theirs, arr)  # lower rank on the left
-            _charge_combine(ch, combine_seconds)
-            newrank = rank // 2
-    else:
-        newrank = rank - rem
-
-    def real(nr: int) -> int:
-        """Translate a folded rank back to its group rank."""
-        return nr * 2 + 1 if nr < rem else nr + rem
-
+    arr, newrank = yield from _fold_in(ch, arr, op, rem, combine_seconds)
     if newrank >= 0:
-        bounds = np.linspace(0, len(arr), pof2 + 1).astype(int)
+        bounds = _segment_bounds(len(arr), pof2)
         slo, shi = 0, pof2  # my current segment block, in segment units
         steps: list[tuple[int, int, int]] = []  # (partner, sent_lo, sent_hi)
         dist = pof2 >> 1
@@ -918,8 +822,9 @@ def allreduce_rabenseifner_plan(
                 sent_lo, sent_hi = slo, mid
                 keep = slice(int(bounds[mid]), int(bounds[shi]))
                 slo, shi = mid, shi
-            ch.send(real(partner), arr[bounds[sent_lo] : bounds[sent_hi]].copy())
-            got = yield Recv(real(partner))
+            peer = _unfolded(partner, rem)
+            ch.send(peer, arr[bounds[sent_lo] : bounds[sent_hi]].copy())
+            got = yield Recv(peer)
             if partner < newrank:
                 arr[keep] = op(got, arr[keep])
             else:
@@ -930,41 +835,15 @@ def allreduce_rabenseifner_plan(
         # Recursive doubling allgather: replay the exchanges in reverse;
         # the partner of each round owns exactly the block sent away then.
         for partner, sent_lo, sent_hi in reversed(steps):
-            ch.send(real(partner), arr[bounds[slo] : bounds[shi]].copy())
-            got = yield Recv(real(partner))
+            peer = _unfolded(partner, rem)
+            ch.send(peer, arr[bounds[slo] : bounds[shi]].copy())
+            got = yield Recv(peer)
             arr[bounds[sent_lo] : bounds[sent_hi]] = got
             slo, shi = min(slo, sent_lo), max(shi, sent_hi)
 
     # Un-fold: odd folded ranks forward the full result to their pair.
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            arr = yield Recv(rank + 1)
-        else:
-            ch.send(rank - 1, arr)
-    return arr[0] if scalar else arr
-
-
-def allreduce_rabenseifner(
-    ch: CollChannel,
-    value,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    combine_seconds: float = 0.0,
-):
-    """Rabenseifner-style all-reduce: recursive-*halving* reduce-scatter
-    followed by recursive-*doubling* allgather over the same pairs.
-
-    Moves ~``2 n (p-1)/p`` bytes per rank like the ring, but in
-    ``2 log2(p)`` rounds instead of ``2(p-1)`` — the classic large-payload
-    schedule when latency still matters.  Non-power-of-two sizes fold the
-    first ``2*(p - pof2)`` ranks pairwise first (the MPICH approach).
-    Segments are combined independently, so the operation must be
-    **commutative and elementwise** over splittable NumPy payloads.
-    """
-    return run_plan(
-        ch,
-        allreduce_rabenseifner_plan(ch, value, op, combine_seconds=combine_seconds),
-    )
+    arr = yield from _fold_out(ch, arr, rem)
+    return _from_vector(arr, scalar)
 
 
 # --------------------------------------------------------------------------
@@ -973,10 +852,10 @@ def allreduce_rabenseifner(
 #
 # On a multi-tier fabric (see ``repro.runtime.fabric``) not all links are
 # equal: ranks sharing a node talk over memory-class links while
-# inter-node messages pay network latency and bandwidth.  The schedules
-# below exploit that by confining the bulky phases to intra-node links
+# inter-node messages pay network latency and bandwidth.  The schedule
+# below exploits that by confining the bulky phases to intra-node links
 # and crossing the slow tier as few times — and as *concurrently* — as
-# possible.  They are composed from the flat plans above running over
+# possible.  It is composed from the flat plans above running over
 # :class:`SubgroupChannel` views, so every message still bottoms out in
 # the same point-to-point machinery and costs stay emergent.
 #
@@ -985,8 +864,8 @@ def allreduce_rabenseifner(
 # from a communicator's placement).  Contiguity is what keeps the leader
 # phase order-preserving for non-commutative operations: each node's
 # partial covers a contiguous rank range and lower ranges stay the left
-# operand.  With ``groups=None`` (or all-singleton groups) the schedules
-# degrade gracefully to their flat counterparts.
+# operand.  With ``groups=None`` (or all-singleton groups) the schedule
+# degrades gracefully to its flat counterparts.
 
 
 class SubgroupChannel:
@@ -996,7 +875,7 @@ class SubgroupChannel:
     subgroup rank order; the calling rank must be among them.  Sends,
     receives and collects translate subgroup ranks to parent ranks, so
     any flat plan runs unmodified over the subgroup — the composition
-    trick the hierarchical schedules are built on.  Plans written
+    trick the hierarchical schedule is built on.  Plans written
     against a subgroup yield :class:`Recv` markers in *subgroup*
     coordinates; :func:`_drive_sub` re-yields them translated so the
     outer driver sees parent group ranks.
@@ -1043,18 +922,14 @@ def _drive_sub(plan: Plan, ranks: Sequence[int]) -> Plan:
 
 def _locate_group(
     groups: Sequence[Sequence[int]], rank: int
-) -> tuple[int, tuple[int, ...], int]:
-    """Find ``rank``'s ``(group_index, group, local_index)`` in a partition."""
-    for j, grp in enumerate(groups):
+) -> tuple[tuple[int, ...], int]:
+    """Find ``rank``'s ``(group, local_index)`` in a partition."""
+    for grp in groups:
         if rank in grp:
-            return j, tuple(grp), tuple(grp).index(rank)
+            return tuple(grp), tuple(grp).index(rank)
     raise CommunicatorError(
         f"rank {rank} missing from hierarchical groups {groups!r}"
     )
-
-
-def _singleton_groups(size: int) -> tuple[tuple[int, ...], ...]:
-    return tuple((r,) for r in range(size))
 
 
 def allreduce_hierarchical_plan(
@@ -1065,13 +940,22 @@ def allreduce_hierarchical_plan(
     groups: Sequence[Sequence[int]] | None = None,
     combine_seconds: float = 0.0,
 ) -> Plan:
-    """Plan form of :func:`allreduce_hierarchical`."""
-    import numpy as np
+    """Topology-aware all-reduce over a node partition of the group.
 
+    For commutative elementwise operations on sufficiently long vectors
+    with equal-size groups, runs the 2-D SMP-aware schedule (intra-node
+    reduce-scatter, concurrent per-segment inter-node allreduce,
+    intra-node allgather), cutting slow-tier traffic per rank by the
+    node size.  Everything else takes the leader schedule (intra-node
+    binomial reduce, leader allreduce, intra-node bcast), which is
+    order-preserving and non-commutative safe because groups are
+    contiguous rank ranges.  With ``groups=None`` degrades to the flat
+    recursive-doubling/Rabenseifner schedules.
+    """
     rank, size = ch.rank, ch.size
     if groups is None:
-        groups = _singleton_groups(size)
-    _, g, li = _locate_group(groups, rank)
+        groups = tuple((r,) for r in range(size))
+    g, li = _locate_group(groups, rank)
     nnodes = len(groups)
     m = _metrics(ch)
     if m.enabled and rank == 0:
@@ -1113,14 +997,12 @@ def allreduce_hierarchical_plan(
         )
         out = np.empty(len(value), dtype=np.asarray(seg_val).dtype)
         out[lo:hi] = seg_val
-        bounds = np.linspace(0, len(value), nlocal + 1).astype(int)
-        right, left = g[(li + 1) % nlocal], g[(li - 1) % nlocal]
-        for t in range(nlocal - 1):
-            si = (li - t) % nlocal
-            ch.send(right, out[bounds[si] : bounds[si + 1]].copy())
-            got = yield Recv(left)
-            di = (li - t - 1) % nlocal
-            out[bounds[di] : bounds[di + 1]] = got
+        yield from _drive_sub(
+            _ring_allgather(
+                sub, out, _segment_bounds(len(value), nlocal), li
+            ),
+            g,
+        )
         return out
     # Leader schedule (any operation, any payload): order-preserving
     # intra-node binomial reduce to the node leader, an allreduce among
@@ -1150,156 +1032,127 @@ def allreduce_hierarchical_plan(
     return result
 
 
-def allreduce_hierarchical(
-    ch: CollChannel,
-    value: Any,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    groups: Sequence[Sequence[int]] | None = None,
-    combine_seconds: float = 0.0,
-) -> Any:
-    """Topology-aware all-reduce over a node partition of the group.
+# --------------------------------------------------------------------------
+# The schedule registry
+# --------------------------------------------------------------------------
+#
+# One record per algorithm: the only place in ``repro.mpi`` (besides the
+# fitted cutoffs of ``tuning.DEFAULT_TABLE``) where an algorithm's name
+# or a property of it is written down.  The communicator's dispatch and
+# error messages, the tuner's candidate lists and safety guards, the
+# fitter, the schedule cache, the benchmarks and the identity grids all
+# read it, so landing a new algorithm is one plan function plus one line
+# here.
 
-    For commutative elementwise operations on sufficiently long vectors
-    with equal-size groups, runs the 2-D SMP-aware schedule (intra-node
-    reduce-scatter, concurrent per-segment inter-node allreduce,
-    intra-node allgather), cutting slow-tier traffic per rank by the
-    node size.  Everything else takes the leader schedule (intra-node
-    binomial reduce, leader allreduce, intra-node bcast), which is
-    order-preserving and non-commutative safe because groups are
-    contiguous rank ranges.  With ``groups=None`` degrades to the flat
-    recursive-doubling/Rabenseifner schedules.
-    """
-    return run_plan(
-        ch,
-        allreduce_hierarchical_plan(
-            ch, value, op, groups=groups, combine_seconds=combine_seconds
-        ),
+
+class Schedule(NamedTuple):
+    """One registered algorithm for one collective ``kind``."""
+
+    kind: str
+    #: The ``algorithm=`` name (for kinds with a single schedule, just
+    #: its name in docs and spans).
+    name: str
+    #: ``plan(ch, *operands, **options)`` -> :data:`Plan`.
+    plan: Callable[..., Any]
+    #: Lower ranks are always the left operand: safe for non-commutative
+    #: operations.
+    order_preserving: bool = True
+    #: Splits the payload and combines the pieces independently: needs a
+    #: splittable operand (``tuning.is_splittable``).
+    segments: bool = False
+    #: ``plan`` takes ``radix=``, the fitted fan-out of ``"auto"``.
+    radix: bool = False
+    #: ``plan`` takes ``groups=``, the node partition; a candidate for
+    #: ``"auto"`` only in tables fitted on a non-flat fabric.
+    groups: bool = False
+    #: ``plan`` is a generator a ``Request`` can suspend; ``False`` marks
+    #: a blocking function (no ``i*`` form, never chosen by ``"auto"``).
+    resumable: bool = True
+
+
+#: Names that used to be registered, so a stale call site or table is
+#: told why its schedule is gone rather than just that it is unknown.
+REMOVED = {
+    ("scan", "hierarchical"): (
+        "removed: the hierarchical scan lost to the flat binomial scan on "
+        "all 27 recorded cells, 0.77-0.99x; see EXPERIMENTS.md EX-HIER"
+    ),
+}
+
+REDUCE_KARY = Schedule(
+    "reduce", "kary", reduce_kary_available,
+    order_preserving=False, resumable=False,
+)
+SCAN_CHAIN = Schedule("scan", "chain", scan_linear_chain_plan)
+
+#: ``SCHEDULES[kind][name]``; the first entry of a kind is its
+#: order-preserving, non-segmenting default.
+SCHEDULES: dict[str, dict[str, Schedule]] = {}
+for _s in (
+    Schedule("reduce", "binomial", reduce_binomial_plan),
+    Schedule(
+        "reduce", "pipelined_ring", reduce_ring_pipelined_plan, segments=True
+    ),
+    REDUCE_KARY,
+    Schedule(
+        "allreduce", "recursive_doubling", allreduce_recursive_doubling_plan,
+        radix=True,
+    ),
+    Schedule(
+        "allreduce", "ring", allreduce_ring_plan,
+        order_preserving=False, segments=True,
+    ),
+    Schedule(
+        "allreduce", "rabenseifner", allreduce_rabenseifner_plan,
+        order_preserving=False, segments=True,
+    ),
+    Schedule(
+        "allreduce", "hierarchical", allreduce_hierarchical_plan, groups=True
+    ),
+    Schedule("scan", "binomial", scan_simultaneous_binomial_plan, radix=True),
+    SCAN_CHAIN,
+    Schedule(
+        "reduce_scatter", "ring", reduce_scatter_ring_plan,
+        order_preserving=False, segments=True,
+    ),
+    Schedule("bcast", "binomial", bcast_binomial_plan),
+    Schedule("gather", "binomial", gather_binomial_plan),
+    Schedule("scatter", "binomial", scatter_binomial_plan),
+    Schedule("allgather", "gather_bcast", allgather_plan),
+    Schedule("alltoall", "pairwise", alltoall_pairwise_plan),
+    Schedule("barrier", "dissemination", barrier_dissemination_plan),
+):
+    SCHEDULES.setdefault(_s.kind, {})[_s.name] = _s
+del _s
+
+
+def schedules(kind: str) -> tuple[Schedule, ...]:
+    """Every registered schedule of ``kind``, default first."""
+    return tuple(SCHEDULES[kind].values())
+
+
+def schedule(
+    kind: str, name: str | None = None, *, caller: str | None = None,
+    resumable: bool = False,
+) -> Schedule:
+    """The record for ``algorithm=name`` of ``kind`` (``None``: the
+    kind's default).  Unknown names — and, with ``resumable=True``,
+    names without a plan form — raise a :class:`CommunicatorError`
+    listing what ``caller`` (default: the kind) could have asked for."""
+    table = SCHEDULES[kind]
+    if name is None:
+        return next(iter(table.values()))
+    found = table.get(name)
+    if found is not None and (found.resumable or not resumable):
+        return found
+    names = ["auto"] + [
+        s.name for s in table.values() if s.resumable or not resumable
+    ]
+    choices = ", ".join(repr(n) for n in names[:-1]) + f" or {names[-1]!r}"
+    problem = (
+        f"unknown {caller or kind} algorithm {name!r}" if found is None
+        else f"{caller or kind} does not support algorithm {name!r}"
     )
-
-
-def _scan_both_plan(
-    ch: CollChannel,
-    value: Any,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    combine_seconds: float = 0.0,
-) -> Plan:
-    """Simultaneous binomial prefix returning ``(exclusive, inclusive)``.
-
-    Identical message pattern to :func:`scan_simultaneous_binomial_plan`;
-    the hierarchical scan needs both prefixes at once (the node total is
-    the last local rank's *inclusive* prefix while its result needs the
-    exclusive one), so this variant keeps the pair.  Rank 0's exclusive
-    slot is ``None``.
-    """
-    rank, size = ch.rank, ch.size
-    full = value
-    partial = None
-    d = 1
-    while d < size:
-        if rank + d < size:
-            ch.send(rank + d, full)
-        if rank - d >= 0:
-            theirs = yield Recv(rank - d)
-            # ``theirs`` feeds two combines and a combine may mutate its
-            # left operand — isolate one use (same as the flat scan).
-            if partial is None:
-                partial = theirs
-                theirs_for_full = copy_for_transfer(theirs)
-            else:
-                theirs_for_full = copy_for_transfer(theirs)
-                partial = op(theirs, partial)
-                _charge_combine(ch, combine_seconds)
-            full = op(theirs_for_full, full)
-            _charge_combine(ch, combine_seconds)
-        d <<= 1
-    return partial, full
-
-
-def scan_hierarchical_plan(
-    ch: CollChannel,
-    value: Any,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    groups: Sequence[Sequence[int]] | None = None,
-    exclusive: bool = False,
-    identity: Callable[[], Any] | None = None,
-    combine_seconds: float = 0.0,
-) -> Plan:
-    """Plan form of :func:`scan_hierarchical`."""
-    rank, size = ch.rank, ch.size
-    if groups is None:
-        groups = _singleton_groups(size)
-    _, g, li = _locate_group(groups, rank)
-    nnodes = len(groups)
-    m = _metrics(ch)
-    if m.enabled and rank == 0:
-        m.counter("collective.scan_hier.calls").inc()
-        m.histogram("collective.scan_hier.nodes").observe(nnodes)
-    sub = SubgroupChannel(ch, g)
-    # Intra-node prefix on the cheap links.  The last local rank's
-    # inclusive prefix *is* the node total — no extra combine needed.
-    excl, incl = yield from _drive_sub(
-        _scan_both_plan(sub, value, op, combine_seconds=combine_seconds), g
-    )
-    prev = None  # combined total of all preceding nodes
-    if nnodes > 1:
-        if li == len(g) - 1:
-            reps = tuple(grp[-1] for grp in groups)
-            prev, _ = yield from _drive_sub(
-                _scan_both_plan(
-                    SubgroupChannel(ch, reps), incl, op,
-                    combine_seconds=combine_seconds,
-                ),
-                reps,
-            )
-        # Node j's rep now holds T_0 op ... op T_{j-1} (None for node 0);
-        # share it with the node.  Group contiguity makes prev op local
-        # an order-preserving contiguous prefix.
-        prev = yield from _drive_sub(
-            bcast_binomial_plan(sub, prev, root=len(g) - 1), g
-        )
-    mine = excl if exclusive else incl
-    if prev is None:
-        if mine is None:  # global rank 0, exclusive
-            return identity() if identity is not None else None
-        return mine
-    if mine is None:  # first rank of a later node, exclusive
-        return prev
-    # ``prev`` may be shared with other ranks of the node (broadcast
-    # payload) and a combine may mutate its left operand — isolate it.
-    out = op(copy_for_transfer(prev), mine)
-    _charge_combine(ch, combine_seconds)
-    return out
-
-
-def scan_hierarchical(
-    ch: CollChannel,
-    value: Any,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    groups: Sequence[Sequence[int]] | None = None,
-    exclusive: bool = False,
-    identity: Callable[[], Any] | None = None,
-    combine_seconds: float = 0.0,
-) -> Any:
-    """Topology-aware prefix scan/exscan over a node partition.
-
-    Three phases: a simultaneous-binomial prefix *within* each node
-    (cheap links), an exclusive prefix of node totals among the node
-    representatives (the only inter-node rounds — ``ceil(log2 nodes)``
-    versus the flat scan's inter-node majority), and an intra-node
-    broadcast of each node's predecessor total, combined once into every
-    local prefix.  Order-preserving for non-commutative operations
-    because node groups are contiguous rank ranges.  ``exclusive=True``
-    gives the exscan; global rank 0 returns ``identity()`` if given,
-    else ``None`` (the MPI_Exscan convention).
-    """
-    return run_plan(
-        ch,
-        scan_hierarchical_plan(
-            ch, value, op, groups=groups, exclusive=exclusive,
-            identity=identity, combine_seconds=combine_seconds,
-        ),
-    )
+    if (kind, name) in REMOVED:
+        problem += f" ({REMOVED[kind, name]})"
+    raise CommunicatorError(f"{problem}; choose {choices}")

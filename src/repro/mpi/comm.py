@@ -34,7 +34,7 @@ __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
 
 def _reroot_plan(ch: "_Channel", plan, root: int):
     """Wrap a rank-0-rooted reduce plan with the re-root forwarding hop
-    (the same exchange the blocking :meth:`Communicator.reduce` does)."""
+    (keeps the tree order-preserving)."""
     result = yield from plan
     if ch.rank == 0:
         ch.send(root, result)
@@ -43,6 +43,13 @@ def _reroot_plan(ch: "_Channel", plan, root: int):
         got = yield _coll.Recv(0)
         return got
     return None
+
+
+def _finished_plan(result):
+    """An already-complete plan: how the result of the one schedule
+    without a plan form (``resumable=False``) joins the plan pipeline."""
+    return result
+    yield  # pragma: no cover - unreachable; makes this a generator
 
 
 class _Channel:
@@ -92,30 +99,6 @@ class _Channel:
     def metrics(self):
         """The run's metrics registry (no-op when tracing is disabled)."""
         return self.comm._ctx.tracer.metrics
-
-
-#: Resolved-algorithm -> resumable plan factory (PR 4's generators).
-#: Dispatch tables instead of if/elif chains: the schedule cache hands
-#: back algorithm names, and a dict ``get`` keeps the dispatch cost flat
-#: no matter how many schedules future PRs add.
-_ALLREDUCE_PLANS = {
-    "recursive_doubling": _coll.allreduce_recursive_doubling_plan,
-    "ring": _coll.allreduce_ring_plan,
-    "rabenseifner": _coll.allreduce_rabenseifner_plan,
-}
-
-_SCAN_PLANS = {
-    "binomial": _coll.scan_simultaneous_binomial_plan,
-    "chain": _coll.scan_linear_chain_plan,
-}
-
-#: Fallback size for payloads :func:`cheap_nbytes` cannot size.
-_UNSIZED = 1 << 62
-
-_IREDUCE_PLANS = {
-    "binomial": _coll.reduce_binomial_plan,
-    "pipelined_ring": _coll.reduce_ring_pipelined_plan,
-}
 
 
 class Communicator:
@@ -264,7 +247,7 @@ class Communicator:
         """
         nbytes = cheap_nbytes(value)
         return (
-            _UNSIZED if nbytes is None else nbytes,
+            _tuning._UNBOUNDED if nbytes is None else nbytes,
             _tuning.is_splittable(value, op, nprocs),
         )
 
@@ -311,63 +294,93 @@ class Communicator:
             cost_model=self._ctx.cost_model,
         )
 
+    def _collective(
+        self,
+        name: str,
+        kind: str,
+        *operands: Any,
+        algorithm: str | None = None,
+        root: int = 0,
+        request: bool = False,
+        **options: Any,
+    ) -> Any:
+        """Run (or, with ``request=True``, issue) one collective.
+
+        The one place a ``(kind, algorithm)`` pair becomes a plan and the
+        one place a collective span opens; every public entry point
+        below, blocking and ``i*`` alike, is a call of this.
+        ``operands`` and ``options`` go to the schedule's plan factory;
+        ``algorithm=None`` means the kind's only schedule; a non-zero
+        ``root`` re-roots a rank-0-rooted plan.
+        """
+        tr = self._ctx.tracer
+        if tr.enabled:
+            # Blocking reductions and scans name their op on the span
+            # (operands lead with (value, op); nothing else has .name).
+            op = None if request or len(operands) < 2 else operands[1]
+            with tr.span(
+                name, phase="collective", op=getattr(op, "name", None)
+            ):
+                return self._start(
+                    name, kind, operands, algorithm, root, request, options
+                )
+        return self._start(
+            name, kind, operands, algorithm, root, request, options
+        )
+
+    def _start(
+        self, name, kind, operands, algorithm, root, request, options
+    ) -> Any:
+        ch = self._channel(name)
+        if algorithm == "auto":
+            # (value, op) lead the operands of every tuned kind.  The
+            # radix is auto's alone: a named schedule is the classic one.
+            algorithm, radix = self._auto_choice(
+                kind, *operands[:2], options.get("combine_seconds", 0.0)
+            )
+            if radix != 2:
+                options["radix"] = radix
+        schedule = _coll.schedule(
+            kind, algorithm, caller=name, resumable=request
+        )
+        if schedule.groups:
+            # With no hierarchy (flat fabric, or all members on one
+            # node) the plan degrades to the flat schedules internally.
+            options["groups"] = self._node_groups()
+        plan = schedule.plan(ch, *operands, **options)
+        if not schedule.resumable:
+            plan = _finished_plan(plan)
+        if root != 0:
+            plan = _reroot_plan(ch, plan, root)
+        if request:
+            return _req.Request(self._ctx, ch, plan, name=name)
+        return _coll.run_plan(ch, plan)
+
     # -- collectives ----------------------------------------------------------
 
     def barrier(self) -> None:
         """Block until every member has entered the barrier."""
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            _coll.barrier_dissemination(self._channel("barrier"))
-            return
-        with tr.span("barrier", phase="collective"):
-            _coll.barrier_dissemination(self._channel("barrier"))
+        self._collective("barrier", "barrier")
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns the value."""
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            return _coll.bcast_binomial(self._channel("bcast"), obj, root)
-        with tr.span("bcast", phase="collective"):
-            return _coll.bcast_binomial(self._channel("bcast"), obj, root)
+        return self._collective("bcast", "bcast", obj, root)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one value per rank; root returns the rank-ordered list."""
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            return _coll.gather_binomial(self._channel("gather"), obj, root)
-        with tr.span("gather", phase="collective"):
-            return _coll.gather_binomial(self._channel("gather"), obj, root)
-
-    def _allgather_impl(self, obj: Any) -> list[Any]:
-        ch = self._channel("allgather")
-        items = _coll.gather_binomial(ch, obj, 0)
-        return _coll.bcast_binomial(ch, items, 0)
+        return self._collective("gather", "gather", obj, root)
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one value per rank onto every rank (gather + bcast)."""
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            return self._allgather_impl(obj)
-        with tr.span("allgather", phase="collective"):
-            return self._allgather_impl(obj)
+        return self._collective("allgather", "allgather", obj)
 
     def scatter(self, items: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter ``items[i]`` (on root) to rank ``i``; returns my item."""
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            return _coll.scatter_binomial(self._channel("scatter"), items, root)
-        with tr.span("scatter", phase="collective"):
-            return _coll.scatter_binomial(
-                self._channel("scatter"), items, root
-            )
+        return self._collective("scatter", "scatter", items, root)
 
     def alltoall(self, items: Sequence[Any]) -> list[Any]:
         """Personalized all-to-all: ``items[i]`` goes to rank ``i``."""
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            return _coll.alltoall_pairwise(self._channel("alltoall"), items)
-        with tr.span("alltoall", phase="collective"):
-            return _coll.alltoall_pairwise(self._channel("alltoall"), items)
+        return self._collective("alltoall", "alltoall", items)
 
     def reduce(
         self,
@@ -398,64 +411,16 @@ class Communicator:
         always pass freshly accumulated states, so operators defined
         through :class:`~repro.core.operator.ReduceScanOp` are unaffected.
         """
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            return self._reduce_impl(
-                value, op, root, fanout, combine_seconds, algorithm
-            )
-        with tr.span("reduce", phase="collective", op=getattr(op, "name", None)):
-            return self._reduce_impl(
-                value, op, root, fanout, combine_seconds, algorithm
-            )
-
-    def _resolve_reduce_algorithm(
-        self, value: Any, op: Any, fanout: int, algorithm: str
-    ) -> str:
-        if algorithm != "auto":
-            return algorithm
-        commutative = op.commutative if isinstance(op, Op) else True
-        if fanout > 2 and commutative:
-            return "kary"
-        return self._auto_choice("reduce", value, op)[0]
-
-    def _reduce_impl(
-        self,
-        value: Any,
-        op: Op | Callable[[Any, Any], Any],
-        root: int,
-        fanout: int,
-        combine_seconds: float,
-        algorithm: str,
-    ) -> Any:
-        ch = self._channel("reduce")
-        algorithm = self._resolve_reduce_algorithm(value, op, fanout, algorithm)
-        if algorithm == "kary":
-            result = _coll.reduce_kary_available(
-                ch, value, op, fanout=max(fanout, 2),
-                combine_seconds=combine_seconds,
-            )
-        elif algorithm == "pipelined_ring":
-            result = _coll.reduce_ring_pipelined(
-                ch, value, op, combine_seconds=combine_seconds
-            )
-        elif algorithm == "binomial":
-            result = _coll.reduce_binomial_ordered(
-                ch, value, op, combine_seconds=combine_seconds
-            )
-        else:
-            raise CommunicatorError(
-                f"unknown reduce algorithm {algorithm!r}; choose "
-                "'auto', 'binomial', 'pipelined_ring' or 'kary'"
-            )
-        if root == 0:
-            return result
-        # Re-root: forward from rank 0 (keeps the tree order-preserving).
-        if self.rank == 0:
-            ch.send(root, result)
-            return None
-        if self.rank == root:
-            return ch.recv(0)
-        return None
+        kary = _coll.REDUCE_KARY.name
+        if algorithm == "auto" and fanout > 2 and (
+            op.commutative if isinstance(op, Op) else True
+        ):
+            algorithm = kary
+        options = {"fanout": max(fanout, 2)} if algorithm == kary else {}
+        return self._collective(
+            "reduce", "reduce", value, op, algorithm=algorithm, root=root,
+            combine_seconds=combine_seconds, **options,
+        )
 
     def allreduce(
         self,
@@ -479,60 +444,9 @@ class Communicator:
         (topology-aware node/leader schedule; wins on multi-tier fabrics
         and degrades to recursive doubling on the flat one).
         """
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            return self._allreduce_impl(value, op, combine_seconds, algorithm)
-        with tr.span(
-            "allreduce", phase="collective", op=getattr(op, "name", None)
-        ):
-            return self._allreduce_impl(value, op, combine_seconds, algorithm)
-
-    def _allreduce_plan(
-        self,
-        ch: _Channel,
-        value: Any,
-        op: Op | Callable[[Any, Any], Any],
-        combine_seconds: float,
-        algorithm: str,
-    ):
-        radix = 2  # an explicitly named schedule is the classic one
-        if algorithm == "auto":
-            algorithm, radix = self._auto_choice(
-                "allreduce", value, op, combine_seconds
-            )
-        if algorithm == "hierarchical":
-            # Needs the node partition, so it lives outside the flat
-            # dispatch dict.  With no hierarchy (flat fabric, or all
-            # members on one node) the plan degrades to the flat
-            # schedules internally.
-            return _coll.allreduce_hierarchical_plan(
-                ch, value, op, groups=self._node_groups(),
-                combine_seconds=combine_seconds,
-            )
-        factory = _ALLREDUCE_PLANS.get(algorithm)
-        if factory is None:
-            raise CommunicatorError(
-                f"unknown allreduce algorithm {algorithm!r}; choose "
-                "'auto', 'recursive_doubling', 'ring', 'rabenseifner' "
-                "or 'hierarchical'"
-            )
-        # A radix other than 2 is only ever auto's answer for the
-        # doubling plan — the one factory that takes it.
-        fanout = {"radix": radix} if radix != 2 else {}
-        return factory(
-            ch, value, op, combine_seconds=combine_seconds, **fanout
-        )
-
-    def _allreduce_impl(
-        self,
-        value: Any,
-        op: Op | Callable[[Any, Any], Any],
-        combine_seconds: float,
-        algorithm: str,
-    ) -> Any:
-        ch = self._channel("allreduce")
-        return _coll.run_plan(
-            ch, self._allreduce_plan(ch, value, op, combine_seconds, algorithm)
+        return self._collective(
+            "allreduce", "allreduce", value, op, algorithm=algorithm,
+            combine_seconds=combine_seconds,
         )
 
     def reduce_scatter(
@@ -549,19 +463,10 @@ class Communicator:
         Moves (p-1)/p of the data per rank — the building block of the
         ring all-reduce and of bandwidth-bound aggregated reductions.
         """
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            return _coll.reduce_scatter_ring(
-                self._channel("reduce_scatter"), value, op,
-                combine_seconds=combine_seconds,
-            )
-        with tr.span(
-            "reduce_scatter", phase="collective", op=getattr(op, "name", None)
-        ):
-            return _coll.reduce_scatter_ring(
-                self._channel("reduce_scatter"), value, op,
-                combine_seconds=combine_seconds,
-            )
+        return self._collective(
+            "reduce_scatter", "reduce_scatter", value, op,
+            combine_seconds=combine_seconds,
+        )
 
     def scan(
         self,
@@ -574,22 +479,13 @@ class Communicator:
         """Inclusive prefix reduction over ranks (MPI_Scan).
 
         ``algorithm``: ``"auto"`` (default; table-driven), ``"binomial"``
-        (simultaneous binomial, log2(p) rounds), ``"chain"`` (linear
-        chain, p-1 serialized hops but minimal total traffic) or
-        ``"hierarchical"`` (intra-node prefix + node-total exscan among
-        node representatives; topology-aware).
+        (simultaneous binomial, log2(p) rounds) or ``"chain"`` (linear
+        chain, p-1 serialized hops but minimal total traffic).
         """
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            return self._scan_dispatch(
-                "scan", value, op, exclusive=False, identity=None,
-                combine_seconds=combine_seconds, algorithm=algorithm,
-            )
-        with tr.span("scan", phase="collective", op=getattr(op, "name", None)):
-            return self._scan_dispatch(
-                "scan", value, op, exclusive=False, identity=None,
-                combine_seconds=combine_seconds, algorithm=algorithm,
-            )
+        return self._collective(
+            "scan", "scan", value, op, algorithm=algorithm,
+            exclusive=False, identity=None, combine_seconds=combine_seconds,
+        )
 
     def exscan(
         self,
@@ -609,83 +505,13 @@ class Communicator:
         """
         if identity is None and isinstance(op, Op):
             identity = op.identity
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            return self._scan_dispatch(
-                "exscan", value, op, exclusive=True, identity=identity,
-                combine_seconds=combine_seconds, algorithm=algorithm,
-            )
-        with tr.span("exscan", phase="collective", op=getattr(op, "name", None)):
-            return self._scan_dispatch(
-                "exscan", value, op, exclusive=True, identity=identity,
-                combine_seconds=combine_seconds, algorithm=algorithm,
-            )
-
-    def _scan_plan(
-        self,
-        name: str,
-        ch: _Channel,
-        value: Any,
-        op: Op | Callable[[Any, Any], Any],
-        *,
-        exclusive: bool,
-        identity: Callable[[], Any] | None,
-        combine_seconds: float,
-        algorithm: str,
-    ):
-        radix = 2  # an explicitly named schedule is the classic one
-        if algorithm == "auto":
-            algorithm, radix = self._auto_choice(
-                "scan", value, op, combine_seconds
-            )
-        if algorithm == "hierarchical":
-            return _coll.scan_hierarchical_plan(
-                ch, value, op, groups=self._node_groups(),
-                exclusive=exclusive, identity=identity,
-                combine_seconds=combine_seconds,
-            )
-        factory = _SCAN_PLANS.get(algorithm)
-        if factory is None:
-            raise CommunicatorError(
-                f"unknown {name} algorithm {algorithm!r}; choose "
-                "'auto', 'binomial', 'chain' or 'hierarchical'"
-            )
-        # As in _allreduce_plan: only the binomial plan ever gets one.
-        fanout = {"radix": radix} if radix != 2 else {}
-        return factory(
-            ch, value, op,
-            exclusive=exclusive, identity=identity,
-            combine_seconds=combine_seconds, **fanout,
-        )
-
-    def _scan_dispatch(
-        self,
-        name: str,
-        value: Any,
-        op: Op | Callable[[Any, Any], Any],
-        *,
-        exclusive: bool,
-        identity: Callable[[], Any] | None,
-        combine_seconds: float,
-        algorithm: str,
-    ) -> Any:
-        ch = self._channel(name)
-        return _coll.run_plan(
-            ch,
-            self._scan_plan(
-                name, ch, value, op, exclusive=exclusive, identity=identity,
-                combine_seconds=combine_seconds, algorithm=algorithm,
-            ),
+        return self._collective(
+            "exscan", "scan", value, op, algorithm=algorithm,
+            exclusive=True, identity=identity,
+            combine_seconds=combine_seconds,
         )
 
     # -- nonblocking collectives ----------------------------------------------
-
-    def _issue(self, name: str, ch: _Channel, plan, finalize=None) -> _req.Request:
-        tr = self._ctx.tracer
-        if not tr.enabled:
-            return _req.Request(self._ctx, ch, plan, name=name, finalize=finalize)
-        with tr.span(name, phase="collective"):
-            return _req.Request(self._ctx, ch, plan, name=name, finalize=finalize)
 
     def iallreduce(
         self,
@@ -700,11 +526,9 @@ class Communicator:
         :class:`repro.mpi.request.Request`; ``wait()`` yields the value
         every rank would have gotten from ``allreduce`` — bit-identical,
         for any operator and any algorithm choice."""
-        ch = self._channel("iallreduce")
-        return self._issue(
-            "iallreduce",
-            ch,
-            self._allreduce_plan(ch, value, op, combine_seconds, algorithm),
+        return self._collective(
+            "iallreduce", "allreduce", value, op, algorithm=algorithm,
+            request=True, combine_seconds=combine_seconds,
         )
 
     def ireduce(
@@ -719,18 +543,10 @@ class Communicator:
         """Nonblocking :meth:`reduce`.  ``wait()`` returns the reduction
         on ``root`` and ``None`` elsewhere.  The availability-order
         ``"kary"`` schedule has no resumable plan form and is rejected."""
-        ch = self._channel("ireduce")
-        algorithm = self._resolve_reduce_algorithm(value, op, 2, algorithm)
-        factory = _IREDUCE_PLANS.get(algorithm)
-        if factory is None:
-            raise CommunicatorError(
-                f"ireduce does not support algorithm {algorithm!r}; choose "
-                "'auto', 'binomial' or 'pipelined_ring'"
-            )
-        plan = factory(ch, value, op, combine_seconds=combine_seconds)
-        if root != 0:
-            plan = _reroot_plan(ch, plan, root)
-        return self._issue("ireduce", ch, plan)
+        return self._collective(
+            "ireduce", "reduce", value, op, algorithm=algorithm, root=root,
+            request=True, combine_seconds=combine_seconds,
+        )
 
     def iscan(
         self,
@@ -741,14 +557,9 @@ class Communicator:
         algorithm: str = "auto",
     ) -> _req.Request:
         """Nonblocking :meth:`scan`."""
-        ch = self._channel("iscan")
-        return self._issue(
-            "iscan",
-            ch,
-            self._scan_plan(
-                "iscan", ch, value, op, exclusive=False, identity=None,
-                combine_seconds=combine_seconds, algorithm=algorithm,
-            ),
+        return self._collective(
+            "iscan", "scan", value, op, algorithm=algorithm, request=True,
+            exclusive=False, identity=None, combine_seconds=combine_seconds,
         )
 
     def iexscan(
@@ -763,21 +574,16 @@ class Communicator:
         """Nonblocking :meth:`exscan`."""
         if identity is None and isinstance(op, Op):
             identity = op.identity
-        ch = self._channel("iexscan")
-        return self._issue(
-            "iexscan",
-            ch,
-            self._scan_plan(
-                "iexscan", ch, value, op, exclusive=True, identity=identity,
-                combine_seconds=combine_seconds, algorithm=algorithm,
-            ),
+        return self._collective(
+            "iexscan", "scan", value, op, algorithm=algorithm, request=True,
+            exclusive=True, identity=identity,
+            combine_seconds=combine_seconds,
         )
 
     def ibarrier(self) -> _req.Request:
         """Nonblocking :meth:`barrier`: ``wait()`` completes once every
         member has *entered* the barrier (they need not have waited)."""
-        ch = self._channel("ibarrier")
-        return self._issue("ibarrier", ch, _coll.barrier_dissemination_plan(ch))
+        return self._collective("ibarrier", "barrier", request=True)
 
     def progress(self) -> None:
         """Advance any outstanding nonblocking collectives through rounds

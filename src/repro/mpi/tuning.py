@@ -17,15 +17,17 @@ Fitting simulates every candidate on every grid point and derives the
 thresholds from the measured winners — there is no closed-form shortcut,
 matching the repo's "costs emerge from messages" principle.
 
-Safety invariants, enforced in the ``choose_*`` functions rather than in
-the table so a bad fit can never produce a wrong answer:
+Safety invariants, enforced ahead of the table (:func:`constant_span`)
+so a bad fit can never produce a wrong answer, and derived from the
+properties each schedule declares in the registry
+(:data:`repro.mpi.collectives.SCHEDULES`) rather than restated here:
 
-* non-commutative operations are only ever routed to order-preserving
-  schedules (recursive doubling, binomial, pipelined ring, chain);
-* payload-segmenting schedules (ring, Rabenseifner, pipelined ring) are
-  only chosen for *splittable* payloads: 1-D NumPy arrays with at least
-  one element per rank combined by an op that declares itself
-  ``elementwise`` (:class:`repro.mpi.op.Op`);
+* non-commutative operations are only ever routed to schedules declared
+  ``order_preserving``;
+* schedules declared ``segments`` are only chosen for *splittable*
+  payloads: 1-D NumPy arrays with at least one element per rank
+  combined by an op that declares itself ``elementwise``
+  (:class:`repro.mpi.op.Op`);
 * a fan-out above 2 for the doubling schedules (the ``radix``
   dimension) is only admitted where the cost model's answer is exact —
   payloads whose wire time fits inside one send overhead — and where
@@ -48,9 +50,8 @@ from repro.mpi import collectives as _coll
 from repro.runtime.costmodel import CostModel
 
 __all__ = [
-    "ALLREDUCE_ALGORITHMS",
-    "REDUCE_ALGORITHMS",
-    "SCAN_ALGORITHMS",
+    "TUNED_KINDS",
+    "candidates",
     "FUSION_CANDIDATES",
     "KERNEL_CANDIDATES",
     "RADIX_CANDIDATES",
@@ -76,13 +77,22 @@ __all__ = [
     "table_generation",
 ]
 
-#: Candidate schedules per collective.  Order-preserving (safe for
-#: non-commutative ops): recursive_doubling, binomial, pipelined_ring,
-#: chain.  Payload-segmenting (need splittable): ring, rabenseifner,
-#: pipelined_ring.
-ALLREDUCE_ALGORITHMS = ("recursive_doubling", "ring", "rabenseifner")
-REDUCE_ALGORITHMS = ("binomial", "pipelined_ring")
-SCAN_ALGORITHMS = ("binomial", "chain")
+#: The collective kinds ``algorithm="auto"`` decides between schedules
+#: for — one table dimension each.
+TUNED_KINDS = ("allreduce", "reduce", "scan")
+
+
+def candidates(kind: str, *, fabric: bool = False) -> tuple[str, ...]:
+    """The schedules ``"auto"`` may pick for ``kind``, read off the
+    registry: every resumable one (auto's answer must serve the blocking
+    and the ``i*`` entry point alike), those that need the node
+    partition only with ``fabric=True`` — they enter a table only
+    through a fit that measured them on a multi-tier fabric."""
+    return tuple(
+        s.name for s in _coll.schedules(kind)
+        if s.resumable and (fabric or not s.groups)
+    )
+
 
 #: "fusion" is a meta-decision rather than a schedule: should a
 #: ReductionBucket holding this many pending payload bytes merge them
@@ -112,7 +122,13 @@ KERNEL_CANDIDATES = ("scalar", "compiled")
 RADIX_CANDIDATES = (2, 4, 8, 16)
 
 #: The doubling schedule of each collective kind — where a radix applies.
-RADIX_SCHEDULES = {"allreduce": "recursive_doubling", "scan": "binomial"}
+RADIX_SCHEDULES = {
+    kind: s.name
+    for kind in TUNED_KINDS for s in _coll.schedules(kind) if s.radix
+}
+
+#: Every dimension of a :class:`DecisionTable`, in serialization order.
+_DIMENSIONS = TUNED_KINDS + ("fusion", "kernel", "radix")
 
 _UNBOUNDED = 1 << 62  # "no upper limit" sentinel for thresholds
 
@@ -209,17 +225,18 @@ class DecisionTable:
         return {
             "source": self.source,
             "topology": self.topology,
-            "allreduce": enc(self.allreduce),
-            "reduce": enc(self.reduce),
-            "scan": enc(self.scan),
-            "fusion": enc(self.fusion),
-            "kernel": enc(self.kernel),
-            "radix": enc(self.radix),
+            **{kind: enc(getattr(self, kind)) for kind in _DIMENSIONS},
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "DecisionTable":
-        def dec(items) -> tuple[Band, ...]:
+        """Rebuild a table from :meth:`to_dict` output, checking every
+        entry against what its dimension can actually run (registered
+        schedule names, a power-of-two radix) — a typo fails here, naming
+        the kind, band and entry, not mid-job when a payload first lands
+        in that band."""
+
+        def dec(kind: str) -> tuple[Band, ...]:
             return tuple(
                 Band(
                     max_ranks=(
@@ -229,30 +246,53 @@ class DecisionTable:
                     cutoffs=tuple(
                         (
                             _UNBOUNDED if mb is None else int(mb),
-                            algo if isinstance(algo, int) else str(algo),
+                            _checked_entry(kind, b["max_ranks"], mb, entry),
                         )
-                        for mb, algo in b["cutoffs"]
+                        for mb, entry in b["cutoffs"]
                     ),
                 )
-                for b in items
+                for b in data[kind]
             )
 
-        fusion = data.get("fusion")
-        kernel = data.get("kernel")
-        radix = data.get("radix")
         return cls(
-            allreduce=dec(data["allreduce"]),
-            reduce=dec(data["reduce"]),
-            scan=dec(data["scan"]),
+            **{
+                # Tables written before the fusion/kernel/radix
+                # dimensions existed keep the conservative fallbacks.
+                kind: dec(kind)
+                for kind in _DIMENSIONS
+                if kind in TUNED_KINDS or data.get(kind)
+            },
             source=str(data.get("source", "loaded")),
-            # Tables written before the fusion/kernel/radix dimensions
-            # existed load with the conservative fallback thresholds.
-            fusion=dec(fusion) if fusion else _FUSION_FALLBACK_BANDS,
-            kernel=dec(kernel) if kernel else _KERNEL_FALLBACK_BANDS,
-            radix=dec(radix) if radix else _RADIX_FALLBACK_BANDS,
             # Tables written before fabrics existed are flat tables.
             topology=str(data.get("topology", "flat")),
         )
+
+
+def _checked_entry(kind: str, max_ranks, max_bytes, entry) -> str | int:
+    """One decoded table entry of dimension ``kind``, or a ``ValueError``
+    naming where in the table the unusable entry sits."""
+    if kind == "radix":
+        valid = (
+            isinstance(entry, int) and entry >= 2 and not entry & (entry - 1)
+        )
+        expected = "a power of two >= 2"
+    else:
+        names = (
+            candidates(kind, fabric=True) if kind in TUNED_KINDS
+            else FUSION_CANDIDATES if kind == "fusion" else KERNEL_CANDIDATES
+        )
+        entry = str(entry)
+        valid = entry in names
+        expected = "one of " + ", ".join(repr(n) for n in names)
+    if valid:
+        return entry
+    removed = _coll.REMOVED.get((kind, entry))
+    raise ValueError(
+        f"decision table: {kind!r} band ranks<={max_ranks} "
+        f"bytes<={max_bytes} holds {entry!r}"
+        + (f" ({removed})" if removed else "")
+        + f"; expected {expected}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +325,7 @@ DEFAULT_TABLE = DecisionTable(
         # p-1 serialized hops lose to the binomial's log2(p) rounds at
         # every payload size.  It stays available as an explicit
         # algorithm (and wins trivially at p == 2, handled in
-        # choose_scan before the table is consulted).
+        # _forced_schedule before the table is consulted).
         Band(_UNBOUNDED, ((_UNBOUNDED, "binomial"),)),
     ),
     fusion=(
@@ -325,7 +365,7 @@ _active_table: DecisionTable = DEFAULT_TABLE
 #: Per-fabric tables keyed by topology signature ("multi_node:4", ...).
 #: A communicator whose world runs on a non-flat fabric consults this
 #: registry first and falls back to the flat active table — so the
-#: "hierarchical" schedules are never auto-chosen until a table fitted
+#: "hierarchical" schedule is never auto-chosen until a table fitted
 #: for that fabric has been installed (``python -m repro tune
 #: --topology ...``).
 _topology_tables: dict[str, DecisionTable] = {}
@@ -408,13 +448,49 @@ def is_splittable(value: Any, op: Any, nprocs: int) -> bool:
     )
 
 
+def _guard(kind: str) -> tuple[bool, bool, str]:
+    """``(needs_commutative, needs_splittable, fallback)``: what every
+    flat candidate of ``kind`` being admissible asks of an operand — one
+    that is not order-preserving needs a commutative op, one that
+    segments a splittable payload — and the order-preserving,
+    non-segmenting schedule that runs when the operand falls short."""
+    flat = [_coll.SCHEDULES[kind][name] for name in candidates(kind)]
+    return (
+        not all(s.order_preserving for s in flat),
+        any(s.segments for s in flat),
+        next(s.name for s in flat if s.order_preserving and not s.segments),
+    )
+
+
+#: Read off the registry once; the lookup path only tests three flags.
+_GUARDS = {kind: _guard(kind) for kind in TUNED_KINDS}
+
+
+def _forced_schedule(
+    kind: str, nprocs: int, commutative: bool, splittable: bool
+) -> str | None:
+    """The schedule the safety guards impose on this operand, or ``None``
+    when the table may decide — the one statement of the guards.  A row
+    may name any flat candidate, so the table is consulted only when
+    every one of them is admissible (:func:`_guard`) and the world is
+    larger than two ranks (no row is fitted below four); otherwise the
+    kind's fallback runs — except that two ranks scan down the chain,
+    whose single combine beats the binomial's two."""
+    if nprocs == 2 and kind == _coll.SCAN_CHAIN.kind:
+        return _coll.SCAN_CHAIN.name
+    needs_commutative, needs_splittable, fallback = _GUARDS[kind]
+    if (
+        nprocs <= 2
+        or (needs_commutative and not commutative)
+        or (needs_splittable and not splittable)
+    ):
+        return fallback
+    return None
+
+
 def choose_allreduce(
-    nbytes: int,
-    nprocs: int,
-    commutative: bool = True,
-    splittable: bool = False,
-    *,
-    table: DecisionTable | None = None,
+    nbytes: int, nprocs: int, commutative: bool = True,
+    splittable: bool = False, *, table: DecisionTable | None = None,
     topology: str = "flat",
 ) -> str:
     """Pick the all-reduce schedule for one call site.
@@ -425,49 +501,38 @@ def choose_allreduce(
     Rabenseifner and (on fabrics with a fitted per-topology table) the
     hierarchical node/leader schedule.
     """
-    if nprocs <= 2 or not (commutative and splittable):
-        return "recursive_doubling"
-    return (table or get_decision_table(topology)).lookup(
-        "allreduce", nbytes, nprocs
-    )
+    return constant_span(
+        "allreduce", nbytes, nprocs, commutative, splittable,
+        table=table, topology=topology,
+    )[2]
 
 
 def choose_reduce(
-    nbytes: int,
-    nprocs: int,
-    commutative: bool = True,
-    splittable: bool = False,
-    *,
-    table: DecisionTable | None = None,
+    nbytes: int, nprocs: int, commutative: bool = True,
+    splittable: bool = False, *, table: DecisionTable | None = None,
     topology: str = "flat",
 ) -> str:
     """Pick the rooted-reduce schedule.  The pipelined ring is
     order-preserving, so commutativity does not restrict the choice —
     only splittability does."""
-    if nprocs <= 2 or not splittable:
-        return "binomial"
-    return (table or get_decision_table(topology)).lookup(
-        "reduce", nbytes, nprocs
-    )
+    return constant_span(
+        "reduce", nbytes, nprocs, commutative, splittable,
+        table=table, topology=topology,
+    )[2]
 
 
 def choose_scan(
-    nbytes: int,
-    nprocs: int,
-    commutative: bool = True,
-    splittable: bool = False,
-    *,
-    table: DecisionTable | None = None,
+    nbytes: int, nprocs: int, commutative: bool = True,
+    splittable: bool = False, *, table: DecisionTable | None = None,
     topology: str = "flat",
 ) -> str:
     """Pick the scan/exscan schedule.  Both candidates are
     order-preserving and neither segments the payload, so the table
     decides unconditionally."""
-    if nprocs <= 2:
-        return "chain" if nprocs == 2 else "binomial"
-    return (table or get_decision_table(topology)).lookup(
-        "scan", nbytes, nprocs
-    )
+    return constant_span(
+        "scan", nbytes, nprocs, commutative, splittable,
+        table=table, topology=topology,
+    )[2]
 
 
 def _band_span(
@@ -508,26 +573,14 @@ def constant_span(
     operands) are size-independent, so they yield the full ``[0, ∞)``
     span.
     """
+    if kind in _GUARDS:
+        forced = _forced_schedule(kind, nprocs, commutative, splittable)
+        if forced is not None:
+            return 0, _UNBOUNDED, forced
+    elif kind not in _DIMENSIONS:
+        raise ValueError(f"unknown tuning kind {kind!r}")
     tbl = table or get_decision_table(topology)
-    if kind == "allreduce":
-        if nprocs <= 2 or not (commutative and splittable):
-            return 0, _UNBOUNDED, "recursive_doubling"
-        return _band_span(tbl.allreduce, nbytes, nprocs)
-    if kind == "reduce":
-        if nprocs <= 2 or not splittable:
-            return 0, _UNBOUNDED, "binomial"
-        return _band_span(tbl.reduce, nbytes, nprocs)
-    if kind == "scan":
-        if nprocs <= 2:
-            return 0, _UNBOUNDED, ("chain" if nprocs == 2 else "binomial")
-        return _band_span(tbl.scan, nbytes, nprocs)
-    if kind == "fusion":
-        return _band_span(tbl.fusion, nbytes, nprocs)
-    if kind == "kernel":
-        return _band_span(tbl.kernel, nbytes, nprocs)
-    if kind == "radix":
-        return _band_span(tbl.radix, nbytes, nprocs)
-    raise ValueError(f"unknown tuning kind {kind!r}")
+    return _band_span(getattr(tbl, kind), nbytes, nprocs)
 
 
 def choose_fusion(

@@ -22,15 +22,15 @@ from repro.mpi import collectives as _coll
 from repro.mpi.op import SUM
 from repro.mpi.tuning import (
     _UNBOUNDED,
-    ALLREDUCE_ALGORITHMS,
     FUSION_CANDIDATES,
     KERNEL_CANDIDATES,
     RADIX_CANDIDATES,
-    REDUCE_ALGORITHMS,
-    SCAN_ALGORITHMS,
+    RADIX_SCHEDULES,
+    TUNED_KINDS,
     Band,
     DecisionTable,
     _fanout_byte_limit,
+    candidates,
 )
 from repro.ops.arithmetic import SumOp
 from repro.runtime.costmodel import CostModel
@@ -53,12 +53,8 @@ def _simulate(
 
     def prog(comm):
         arr = np.zeros(n, dtype=np.float64)
-        if kind == "allreduce":
-            comm.allreduce(arr, SUM, algorithm=algorithm)
-        elif kind == "reduce":
-            comm.reduce(arr, SUM, algorithm=algorithm)
-        elif kind == "scan":
-            comm.scan(arr, SUM, algorithm=algorithm)
+        if kind in TUNED_KINDS:
+            getattr(comm, kind)(arr, SUM, algorithm=algorithm)
         elif kind == "fusion":
             # Two pending n-element reductions: "fuse" merges them into
             # one recursive-doubling wave over the concatenated payload
@@ -67,7 +63,7 @@ def _simulate(
             if algorithm == "fuse":
                 comm.allreduce(
                     np.zeros(2 * n, dtype=np.float64), SUM,
-                    algorithm="recursive_doubling",
+                    algorithm=RADIX_SCHEDULES["allreduce"],
                 )
             elif algorithm == "flush":
                 comm.allreduce(arr, SUM)
@@ -91,19 +87,16 @@ def _simulate_radix(
     radix (it is ``auto``'s decision alone), so this drives the plan on
     a raw collective channel."""
     n = max(1, nbytes // 8)
+    doubling = _coll.schedule(kind, RADIX_SCHEDULES[kind])
 
     def prog(comm):
-        arr = np.zeros(n, dtype=np.float64)
         ch = comm._channel(kind)
-        if kind == "allreduce":
-            plan = _coll.allreduce_recursive_doubling_plan(
-                ch, arr, SUM, radix=radix
-            )
-        else:
-            plan = _coll.scan_simultaneous_binomial_plan(
-                ch, arr, SUM, radix=radix
-            )
-        _coll.run_plan(ch, plan)
+        _coll.run_plan(
+            ch,
+            doubling.plan(
+                ch, np.zeros(n, dtype=np.float64), SUM, radix=radix
+            ),
+        )
 
     return spmd_run(
         prog, nprocs, cost_model=cost_model, topology=topology
@@ -189,9 +182,9 @@ def fit_decision_table(
 
     When ``topology`` (a :class:`repro.runtime.fabric.Topology`) is
     non-flat, every candidate is simulated on that fabric and the
-    topology-aware ``"hierarchical"`` schedules join the allreduce and
-    scan candidate pools — they only enter decision tables through a
-    fit that actually measured them winning on a multi-tier fabric.
+    topology-aware ``"hierarchical"`` schedule joins the allreduce
+    candidate pool — it only enters decision tables through a fit that
+    actually measured it winning on a multi-tier fabric.
 
     Returns ``(table, report)``; the report carries the full measurement
     grid (virtual seconds per candidate per cell) for benchmarking /
@@ -205,18 +198,11 @@ def fit_decision_table(
         topo_sig = topology.signature
     payloads = sorted(int(b) for b in payload_grid)
     ranks = sorted(int(p) for p in rank_grid)
-    candidates = {
-        "allreduce": (
-            ALLREDUCE_ALGORITHMS + ("hierarchical",)
-            if fit_topology is not None
-            else ALLREDUCE_ALGORITHMS
-        ),
-        "reduce": REDUCE_ALGORITHMS,
-        "scan": (
-            SCAN_ALGORITHMS + ("hierarchical",)
-            if fit_topology is not None
-            else SCAN_ALGORITHMS
-        ),
+    pools = {
+        **{
+            kind: candidates(kind, fabric=fit_topology is not None)
+            for kind in TUNED_KINDS
+        },
         "fusion": FUSION_CANDIDATES,
         "kernel": KERNEL_CANDIDATES,
     }
@@ -241,7 +227,7 @@ def fit_decision_table(
 
     grid: dict[str, list[dict[str, Any]]] = {}
     bands: dict[str, list[Band]] = {}
-    for kind, algos in candidates.items():
+    for kind, algos in pools.items():
         grid[kind] = []
         bands[kind] = []
         for p in ranks:
@@ -268,7 +254,7 @@ def fit_decision_table(
             times = {
                 k: sum(
                     _simulate_radix(c, k, nbytes, p, cm, fit_topology)
-                    for c in ("allreduce", "scan")
+                    for c in RADIX_SCHEDULES
                 )
                 for k in RADIX_CANDIDATES
                 if k < 2 * p
@@ -292,12 +278,7 @@ def fit_decision_table(
         last = bands[kind][-1]
         bands[kind][-1] = replace(last, max_ranks=_UNBOUNDED)
     table = DecisionTable(
-        allreduce=tuple(bands["allreduce"]),
-        reduce=tuple(bands["reduce"]),
-        scan=tuple(bands["scan"]),
-        fusion=tuple(bands["fusion"]),
-        kernel=tuple(bands["kernel"]),
-        radix=tuple(bands["radix"]),
+        **{kind: tuple(fitted) for kind, fitted in bands.items()},
         source=(
             f"fitted (ranks={ranks}, payloads={payloads[0]}.."
             f"{payloads[-1]}B, topology={topo_sig})"

@@ -89,3 +89,64 @@ class TestApiDoc:
         doc = _read("docs/api.md")
         for name in operator_names():
             assert name in doc, f"library operator {name!r} not in api.md"
+
+
+class TestScheduleRegistryDocs:
+    """docs/ can only name schedules the registry has."""
+
+    @staticmethod
+    def _render() -> str:
+        from repro.mpi.collectives import SCHEDULES, schedules
+
+        def mark(flag: bool) -> str:
+            return "yes" if flag else "–"
+
+        rows = [
+            "| kind | `algorithm=` name | plan | order-preserving | "
+            "segments | radix | fabric-only | resumable |",
+            "|---|---|---|---|---|---|---|---|",
+        ]
+        rows += [
+            f'| `{s.kind}` | `"{s.name}"` | `{s.plan.__name__}` | '
+            f"{mark(s.order_preserving)} | {mark(s.segments)} | "
+            f"{mark(s.radix)} | {mark(s.groups)} | {mark(s.resumable)} |"
+            for kind in SCHEDULES
+            for s in schedules(kind)
+        ]
+        return "\n".join(rows)
+
+    def test_api_schedule_table_is_the_registry(self):
+        doc = _read("docs/api.md")
+        begin, end = "<!-- schedule-table:begin -->", "<!-- schedule-table:end -->"
+        table = doc.split(begin)[1].split(end)[0].strip()
+        assert table == self._render(), (
+            "docs/api.md schedule table is stale; regenerate it with "
+            "TestScheduleRegistryDocs._render()"
+        )
+
+    def test_quoted_algorithm_names_are_registered(self):
+        from repro.mpi.collectives import REMOVED, SCHEDULES
+
+        registered = {"auto"} | {n for kind in SCHEDULES.values() for n in kind}
+        removed = {name for _, name in REMOVED}
+        for path in sorted((ROOT / "docs").glob("*.md")):
+            quoted = set()
+            # algorithm="a"|"b"|... lists and single algorithm="a" pins
+            for run in re.findall(r'algorithm=((?:"\w+"\|?)+)', path.read_text()):
+                quoted.update(re.findall(r'"(\w+)"', run))
+            unknown = quoted - registered - removed
+            assert not unknown, f"{path.name} quotes unregistered {unknown}"
+
+    def test_docs_name_no_deleted_twin(self):
+        """The blocking twins are gone; docs must name the plan forms."""
+        from repro.mpi import collectives
+
+        text = "".join(
+            p.read_text()
+            for p in [*(ROOT / "docs").glob("*.md"), ROOT / "README.md",
+                      ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+        )
+        for plan in collectives.__all__:
+            twin = plan.removesuffix("_plan")
+            if twin != plan and "_" in twin:  # "allgather" is just a word
+                assert not re.search(rf"\b{twin}\b", text), twin

@@ -9,6 +9,7 @@ from repro.core.operator import state_equal
 from repro.core.reduce import global_reduce
 from repro.core.scan import global_scan
 from repro.faults import FaultPlan, LinkFaults
+from repro.mpi.collectives import schedules
 from repro.obs import Tracer
 from repro.ops import CountsOp, SortedOp, SumOp
 from repro.runtime import spmd_run
@@ -48,8 +49,9 @@ class TestCollectivesUnderLoss:
 
         assert_lossy_identical(prog, p)
 
-    @pytest.mark.parametrize("algorithm", ["recursive_doubling", "ring",
-                                           "rabenseifner"])
+    @pytest.mark.parametrize(
+        "algorithm", [s.name for s in schedules("allreduce")]
+    )
     def test_allreduce_every_algorithm(self, algorithm):
         from repro.mpi.op import SUM
 

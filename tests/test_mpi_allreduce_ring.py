@@ -61,6 +61,31 @@ class TestRingCorrectness:
         )
         assert all(v == 10.0 for v in out)
 
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    def test_scalar_input_every_segmenting_schedule(self, p):
+        """Regression: reduce_scatter died with a raw ``TypeError: len()
+        of unsized object`` on a 0-d payload the other three segmenting
+        schedules accepted; all four now share one vector helper."""
+
+        def prog(comm):
+            x = np.float64(comm.rank + 1)
+            seg, (lo, hi) = comm.reduce_scatter(x, mpi.SUM)
+            return (
+                comm.allreduce(x, mpi.SUM, algorithm="ring"),
+                comm.allreduce(x, mpi.SUM, algorithm="rabenseifner"),
+                comm.reduce(x, mpi.SUM, algorithm="pipelined_ring"),
+                seg.tolist(), (lo, hi),
+            )
+
+        total = p * (p + 1) / 2
+        out = run_all(prog, p)
+        for rank, (ring, rab, piped, seg, bounds) in enumerate(out):
+            assert ring == rab == total
+            assert piped == (total if rank == 0 else None)
+            # the single element is segment p-1; the others are empty
+            assert seg == ([total] if rank == p - 1 else [])
+            assert bounds == ((0, 1) if rank == p - 1 else (0, 0))
+
     def test_input_not_mutated(self):
         def prog(comm):
             mine = np.full(10, float(comm.rank))

@@ -19,6 +19,7 @@ from repro.errors import CommunicatorError, RankFailedError
 from repro.faults import FailStop, FaultPlan, LinkFaults
 from repro.faults.chaos import CHAOS_CASES
 from repro.mpi import Op, waitall
+from repro.mpi.collectives import schedules
 from repro.runtime import spmd_run
 from tests.conftest import block_split, run_all
 
@@ -43,7 +44,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("p", SIZES)
     @pytest.mark.parametrize(
-        "algorithm", ["recursive_doubling", "ring", "rabenseifner"]
+        "algorithm", [s.name for s in schedules("allreduce") if s.resumable]
     )
     def test_iallreduce_array_algorithms(self, p, algorithm):
         def prog(comm):

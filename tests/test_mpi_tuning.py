@@ -15,10 +15,12 @@ from repro import mpi
 from repro.core.operator import state_equal
 from repro.core.reduce import global_reduce
 from repro.core.scan import global_scan, global_xscan
+from repro.mpi.collectives import SCHEDULES
 from repro.mpi.tuning import (
     DEFAULT_TABLE,
     Band,
     DecisionTable,
+    candidates,
     choose_allreduce,
     choose_reduce,
     choose_scan,
@@ -86,8 +88,8 @@ class TestChoosers:
         # Small payloads keep the latency-optimal schedule; large
         # commutative splittable ones get a bandwidth-optimal one.
         assert choose_allreduce(8, 16, True, True) == "recursive_doubling"
-        big = choose_allreduce(10**7, 16, True, True)
-        assert big in ("ring", "rabenseifner")
+        big = SCHEDULES["allreduce"][choose_allreduce(10**7, 16, True, True)]
+        assert big.segments and not big.groups
 
     def test_reduce_crossover(self):
         assert choose_reduce(8, 16, True, True) == "binomial"
@@ -96,10 +98,8 @@ class TestChoosers:
     def test_scan_choice_is_order_preserving(self):
         for nbytes in (8, 10**7):
             for p in (1, 2, 3, 8, 16, 64):
-                assert choose_scan(nbytes, p, False, False) in (
-                    "binomial",
-                    "chain",
-                )
+                choice = choose_scan(nbytes, p, False, False)
+                assert SCHEDULES["scan"][choice].order_preserving
 
     def test_is_splittable(self):
         assert is_splittable(np.zeros(16), mpi.SUM, 16)
@@ -377,15 +377,62 @@ class TestDecisionTable:
             set_decision_table(None)
         assert choose_allreduce(8, 16, True, True) == "recursive_doubling"
 
+    @pytest.mark.parametrize(
+        "kind,entry,expected",
+        [
+            ("allreduce", "rabenseifer", "'rabenseifner'"),
+            ("reduce", "kary", "'binomial', 'pipelined_ring'"),
+            ("scan", "hierarchical", "removed"),
+            ("radix", 3, "power of two"),
+            ("radix", "4", "power of two"),
+            ("fusion", "fuze", "'fuse', 'flush'"),
+            ("kernel", "jit", "'scalar', 'compiled'"),
+        ],
+    )
+    def test_load_rejects_entries_nothing_can_run(
+        self, tmp_path, kind, entry, expected
+    ):
+        """Regression: any string or integer used to load cleanly and
+        only fail mid-job, when a payload first landed in that band."""
+        doc = DEFAULT_TABLE.to_dict()
+        doc[kind][-1]["cutoffs"][0][1] = entry
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc))
+        before = DEFAULT_TABLE.lookup("allreduce", 8, 16)
+        with pytest.raises(ValueError) as ei:
+            load_decision_table(path)
+        message = str(ei.value)
+        band = doc[kind][-1]
+        assert repr(kind) in message and repr(entry) in message
+        assert f"ranks<={band['max_ranks']}" in message
+        assert f"bytes<={band['cutoffs'][0][0]}" in message
+        assert expected in message
+        assert choose_allreduce(8, 16, True, True) == before  # not installed
+
+    def test_old_tables_still_round_trip(self):
+        """Tables from before the fusion, kernel and radix dimensions
+        (and before fabrics) load, and load the same after a re-dump."""
+        doc = DEFAULT_TABLE.to_dict()
+        for later in ("fusion", "kernel", "radix", "topology"):
+            del doc[later]
+            old = DecisionTable.from_dict(doc)
+            assert DecisionTable.from_dict(old.to_dict()) == old
+        assert old.allreduce == DEFAULT_TABLE.allreduce
+        assert old.topology == "flat"
+        # a per-fabric table may name the fabric-only schedule
+        doc["allreduce"][-1]["cutoffs"][-1][1] = "hierarchical"
+        assert (
+            DecisionTable.from_dict(doc).lookup("allreduce", 1 << 30, 64)
+            == "hierarchical"
+        )
+
     def test_fit_on_tiny_grid(self):
         table, report = fit_decision_table(
             rank_grid=(4,), payload_grid=(8, 65536)
         )
         # sanity: a fitted table always answers, and the report grid
         # carries one row per (kind, rank, payload) cell
-        assert table.lookup("allreduce", 8, 4) in (
-            "recursive_doubling", "ring", "rabenseifner",
-        )
+        assert table.lookup("allreduce", 8, 4) in candidates("allreduce")
         assert len(report["grid"]["allreduce"]) == 2
         assert report["payload_grid"] == [8, 65536]
         blob = json.dumps(report)  # must serialize cleanly

@@ -6,10 +6,12 @@ Three contracts, in order of importance:
    the pre-fabric wire times exactly: same makespans, same clocks, same
    message counts.  The fabric layer must be invisible until a
    multi-tier topology is opted into.
-2. **Hierarchy identity grid** — every chaos-catalogue operator, for
-   both reduce and scan at {4, 8, 16} ranks, produces results identical
-   (``state_equal``) under ``algorithm="hierarchical"`` on a multi-node
-   fabric to the flat baseline.  Only virtual time may differ.
+2. **Hierarchy identity grid** — every chaos-catalogue operator at
+   {4, 8, 16} ranks produces results identical (``state_equal``) on a
+   multi-node fabric to the flat baseline: reduce under
+   ``algorithm="hierarchical"``, scan under the flat schedules ``auto``
+   picks there (the hierarchical scan schedule was removed — it never
+   beat them).  Only virtual time may differ.
 3. **Topology semantics** — tier pricing, congestion counters, rack
    fault domains, locality-aware gang placement, and per-fabric tuning
    tables behave as documented.
@@ -209,12 +211,6 @@ def flat_reduce_program(comm, case, shards):
     return global_reduce(comm, case.make_op(), shards[comm.rank])
 
 
-def hier_scan_program(comm, case, shards):
-    return global_scan(
-        comm, case.make_op(), shards[comm.rank], algorithm="hierarchical"
-    )
-
-
 def flat_scan_program(comm, case, shards):
     return global_scan(comm, case.make_op(), shards[comm.rank])
 
@@ -247,9 +243,25 @@ def test_hierarchical_reduce_identity(case, nprocs):
     ids=lambda c: c.name,
 )
 def test_hierarchical_scan_identity(case, nprocs):
+    """Scans have no topology-aware schedule (the hierarchical one lost
+    to flat binomial on every recorded cell and was removed), so on a
+    hierarchical fabric the same flat program must return flat's bytes."""
     _assert_results_identical(
-        case, flat_scan_program, hier_scan_program, nprocs
+        case, flat_scan_program, flat_scan_program, nprocs
     )
+
+
+def test_removed_hierarchical_scan_says_so():
+    from repro.errors import CommunicatorError, SpmdError
+
+    def prog(comm):
+        comm.scan(1.0, SUM, algorithm="hierarchical")
+
+    with pytest.raises(SpmdError) as ei:
+        spmd_run(prog, 4, topology=multi_node(2), timeout=10)
+    (err,) = set(map(str, ei.value.failures.values()))
+    assert isinstance(ei.value.failures[0], CommunicatorError)
+    assert "removed" in err and "'binomial' or 'chain'" in err
 
 
 # ---------------------------------------------------------------------------
