@@ -6,10 +6,11 @@ operators, combine functions, the DSL-compiled operator vs. the
 hand-written one, and a whole in-process global reduction.
 
 Also runnable directly as ``python benchmarks/bench_ops_micro.py
---smoke``: measures the compiled-kernel tier against the scalar
-``accum`` loop at 1M elements for the elementwise operators, asserts
-the 5x floor, and writes ``results/BENCH_ops_micro_kernels.json`` —
-the CI kernels-smoke gate.
+--smoke``: measures the elementwise operators' block methods (reached
+through their kernels) against the scalar ``accum`` loop at 1M elements
+and asserts the 5x floor, then measures — report only — the kernel
+tier's shared sweep against K whole-block passes, and writes both into
+``results/BENCH_ops_micro_kernels.json``.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class TestEndToEnd:
 
 
 # ---------------------------------------------------------------------------
-# Kernel-tier smoke (CLI entry point; no pytest/pytest-benchmark needed)
+# Block-method and shared-sweep smoke (CLI entry point; no pytest needed)
 # ---------------------------------------------------------------------------
 
 #: The elementwise operators the smoke gate times, with int64-friendly
@@ -189,15 +190,17 @@ def run_kernel_smoke(
     scalar_probe: int = 65_536,
     out_path: str | None = "results/BENCH_ops_micro_kernels.json",
 ) -> dict:
-    """Time the compiled kernel vs the scalar accum loop at ``n``
-    elements per elementwise op.  The scalar loop is timed on a
+    """Time each elementwise op's block method (``UfuncOp.accum_block``,
+    called through the op's kernel as the drivers call it) vs the scalar
+    accum loop at ``n`` elements.  The scalar loop is timed on a
     ``scalar_probe``-element prefix and scaled linearly (it is O(n)
     per-element dispatch; timing the full 1M in pure Python would just
-    make CI slower, not the comparison fairer)."""
+    make CI slower, not the comparison fairer).  The report also carries
+    the rows of :func:`run_shared_sweep`, which no floor gates."""
     import json
     from pathlib import Path
 
-    from repro.core.kernels import compile_kernel, numba_available, numba_enabled
+    from repro.core.kernels import compile_kernel
 
     rng = np.random.default_rng(33)
     data = rng.integers(1, 1 << 30, n, dtype=np.int64)
@@ -241,10 +244,9 @@ def run_kernel_smoke(
         "dtype": "int64",
         "scalar_probe_elements": int(len(probe)),
         "floor": floor,
-        "numba_available": numba_available(),
-        "numba_enabled": numba_enabled(),
         "ops": per_op,
         "min_speedup": min(e["speedup"] for e in per_op),
+        "shared_sweep": run_shared_sweep(),
     }
     if out_path is not None:
         out = Path(out_path)
@@ -253,16 +255,63 @@ def run_kernel_smoke(
     return report
 
 
+def run_shared_sweep(
+    ks: tuple[int, ...] = (2, 3, 8),
+    ns: tuple[int, ...] = (250_000, 1_000_000),
+) -> list[dict]:
+    """What the kernel tier itself buys: ``batched_accumulate`` walking
+    one int64 block once for K tile-exact operators, against K
+    whole-block passes (the fold ``accumulate_local`` runs, once per
+    operator).  Bytes are asserted equal; times are reported, not gated."""
+    from repro.core.kernels import KernelCache, batched_accumulate
+    from repro.ops import AllOp, ProdOp
+
+    # Tile-exact on int64, all eight: the smoke gate's six plus two.
+    pool = [op for _, op in _smoke_ops()] + [ProdOp(np.int64(1)), AllOp()]
+    rng = np.random.default_rng(34)
+    cache = KernelCache()
+    rows = []
+    for n in ns:
+        data = rng.integers(1, 1 << 30, n, dtype=np.int64)
+        for k in ks:
+            ops = pool[:k]
+
+            def passes(ops=ops, data=data):
+                return [
+                    cache.get(op, data).accumulate(op, op.ident(), data)
+                    for op in ops
+                ]
+
+            def sweep(ops=ops, data=data):
+                return batched_accumulate(ops, data, cache=cache)
+
+            for a, b in zip(passes(), sweep()):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            passes_s = _time_best(passes, repeats=9)
+            sweep_s = _time_best(sweep, repeats=9)
+            rows.append(
+                {
+                    "k": k,
+                    "n_elements": n,
+                    "ops": [op.name for op in ops],
+                    "passes_s": passes_s,
+                    "sweep_s": sweep_s,
+                    "speedup": passes_s / sweep_s,
+                }
+            )
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Operator micro-benchmarks (kernel-tier smoke gate)."
+        description="Operator micro-benchmarks (block-method smoke gate)."
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="run the kernel-vs-scalar smoke comparison and assert the "
-        "speedup floor",
+        help="run the block-vs-scalar smoke comparison, assert the "
+        "speedup floor, and report the shared-sweep rows",
     )
     parser.add_argument(
         "--n", type=int, default=1_000_000, metavar="ELEMS",
@@ -270,8 +319,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--floor", type=float, default=5.0, metavar="X",
-        help="minimum acceptable kernel speedup over the scalar loop "
-        "(default: 5.0)",
+        help="minimum acceptable block-method speedup over the scalar "
+        "loop (default: 5.0)",
     )
     parser.add_argument(
         "--out", default="results/BENCH_ops_micro_kernels.json",
@@ -287,15 +336,21 @@ def main(argv: list[str] | None = None) -> int:
     for entry in report["ops"]:
         print(
             f"  {entry['op']:>5}: scalar {entry['scalar_s'] * 1e3:9.1f} ms  "
-            f"kernel {entry['kernel_s'] * 1e3:7.3f} ms  "
+            f"block {entry['kernel_s'] * 1e3:7.3f} ms  "
             f"{entry['speedup']:8.1f}x ({entry['kernel_kind']})"
         )
     print(
-        f"kernel smoke: min speedup {report['min_speedup']:.1f}x over "
-        f"{len(report['ops'])} ops at n={report['n_elements']} "
-        f"(floor {report['floor']}x, numba="
-        f"{'on' if report['numba_enabled'] else 'off'})"
+        f"block-method smoke: min speedup {report['min_speedup']:.1f}x "
+        f"over {len(report['ops'])} ops at n={report['n_elements']} "
+        f"(floor {report['floor']}x)"
     )
+    for row in report["shared_sweep"]:
+        print(
+            f"  shared sweep K={row['k']} n={row['n_elements']:>7}: "
+            f"{row['k']} passes {row['passes_s'] * 1e3:7.3f} ms  "
+            f"one sweep {row['sweep_s'] * 1e3:7.3f} ms  "
+            f"{row['speedup']:5.2f}x (report only)"
+        )
     if report["min_speedup"] < ns.floor:
         print(f"FAIL: below the {ns.floor}x floor")
         return 1

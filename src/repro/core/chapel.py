@@ -87,7 +87,17 @@ class ChapelOp:
 
 
 class ChapelOpAdapter(ReduceScanOp):
-    """Adapts a ChapelOp subclass to the explicit-state protocol."""
+    """Adapts a ChapelOp subclass to the explicit-state protocol.
+
+    A class that defines the optional ``accum_block(self, values)`` hook
+    gets the subclass that overrides ``accum_block``; one that does not
+    keeps the base-class loop *as the base class's method*, which is
+    what the kernel tier classifies operators by."""
+
+    def __new__(cls, chapel_cls: type | None = None, *args: Any, **kwargs: Any):
+        if cls is ChapelOpAdapter and hasattr(chapel_cls, "accum_block"):
+            cls = _BlockChapelOpAdapter
+        return super().__new__(cls)
 
     def __init__(self, cls: type, ctor_args: tuple, ctor_kwargs: dict):
         if not (isinstance(cls, type) and issubclass(cls, ChapelOp)):
@@ -143,14 +153,13 @@ class ChapelOpAdapter(ReduceScanOp):
             return hook(x)
         return state.gen()
 
-    def accum_block(self, state: ChapelOp, values) -> ChapelOp:
-        hook = getattr(state, "accum_block", None)
-        if hook is not None:
-            hook(values)
-            return state
-        for x in values:
-            state.accum(x)
-        return state
-
     def state_eq(self, s1: ChapelOp, s2: ChapelOp) -> bool:
         return state_equal(vars(s1), vars(s2))
+
+
+class _BlockChapelOpAdapter(ChapelOpAdapter):
+    """The adapter of a ChapelOp subclass with an ``accum_block`` hook."""
+
+    def accum_block(self, state: ChapelOp, values) -> ChapelOp:
+        state.accum_block(values)
+        return state

@@ -36,7 +36,6 @@ class _FunctionalOp(ReduceScanOp):
         gen: Callable[[Any], Any] | None = None,
         red_gen: Callable[[Any], Any] | None = None,
         scan_gen: Callable[[Any, Any], Any] | None = None,
-        accum_block: Callable[[Any, Any], Any] | None = None,
         commutative: bool = True,
         name: str = "op",
         accum_rate: str | None = None,
@@ -50,7 +49,6 @@ class _FunctionalOp(ReduceScanOp):
         self._gen = gen
         self._red_gen = red_gen
         self._scan_gen = scan_gen
-        self._accum_block = accum_block
         self.commutative = bool(commutative)
         self._name = name
         self.accum_rate = accum_rate
@@ -82,14 +80,23 @@ class _FunctionalOp(ReduceScanOp):
     def scan_gen(self, state, x):
         return self._scan_gen(state, x) if self._scan_gen else self.gen(state)
 
-    def accum_block(self, state, values):
-        if self._accum_block is not None:
-            return self._accum_block(state, values)
-        return super().accum_block(state, values)
-
     @property
     def name(self) -> str:
         return self._name
+
+
+class _BlockFunctionalOp(_FunctionalOp):
+    """A functional operator that also brings its own block fold.  A
+    class of its own because the kernel tier classifies an operator by
+    which class's ``accum_block`` it has: one built without a block
+    function keeps the base-class loop as the base class's method."""
+
+    def __init__(self, *, accum_block: Callable[[Any, Any], Any], **functions):
+        super().__init__(**functions)
+        self._accum_block = accum_block
+
+    def accum_block(self, state, values):
+        return self._accum_block(state, values)
 
 
 def make_op(
@@ -119,7 +126,7 @@ def make_op(
     for fname, f in (("ident", ident), ("accum", accum), ("combine", combine)):
         if not callable(f):
             raise OperatorError(f"make_op: {fname} must be callable, got {f!r}")
-    return _FunctionalOp(
+    functions = dict(
         ident=ident,
         accum=accum,
         combine=combine,
@@ -128,12 +135,14 @@ def make_op(
         gen=gen,
         red_gen=red_gen,
         scan_gen=scan_gen,
-        accum_block=accum_block,
         commutative=commutative,
         name=name,
         accum_rate=accum_rate,
         combine_seconds=combine_seconds,
     )
+    if accum_block is None:
+        return _FunctionalOp(**functions)
+    return _BlockFunctionalOp(accum_block=accum_block, **functions)
 
 
 def from_binary(
@@ -149,13 +158,13 @@ def from_binary(
 
     With ``vectorized=True`` the accumulate phase folds a NumPy block with
     ``fn.reduce`` if available (NumPy ufuncs), else pairwise over the
-    block.
+    block; without it the operator has no block function at all.
     """
 
     def accum_block(state, values):
         if len(values) == 0:
             return state
-        if vectorized and isinstance(values, np.ndarray):
+        if isinstance(values, np.ndarray):
             reducer = getattr(fn, "reduce", None)
             block = reducer(values) if reducer is not None else _fold(values)
             return fn(state, block)
@@ -173,7 +182,7 @@ def from_binary(
         ident=identity,
         accum=fn,
         combine=fn,
-        accum_block=accum_block,
+        accum_block=accum_block if vectorized else None,
         commutative=commutative,
         name=name,
     )

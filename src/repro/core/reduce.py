@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core import kernels as _kernels
+from repro.core.kernels import Kernel, batched_accumulate
 from repro.core.operator import ReduceScanOp
 from repro.errors import OperatorError
 from repro.localview.api import LOCAL_ALLREDUCE, LOCAL_REDUCE
@@ -95,15 +95,14 @@ def accumulate_local_many(
     as K sequential calls — only the wall-clock data movement is shared.
     """
     n = len(values)
-    if not _kernels.kernels_enabled() or len(ops) < 2 or n == 0:
+    if len(ops) < 2 or n == 0:
         return [
             accumulate_local(comm, op, values, accum_rate=accum_rate)
             for op in ops
         ]
     tr = comm.tracer
-    kcache = getattr(comm.context.world, "kernel_cache", None)
-    states = _kernels.batched_accumulate(
-        ops, values, cache=kcache,
+    states = batched_accumulate(
+        ops, values, cache=comm.context.world.kernel_cache,
         metrics=tr.metrics if tr.enabled else None,
     )
     nbytes = payload_nbytes(values)
@@ -130,100 +129,39 @@ def _accumulate_impl(
     accum_rate: str | None,
 ) -> Any:
     n = len(values)
+    if n == 0:
+        return op.ident()
+    kern = _fold_kernel(comm, op, values)
+    # Process backend: offload the fold to this rank's worker process,
+    # which runs the identical fold; virtual time is charged here, in
+    # the parent, exactly as for the in-process fold — so clocks, traces
+    # and schedules cannot depend on where the fold ran.
     pool = getattr(comm.context.world, "proc_pool", None)
-    if pool is not None and n > 0:
-        # Process backend: offload the fold to this rank's worker
-        # process.  The worker runs the identical kernel-tier fold
-        # (byte-identical by the identity-oracle guarantee); virtual
-        # time is charged here, in the parent, exactly as the
-        # in-process fold below would charge it — so clocks, traces
-        # and schedules cannot depend on where the fold ran.
-        state = pool.accumulate(comm.context.rank, op, values)
-        if state is not _proc_MISS:
-            # Record the same schedule-cache ``kernel`` decision and
-            # ``kernels.accum.*`` counter the inline fold would have,
-            # so kernel-routing observability and adaptive-cache state
-            # cannot depend on the backend either.
-            if _kernels.kernels_enabled():
-                _, kind = _kernel_route(comm, op, values, n)
-                m = comm.tracer.metrics
-                if m.enabled:
-                    m.counter(f"kernels.accum.{kind}").inc()
-            rate = accum_rate if accum_rate is not None else op.accum_rate
-            if rate is not None:
-                comm.charge_elements(rate, n, f"accum:{op.name}")
-            return state
-    state = op.ident()
-    if n > 0:
-        state = op.pre_accum(state, values[0])
-        state = _accum_block_dispatch(comm, op, state, values, n)
+    state = (
+        _proc_MISS if pool is None
+        else pool.accumulate(comm.context.rank, op, values)
+    )
+    if state is _proc_MISS:
+        state = op.pre_accum(op.ident(), values[0])
+        state = kern.accumulate(op, state, values)
         state = op.post_accum(state, values[n - 1])
     rate = accum_rate if accum_rate is not None else op.accum_rate
-    if rate is not None and n > 0:
+    if rate is not None:
         comm.charge_elements(rate, n, f"accum:{op.name}")
     return state
 
 
-def _accum_block_dispatch(
-    comm: Communicator,
-    op: ReduceScanOp,
-    state: Any,
-    values: Sequence[Any] | np.ndarray,
-    n: int,
-) -> Any:
-    """Fold a non-empty block through the kernel tier.
-
-    With kernels disabled (``REPRO_KERNELS=0`` /
-    ``kernels.configure(enabled=False)``) this is exactly the pre-tier
-    call — ``op.accum_block`` — with no kernel objects touched (the
-    zero-alloc poison test pins that).  Otherwise the world's
-    :class:`~repro.core.kernels.KernelCache` supplies the compiled
-    kernel, and — only where the scalar loop is provably bit-identical
-    (``loop_exact``) — the ``kernel`` decision dimension may route
-    small blocks to the loop.  Results never depend on the routing.
-    """
-    if not _kernels.kernels_enabled():
-        return op.accum_block(state, values)
-    kern, kind = _kernel_route(comm, op, values, n)
+def _fold_kernel(
+    comm: Communicator, op: ReduceScanOp, values: Sequence[Any] | np.ndarray
+) -> Kernel:
+    """The kernel that folds this non-empty block, counted under
+    ``kernels.accum.<kind>`` — before the fold and wherever it then
+    runs, so kernel observability cannot depend on the backend."""
+    kern = comm.context.world.kernel_cache.get(op, values)
     m = comm.tracer.metrics
     if m.enabled:
-        m.counter(f"kernels.accum.{kind}").inc()
-    if kind == "scalar":
-        accum = op.accum
-        for x in values:
-            state = accum(state, x)
-        return state
-    return kern.accumulate(op, state, values)
-
-
-def _kernel_route(
-    comm: Communicator,
-    op: ReduceScanOp,
-    values: Sequence[Any] | np.ndarray,
-    n: int,
-) -> tuple[Any, str]:
-    """The kernel-tier routing decision for a non-empty block: the
-    compiled kernel plus the routing kind that will be (or, on the
-    process backend, would have been) executed — ``"scalar"`` when the
-    schedule cache routes a ``loop_exact`` kernel's block to the scalar
-    loop, else the kernel's own kind.  Consulting the schedule cache is
-    part of the decision: it feeds the adaptive-cache state, so both
-    backends must make the same query."""
-    world = comm.context.world
-    kcache = getattr(world, "kernel_cache", None)
-    if kcache is None:
-        kcache = _kernels.default_cache()
-    kern = kcache.get(op, values)
-    if kern.loop_exact:
-        nbytes = values.nbytes if isinstance(values, np.ndarray) else n << 3
-        scache = getattr(world, "schedule_cache", None)
-        if scache is not None:
-            choice = scache.choose("kernel", nbytes, comm.size)
-        else:
-            choice = _tuning.choose_kernel(nbytes, comm.size)
-        if choice == "scalar":
-            return kern, "scalar"
-    return kern, kern.kind
+        m.counter(f"kernels.accum.{kern.kind}").inc()
+    return kern
 
 
 def global_reduce(

@@ -27,7 +27,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core import kernels as _kernels
 from repro.core.operator import ReduceScanOp
 from repro.core.reduce import accumulate_local, wire_op
 from repro.errors import OperatorError
@@ -148,21 +147,11 @@ def _scan_generate(
     accum_rate: str | None,
     scan_rate: str | None,
 ) -> list[Any]:
-    # The kernel tier's scan path executes the same expressions as the
-    # operator's own scan_block (elementwise kernels) or delegates to it
-    # outright, so routing through it never changes results; with
-    # kernels disabled the operator method is called directly.
-    if _kernels.kernels_enabled() and len(values) > 0:
-        kcache = getattr(comm.context.world, "kernel_cache", None)
-        if kcache is None:
-            kcache = _kernels.default_cache()
-        kern = kcache.get(op, values)
-        m = comm.tracer.metrics
-        if m.enabled:
-            m.counter(f"kernels.scan.{kern.kind}").inc()
-        out, _final = kern.scan(op, prefix, values, exclusive=exclusive)
-    else:
-        out, _final = op.scan_block(prefix, values, exclusive=exclusive)
+    kern = comm.context.world.kernel_cache.get(op, values)
+    m = comm.tracer.metrics
+    if m.enabled:
+        m.counter(f"kernels.scan.{kern.kind}").inc()
+    out, _final = kern.scan(op, prefix, values, exclusive=exclusive)
     rate = accum_rate if accum_rate is not None else op.accum_rate
     if scan_rate is None:
         scan_rate = rate

@@ -53,7 +53,6 @@ __all__ = [
     "TUNED_KINDS",
     "candidates",
     "FUSION_CANDIDATES",
-    "KERNEL_CANDIDATES",
     "RADIX_CANDIDATES",
     "RADIX_SCHEDULES",
     "Band",
@@ -63,7 +62,6 @@ __all__ = [
     "choose_reduce",
     "choose_scan",
     "choose_fusion",
-    "choose_kernel",
     "choose_radix",
     "fanout_admitted",
     "radix_band",
@@ -102,23 +100,13 @@ def candidates(kind: str, *, fabric: bool = False) -> tuple[str, ...]:
 #: bandwidth-optimal schedules.
 FUSION_CANDIDATES = ("fuse", "flush")
 
-#: "kernel" is the accumulate-phase routing decision of
-#: :mod:`repro.core.kernels`: fold this rank's block with the scalar
-#: per-element loop ("scalar") or the compiled block kernel
-#: ("compiled")?  The compiled kernel amortizes NumPy's fixed call
-#: overhead over the block; at very small n the plain loop can win.
-#: The decision is only *applied* where the two routings are provably
-#: bit-identical (``Kernel.loop_exact``), so — like the collective
-#: safety invariants above — a bad fit can change speed, never results.
-KERNEL_CANDIDATES = ("scalar", "compiled")
-
 #: "radix" is the fan-out of the two latency-bound doubling schedules
 #: (recursive-doubling allreduce, simultaneous-binomial scan): radix
 #: 2^j does j rounds' worth of exchange in one level, trading messages
 #: for rounds.  Results are byte-identical at every radix (the local
-#: fold replays the doubling rounds' association), so — like "kernel" —
-#: the fitted value can change speed, never results.  Table entries are
-#: the integers themselves.
+#: fold replays the doubling rounds' association), so the fitted value
+#: can change speed, never results.  Table entries are the integers
+#: themselves.
 RADIX_CANDIDATES = (2, 4, 8, 16)
 
 #: The doubling schedule of each collective kind — where a radix applies.
@@ -128,7 +116,7 @@ RADIX_SCHEDULES = {
 }
 
 #: Every dimension of a :class:`DecisionTable`, in serialization order.
-_DIMENSIONS = TUNED_KINDS + ("fusion", "kernel", "radix")
+_DIMENSIONS = TUNED_KINDS + ("fusion", "radix")
 
 _UNBOUNDED = 1 << 62  # "no upper limit" sentinel for thresholds
 
@@ -160,15 +148,6 @@ _FUSION_FALLBACK_BANDS = (
     Band(_UNBOUNDED, ((16384, "fuse"), (_UNBOUNDED, "flush"))),
 )
 
-# Kernel fallback for tables fitted before the kernel dimension
-# existed: the measured crossover is tiny — NumPy's fixed overhead
-# (~2 us) equals only one or two interpreter-dispatched accum calls —
-# so the scalar loop only wins for single-element blocks.
-_KERNEL_FALLBACK_BANDS = (
-    Band(_UNBOUNDED, ((8, "scalar"), (_UNBOUNDED, "compiled"))),
-)
-
-
 # Radix fallback for tables fitted before the radix dimension existed:
 # plain doubling everywhere, so a loaded (e.g. per-topology) table
 # changes nothing until it is re-fitted.
@@ -193,7 +172,6 @@ class DecisionTable:
     scan: tuple[Band, ...]
     source: str = "default"
     fusion: tuple[Band, ...] = _FUSION_FALLBACK_BANDS
-    kernel: tuple[Band, ...] = _KERNEL_FALLBACK_BANDS
     radix: tuple[Band, ...] = _RADIX_FALLBACK_BANDS
     #: Fabric signature this table was fitted against
     #: (:attr:`repro.runtime.fabric.Topology.signature`).  ``"flat"``
@@ -234,7 +212,9 @@ class DecisionTable:
         entry against what its dimension can actually run (registered
         schedule names, a power-of-two radix) — a typo fails here, naming
         the kind, band and entry, not mid-job when a payload first lands
-        in that band."""
+        in that band.  Sections that are not a dimension of the table
+        (the ``"kernel"`` section of tables written before it was
+        removed) are ignored."""
 
         def dec(kind: str) -> tuple[Band, ...]:
             return tuple(
@@ -256,8 +236,8 @@ class DecisionTable:
 
         return cls(
             **{
-                # Tables written before the fusion/kernel/radix
-                # dimensions existed keep the conservative fallbacks.
+                # Tables written before the fusion/radix dimensions
+                # existed keep the conservative fallbacks.
                 kind: dec(kind)
                 for kind in _DIMENSIONS
                 if kind in TUNED_KINDS or data.get(kind)
@@ -279,7 +259,7 @@ def _checked_entry(kind: str, max_ranks, max_bytes, entry) -> str | int:
     else:
         names = (
             candidates(kind, fabric=True) if kind in TUNED_KINDS
-            else FUSION_CANDIDATES if kind == "fusion" else KERNEL_CANDIDATES
+            else FUSION_CANDIDATES
         )
         entry = str(entry)
         valid = entry in names
@@ -335,14 +315,6 @@ DEFAULT_TABLE = DecisionTable(
         # reductions' bandwidth-optimal schedules (Rabenseifner) beat
         # the fused wave's log2(p) full-payload hops.
         Band(_UNBOUNDED, ((16384, "fuse"), (_UNBOUNDED, "flush"))),
-    ),
-    kernel=(
-        # Fitted on the wall clock (this dimension is about interpreter
-        # dispatch vs NumPy call overhead, which the message cost model
-        # does not represent): the compiled block kernel wins from
-        # two-element blocks up, so only single-element payloads route
-        # to the scalar loop.  Rank-independent — accumulation is local.
-        Band(_UNBOUNDED, ((8, "scalar"), (_UNBOUNDED, "compiled"))),
     ),
     radix=(
         # Under LogGP with o << L a rank injects several messages inside
@@ -596,20 +568,6 @@ def choose_fusion(
     return (table or _active_table).lookup("fusion", nbytes, nprocs)
 
 
-def choose_kernel(
-    nbytes: int,
-    nprocs: int = 1,
-    *,
-    table: DecisionTable | None = None,
-) -> str:
-    """Should the accumulate phase fold an ``nbytes`` local block with
-    the scalar per-element loop (``"scalar"``) or the compiled block
-    kernel (``"compiled"``)?  Only consulted — and only honored — where
-    the two are bit-identical (:mod:`repro.core.kernels` gates on
-    ``loop_exact``), so the table decides speed alone."""
-    return (table or _active_table).lookup("kernel", nbytes, nprocs)
-
-
 def _exchange_seconds(
     k: int, o_s: float, o_r: float, wire: float, fold: float
 ) -> float:
@@ -761,9 +719,9 @@ def fusion_flush_bytes(nprocs: int, *, table: DecisionTable | None = None) -> in
     return threshold
 
 
-# The fitter (simulation grids, kernel timing) is only ever wanted by
-# ``python -m repro tune`` and the tests that re-fit; it is imported on
-# first use so looking a decision up does not compile it.
+# The fitter (simulation grids) is only ever wanted by ``python -m repro
+# tune`` and the tests that re-fit; it is imported on first use so
+# looking a decision up does not compile it.
 __getattr__, __dir__, _ = _lazy.attach(__name__, {
     "tuning_fit": (
         "fit_decision_table", "DEFAULT_PAYLOAD_GRID", "DEFAULT_RANK_GRID"

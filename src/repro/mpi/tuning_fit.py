@@ -1,29 +1,27 @@
 """Fitting the decision table: the cold half of :mod:`repro.mpi.tuning`.
 
 ``python -m repro tune`` and :func:`fit_decision_table` simulate every
-candidate schedule (and radix, and kernel routing) on a grid of rank
-counts and payload sizes and derive the byte thresholds from the
-measured winners.  None of it runs when a job merely *looks up* a
-decision, so it lives apart from the lookup module; ``tuning`` forwards
-``fit_decision_table`` and the two default grids here on first use.
+candidate schedule (and radix) on a grid of rank counts and payload
+sizes and derive the byte thresholds from the measured winners — a pure
+function of cost model, grid and fabric.  None of it runs when a job
+merely *looks up* a decision, so it lives apart from the lookup module;
+``tuning`` forwards ``fit_decision_table`` and the two default grids
+here on first use.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import replace
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core import kernels as _kernels
 from repro.mpi import collectives as _coll
 from repro.mpi.op import SUM
 from repro.mpi.tuning import (
     _UNBOUNDED,
     FUSION_CANDIDATES,
-    KERNEL_CANDIDATES,
     RADIX_CANDIDATES,
     RADIX_SCHEDULES,
     TUNED_KINDS,
@@ -32,7 +30,6 @@ from repro.mpi.tuning import (
     _fanout_byte_limit,
     candidates,
 )
-from repro.ops.arithmetic import SumOp
 from repro.runtime.costmodel import CostModel
 from repro.runtime.executor import spmd_run
 
@@ -103,56 +100,6 @@ def _simulate_radix(
     ).time
 
 
-#: Scalar-loop measurements run on at most this many elements and are
-#: extrapolated linearly (the loop is O(n) interpreter steps), so a
-#: full-grid fit does not spend seconds per large payload.
-_KERNEL_PROBE_CAP = 8192
-
-
-def _measure_kernel(algorithm: str, nbytes: int) -> float:
-    """Wall-clock seconds to accumulate an ``nbytes`` int64 block under
-    one kernel routing.  Unlike the collective kinds this dimension
-    trades interpreter dispatch against NumPy fixed call overhead —
-    real CPU effects the virtual message cost model does not represent
-    — so it is fitted on the wall clock.  Rank-independent (the
-    accumulate phase is local), measured as best-of-5 over an inner
-    repetition loop sized so each sample is long enough to time."""
-    op = SumOp()
-    n = max(1, nbytes // 8)
-    if algorithm == "scalar":
-        probe_n = min(n, _KERNEL_PROBE_CAP)
-        arr = np.arange(probe_n, dtype=np.int64)
-        scale = n / probe_n
-        accum = op.accum
-
-        def run():
-            state = op.ident()
-            for x in arr:
-                state = accum(state, x)
-            return state
-
-    elif algorithm == "compiled":
-        arr = np.arange(n, dtype=np.int64)
-        scale = 1.0
-        kern = _kernels.compile_kernel(op, arr)
-
-        def run():
-            return kern.accumulate(op, op.ident(), arr)
-
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(f"unknown kernel candidate {algorithm!r}")
-
-    run()  # warm caches and lazy imports
-    inner = max(1, 4096 // max(1, len(arr)))
-    best = math.inf
-    for _ in range(5):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            run()
-        best = min(best, (time.perf_counter() - t0) / inner)
-    return best * scale
-
-
 def _cutoffs_from_winners(
     payloads: Sequence[int], winners: Sequence[str | int]
 ) -> tuple[tuple[int, str | int], ...]:
@@ -204,20 +151,7 @@ def fit_decision_table(
             for kind in TUNED_KINDS
         },
         "fusion": FUSION_CANDIDATES,
-        "kernel": KERNEL_CANDIDATES,
     }
-    # The kernel dimension is rank-independent and wall-clock-measured;
-    # memoize per (algorithm, payload) so rank bands reuse measurements.
-    kernel_memo: dict[tuple[str, int], float] = {}
-
-    def measure(kind: str, algorithm: str, nbytes: int, p: int) -> float:
-        if kind == "kernel":
-            key = (algorithm, nbytes)
-            if key not in kernel_memo:
-                kernel_memo[key] = _measure_kernel(algorithm, nbytes)
-            return kernel_memo[key]
-        return _simulate(kind, algorithm, nbytes, p, cm, fit_topology)
-
     # The radix dimension is fitted only where fanout_admitted() could
     # let it through — up to the byte guard's limit, which joins the
     # grid so the fitted cutoff can sit exactly on it; past the limit
@@ -234,7 +168,8 @@ def fit_decision_table(
             winners: list[str] = []
             for nbytes in payloads:
                 times = {
-                    a: measure(kind, a, nbytes, p) for a in algos
+                    a: _simulate(kind, a, nbytes, p, cm, fit_topology)
+                    for a in algos
                 }
                 winner = min(times, key=times.get)
                 winners.append(winner)

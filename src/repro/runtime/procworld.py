@@ -11,9 +11,8 @@ That split is what makes byte-identity provable rather than hoped for:
 
 * The worker runs exactly the fold of
   :func:`repro.core.reduce._accumulate_impl` (``ident`` → ``pre_accum``
-  → kernel/block fold → ``post_accum``) through the same
-  :mod:`repro.core.kernels` tier, whose identity-oracle guarantee says
-  every kernel routing produces byte-identical states.
+  → kernel fold → ``post_accum``) through the same
+  :mod:`repro.core.kernels` tier — the operator's own block method.
 * The parent applies the *same* virtual-time charge it would have
   applied for an in-process fold, so clocks, traces and message
   schedules cannot diverge.
@@ -34,10 +33,8 @@ time, matching the engine's one-thread-per-pool-rank invariant, so the
 rings need no cross-process locking.
 
 Workers are forked (POSIX), so they inherit the parent's shared-memory
-mappings, the compiled-kernel configuration and the operator classes
-directly; each worker keeps its **own** :class:`~repro.core.kernels.
-KernelCache` and resynchronizes it when the parent broadcasts a newer
-configuration generation with a request.
+mappings and the operator classes directly; each worker keeps its
+**own** :class:`~repro.core.kernels.KernelCache`.
 """
 
 from __future__ import annotations
@@ -98,22 +95,13 @@ def _reap_pools_at_exit() -> None:  # pragma: no cover - interpreter exit
 
 def _fold_state(op: Any, values: Any) -> Any:
     """The accumulate fold, exactly as ``_accumulate_impl`` runs it
-    (minus virtual-time charges, which stay in the parent).
-
-    Byte-identity rests on the kernel tier's identity-oracle guarantee:
-    ``kern.accumulate`` is bit-identical to every routing the threaded
-    path could have chosen, so the worker does not need the parent's
-    schedule-cache ``kernel`` decision to reproduce its answer.
-    """
+    (minus virtual-time charges, which stay in the parent)."""
     state = op.ident()
     n = len(values)
     if n > 0:
         state = op.pre_accum(state, values[0])
-        if _kernels.kernels_enabled():
-            kern = _kernels.default_cache().get(op, values)
-            state = kern.accumulate(op, state, values)
-        else:
-            state = op.accum_block(state, values)
+        kern = _kernels.default_cache().get(op, values)
+        state = kern.accumulate(op, state, values)
         state = op.post_accum(state, values[n - 1])
     return state
 
@@ -127,10 +115,6 @@ def _worker_main(conn, req_shm, resp_shm) -> None:
     """
     req_buf = req_shm.buf
     resp_buf = resp_shm.buf
-    # The parent's kernel configuration generation at the time of the
-    # last sync.  Fork copies the parent's module state, so the initial
-    # value is already in sync.
-    synced_gen = _kernels.cache_generation()
     while True:
         try:
             msg = conn.recv()
@@ -152,16 +136,10 @@ def _worker_main(conn, req_shm, resp_shm) -> None:
             except (BrokenPipeError, OSError):
                 break
             continue
-        # ("accum", seq, op_bytes, ("shm", offset) | ("pipe", blob), kcfg)
+        # ("accum", seq, op_bytes, ("shm", offset) | ("pipe", blob))
         seq = msg[1]
         try:
-            _, _, op_bytes, payload, kcfg = msg
-            enabled, numba_req, gen = kcfg
-            if gen != synced_gen:
-                # Parent reconfigured the kernel tier since our last
-                # sync: mirror it, flushing this worker's KernelCache.
-                _kernels.configure(enabled=enabled, numba=numba_req)
-                synced_gen = gen
+            _, _, op_bytes, payload = msg
             op = pickle.loads(op_bytes)
             if payload[0] == "shm":
                 values, _ = decode_frame(req_buf, payload[1])
@@ -338,16 +316,11 @@ class ProcPool:
             with self._stats_lock:
                 self._inline_fallbacks += 1
             return MISS
-        kcfg = (
-            _kernels.kernels_enabled(),
-            bool(_kernels.numba_requested()),
-            _kernels.cache_generation(),
-        )
         with w.lock:
             if not w.alive:
                 return MISS
             try:
-                return self._roundtrip(w, op_bytes, values, kcfg)
+                return self._roundtrip(w, op_bytes, values)
             except (BrokenPipeError, EOFError, OSError):
                 self._mark_dead(w)
                 return MISS
@@ -385,7 +358,7 @@ class ProcPool:
             if reply[0] == seq:
                 return reply[1], reply[2]
 
-    def _roundtrip(self, w: _Worker, op_bytes, values, kcfg) -> Any:
+    def _roundtrip(self, w: _Worker, op_bytes, values) -> Any:
         need = frame_nbytes_needed(values)
         payload = None
         if need:
@@ -409,7 +382,7 @@ class ProcPool:
             framed = len(blob)
         w.seq += 1
         seq = w.seq
-        w.conn.send(("accum", seq, op_bytes, payload, kcfg))
+        w.conn.send(("accum", seq, op_bytes, payload))
         ok, result = self._matched_recv(w, seq)
         with self._stats_lock:
             self._frames += 2

@@ -150,3 +150,26 @@ class TestScheduleRegistryDocs:
             twin = plan.removesuffix("_plan")
             if twin != plan and "_" in twin:  # "allgather" is just a word
                 assert not re.search(rf"\b{twin}\b", text), twin
+
+
+class TestNoEnvironmentSwitches:
+    """The package is configured by arguments alone: a result or a fitted
+    table can depend on nothing the call site does not show."""
+
+    def test_package_reads_no_environment_variable(self):
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            assert not re.search(r"\benviron\b|\bgetenv\b", path.read_text()), (
+                f"{path.relative_to(ROOT)} reads the environment"
+            )
+
+    def test_user_docs_and_ci_name_no_repro_variable(self):
+        # EXPERIMENTS, CHANGES and ROADMAP are history and may name what
+        # was removed.
+        paths = [
+            ROOT / "README.md",
+            *sorted((ROOT / "docs").glob("*.md")),
+            *sorted((ROOT / ".github").rglob("*.yml")),
+        ]
+        for path in paths:
+            named = re.findall(r"\bREPRO_[A-Z_]+", path.read_text())
+            assert not named, f"{path.relative_to(ROOT)} names {named}"

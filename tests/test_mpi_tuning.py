@@ -386,7 +386,6 @@ class TestDecisionTable:
             ("radix", 3, "power of two"),
             ("radix", "4", "power of two"),
             ("fusion", "fuze", "'fuse', 'flush'"),
-            ("kernel", "jit", "'scalar', 'compiled'"),
         ],
     )
     def test_load_rejects_entries_nothing_can_run(
@@ -410,10 +409,10 @@ class TestDecisionTable:
         assert choose_allreduce(8, 16, True, True) == before  # not installed
 
     def test_old_tables_still_round_trip(self):
-        """Tables from before the fusion, kernel and radix dimensions
-        (and before fabrics) load, and load the same after a re-dump."""
+        """Tables from before the fusion and radix dimensions (and
+        before fabrics) load, and load the same after a re-dump."""
         doc = DEFAULT_TABLE.to_dict()
-        for later in ("fusion", "kernel", "radix", "topology"):
+        for later in ("fusion", "radix", "topology"):
             del doc[later]
             old = DecisionTable.from_dict(doc)
             assert DecisionTable.from_dict(old.to_dict()) == old
@@ -437,6 +436,35 @@ class TestDecisionTable:
         assert report["payload_grid"] == [8, 65536]
         blob = json.dumps(report)  # must serialize cleanly
         assert "times" in blob
+
+    def test_fit_is_a_pure_function_of_its_arguments(self):
+        """Every cell is simulated on the virtual clock, so a re-fit
+        reproduces the table and the whole measurement grid."""
+        first = fit_decision_table(rank_grid=(4,), payload_grid=(8, 65536))
+        again = fit_decision_table(rank_grid=(4,), payload_grid=(8, 65536))
+        assert first == again
+
+    def test_committed_table_answers_like_the_default(self):
+        """``results/decision_table.json`` is `python -m repro tune`'s
+        output for the default cost model, and ``DEFAULT_TABLE`` is that
+        fit written out by hand: they may band ranks differently but
+        must never disagree on an answer."""
+        from pathlib import Path
+
+        from repro.mpi.tuning import DEFAULT_PAYLOAD_GRID
+        from repro.mpi.tuning import _DIMENSIONS as dimensions
+
+        path = Path(__file__).parent.parent / "results" / "decision_table.json"
+        committed = DecisionTable.from_dict(json.loads(path.read_text()))
+        sizes = sorted(
+            {max(0, b + d) for b in DEFAULT_PAYLOAD_GRID for d in (-1, 0, 1)}
+        )
+        for kind in dimensions:
+            for p in range(2, 65):
+                for nbytes in sizes:
+                    assert committed.lookup(kind, nbytes, p) == (
+                        DEFAULT_TABLE.lookup(kind, nbytes, p)
+                    ), (kind, p, nbytes)
 
 
 class TestTuneCli:
@@ -521,47 +549,22 @@ class TestFusionDimension:
 
 
 class TestKernelDimension:
-    """The scalar-vs-compiled accumulate routing lives in the fitted
-    decision table too (`python -m repro tune` measures it on wall
-    clock — kernel dispatch is a real-time cost, not a modeled one)."""
-
-    def test_choose_kernel_small_scalar_large_compiled(self):
-        from repro.mpi.tuning import choose_kernel
-
-        assert choose_kernel(8) == "scalar"
-        assert choose_kernel(1 << 20) == "compiled"
-
-    def test_round_trip_preserves_kernel(self):
-        doc = DEFAULT_TABLE.to_dict()
-        assert "kernel" in doc
-        back = DecisionTable.from_dict(doc)
-        assert back.kernel == DEFAULT_TABLE.kernel
+    """The table no longer has a scalar-vs-compiled ``kernel`` dimension
+    (an accumulate is the operator's own block method), but tables
+    written while it had one are still on disk."""
 
     def test_from_dict_without_kernel_key_falls_back(self):
-        """Tables written before the kernel dimension still load."""
+        """A table with a ``kernel`` section loads, ignores it and does
+        not write it back."""
         doc = DEFAULT_TABLE.to_dict()
-        del doc["kernel"]
+        assert "kernel" not in doc
+        doc["kernel"] = [
+            {"max_ranks": None,
+             "cutoffs": [[16, "scalar"], [None, "compiled"]]},
+        ]
         back = DecisionTable.from_dict(doc)
-        from repro.mpi.tuning import choose_kernel
-
-        assert choose_kernel(1 << 20, table=back) in ("scalar", "compiled")
-
-    def test_fit_includes_kernel(self):
-        table, report = fit_decision_table(
-            rank_grid=(4,), payload_grid=(64, 4096)
-        )
-        assert table.kernel
-        doc = table.to_dict()
-        assert "kernel" in doc
-        back = DecisionTable.from_dict(doc)
-        assert back.kernel == table.kernel
-
-    def test_constant_span_covers_kernel(self):
-        from repro.mpi.tuning import constant_span
-
-        lo, hi, choice = constant_span("kernel", 1 << 20, 4)
-        assert lo <= (1 << 20) <= hi
-        assert choice in ("scalar", "compiled")
+        assert back == DecisionTable.from_dict(DEFAULT_TABLE.to_dict())
+        assert "kernel" not in back.to_dict()
 
 
 class TestRadixDimension:

@@ -206,19 +206,6 @@ def test_worker_death_falls_back_then_restarts(pool):
     assert pool.ipc_stats()["worker_restarts"] >= 1
 
 
-def test_kernel_config_resync(pool):
-    from repro.core import kernels
-
-    values = np.arange(5000, dtype=np.int64)
-    before = pool.accumulate(0, SumOp(), values)
-    kernels.configure(enabled=False)
-    try:
-        after = pool.accumulate(0, SumOp(), values)
-    finally:
-        kernels.configure(enabled=True)
-    assert np.asarray(before).tobytes() == np.asarray(after).tobytes()
-
-
 def test_shutdown_idempotent_and_reaps(pool):
     names = pool.shm_names()
     assert len(names) == 4  # 2 workers x req+resp
