@@ -60,7 +60,10 @@ def _combined_census(cost_model):
     p2p = Counter(c_is.p2p_calls)
     p2p.update(c_mg.p2p_calls)
     p2p.update(c_ep.p2p_calls)
-    return c_is, c_mg, c_ep, CallCensus(dict(coll), dict(p2p))
+    red = Counter(c_is.reduction_calls)
+    red.update(c_mg.reduction_calls)
+    red.update(c_ep.reduction_calls)
+    return c_is, c_mg, c_ep, CallCensus(dict(coll), dict(p2p), dict(red))
 
 
 def test_npb_reduction_fraction(benchmark, cost_model, results_dir):

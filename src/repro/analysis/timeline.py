@@ -1,22 +1,16 @@
 """Export simulated timelines to the Chrome trace-event format.
 
-Two sources, one output format (loads in ``chrome://tracing`` /
-Perfetto, one row per rank, virtual-time axis):
+One source: the span profile a :class:`repro.obs.Tracer` records
+(``spmd_run(..., tracer=tracer)``).  The exported trace (loads in
+``chrome://tracing`` / Perfetto, one row per rank, virtual-time axis)
+contains real duration slices — every phase span and every collective
+renders with its begin/end pair, nested slices and all, every charged
+compute interval as a slice named by its label — plus instant markers
+for each message sent and received.  Use :func:`tracer_to_chrome_trace`
+for a whole profile (one Perfetto process per run) or
+:func:`to_chrome_trace` on a result whose ``profile`` is set.
 
-* **Span profiles** (preferred): run with a :class:`repro.obs.Tracer`
-  (``spmd_run(..., tracer=tracer)``) and the exported trace contains
-  real duration slices — every phase span and every collective renders
-  with its begin/end pair, nested slices and all.  Use
-  :func:`tracer_to_chrome_trace` for a whole profile (one Perfetto
-  process per run) or :func:`to_chrome_trace` on a result whose
-  ``profile`` is set.
-* **Legacy counter traces**: run with ``record_events=True`` and only
-  completion-timestamped events exist; compute slices are reconstructed
-  from their charged length while messages and collective entries render
-  as zero-duration instant events.  This fallback keeps old traces
-  loadable but cannot show where time inside a collective went.
-
-A third source lives on the **wall clock** rather than virtual time:
+A second renderer lives on the **wall clock** rather than virtual time:
 :func:`engine_session_to_chrome_trace` renders an engine telemetry's
 per-rank busy intervals — which pool rank ran which job, when — as one
 Perfetto timeline for the whole service session
@@ -120,76 +114,18 @@ def _message_flow_events(run: RunCapture, pid: int) -> list[dict[str, Any]]:
     return events
 
 
-def _legacy_events(result: SpmdResult) -> tuple[list[dict[str, Any]], bool]:
-    events: list[dict[str, Any]] = []
-    any_events = False
-    for rank, trace in enumerate(result.traces):
-        for ev in trace.events:
-            any_events = True
-            t_us = ev.t * _SCALE
-            if ev.kind == "compute":
-                label, seconds = ev.detail
-                events.append(
-                    {
-                        "name": str(label),
-                        "cat": "compute",
-                        "ph": "X",
-                        "pid": 0,
-                        "tid": rank,
-                        "ts": (ev.t - seconds) * _SCALE,
-                        "dur": seconds * _SCALE,
-                    }
-                )
-            elif ev.kind in ("send", "recv"):
-                peer, tag, nbytes = ev.detail
-                events.append(
-                    {
-                        "name": f"{ev.kind} {'->' if ev.kind == 'send' else '<-'} {peer}",
-                        "cat": ev.kind,
-                        "ph": "i",
-                        "s": "t",
-                        "pid": 0,
-                        "tid": rank,
-                        "ts": t_us,
-                        "args": {"tag": str(tag), "bytes": nbytes},
-                    }
-                )
-            elif ev.kind == "collective":
-                (name,) = ev.detail
-                events.append(
-                    {
-                        "name": name,
-                        "cat": "collective",
-                        "ph": "i",
-                        "s": "t",
-                        "pid": 0,
-                        "tid": rank,
-                        "ts": t_us,
-                    }
-                )
-    return events, any_events
-
-
 def to_chrome_trace(result: SpmdResult) -> dict[str, Any]:
-    """Build the trace dict for one run.
-
-    Prefers the span profile attached by ``spmd_run(..., tracer=...)``
-    (real duration slices, collectives with begin/end pairs); falls back
-    to reconstructing from legacy ``record_events=True`` counter traces.
-    """
-    profile = getattr(result, "profile", None)
-    if profile is not None:
-        events = _thread_meta(0, result.nprocs)
-        events += _span_events(profile, 0)
-        events += _message_flow_events(profile, 0)
-    else:
-        legacy, any_events = _legacy_events(result)
-        if not any_events:
-            raise ValueError(
-                "no events recorded — run spmd_run(..., record_events=True) "
-                "or pass a tracer"
-            )
-        events = _thread_meta(0, result.nprocs) + legacy
+    """Build the trace dict for one run from the span profile attached
+    by ``spmd_run(..., tracer=...)``."""
+    profile = result.profile
+    if profile is None:
+        raise ValueError(
+            "result has no profile — pass a tracer: "
+            "spmd_run(..., tracer=Tracer())"
+        )
+    events = _thread_meta(0, result.nprocs)
+    events += _span_events(profile, 0)
+    events += _message_flow_events(profile, 0)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ns",

@@ -32,7 +32,7 @@ Recovery activity is surfaced through ``repro.obs`` metrics:
 first failure detection and the successful re-combine.
 
 This module is only entered when the run's fault plan can actually
-fail-stop a rank (``World.can_fail``); fault-free runs keep the exact
+fail-stop a rank (``JobWorld.can_fail``); fault-free runs keep the exact
 message counts and virtual times they had before the fault subsystem
 existed.
 """

@@ -1,9 +1,9 @@
 """The persistent multi-tenant engine: one world, resident rank threads,
 many concurrent jobs.
 
-Where :func:`repro.runtime.spmd_run` historically built a fresh
-:class:`~repro.runtime.world.World` and spawned ``nprocs`` threads per
-call, an :class:`Engine` pays those costs once: it owns one world (the
+Where :func:`repro.runtime.spmd_run` historically built a fresh world
+and spawned ``nprocs`` threads per call, an :class:`Engine` pays those
+costs once: it owns one pool :class:`~repro.runtime.world.World` (the
 mailboxes, the context-id allocator, the cross-job schedule cache) and
 one resident thread per pool rank.  Clients submit SPMD functions
 through :meth:`Engine.submit` or a :class:`Session` and get back
@@ -13,10 +13,10 @@ Scheduling
 ----------
 Jobs are gang-scheduled FIFO: a job asking for ``k <= pool`` ranks waits
 until ``k`` pool ranks are free, then runs on the lowest-numbered free
-ranks.  Jobs smaller than the pool run genuinely concurrently.  The
-queue is strict FIFO (a large job at the head blocks later small ones),
-which trades some utilization for no starvation and a deterministic
-admission order.
+ranks (packed by node and rack on a multi-tier fabric).  Jobs smaller
+than the pool run genuinely concurrently.  The queue is strict FIFO (a
+large job at the head blocks later small ones), which trades some
+utilization for no starvation and a deterministic admission order.
 
 Isolation
 ---------
@@ -35,9 +35,8 @@ Admission control
 ``queue_depth`` bounds how many jobs may wait; a full queue blocks
 :meth:`Engine.submit` (backpressure) or raises
 :class:`~repro.errors.EngineSaturated` for non-blocking submits.
-``max_inflight`` optionally caps concurrently *running* jobs below what
-free ranks would allow.  :meth:`Engine.drain` waits for quiescence;
-:meth:`Engine.shutdown` closes admission and either drains or aborts.
+:meth:`Engine.drain` waits for quiescence; :meth:`Engine.shutdown`
+closes admission and either drains or aborts.
 
 Self-healing
 ------------
@@ -135,10 +134,9 @@ class Engine:
 
     ``topology`` installs a :class:`repro.runtime.fabric.Topology` on
     the pool's world (flat by default — bit-identical to the plain cost
-    model).  ``placement`` selects gang placement: ``"locality"``
-    (default) packs gangs into as few nodes/racks as the fabric allows,
-    ``"lowest"`` forces the historical lowest-free-rank policy; on the
-    flat topology both are identical.  See ``docs/topology.md``.
+    model).  Gang placement follows from it: gangs are packed into as
+    few nodes/racks as the fabric allows, which on the flat fabric is
+    the lowest-numbered free ranks.  See ``docs/topology.md``.
     """
 
     #: Default wall-clock budget for joining the pool's worker threads
@@ -152,13 +150,11 @@ class Engine:
         *,
         cost_model: CostModel | None = None,
         queue_depth: int = 128,
-        max_inflight: int | None = None,
         telemetry: "bool | EngineTelemetry | None" = False,
         supervisor: "bool | SupervisorConfig | None" = True,
         backend: str = "thread",
         backend_options: dict | None = None,
         topology: Any | None = None,
-        placement: str = "locality",
     ):
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
@@ -166,16 +162,11 @@ class Engine:
             raise ValueError(
                 f"backend must be 'thread' or 'process', got {backend!r}"
             )
-        if placement not in ("locality", "lowest"):
-            raise ValueError(
-                f"placement must be 'locality' or 'lowest', got {placement!r}"
-            )
         telemetry = _resolve_telemetry(telemetry, nprocs)
         self._telemetry = telemetry
         telemetry.bind(self)
         # The shared world validates nprocs >= 1 before any thread starts.
         self._world = World(nprocs, cost_model, topology=topology)
-        self._placement = placement
         self._backend = backend
         if backend == "process":
             # Fork the rank workers *before* the rank threads start:
@@ -189,7 +180,6 @@ class Engine:
             self._proc_pool = None
         self._nprocs = nprocs
         self._queue_depth = queue_depth
-        self._max_inflight = max_inflight
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._pending: deque[_Job] = deque()
@@ -336,7 +326,6 @@ class Engine:
                 ),
                 "topology": self._world.topology.signature,
                 "placement": {
-                    "policy": self._placement,
                     "gangs_placed": self._gangs_placed,
                     "mean_gang_spread": (
                         self._spread_sum / self._gangs_placed
@@ -363,9 +352,6 @@ class Engine:
         *,
         nprocs: int | None = None,
         args: Sequence[Any] = (),
-        cost_model: CostModel | None = None,
-        record_events: bool = False,
-        isolate_payloads: bool = True,
         timeout: float | None = 300.0,
         tracer: Any | None = None,
         fault_plan: Any | None = None,
@@ -380,7 +366,8 @@ class Engine:
 
         Parameters mirror :func:`repro.runtime.spmd_run` (``nprocs``
         defaults to the pool size; it may be smaller, letting several
-        jobs run concurrently).  ``timeout`` is the wall-clock budget
+        jobs run concurrently; the cost model, backend and fabric are
+        the pool's).  ``timeout`` is the wall-clock budget
         :meth:`JobHandle.result` enforces.  Admission control:
 
         * ``block=True`` (default) waits while the pending queue is at
@@ -483,9 +470,6 @@ class Engine:
                 self._cv.wait(remaining)
             job = _Job(
                 self._next_job_id, fn, args, nprocs,
-                cost_model=cost_model,
-                record_events=record_events,
-                isolate_payloads=isolate_payloads,
                 timeout=timeout,
                 tracer=tracer,
                 fault_plan=plan0,
@@ -628,22 +612,22 @@ class Engine:
     def _assemble_members_locked(self, k: int) -> tuple[int, ...]:
         """Pick ``k`` free ranks for a gang.  Caller holds the engine lock.
 
-        On the flat topology (or ``placement="lowest"``) this is exactly
-        the historical policy — the lowest-numbered free ranks — so
-        pre-fabric engine behavior is untouched.  On a multi-tier fabric
-        with ``placement="locality"`` the gang is packed to minimize the
-        tiers its collectives must cross: the *tightest* single node
-        that fits (best-fit keeps big holes open for big gangs), else
-        the tightest single rack filled from its fullest nodes, else a
-        global fill by descending node free count.  Members are returned
-        sorted, which keeps each node's ranks a contiguous group-rank
-        range — the layout the hierarchical collectives exploit.  All
-        choices are deterministic (sorted sets, index tie-breaks), and
-        job *results* never depend on placement, only virtual times.
+        On the flat topology this is exactly the historical policy —
+        the lowest-numbered free ranks — so pre-fabric engine behavior
+        is untouched.  On a multi-tier fabric the gang is packed to
+        minimize the tiers its collectives must cross: the *tightest*
+        single node that fits (best-fit keeps big holes open for big
+        gangs), else the tightest single rack filled from its fullest
+        nodes, else a global fill by descending node free count.
+        Members are returned sorted, which keeps each node's ranks a
+        contiguous group-rank range — the layout the hierarchical
+        collectives exploit.  All choices are deterministic (sorted
+        sets, index tie-breaks), and job *results* never depend on
+        placement, only virtual times.
         """
         free = sorted(self._free)
         topo = self._world.topology
-        if self._placement != "locality" or topo.is_flat:
+        if topo.is_flat:
             return tuple(free[:k])
         by_node: dict[int, list[int]] = {}
         for r in free:
@@ -690,11 +674,6 @@ class Engine:
         scheduler is far easier to debug.
         """
         while self._pending:
-            if (
-                self._max_inflight is not None
-                and self._inflight >= self._max_inflight
-            ):
-                break
             job = self._pending[0]
             want = job.nprocs
             effective = self._nprocs - len(self._quarantined)
@@ -791,7 +770,8 @@ class Engine:
             self._run_rank(job, world_rank, group_rank)
 
     def _run_rank(self, job: _Job, w: int, g: int) -> None:
-        """Run one member rank of one job (mirrors executor.run_rank)."""
+        """Run one member rank of one job on its resident pool thread:
+        bind the mailbox to the job, call ``fn``, record how it ended."""
         world = job.world
         mailbox = self._world.mailboxes[w]
         lc = job.lifecycle
@@ -809,7 +789,7 @@ class Engine:
             except RankFailStop:
                 # An *injected* fail-stop is part of the experiment, not
                 # a program error: the rank silently dies and survivors
-                # carry on (same contract as the standalone executor).
+                # carry on (``SpmdResult.failed_ranks`` names it).
                 pass
             except RuntimeAbort:
                 pass  # unwound because another rank failed
@@ -1168,9 +1148,9 @@ class Engine:
             pool.restart_worker(r)
 
     def _probe_rank(self, w: int) -> bool:
-        """One health probe of quarantined rank ``w``: revive its shared
-        world state (membership + stale-mailbox sweep), then run a
-        1-rank probe job on it through the normal worker path."""
+        """One health probe of quarantined rank ``w``: sweep the stale
+        envelopes out of its mailbox, then run a 1-rank probe job on it
+        through the normal worker path."""
         if not self._threads[w].is_alive():
             return False
         if self._proc_pool is not None and not self._proc_pool.ping(w):
@@ -1187,7 +1167,6 @@ class Engine:
             self._next_job_id += 1
         job = _Job(
             probe_id, _probe_fn, (), 1,
-            cost_model=None, record_events=False, isolate_payloads=True,
             timeout=None, tracer=None, fault_plan=None,
             label=f"probe-rank-{w}",
         )

@@ -32,9 +32,8 @@ class _Job:
     engine's lock, all completion fields by ``lock``/the done event."""
 
     __slots__ = (
-        "job_id", "fn", "args", "nprocs", "cost_model", "record_events",
-        "isolate_payloads", "timeout", "tracer", "fault_plan", "label",
-        "status", "cancelled", "timed_out", "timeout_error", "lock",
+        "job_id", "fn", "args", "nprocs", "timeout", "tracer", "fault_plan",
+        "label", "status", "cancelled", "timed_out", "timeout_error", "lock",
         "done_event", "world", "members", "returns", "failures",
         "failure_states", "ranks_left", "t0", "result", "error",
         "lifecycle", "virtual_seconds",
@@ -51,9 +50,6 @@ class _Job:
         args: Sequence[Any],
         nprocs: int,
         *,
-        cost_model: Any,
-        record_events: bool,
-        isolate_payloads: bool,
         timeout: float | None,
         tracer: Any,
         fault_plan: Any,
@@ -63,9 +59,6 @@ class _Job:
         self.fn = fn
         self.args = tuple(args)
         self.nprocs = nprocs
-        self.cost_model = cost_model
-        self.record_events = record_events
-        self.isolate_payloads = isolate_payloads
         self.timeout = timeout
         self.tracer = tracer
         self.fault_plan = fault_plan
@@ -119,13 +112,8 @@ class _Job:
         self.failure_states = None
         self.members = tuple(members)
         self.world = JobWorld(
-            parent_world,
-            self.members,
-            cost_model=self.cost_model,
-            record_events=self.record_events,
-            isolate_payloads=self.isolate_payloads,
-            tracer=self.tracer,
-            fault_plan=self.fault_plan,
+            parent_world, self.members,
+            tracer=self.tracer, fault_plan=self.fault_plan,
         )
         self.returns = [None] * self.nprocs
         self.ranks_left = self.nprocs

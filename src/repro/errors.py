@@ -106,7 +106,7 @@ class DeadlockError(ReproError):
 
 def format_rank_states(rank_states: list[dict] | None) -> str:
     """Render per-rank diagnostic dicts (as produced by
-    ``World.rank_states()``) into an indented multi-line block."""
+    ``JobWorld.rank_states()``) into an indented multi-line block."""
     if not rank_states:
         return ""
     lines = []

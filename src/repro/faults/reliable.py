@@ -71,7 +71,7 @@ def reliable_send(ctx, inj, dest: int, tag: Hashable, payload: Any, nbytes: int)
     # tiers crossed (flat fabric == cm.wire_time, 0.0 for self-sends).
     wire = ctx.world.topology.path_cost(ctx.rank, dest, nbytes, cm)
     available_at = ctx.clock.t + wire + tx.delay
-    ctx.trace.on_send(dest, tag, nbytes, ctx.clock.t)
+    ctx.trace.on_send(nbytes)
     if ctx.tracer.enabled:
         ctx.tracer.on_send(dest, tag, nbytes, ctx.clock.t, available_at)
     env = Envelope(ctx.rank, tag, Frame(seq, payload), nbytes, available_at)

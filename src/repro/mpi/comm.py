@@ -223,7 +223,7 @@ class Communicator:
     # -- collective plumbing -------------------------------------------------
 
     def _channel(self, name: str) -> _Channel:
-        """Start a collective: record it, allocate its wire tag.
+        """Open a collective's channel: allocate its wire tag.
 
         The tag carries the collective's *name* in addition to the
         context id and sequence number, so mismatched collectives across
@@ -232,7 +232,6 @@ class Communicator:
         instead of silently exchanging wrong payloads.
         """
         self._coll_seq += 1
-        self._ctx.trace.on_collective(name, self._ctx.clock.t)
         return _Channel(self, ("c", self._cid, self._coll_seq, name))
 
     @staticmethod
@@ -331,6 +330,7 @@ class Communicator:
     def _start(
         self, name, kind, operands, algorithm, root, request, options
     ) -> Any:
+        self._ctx.trace.on_collective(name, kind)
         ch = self._channel(name)
         if algorithm == "auto":
             # (value, op) lead the operands of every tuned kind.  The

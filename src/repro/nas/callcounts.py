@@ -19,10 +19,9 @@ other calls — the imbalance the paper's Figure 3 exploits.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from repro.runtime.trace import REDUCTION_CALLS, Trace, merge_traces
+from repro.runtime.trace import Trace, merge_traces
 
 __all__ = ["CallCensus", "census"]
 
@@ -33,6 +32,8 @@ class CallCensus:
 
     collective_calls: dict[str, int]
     p2p_calls: dict[str, int]
+    #: The entries of ``collective_calls`` whose *kind* is a reduction.
+    reduction_calls: dict[str, int]
 
     @property
     def n_total(self) -> int:
@@ -40,10 +41,7 @@ class CallCensus:
 
     @property
     def n_reductions(self) -> int:
-        return sum(
-            c for name, c in self.collective_calls.items()
-            if name in REDUCTION_CALLS
-        )
+        return sum(self.reduction_calls.values())
 
     @property
     def reduction_fraction(self) -> float:
@@ -55,7 +53,7 @@ class CallCensus:
         for name, count in sorted(
             self.collective_calls.items(), key=lambda kv: -kv[1]
         ):
-            tag = "  <- reduction" if name in REDUCTION_CALLS else ""
+            tag = "  <- reduction" if name in self.reduction_calls else ""
             lines.append(f"  {name:<12s} {count:8d}{tag}")
         for name, count in sorted(self.p2p_calls.items(), key=lambda kv: -kv[1]):
             lines.append(f"  {name:<12s} {count:8d}")
@@ -75,8 +73,9 @@ def census(traces: list[Trace], *, per_rank: bool = True) -> CallCensus:
     """
     merged = merge_traces(traces)
     n = len(traces) if per_rank and traces else 1
-    coll = Counter(
-        {name: round(c / n) for name, c in merged.collective_calls.items()}
-    )
-    p2p = Counter({name: round(c / n) for name, c in merged.p2p_calls.items()})
-    return CallCensus(dict(coll), dict(p2p))
+
+    def per_program(calls: dict[str, int]) -> dict[str, int]:
+        return {name: round(c / n) for name, c in calls.items()}
+
+    calls = merged.collective_calls, merged.p2p_calls, merged.reduction_calls
+    return CallCensus(*map(per_program, calls))

@@ -196,7 +196,19 @@ class RankTracer:
         """
         return _SpanContext(self, name, phase, op, nbytes, elements)
 
-    # -- message edges (called by RankContext when tracing is on) ---------
+    # -- charges and message edges (called by RankContext when tracing) ---
+
+    def on_charge(self, label: str, t_start: float, seconds: float) -> None:
+        """Record one charged compute interval as a completed leaf span.
+        It carries no phase, so phase summaries and the critical path
+        (which read phased spans only) are unaffected."""
+        parent = self._stack[-1] if self._stack else None
+        self.spans.append(Span(
+            f"r{self.rank}.{self._seq}", parent.span_id if parent else None,
+            label, self.rank, t_start, t_start + seconds,
+            depth=parent.depth + 1 if parent else 0,
+        ))
+        self._seq += 1
 
     def on_send(self, dest: int, tag: Hashable, nbytes: int,
                 t_send: float, available_at: float) -> None:
@@ -266,7 +278,7 @@ class Tracer:
     def begin_run(self, nprocs: int, clocks: list[Any],
                   label: str | None = None) -> RunCapture:
         """Create the per-rank tracers for one ``spmd_run`` (called by
-        the :class:`~repro.runtime.world.World` constructor)."""
+        the :class:`~repro.runtime.world.JobWorld` constructor)."""
         ranks = [RankTracer(r, clocks[r], self.metrics) for r in range(nprocs)]
         with self._lock:
             run = RunCapture(index=len(self.runs), nprocs=nprocs,

@@ -10,6 +10,6 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
         "modern_node"
     ),
     "executor": ("SpmdResult", "spmd_run"),
-    "trace": ("Trace", "TraceEvent", "merge_traces"),
+    "trace": ("Trace", "merge_traces"),
     "world": ("RankContext", "World"),
 })

@@ -14,7 +14,7 @@ Blocking receives are **poll-free**: a rank blocked in
 :meth:`Mailbox.collect` sleeps on the mailbox condition until a sender
 delivers a matching message or the run aborts.  Aborts wake every
 blocked rank immediately via :meth:`Mailbox.notify_abort` (called by
-``World.abort``); a coarse once-a-second recheck guards against code
+``JobWorld.abort``); a coarse once-a-second recheck guards against code
 that sets the shared abort event without notifying, but no fast
 periodic poll remains on any path.
 
@@ -114,7 +114,7 @@ class Envelope:
 
 
 class Membership:
-    """Shared failure-detector and hang-watchdog state for one world.
+    """Shared failure-detector and hang-watchdog state for one run.
 
     This is the simulator's *perfect failure detector*: fail-stop events
     record the dead rank here, so every survivor observes an identical,
@@ -128,15 +128,12 @@ class Membership:
     ``len(blocked) == active count``, nobody can ever send again.
     """
 
-    def __init__(self, nprocs: int, members: tuple[int, ...] | None = None):
+    def __init__(self, nprocs: int, members: tuple[int, ...]):
         self.nprocs = nprocs
-        #: The world ranks this membership covers.  A standalone run
-        #: covers every rank; an engine job covers only the pool ranks it
+        #: The world ranks this membership covers: the pool ranks the job
         #: was placed on, so its watchdog and failure detector reason
         #: about the job's ranks alone.
-        self.members: tuple[int, ...] = (
-            tuple(range(nprocs)) if members is None else tuple(members)
-        )
+        self.members: tuple[int, ...] = tuple(members)
         self.lock = threading.Lock()
         self.dead: set[int] = set()
         self.done: set[int] = set()
@@ -145,8 +142,8 @@ class Membership:
         #: Bumped on every successful un-block; lets the deadlock scan
         #: detect that a rank it saw as blocked actually made progress.
         self.version = 0
-        #: Wired by the World after construction (avoids a circular
-        #: constructor dependency between World, Mailbox and Membership).
+        #: Wired by the JobWorld after construction: the pool's mailboxes
+        #: and the run's clocks, both indexed by world rank.
         self.mailboxes: list[Mailbox] = []
         self.clocks: list[Any] = []
 
@@ -162,23 +159,6 @@ class Membership:
         with self.lock:
             if rank not in self.dead:
                 self.done.add(rank)
-            self.blocked.pop(rank, None)
-            self.version += 1
-
-    def mark_alive(self, rank: int) -> None:
-        """Forget a recorded fail-stop of ``rank`` (rank revival).
-
-        The engine supervisor calls this through
-        :meth:`~repro.runtime.world.World.revive_rank` when a
-        quarantined pool rank passes its health probe: the shared
-        world's detector must stop reporting the rank dead before new
-        jobs can be gang-scheduled onto it.  Job-scoped memberships are
-        never revived — a job that watched a member die keeps that view
-        for its whole lifetime (the ULFM model has no un-fail).
-        """
-        with self.lock:
-            self.dead.discard(rank)
-            self.done.discard(rank)
             self.blocked.pop(rank, None)
             self.version += 1
 
@@ -281,10 +261,9 @@ class Membership:
     def rank_states(self) -> list[dict]:
         """Per-rank diagnostic dicts for SpmdError/SpmdTimeout messages.
 
-        One entry per *member*, labeled with the member's group rank
-        (identical to the world rank for a standalone run, where the
-        membership covers every rank); internal state is keyed by world
-        rank, which is how the executor and engine record it.
+        One entry per *member*, labeled with the member's group rank;
+        internal state is keyed by world rank, which is how the engine
+        records it.
         """
         with self.lock:
             dead, done = set(self.dead), set(self.done)
@@ -314,15 +293,12 @@ class Membership:
 class Mailbox:
     """Inbox for a single rank, with per-(source, tag) FIFO ordering."""
 
-    def __init__(
-        self,
-        rank: int,
-        abort_event: threading.Event,
-        membership: Membership | None = None,
-    ):
+    def __init__(self, rank: int, abort_event: threading.Event):
         self.rank = rank
+        # Until a job binds its own pair (bind_job), the mailbox answers
+        # to the flag it was built with and to no membership.
         self._abort = abort_event
-        self._membership = membership
+        self._membership: Membership | None = None
         self._cond = threading.Condition()
         self._queues: dict[tuple[int, int], deque[Envelope]] = {}
         self._spares: list[deque[Envelope]] = []
@@ -359,7 +335,7 @@ class Mailbox:
     def notify_abort(self) -> None:
         """Wake any blocked ``collect`` so it observes the abort flag.
 
-        The abort *event* is shared and set once by the world; this hook
+        The abort *event* is shared and set once by the job; this hook
         exists because a poll-free ``collect`` sleeps until notified.
         The same wakeup serves membership changes (a rank dying,
         finishing, or revoking a communicator).

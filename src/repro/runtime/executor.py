@@ -78,8 +78,6 @@ def spmd_run(
     *,
     args: Sequence[Any] = (),
     cost_model: CostModel | None = None,
-    record_events: bool = False,
-    isolate_payloads: bool = True,
     timeout: float = 300.0,
     tracer: Tracer | None = None,
     fault_plan: Any | None = None,
@@ -103,16 +101,12 @@ def spmd_run(
     cost_model:
         Communication/computation cost parameters; defaults to
         :class:`repro.runtime.costmodel.CostModel()`.
-    record_events:
-        Keep full per-rank event timelines (memory-heavy; off by default).
-    isolate_payloads:
-        Deep-copy message payloads to model distinct address spaces.
-        Leave on unless a benchmark has verified aliasing is safe.
     timeout:
         Wall-clock seconds after which the run is aborted and
         :class:`~repro.errors.SpmdTimeout` is raised (deadlock guard).
     tracer:
-        A :class:`repro.obs.Tracer` to record phase-level spans into.
+        A :class:`repro.obs.Tracer` to record spans, charges and message
+        edges into (``SpmdResult.profile``; the traces are counters only).
         Defaults to the active profiling session installed by
         :func:`repro.obs.profiling` (which may also override ``nprocs``),
         or to no tracing at all — the zero-overhead default.
@@ -157,8 +151,6 @@ def spmd_run(
         handle = engine.submit(
             fn,
             args=args,
-            record_events=record_events,
-            isolate_payloads=isolate_payloads,
             timeout=timeout,
             tracer=tracer,
             fault_plan=fault_plan,

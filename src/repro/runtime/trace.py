@@ -1,83 +1,69 @@
-"""Per-rank execution traces: message counters and optional event logs.
+"""Per-rank execution traces: always-on message and call counters.
 
 Traces serve two distinct purposes in this reproduction:
 
 * **Cost accounting** — the analysis layer reads message/byte counters to
   explain where simulated time went.
 * **Call census** — ``repro.nas.callcounts`` reproduces the paper's
-  "nearly 9% of MPI calls are reductions" statistic by classifying the
+  "nearly 9% of MPI calls are reductions" statistic from the
   collective-call counters recorded here.
+
+A trace holds no timeline: to see individual messages or charges, run
+under a :class:`repro.obs.Tracer` and read ``result.profile``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
-__all__ = ["TraceEvent", "Trace", "merge_traces", "REDUCTION_CALLS"]
+__all__ = ["Trace", "merge_traces", "REDUCTION_KINDS"]
 
-#: Collective names that count as "reductions" for the NPB call census
-#: (MPI classifies scan as a reduction-family collective as well).
-REDUCTION_CALLS = frozenset(
-    {"reduce", "allreduce", "scan", "exscan", "reduce_scatter"}
-)
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """A single timestamped event on one rank's timeline."""
-
-    kind: str  # "send" | "recv" | "compute" | "collective"
-    t: float  # virtual time at completion of the event
-    detail: tuple[Any, ...] = ()
-    #: Source rank of the event; only set on merged traces (a per-rank
-    #: trace's events all belong to that trace's own rank).
-    rank: int | None = None
+#: Collective *kinds* (the keys of ``repro.mpi.collectives.SCHEDULES``)
+#: that count as "reductions" for the NPB call census (MPI classifies
+#: scan as a reduction-family collective as well).  Every entry point of
+#: a kind — blocking, nonblocking, exclusive — is classified with it.
+REDUCTION_KINDS = frozenset({"reduce", "allreduce", "scan", "reduce_scatter"})
 
 
 @dataclass
 class Trace:
-    """Counters (always on) plus an optional event log for one rank."""
+    """One rank's counters; the hooks take only what they count."""
 
     rank: int = 0
-    record_events: bool = False
     n_sends: int = 0
     n_recvs: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
     compute_seconds: float = 0.0
     collective_calls: Counter = field(default_factory=Counter)
+    #: The entries of ``collective_calls`` whose kind is a reduction.
+    reduction_calls: Counter = field(default_factory=Counter)
     p2p_calls: Counter = field(default_factory=Counter)
-    events: list[TraceEvent] = field(default_factory=list)
 
     # -- recording hooks (called by the communicator/runtime) -------------
 
-    def on_send(self, dest: int, tag: int, nbytes: int, t: float) -> None:
+    def on_send(self, nbytes: int) -> None:
         """Record one outgoing message (called by the runtime)."""
         self.n_sends += 1
         self.bytes_sent += nbytes
-        if self.record_events:
-            self.events.append(TraceEvent("send", t, (dest, tag, nbytes)))
 
-    def on_recv(self, source: int, tag: int, nbytes: int, t: float) -> None:
+    def on_recv(self, nbytes: int) -> None:
         """Record one received message (called by the runtime)."""
         self.n_recvs += 1
         self.bytes_received += nbytes
-        if self.record_events:
-            self.events.append(TraceEvent("recv", t, (source, tag, nbytes)))
 
-    def on_compute(self, label: str, seconds: float, t: float) -> None:
+    def on_compute(self, seconds: float) -> None:
         """Record charged local-compute time (called by the runtime)."""
         self.compute_seconds += seconds
-        if self.record_events:
-            self.events.append(TraceEvent("compute", t, (label, seconds)))
 
-    def on_collective(self, name: str, t: float) -> None:
-        """Record entry into a named collective (called by Communicator)."""
+    def on_collective(self, name: str, kind: str) -> None:
+        """Record one collective call under its entry-point ``name``,
+        classified by its ``kind`` (called by Communicator)."""
         self.collective_calls[name] += 1
-        if self.record_events:
-            self.events.append(TraceEvent("collective", t, (name,)))
+        if kind in REDUCTION_KINDS:
+            self.reduction_calls[name] += 1
 
     def on_p2p(self, name: str) -> None:
         """Record an explicit user point-to-point call (send/recv)."""
@@ -92,12 +78,8 @@ class Trace:
 
     @property
     def n_reduction_calls(self) -> int:
-        """Collective calls that are reductions (see REDUCTION_CALLS)."""
-        return sum(
-            count
-            for name, count in self.collective_calls.items()
-            if name in REDUCTION_CALLS
-        )
+        """Collective calls that are reductions (see REDUCTION_KINDS)."""
+        return sum(self.reduction_calls.values())
 
     def reduction_fraction(self) -> float:
         """Fraction of all communication *calls* that are reductions,
@@ -109,14 +91,8 @@ class Trace:
 
 
 def merge_traces(traces: Iterable[Trace]) -> Trace:
-    """Aggregate several ranks' traces into one summary trace.
-
-    Counters sum; event logs concatenate (each event tagged with its
-    source rank, the merged stream sorted by timestamp) and the
-    ``record_events`` flag survives if any input recorded events.
-    """
+    """Sum several ranks' counters into one summary trace (rank -1)."""
     out = Trace(rank=-1)
-    merged_events: list[TraceEvent] = []
     for tr in traces:
         out.n_sends += tr.n_sends
         out.n_recvs += tr.n_recvs
@@ -124,13 +100,6 @@ def merge_traces(traces: Iterable[Trace]) -> Trace:
         out.bytes_received += tr.bytes_received
         out.compute_seconds += tr.compute_seconds
         out.collective_calls.update(tr.collective_calls)
+        out.reduction_calls.update(tr.reduction_calls)
         out.p2p_calls.update(tr.p2p_calls)
-        out.record_events = out.record_events or tr.record_events
-        merged_events.extend(
-            TraceEvent(ev.kind, ev.t, ev.detail,
-                       rank=ev.rank if ev.rank is not None else tr.rank)
-            for ev in tr.events
-        )
-    merged_events.sort(key=lambda ev: ev.t)
-    out.events = merged_events
     return out

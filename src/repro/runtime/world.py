@@ -1,11 +1,13 @@
-"""Shared SPMD world state and per-rank contexts.
+"""The shared rank pool, the per-run state over it, and per-rank contexts.
 
-A :class:`World` owns everything shared by the ranks of one SPMD run:
-mailboxes, clocks, traces, the cost model, the abort flag, and — new with
-the fault subsystem — the :class:`~repro.runtime.channels.Membership`
-(perfect failure detector + hang watchdog) and an optional
+A :class:`World` is the **pool**: what outlives any one run — mailboxes,
+the context-id allocator, the schedule and kernel caches, the fabric and
+the default cost model.  A :class:`JobWorld` is **one run** on some of the
+pool's ranks: clocks, traces, the abort flag, the
+:class:`~repro.runtime.channels.Membership` (perfect failure detector +
+hang watchdog), the tracer capture and an optional
 :class:`~repro.faults.injection.FaultInjector` built from a seeded
-:class:`~repro.faults.plan.FaultPlan`.  Each rank gets a
+:class:`~repro.faults.plan.FaultPlan`.  Each rank of a run gets a
 :class:`RankContext` — the object through which *all* simulated
 communication and all simulated-time charging flows.
 
@@ -51,17 +53,13 @@ def cid_root(cid: Hashable) -> Hashable:
 
 
 class World:
-    """All state shared by the ranks of one SPMD run."""
+    """The rank pool: everything that outlives a run, and no run state."""
 
     def __init__(
         self,
         nprocs: int,
         cost_model: CostModel | None = None,
         *,
-        record_events: bool = False,
-        isolate_payloads: bool = True,
-        tracer: Tracer | None = None,
-        fault_plan: Any | None = None,
         topology: Topology | None = None,
     ):
         if nprocs < 1:
@@ -72,42 +70,10 @@ class World:
         #: singleton (the default) delegates straight to the cost model,
         #: reproducing pre-fabric wire times bit-for-bit.
         self.topology = topology if topology is not None else FLAT
-        self.isolate_payloads = isolate_payloads
-        self.abort_event = threading.Event()
-        self.membership = Membership(nprocs)
-        self.mailboxes = [
-            Mailbox(r, self.abort_event, self.membership) for r in range(nprocs)
-        ]
-        self.clocks = [VirtualClock() for _ in range(nprocs)]
-        self.membership.mailboxes = self.mailboxes
-        self.membership.clocks = self.clocks
-        self.traces = [
-            Trace(rank=r, record_events=record_events) for r in range(nprocs)
-        ]
-        self.tracer = tracer
-        if tracer is not None and tracer.enabled:
-            self.run_capture = tracer.begin_run(nprocs, self.clocks)
-            self.rank_tracers = self.run_capture.ranks
-        else:
-            self.run_capture = None
-            self.rank_tracers = [NULL_TRACER] * nprocs
-        if fault_plan is not None:
-            from repro.faults.injection import FaultInjector
-            from repro.faults.plan import expand_rack_failures
-
-            metrics = (
-                tracer.metrics
-                if tracer is not None and tracer.enabled
-                else NULL_METRICS
-            )
-            # Rack-scoped fault domains are symbolic until bound to a
-            # placement: lower them to per-rank fail-stops here.
-            fault_plan = expand_rack_failures(
-                fault_plan, self.topology, tuple(range(nprocs))
-            )
-            self.injector = FaultInjector(fault_plan, nprocs, metrics)
-        else:
-            self.injector = None
+        # Between jobs a mailbox answers to nobody (a flag nothing sets,
+        # no membership); a rank thread binds its job's pair on entry.
+        unbound = threading.Event()
+        self.mailboxes = [Mailbox(r, unbound) for r in range(nprocs)]
         self._cid_lock = threading.Lock()
         self._next_cid = 1
         # Cross-job memo for algorithm="auto" decisions.
@@ -131,100 +97,36 @@ class World:
             self._next_cid += 1
             return cid
 
-    @property
-    def can_fail(self) -> bool:
-        """True when the installed fault plan can fail-stop a rank —
-        the condition under which the global-view drivers checkpoint
-        states and run the commit/agree protocol around the combine."""
-        return self.injector is not None and self.injector.can_fail
-
-    def abort(self) -> None:
-        """Tear the run down: set the abort flag and wake every rank
-        blocked in a mailbox so it observes the flag immediately.
-
-        Blocking receives are poll-free, so setting the event alone would
-        leave blocked ranks asleep; the explicit notification replaces
-        the old 50 ms abort-flag poll.
-        """
-        self.abort_event.set()
-        for mailbox in self.mailboxes:
-            mailbox.notify_abort()
-
-    def mark_failed(self, rank: int) -> None:
-        """Record a fail-stop of ``rank`` and wake every blocked peer so
-        waits on the dead rank turn into
-        :class:`~repro.errors.RankFailedError` instead of hangs."""
-        self.membership.mark_dead(rank)
-        for mailbox in self.mailboxes:
-            mailbox.notify_abort()
-
-    def retire_rank(self, rank: int) -> None:
-        """Record that ``rank``'s SPMD function returned (or unwound).
-
-        Blocked peers are woken so the hang watchdog can re-evaluate:
-        a receive that was merely *pending* may have just become a
-        guaranteed deadlock.
-        """
-        self.membership.mark_done(rank)
-        for mailbox in self.mailboxes:
-            mailbox.notify_abort()
-
-    def revoke_cid(self, cid: Hashable) -> None:
-        """Revoke a communicator context id and wake blocked members."""
-        self.membership.revoke(cid)
-        for mailbox in self.mailboxes:
-            mailbox.notify_abort()
-
     def revive_rank(self, rank: int) -> int:
-        """Restore a pool rank to scheduling health after a fail-stop job.
+        """Sweep every envelope still queued in a pool rank's mailbox;
+        return how many were removed.
 
         Called by the engine supervisor before probing a quarantined
-        rank: clears any shared-membership record for the rank and
-        sweeps every envelope still queued in its mailbox (a dead rank
-        can be left holding messages no live job will ever receive —
-        finalize sweeps only tags the *finished* job owns).  Returns the
-        number of stale envelopes swept.  Job-scoped views
-        (:class:`JobWorld` memberships) are untouched: a job that saw
-        the rank die keeps that view forever.
+        rank: a dead rank can be left holding messages no live job will
+        ever receive (finalize sweeps only tags the *finished* job
+        owns).  There is no failure record to clear — a fail-stop is
+        recorded in the :class:`JobWorld` membership of the job that saw
+        it, which keeps that view forever.
         """
         if not 0 <= rank < self.nprocs:
             raise CommunicatorError(
                 f"rank {rank} out of range for world of size {self.nprocs}"
             )
-        self.membership.mark_alive(rank)
         return self.mailboxes[rank].drain_where(lambda src, tag: True)
-
-    def rank_states(self) -> list[dict]:
-        """Per-rank diagnostics (status, blocked wait, clock, queue)."""
-        return self.membership.rank_states()
-
-    def context(self, rank: int) -> "RankContext":
-        """The per-rank handle for ``rank`` (clock, trace, messaging)."""
-        if not 0 <= rank < self.nprocs:
-            raise CommunicatorError(
-                f"rank {rank} out of range for world of size {self.nprocs}"
-            )
-        return RankContext(self, rank)
-
-    @property
-    def makespan(self) -> float:
-        """Simulated completion time of the run: max over rank clocks."""
-        return max(c.t for c in self.clocks)
 
 
 class JobWorld:
-    """A job-scoped view of a shared :class:`World`.
+    """The state of one run on ``members`` of a pool :class:`World`.
 
     The persistent engine runs many jobs over one world: one set of
     mailboxes, one rank-thread pool, one context-id allocator, one
     schedule cache.  Everything *else* — clocks, traces, membership
     (failure detector + watchdog), abort flag, tracer capture, fault
     injector — is per job, so each job observes a fresh virtual-clock
-    epoch and its results are bit-identical to a standalone run.
+    epoch and its results are bit-identical whatever ran before it.
 
-    A ``JobWorld`` satisfies the same interface :class:`RankContext`,
-    the communicator and the fault layers consume (duck-typed ``world``),
-    with two index conventions in play:
+    This is the ``world`` :class:`RankContext`, the communicator and the
+    fault layers see, with two index conventions in play:
 
     * **world ranks** index shared structures (``mailboxes``, and the
       full-length ``clocks``/``traces``/``rank_tracers`` lists, which
@@ -240,9 +142,6 @@ class JobWorld:
         parent: World,
         members: tuple[int, ...],
         *,
-        cost_model: CostModel | None = None,
-        record_events: bool = False,
-        isolate_payloads: bool = True,
         tracer: Tracer | None = None,
         fault_plan: Any | None = None,
     ):
@@ -251,24 +150,20 @@ class JobWorld:
             raise CommunicatorError(f"nprocs must be >= 1, got {job_size}")
         self.parent = parent
         self.members = tuple(members)
-        self.job_size = job_size
         self.nprocs = parent.nprocs  # pool size: world-rank address space
-        self.cost_model = (
-            cost_model if cost_model is not None else parent.cost_model
-        )
+        self.cost_model = parent.cost_model
         # The fabric is pool infrastructure, shared like the mailboxes:
         # a job pays for the links its placement actually crosses.
         self.topology = parent.topology
-        self.isolate_payloads = isolate_payloads
         self.mailboxes = parent.mailboxes
         self.schedule_cache = parent.schedule_cache
         self.kernel_cache = parent.kernel_cache
         # Jobs inherit the engine's accumulate-offload pool: worker r
         # serves world rank r, so concurrent jobs on disjoint ranks
         # never contend for a worker.
-        self.proc_pool = getattr(parent, "proc_pool", None)
+        self.proc_pool = parent.proc_pool
         self.abort_event = threading.Event()
-        self.membership = Membership(parent.nprocs, members=self.members)
+        self.membership = Membership(parent.nprocs, self.members)
         self.membership.mailboxes = parent.mailboxes
         #: The job's root communicator context id — allocated from the
         #: shared World, so two jobs' tags can never collide even while
@@ -278,9 +173,8 @@ class JobWorld:
         self.traces: list[Trace | None] = [None] * parent.nprocs
         for g, w in enumerate(self.members):
             self.clocks[w] = VirtualClock()
-            self.traces[w] = Trace(rank=g, record_events=record_events)
+            self.traces[w] = Trace(rank=g)
         self.membership.clocks = self.clocks
-        self.tracer = tracer
         self.rank_tracers: list[Any] = [NULL_TRACER] * parent.nprocs
         if tracer is not None and tracer.enabled:
             self.run_capture = tracer.begin_run(
@@ -320,26 +214,36 @@ class JobWorld:
 
     @property
     def can_fail(self) -> bool:
-        """See :attr:`World.can_fail`."""
+        """True when the installed fault plan can fail-stop a rank —
+        the condition under which the global-view drivers checkpoint
+        states and run the commit/agree protocol around the combine."""
         return self.injector is not None and self.injector.can_fail
 
     def _notify_members(self) -> None:
+        # Blocking receives are poll-free, so a state change alone would
+        # leave blocked ranks asleep: wake them to re-evaluate.
         for w in self.members:
             self.mailboxes[w].notify_abort()
 
     def abort(self) -> None:
-        """Tear down *this job only*: its abort event, its members'
-        wakeups.  Concurrent jobs on other pool ranks are untouched."""
+        """Tear down *this job only*: set its abort flag and wake its
+        members blocked in a mailbox so they observe it immediately.
+        Concurrent jobs on other pool ranks are untouched."""
         self.abort_event.set()
         self._notify_members()
 
     def mark_failed(self, rank: int) -> None:
-        """Record a fail-stop of world-rank ``rank`` within this job."""
+        """Record a fail-stop of world-rank ``rank`` within this job and
+        wake blocked peers so waits on the dead rank turn into
+        :class:`~repro.errors.RankFailedError` instead of hangs."""
         self.membership.mark_dead(rank)
         self._notify_members()
 
     def retire_rank(self, rank: int) -> None:
-        """Record that world-rank ``rank`` finished this job's function."""
+        """Record that world-rank ``rank``'s function returned (or
+        unwound).  Blocked peers are woken so the hang watchdog can
+        re-evaluate: a receive that was merely *pending* may have just
+        become a guaranteed deadlock."""
         self.membership.mark_done(rank)
         self._notify_members()
 
@@ -349,7 +253,8 @@ class JobWorld:
         self._notify_members()
 
     def rank_states(self) -> list[dict]:
-        """Per-member diagnostics, labeled with group ranks."""
+        """Per-member diagnostics (status, blocked wait, clock, queue),
+        labeled with group ranks."""
         return self.membership.rank_states()
 
     def owns_tag(self, tag: Hashable) -> bool:
@@ -369,19 +274,14 @@ class JobWorld:
             )
         return RankContext(self, rank)
 
-    @property
-    def makespan(self) -> float:
-        """Simulated completion time of the job: max over member clocks."""
-        return max(self.clocks[w].t for w in self.members)
-
 
 class RankContext:
-    """One rank's handle on the world: clock, trace, and raw messaging."""
+    """One rank's handle on its run: clock, trace, and raw messaging."""
 
     __slots__ = ("world", "rank", "clock", "trace", "tracer", "_progress",
                  "_send_seq", "_recv_next", "_recv_buf")
 
-    def __init__(self, world: World, rank: int):
+    def __init__(self, world: JobWorld, rank: int):
         self.world = world
         self.rank = rank
         self.clock = world.clocks[rank]
@@ -410,7 +310,8 @@ class RankContext:
     # -- simulated computation --------------------------------------------
 
     def charge(self, seconds: float, label: str = "compute") -> None:
-        """Advance this rank's virtual clock by a modeled compute time.
+        """Advance this rank's virtual clock by a modeled compute time;
+        an enabled tracer records it as a leaf span named ``label``.
 
         Under a fault plan, straggler ranks pay a slowdown multiplier
         and scheduled fail-stops trigger here (virtual-time deaths land
@@ -420,8 +321,10 @@ class RankContext:
         if inj is not None:
             inj.check_failstop(self.rank, self.clock.t, self.world)
             seconds *= inj.slowdown(self.rank)
+        if self.tracer.enabled:
+            self.tracer.on_charge(label, self.clock.t, seconds)
         self.clock.advance(seconds)
-        self.trace.on_compute(label, seconds, self.clock.t)
+        self.trace.on_compute(seconds)
         if inj is not None:
             # A death whose deadline this charge just crossed fires now:
             # the next progress point at-or-after the scheduled time.
@@ -458,8 +361,7 @@ class RankContext:
         cm = self.cost_model
         nbytes = payload_nbytes(payload)
         self.clock.advance(cm.send_overhead)
-        if self.world.isolate_payloads:
-            payload = copy_for_transfer(payload)
+        payload = copy_for_transfer(payload)
         if inj is not None and inj.lossy:
             from repro.faults.reliable import reliable_send
 
@@ -472,7 +374,7 @@ class RankContext:
         available_at = self.clock.t + self.world.topology.path_cost(
             self.rank, dest, nbytes, cm
         )
-        self.trace.on_send(dest, tag, nbytes, self.clock.t)
+        self.trace.on_send(nbytes)
         if self.tracer.enabled:
             self.tracer.on_send(dest, tag, nbytes, self.clock.t, available_at)
         self.world.mailboxes[dest].deliver(
@@ -496,7 +398,7 @@ class RankContext:
         t_arrive = self.clock.t
         self.clock.merge(env.available_at)
         self.clock.advance(self.cost_model.recv_overhead)
-        self.trace.on_recv(env.source, env.tag, env.nbytes, self.clock.t)
+        self.trace.on_recv(env.nbytes)
         if self.tracer.enabled:
             self.tracer.on_recv(
                 env.source, env.tag, env.nbytes,

@@ -91,6 +91,25 @@ class TestCensus:
         assert c.n_total == 10
         assert c.reduction_fraction == pytest.approx(0.1)
 
+    def test_nonblocking_reductions_are_counted(self):
+        """The census classifies by collective kind, so the i* entry
+        points (every overlapped global_reduce, every fused bucket)
+        count — by name they were missed: 4 of 12 instead of 12 of 12."""
+
+        def prog(comm):
+            comm.allreduce(1, mpi.SUM)
+            comm.iallreduce(1, mpi.SUM).wait()
+            comm.iscan(1, mpi.SUM).wait()
+
+        res = spmd_run(prog, 4)
+        summary = res.summary_trace
+        assert summary.n_collective_calls == 12
+        assert summary.n_reduction_calls == 12
+        assert summary.reduction_fraction() == 1.0
+        c = census(res.traces)
+        assert (c.n_reductions, c.n_total) == (3, 3)
+        assert c.format().count("<- reduction") == 3
+
     def test_per_rank_normalization(self):
         def prog(comm):
             comm.allreduce(1, mpi.SUM)
@@ -178,13 +197,14 @@ class TestUtilization:
 class TestChromeTrace:
     def _run(self):
         from repro import mpi
+        from repro.obs import Tracer
         from repro.runtime import spmd_run
 
         def prog(comm):
             comm.charge(1e-3, "kernel")
             comm.allreduce(comm.rank, mpi.SUM)
 
-        return spmd_run(prog, 3, record_events=True)
+        return spmd_run(prog, 3, tracer=Tracer())
 
     def test_structure(self):
         from repro.analysis import to_chrome_trace
@@ -192,7 +212,7 @@ class TestChromeTrace:
         doc = to_chrome_trace(self._run())
         assert doc["otherData"]["nprocs"] == 3
         kinds = {e.get("cat") for e in doc["traceEvents"] if "cat" in e}
-        assert {"compute", "send", "recv", "collective"} <= kinds
+        assert {"span", "send", "recv", "collective"} <= kinds
         # thread names for each rank
         names = [e for e in doc["traceEvents"] if e.get("ph") == "M"]
         assert len(names) == 3
@@ -203,14 +223,17 @@ class TestChromeTrace:
         doc = to_chrome_trace(self._run())
         spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         assert spans and all(s["dur"] > 0 for s in spans)
-        assert spans[0]["dur"] == pytest.approx(1e-3 * 1e6)
+        # One charged-compute slice per rank, named by the charge's label.
+        kernels = [s for s in spans if s["name"] == "kernel"]
+        assert sorted(s["tid"] for s in kernels) == [0, 1, 2]
+        assert all(s["ts"] == 0.0 and s["dur"] == 1e-3 * 1e6 for s in kernels)
 
     def test_requires_recorded_events(self):
         from repro.analysis import to_chrome_trace
         from repro.runtime import spmd_run
 
-        res = spmd_run(lambda comm: comm.barrier(), 2)  # no events
-        with pytest.raises(ValueError, match="record_events"):
+        res = spmd_run(lambda comm: comm.barrier(), 2)  # no profile
+        with pytest.raises(ValueError, match="pass a tracer"):
             to_chrome_trace(res)
 
     def test_write_roundtrip(self, tmp_path):

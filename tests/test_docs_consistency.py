@@ -91,6 +91,43 @@ class TestApiDoc:
             assert name in doc, f"library operator {name!r} not in api.md"
 
 
+    def test_entry_point_signatures_are_the_code(self):
+        """Every full `spmd_run(...)`, `Engine(...)` and
+        `Engine.submit(...)` signature quoted in api.md lists exactly
+        the parameters of the function, in order — a removed option
+        cannot live on in the docs, a new one cannot go undocumented.
+        Elided forms (`Engine(..., supervisor=False)`) are examples,
+        not signatures, and are skipped."""
+        import inspect
+
+        from repro.engine import Engine
+        from repro.runtime import spmd_run
+
+        targets = {
+            "spmd_run": spmd_run,
+            "Engine": Engine,
+            "Engine.submit": Engine.submit,
+        }
+        doc = " ".join(_read("docs/api.md").split())
+        seen = set()
+        for name, params in re.findall(
+            r"`(spmd_run|Engine|Engine\.submit)\(([^`)]*)\)`", doc
+        ):
+            if "..." in params:
+                continue
+            documented = [
+                re.match(r"\w+", p.strip()).group()
+                for p in params.split(",") if p.strip() != "*"
+            ]
+            actual = [
+                p for p in inspect.signature(targets[name]).parameters
+                if p != "self"
+            ]
+            assert documented == actual, f"docs/api.md: {name}(...) drifted"
+            seen.add(name)
+        assert seen == set(targets)
+
+
 class TestScheduleRegistryDocs:
     """docs/ can only name schedules the registry has."""
 

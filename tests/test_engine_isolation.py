@@ -15,7 +15,7 @@ import pytest
 from repro.engine import Engine
 from repro.errors import SpmdError
 from repro.runtime import spmd_run
-from repro.runtime.world import World, cid_root
+from repro.runtime.world import JobWorld, World, cid_root
 
 
 def echo_ring(comm, marker):
@@ -144,3 +144,51 @@ class TestContextAllocation:
                 for _ in range(10)
             }
         assert len(cids) == 10
+
+
+class TestPoolHoldsNoRunState:
+    """``Engine.world`` is the pool — what outlives a job.  Everything a
+    run needs (clocks, traces, membership, abort flag, tracer capture,
+    fault injector) belongs to the job's own ``JobWorld``."""
+
+    RUN_STATE = (
+        "clocks", "traces", "membership", "abort_event", "injector",
+        "run_capture", "rank_tracers", "tracer",
+    )
+    RUN_METHODS = (
+        "abort", "mark_failed", "retire_rank", "revoke_cid", "rank_states",
+        "context", "makespan", "can_fail",
+    )
+
+    def test_pool_world_carries_pool_state_only(self):
+        with Engine(4) as engine:
+            engine.submit(lambda comm: comm.allreduce(1, max)).result()
+            state = vars(engine.world)
+        assert not set(self.RUN_STATE) & set(state)
+        assert {k for k in state if not k.startswith("_")} == {
+            "nprocs", "cost_model", "topology", "mailboxes",
+            "schedule_cache", "kernel_cache", "proc_pool",
+        }
+
+    def test_world_has_no_run_methods(self):
+        assert not [m for m in self.RUN_METHODS if hasattr(World, m)]
+
+    def test_world_constructor_takes_pool_parameters_only(self):
+        import inspect
+
+        sig = inspect.signature(World.__init__)
+        assert list(sig.parameters) == [
+            "self", "nprocs", "cost_model", "topology"
+        ]
+
+    def test_a_jobs_state_is_its_own(self):
+        pool = World(4)
+        a, b = JobWorld(pool, (0, 1)), JobWorld(pool, (2, 3))
+        assert a.mailboxes is b.mailboxes is pool.mailboxes
+        assert a.base_cid != b.base_cid
+        assert a.abort_event is not b.abort_event
+        assert a.membership is not b.membership
+        a.abort()
+        assert a.abort_event.is_set() and not b.abort_event.is_set()
+        # Non-member slots of the world-rank-indexed lists stay empty.
+        assert a.clocks[2] is None and a.traces[3] is None

@@ -27,7 +27,7 @@ from repro.obs import (
 from repro.obs.metrics import Histogram
 from repro.ops import CountsOp, SumOp
 from repro.runtime import cluster_2006, spmd_run
-from repro.runtime.trace import Trace, TraceEvent, merge_traces
+from repro.runtime.trace import Trace, merge_traces
 
 REPO = Path(__file__).resolve().parent.parent
 PAPER_DATA = [6, 7, 6, 3, 8, 2, 8, 4, 8, 3]
@@ -202,6 +202,84 @@ class TestSpanCapture:
         assert set(sum_phases) >= {"accumulate", "combine", "generate"}
 
 
+# -- charges are leaf spans --------------------------------------------------
+
+
+class TestChargeSpans:
+    """A charge under a tracer is a completed, un-phased leaf span: the
+    profile shows where charged time went, and everything that reads
+    phased spans is exactly what it was without them (the literals were
+    recorded on this program before charges produced spans)."""
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        import numpy as np
+
+        def prog(comm):
+            data = np.arange(1000, dtype=np.float64) + comm.rank
+            return global_reduce(
+                comm, SumOp(), data, accum_rate="numpy_stream"
+            )
+
+        tracer = Tracer()
+        return tracer, spmd_run(prog, 4, tracer=tracer)
+
+    def test_phase_summary_unchanged(self, traced):
+        tracer, result = traced
+        assert result.returns == [2004000.0] * 4
+        assert phase_summary(tracer) == {
+            "runs": 1,
+            "total_virtual_seconds": 1.1016000000000003e-05,
+            "ops": {"sum": {
+                "accumulate": {
+                    "spans": 4, "virtual_seconds": 8.000000000000001e-06,
+                    "bytes": 32000, "elements": 4000,
+                },
+                "combine": {
+                    "spans": 4, "virtual_seconds": 3.606400000000001e-05,
+                    "bytes": 32, "elements": 0,
+                },
+                "generate": {
+                    "spans": 4, "virtual_seconds": 0.0,
+                    "bytes": 0, "elements": 0,
+                },
+            }},
+        }
+
+    def test_critical_path_unchanged(self, traced):
+        tracer, _ = traced
+        cp = critical_path(tracer.runs[0])
+        assert (cp.total, cp.end_rank) == (1.1016000000000003e-05, 0)
+        assert cp.phase_seconds == {
+            "accumulate": 2.0000000000000003e-06,
+            "combine": 3.000000000000001e-06,
+            "comm": 6.016000000000001e-06,
+        }
+
+    def test_jsonl_gains_the_accumulate_charge(self, traced):
+        tracer, _ = traced
+        records = [json.loads(line) for line in dumps_jsonl(tracer).splitlines()]
+        spans = {r["id"]: r for r in records if r["type"] == "span"}
+        charges = [r for r in spans.values() if r["name"] == "accum:sum"]
+        assert sorted(r["rank"] for r in charges) == [0, 1, 2, 3]
+        for r in charges:
+            assert r["phase"] is None
+            assert (r["t_start"], r["t_end"]) == (0.0, 2.0000000000000003e-06)
+            assert spans[r["parent"]]["name"] == "accumulate"
+
+    def test_straggler_charge_span_shows_the_slowed_time(self):
+        from repro.faults import FaultPlan
+
+        tracer = Tracer()
+        spmd_run(
+            lambda comm: comm.charge(1e-3, "kernel"), 2, tracer=tracer,
+            fault_plan=FaultPlan(seed=1, stragglers={1: 3.0}),
+        )
+        by_rank = {s.rank: s for s in tracer.spans() if s.name == "kernel"}
+        assert by_rank[0].duration == 1e-3
+        assert by_rank[1].duration == 3e-3
+
+
 # -- critical path ---------------------------------------------------------
 
 
@@ -309,50 +387,22 @@ class TestDisabledTracerIsFree:
         assert NULL_TRACER.span("x", phase="accumulate") is NULL_TRACER.span("y")
 
 
-# -- merge_traces (satellite fix) ------------------------------------------
+# -- merge_traces ----------------------------------------------------------
 
 
 class TestMergeTraces:
-    def test_events_concatenate_with_rank_tags(self):
-        a = Trace(rank=0, record_events=True)
-        b = Trace(rank=1, record_events=True)
-        a.on_send(1, 5, 100, t=2.0)
-        b.on_recv(0, 5, 100, t=3.0)
-        a.on_compute("k", 0.5, t=1.0)
-        merged = merge_traces([a, b])
-        assert merged.record_events
-        assert [ev.kind for ev in merged.events] == ["compute", "send", "recv"]
-        assert [ev.rank for ev in merged.events] == [0, 0, 1]
-        assert [ev.t for ev in merged.events] == [1.0, 2.0, 3.0]
-
-    def test_pre_tagged_ranks_survive_remerge(self):
-        a = Trace(rank=0, record_events=True)
-        a.on_send(1, 5, 10, t=1.0)
-        once = merge_traces([a])
-        twice = merge_traces([once])
-        assert [ev.rank for ev in twice.events] == [0]
-
     def test_counters_still_sum(self):
         a, b = Trace(rank=0), Trace(rank=1)
-        a.on_send(1, 0, 10, t=0.0)
-        b.on_send(0, 0, 30, t=0.0)
-        a.on_collective("reduce", t=0.0)
-        b.on_collective("reduce", t=0.0)
+        a.on_send(10)
+        b.on_send(30)
+        a.on_collective("reduce", "reduce")
+        b.on_collective("reduce", "reduce")
         merged = merge_traces([a, b])
+        assert merged.rank == -1
         assert merged.n_sends == 2
         assert merged.bytes_sent == 40
         assert merged.collective_calls["reduce"] == 2
-        assert not merged.record_events
-        assert merged.events == []
-
-    def test_events_from_recording_subset(self):
-        a = Trace(rank=0, record_events=True)
-        b = Trace(rank=1)  # counters only
-        a.on_send(1, 0, 10, t=1.0)
-        b.on_send(0, 0, 10, t=0.5)  # not recorded as an event
-        merged = merge_traces([a, b])
-        assert merged.record_events
-        assert len(merged.events) == 1
+        assert merged.n_reduction_calls == 2
 
 
 # -- exporters -------------------------------------------------------------
@@ -384,17 +434,10 @@ class TestExporters:
         pids = {e["pid"] for e in doc["traceEvents"]}
         assert pids == {run.index for run in tracer.runs}
 
-    def test_legacy_fallback_still_renders_instants(self):
-        res = spmd_run(_program, 2, record_events=True)
-        doc = to_chrome_trace(res)
-        cats = {e.get("cat") for e in doc["traceEvents"] if "cat" in e}
-        assert "collective" in cats
-        insts = [e for e in doc["traceEvents"] if e.get("ph") == "i"]
-        assert insts
-
     def test_no_events_no_profile_raises(self):
         res = spmd_run(_program, 2)
-        with pytest.raises(ValueError, match="record_events"):
+        assert res.profile is None
+        with pytest.raises(ValueError, match="pass a tracer"):
             to_chrome_trace(res)
 
 
@@ -427,6 +470,21 @@ class TestProfileCli:
         assert "per-operator phase breakdown" in report
         assert "accumulate" in report
         assert "critical path" in report
+
+    def test_profile_example_chrome(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        out = tmp_path / "p.trace.json"
+        rc = main([
+            "profile", str(REPO / "examples" / "cg_solver_demo.py"),
+            "256", "4", "--format", "chrome", "--out", str(out),
+        ])
+        assert rc == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        assert events
+        # Charged compute renders as a slice named by the charge's label.
+        dots = [e for e in events if e["name"] == "cg:dots"]
+        assert dots and all(e["ph"] == "X" and e["dur"] > 0 for e in dots)
 
     def test_tour_trace_flag(self, tmp_path, capsys):
         from repro.__main__ import main

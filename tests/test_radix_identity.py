@@ -36,6 +36,7 @@ from repro.faults.chaos import CHAOS_CASES
 from repro.faults.plan import FaultPlan, LinkFaults
 from repro.mpi import collectives as coll
 from repro.mpi.tuning import Band, DecisionTable, set_decision_table
+from repro.obs import Tracer
 from repro.ops import SumOp
 from repro.runtime import spmd_run
 from repro.runtime.costmodel import CostModel
@@ -255,11 +256,8 @@ def _plan_trace(kind, p, radix):
         coll.run_plan(ch, plan)
         return applied[0]
 
-    res = spmd_run(prog, p, record_events=True)
-    dests = [
-        [ev.detail[0] for ev in tr.events if ev.kind == "send"]
-        for tr in res.traces
-    ]
+    res = spmd_run(prog, p, tracer=Tracer())
+    dests = [[edge.dest for edge in rt.sends] for rt in res.profile.ranks]
     return dests, res.returns
 
 

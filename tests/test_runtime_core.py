@@ -143,11 +143,11 @@ class TestMailbox:
 class TestTrace:
     def test_counters(self):
         tr = Trace(rank=0)
-        tr.on_send(1, 0, 100, 0.0)
-        tr.on_recv(1, 0, 50, 0.0)
-        tr.on_compute("k", 0.25, 0.0)
-        tr.on_collective("allreduce", 0.0)
-        tr.on_collective("bcast", 0.0)
+        tr.on_send(100)
+        tr.on_recv(50)
+        tr.on_compute(0.25)
+        tr.on_collective("allreduce", "allreduce")
+        tr.on_collective("bcast", "bcast")
         assert tr.n_sends == 1 and tr.bytes_sent == 100
         assert tr.n_recvs == 1 and tr.bytes_received == 50
         assert tr.compute_seconds == 0.25
@@ -157,23 +157,28 @@ class TestTrace:
     def test_reduction_fraction(self):
         tr = Trace(rank=0)
         for _ in range(9):
-            tr.on_collective("bcast", 0.0)
-        tr.on_collective("reduce", 0.0)
+            tr.on_collective("bcast", "bcast")
+        tr.on_collective("reduce", "reduce")
         assert tr.reduction_fraction() == pytest.approx(0.1)
 
-    def test_events_recorded_only_when_enabled(self):
-        off = Trace(rank=0, record_events=False)
-        off.on_send(1, 0, 10, 0.5)
-        assert off.events == []
-        on = Trace(rank=0, record_events=True)
-        on.on_send(1, 0, 10, 0.5)
-        assert len(on.events) == 1 and on.events[0].kind == "send"
+    def test_nonblocking_and_exclusive_entry_points_classify_by_kind(self):
+        tr = Trace(rank=0)
+        for name, kind in (
+            ("iallreduce", "allreduce"), ("ireduce", "reduce"),
+            ("iscan", "scan"), ("iexscan", "scan"), ("exscan", "scan"),
+            ("reduce_scatter", "reduce_scatter"), ("ibarrier", "barrier"),
+        ):
+            tr.on_collective(name, kind)
+        assert tr.n_collective_calls == 7
+        assert tr.n_reduction_calls == 6
+        assert "ibarrier" not in tr.reduction_calls
 
     def test_merge(self):
         a, b = Trace(rank=0), Trace(rank=1)
-        a.on_send(1, 0, 10, 0.0)
-        b.on_send(0, 0, 20, 0.0)
-        b.on_collective("scan", 0.0)
+        a.on_send(10)
+        b.on_send(20)
+        b.on_collective("scan", "scan")
         m = merge_traces([a, b])
         assert m.n_sends == 2 and m.bytes_sent == 30
         assert m.collective_calls["scan"] == 1
+        assert m.n_reduction_calls == 1

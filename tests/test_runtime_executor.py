@@ -164,24 +164,6 @@ class TestPayloadIsolation:
         assert np.array_equal(res.returns[0], np.zeros(4))
         assert np.array_equal(res.returns[1], np.full(4, 99.0))
 
-    def test_isolation_can_be_disabled(self):
-        # documented sharp edge: with isolation off, arrays alias
-        def prog(comm):
-            mine = np.zeros(4)
-            if comm.rank == 0:
-                comm.send(mine, 1)
-                comm.barrier()  # rank 1 mutates before this completes
-                comm.barrier()
-                return mine.copy()
-            got = comm.recv(0)
-            got += 1
-            comm.barrier()
-            comm.barrier()
-            return None
-
-        res = spmd_run(prog, 2, isolate_payloads=False)
-        assert res.returns[0].sum() == 4  # aliased mutation visible
-
 
 class TestTraces:
     def test_collective_calls_counted(self):

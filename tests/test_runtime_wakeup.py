@@ -19,7 +19,7 @@ from repro import mpi
 from repro.errors import RuntimeAbort, SpmdError
 from repro.runtime import spmd_run
 from repro.runtime.channels import ANY_SOURCE, ANY_TAG, Envelope, Mailbox
-from repro.runtime.world import World
+from repro.runtime.world import JobWorld, World
 
 
 def _env(source, tag, payload=None):
@@ -89,14 +89,19 @@ class TestAbortLatency:
         assert latency["s"] - 0.05 < 0.025
 
     def test_world_abort_wakes_every_rank(self):
-        world = World(nprocs=4)
+        pool = World(nprocs=4)
+        world = JobWorld(pool, (0, 1, 2, 3))
         released = []
         barrier = threading.Barrier(4)
 
         def blocked(rank):
+            # What an engine rank thread does on entering a job: the
+            # pool's mailbox answers to the job's abort flag from here.
+            mailbox = pool.mailboxes[rank]
+            mailbox.bind_job(world.membership, world.abort_event)
             barrier.wait()
             with pytest.raises(RuntimeAbort):
-                world.mailboxes[rank].collect(source=(rank + 1) % 4, tag=0)
+                mailbox.collect(source=(rank + 1) % 4, tag=0)
             released.append(rank)
 
         threads = [

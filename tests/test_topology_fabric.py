@@ -403,13 +403,11 @@ class TestRackFailures:
 
 
 class TestPlacement:
-    def _run_fragmented(self, placement):
+    def _run_fragmented(self):
         """Hold a 2-rank job on node 0, then place a 4-rank job: the
-        locality policy must route it to the fully-free node 1 instead
-        of splitting it across the fragment."""
-        engine = Engine(
-            8, topology=multi_node(4), placement=placement
-        )
+        engine must route it to the fully-free node 1 instead of
+        splitting it across the fragment."""
+        engine = Engine(8, topology=multi_node(4))
         try:
             hold = threading.Event()
             release = threading.Event()
@@ -437,19 +435,16 @@ class TestPlacement:
             engine.shutdown(drain=False)
 
     def test_locality_packs_gang_into_one_node(self):
-        r_loc, s_loc = self._run_fragmented("locality")
-        r_low, s_low = self._run_fragmented("lowest")
-        # Identical job results regardless of placement policy (virtual
-        # times legitimately differ: the gangs cross different tiers).
-        assert r_loc.returns == r_low.returns
-        # Locality keeps the 4-rank gang on one node; lowest-free-rank
-        # splits it across the fragmented node boundary.
-        assert s_loc["placement"]["policy"] == "locality"
-        assert (
-            s_loc["placement"]["mean_gang_spread"]
-            < s_low["placement"]["mean_gang_spread"]
-        )
-        assert s_loc["placement"]["single_node_gangs"] >= 1
+        result, stats = self._run_fragmented()
+        assert result.returns == [10.0] * 4
+        # Both gangs sit on one node each; lowest-free-rank would have
+        # put the 4-rank gang on ranks 2..5, across the node boundary
+        # (mean spread 1.5, one single-node gang).
+        assert stats["placement"] == {
+            "gangs_placed": 2,
+            "mean_gang_spread": 1.0,
+            "single_node_gangs": 2,
+        }
 
     def test_flat_engine_placement_is_historical(self):
         engine = Engine(4)
@@ -464,10 +459,6 @@ class TestPlacement:
             assert stats["fabric"] == {}
         finally:
             engine.shutdown(drain=False)
-
-    def test_invalid_placement_rejected(self):
-        with pytest.raises(ValueError):
-            Engine(4, placement="random")
 
     def test_engine_reports_fabric_congestion(self):
         engine = Engine(8, topology=multi_node(2))
