@@ -3,20 +3,22 @@
 
 The paper singles out the exclusive scan because it "enables the elegant
 recursive definitions of multidimensional scans".  This example makes
-that concrete: a 2048x1024 synthetic "image" is distributed by row
-blocks over 8 ranks, and its summed-area table (2-D inclusive prefix) is
-computed with exactly ONE exclusive scan collective — the per-rank
-column-sum vectors are exscan-ed (aggregated: all 1024 columns in each
-message) and folded back in locally.
+that concrete: a synthetic "image" (2048x1024 by default) is distributed
+by row blocks over 8 ranks, and its summed-area table (2-D inclusive
+prefix) is computed with exactly ONE exclusive scan collective — the
+per-rank column-sum vectors are exscan-ed (aggregated: every column in
+each message) and folded back in locally.
 
 The summed-area table then answers arbitrary box-sum queries in O(1),
 which we verify against direct summation; a running 2-D maximum and
 column statistics round out the tour.
 
-Usage:  python examples/summed_area_table.py
+Usage:  python examples/summed_area_table.py [ROWS COLS]
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -26,7 +28,8 @@ from repro.ops import MaxOp, MeanVarOp, SumOp
 from repro.core import global_reduce
 from repro.util.rng import randlc_array
 
-ROWS, COLS = 2048, 1024
+ROWS = int(sys.argv[1]) if len(sys.argv) > 1 else 2048
+COLS = int(sys.argv[2]) if len(sys.argv) > 2 else 1024
 NPROCS = 8
 
 

@@ -162,9 +162,7 @@ class Engine:
             raise ValueError(
                 f"backend must be 'thread' or 'process', got {backend!r}"
             )
-        telemetry = _resolve_telemetry(telemetry, nprocs)
-        self._telemetry = telemetry
-        telemetry.bind(self)
+        self._telemetry = _resolve_telemetry(telemetry, nprocs)
         # The shared world validates nprocs >= 1 before any thread starts.
         self._world = World(nprocs, cost_model, topology=topology)
         self._backend = backend
@@ -202,7 +200,6 @@ class Engine:
         self._quarantined_at: dict[int, float] = {}
         self._retry_due: list[tuple[float, int, _Job]] = []  # backoff heap
         self._retry_seq = 0
-        self._degraded = False
         self._join_clean = True
         self._n_retried = 0
         self._n_reaped = 0
@@ -220,6 +217,7 @@ class Engine:
             self._sup_cfg = None
         else:
             self._sup_cfg = supervisor
+        self._telemetry.bind(self)  # reads stats(): the books above exist
         self._boxes: list[queue.SimpleQueue] = [
             queue.SimpleQueue() for _ in range(nprocs)
         ]
@@ -281,7 +279,8 @@ class Engine:
         """
         telemetry = _resolve_telemetry(telemetry, self._nprocs)
         with self._lock:
-            self._telemetry = telemetry
+            old, self._telemetry = self._telemetry, telemetry
+        old.bind(None)
         telemetry.bind(self)
 
     def stats(self) -> dict[str, Any]:
@@ -305,7 +304,7 @@ class Engine:
                 "leaked_messages_drained": self._leaked_drained,
                 "quarantined_ranks": sorted(self._quarantined),
                 "effective_capacity": effective,
-                "degraded": self._degraded,
+                "degraded": self._degraded_locked(),
                 "retried": self._n_retried,
                 "retry_backlog": len(self._retry_due),
                 "reaped": self._n_reaped,
@@ -313,10 +312,7 @@ class Engine:
                 "revivals": self._n_revivals,
                 "shrunk": self._n_shrunk,
                 "revival_swept_messages": self._revival_swept,
-                "status": (
-                    "closed" if self._closed
-                    else "degraded" if self._degraded else "ok"
-                ),
+                "status": self._status_locked(),
                 "schedule_cache": self._world.schedule_cache.stats(),
                 "kernel_cache": self._world.kernel_cache.stats(),
                 "backend": self._backend,
@@ -340,9 +336,13 @@ class Engine:
         """Coarse health: ``"ok"``, ``"degraded"`` (schedulable capacity
         below the supervisor's ``capacity_floor``) or ``"closed"``."""
         with self._lock:
-            if self._closed:
-                return "closed"
-            return "degraded" if self._degraded else "ok"
+            return self._status_locked()
+
+    def _status_locked(self) -> str:
+        """:meth:`status`, for callers already holding the engine lock."""
+        if self._closed:
+            return "closed"
+        return "degraded" if self._degraded_locked() else "ok"
 
     # -- submission ---------------------------------------------------------
 
@@ -486,7 +486,7 @@ class Engine:
             if tel.enabled:
                 job.lifecycle = tel.job_admitted(
                     job.job_id, job.label, session, nprocs,
-                    plan0 is not None, t_submit, len(self._pending),
+                    plan0 is not None, t_submit,
                 )
             self._dispatch_locked()
         return JobHandle(job, self)
@@ -544,28 +544,19 @@ class Engine:
             self.drain(timeout)
         else:
             with self._cv:
-                pending = list(self._pending)
+                unplaced = [
+                    *self._pending, *(entry[2] for entry in self._retry_due)
+                ]
                 self._pending.clear()
-                retrying = [entry[2] for entry in self._retry_due]
                 self._retry_due.clear()
                 running = list(self._running)
-                for job in (*pending, *retrying):
-                    if job.done_event.is_set():
-                        continue
-                    job.cancelled = True
-                    job.status = "cancelled"
-                    job.error = JobCancelled(
-                        f"job {job.job_id} cancelled by engine shutdown"
+                for job in unplaced:
+                    self._finish_unplaced_locked(
+                        job, "cancelled",
+                        JobCancelled(
+                            f"job {job.job_id} cancelled by engine shutdown"
+                        ),
                     )
-                    self._n_cancelled += 1
-                    if job.lifecycle is not None:
-                        self._telemetry.job_done(
-                            job.lifecycle, "cancelled", 0.0, job.members,
-                            len(self._pending), self._inflight,
-                            len(self._free),
-                        )
-                    job.done_event.set()
-                self._cv.notify_all()
             for job in running:
                 job.cancelled = True
                 job.world.abort()
@@ -688,8 +679,6 @@ class Engine:
             if want != job.nprocs:
                 job.nprocs = want
                 self._n_shrunk += 1
-                if job.lifecycle is not None:
-                    self._telemetry.job_shrunk(job.lifecycle, want)
             members = self._assemble_members_locked(job.nprocs)
             self._free.difference_update(members)
             topo = self._world.topology
@@ -702,10 +691,7 @@ class Engine:
             self._inflight += 1
             self._peak_inflight = max(self._peak_inflight, self._inflight)
             if job.lifecycle is not None:
-                self._telemetry.job_assembled(
-                    job.lifecycle, members, len(self._pending),
-                    self._inflight, len(self._free),
-                )
+                self._telemetry.job_assembled(job.lifecycle, members)
             self._running.add(job)
             job.start(self._world, members)
             for g, w in enumerate(members):
@@ -723,40 +709,46 @@ class Engine:
                     if entry[2] is not job
                 ]
                 heapq.heapify(self._retry_due)
-                job.cancelled = True
-                job.status = "cancelled"
-                job.error = JobCancelled(f"job {job.job_id} cancelled")
-                self._n_cancelled += 1
-                # No telemetry job_done here: the failed attempt's
-                # lifecycle already went terminal ("retrying") in
-                # job_retried, and the next attempt never got one.
-                job.done_event.set()
-                self._cv.notify_all()
-                return True
-            if job.status == "pending":
+            elif job.status == "pending":
                 try:
                     self._pending.remove(job)
                 except ValueError:  # pragma: no cover - dispatch race
                     return False
-                job.cancelled = True
-                job.status = "cancelled"
-                job.error = JobCancelled(f"job {job.job_id} cancelled")
-                self._n_cancelled += 1
-                if job.lifecycle is not None:
-                    self._telemetry.job_done(
-                        job.lifecycle, "cancelled", 0.0, job.members,
-                        len(self._pending), self._inflight, len(self._free),
-                    )
-                job.done_event.set()
-                self._cv.notify_all()
+            if job.status in ("retrying", "pending"):
+                self._finish_unplaced_locked(
+                    job, "cancelled",
+                    JobCancelled(f"job {job.job_id} cancelled"),
+                )
                 return True
-            if job.status == "running":
-                job.cancelled = True
-            else:
+            if job.status != "running":
                 return False
+            job.cancelled = True
         # Abort outside the engine lock: it takes mailbox locks.
         job.world.abort()
         return True
+
+    def _finish_unplaced_locked(
+        self, job: _Job, status: str, error: BaseException
+    ) -> None:
+        """Take a job that holds no ranks — pending, or parked in retry
+        backoff — terminal as ``status`` ("cancelled" or "failed").
+
+        The caller holds the engine lock and has already taken the job
+        out of the pending deque or the retry heap.  A parked job has no
+        lifecycle to close: its failed attempt's went terminal
+        ("retrying") in ``_rank_done`` and the next attempt never got one.
+        """
+        job.status = status
+        job.error = error
+        if status == "cancelled":
+            job.cancelled = True
+            self._n_cancelled += 1
+        else:
+            self._n_failed += 1
+        if job.lifecycle is not None:
+            self._telemetry.job_done(job.lifecycle, status, 0.0)
+        job.done_event.set()
+        self._cv.notify_all()
 
     # -- worker side --------------------------------------------------------
 
@@ -850,10 +842,9 @@ class Engine:
                     (time.perf_counter() + delay, self._retry_seq, job),
                 )
                 if job.lifecycle is not None:
-                    self._telemetry.job_retried(
-                        job.lifecycle, job.attempt, delay, job.members,
-                        leaked=leaked,
-                    )
+                    # This attempt is over; the next gets a fresh record.
+                    self._telemetry.job_retried(job.lifecycle)
+                    job.lifecycle = None
             else:
                 if job.status == "done":
                     self._n_completed += 1
@@ -863,9 +854,7 @@ class Engine:
                     self._n_failed += 1
                 if job.lifecycle is not None:
                     self._telemetry.job_done(
-                        job.lifecycle, job.status, job.virtual_seconds,
-                        job.members, len(self._pending), self._inflight,
-                        len(self._free), leaked=leaked,
+                        job.lifecycle, job.status, job.virtual_seconds
                     )
             self._dispatch_locked()
             self._cv.notify_all()  # wake drain()ers and submitters
@@ -965,23 +954,14 @@ class Engine:
             self._quarantined_at[w] = now
             self._free.discard(w)
             self._n_quarantines += 1
-            if self._telemetry.enabled:
-                self._telemetry.rank_quarantined(
-                    w, len(self._quarantined),
-                    self._nprocs - len(self._quarantined),
-                )
-        self._update_degraded_locked()
 
-    def _update_degraded_locked(self) -> None:
+    def _degraded_locked(self) -> bool:
+        """Schedulable capacity is below the supervisor's floor."""
         cfg = self._sup_cfg
-        effective = self._nprocs - len(self._quarantined)
-        degraded = (
-            cfg is not None and effective < cfg.capacity_floor * self._nprocs
+        return cfg is not None and (
+            self._nprocs - len(self._quarantined)
+            < cfg.capacity_floor * self._nprocs
         )
-        if degraded != self._degraded:
-            self._degraded = degraded
-            if self._telemetry.enabled:
-                self._telemetry.degraded_changed(degraded, effective)
 
     def _admit_due_retries(self) -> None:
         """Re-admit retry-parked jobs whose backoff has elapsed (every
@@ -1023,8 +1003,7 @@ class Engine:
             if tel.enabled:
                 job.lifecycle = tel.job_admitted(
                     job.job_id, job.label, job.session, job.nprocs,
-                    plan is not None, tel.now(), len(self._pending),
-                    attempt=job.attempt,
+                    plan is not None, tel.now(), attempt=job.attempt,
                 )
             self._dispatch_locked()
             self._cv.notify_all()
@@ -1061,24 +1040,15 @@ class Engine:
             ]
             for job in expired:
                 self._pending.remove(job)
-                job.status = "failed"
-                job.error = SpmdTimeout(
-                    f"job {job.job_id} spent over {job.timeout} s queued "
-                    f"without being dispatched (pool saturated or "
-                    f"degraded); reaped by the engine supervisor"
-                )
-                self._n_failed += 1
                 self._n_reaped += 1
-                if self._telemetry.enabled:
-                    self._telemetry.job_reaped(job.job_id)
-                if job.lifecycle is not None:
-                    self._telemetry.job_done(
-                        job.lifecycle, "failed", 0.0, (),
-                        len(self._pending), self._inflight, len(self._free),
-                    )
-                job.done_event.set()
-            if expired:
-                self._cv.notify_all()
+                self._finish_unplaced_locked(
+                    job, "failed",
+                    SpmdTimeout(
+                        f"job {job.job_id} spent over {job.timeout} s "
+                        f"queued without being dispatched (pool saturated "
+                        f"or degraded); reaped by the engine supervisor"
+                    ),
+                )
         for job in to_abort:
             states = job.world.rank_states()
             err = SpmdTimeout(
@@ -1093,8 +1063,6 @@ class Engine:
                 job.timeout_error = err
             with self._cv:
                 self._n_reaped += 1
-            if self._telemetry.enabled:
-                self._telemetry.job_reaped(job.job_id)
             # Abort outside the engine lock: it takes mailbox locks.
             job.world.abort()
 
@@ -1122,12 +1090,6 @@ class Engine:
                     del self._quarantined_at[w]
                     self._free.add(w)
                     self._n_revivals += 1
-                    if self._telemetry.enabled:
-                        self._telemetry.rank_revived(
-                            w, len(self._quarantined),
-                            self._nprocs - len(self._quarantined),
-                        )
-                    self._update_degraded_locked()
                     self._dispatch_locked()
                     self._cv.notify_all()
                 else:  # pragma: no cover - probe failure is exceptional

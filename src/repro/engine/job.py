@@ -160,8 +160,9 @@ class JobHandle:
 
     @property
     def lifecycle(self):
-        """The job's wall-clock :class:`~repro.obs.telemetry.JobLifecycle`
-        stamps, or None when the engine runs without telemetry."""
+        """The live attempt's wall-clock
+        :class:`~repro.obs.telemetry.JobLifecycle` stamps; None without
+        telemetry, and while a retried job is parked in backoff."""
         return self._job.lifecycle
 
     def done(self) -> bool:

@@ -24,10 +24,21 @@ histograms with streaming p50/p95/p99:
 * ``engine.job.exec_seconds`` — gang assembly to completion;
 * ``engine.job.e2e_seconds`` — submit entry to completion.
 
+One set of books
+----------------
+Counts and levels are the engine's; telemetry measures time.  The six
+hooks (``job_admitted``, ``job_rejected``, ``job_assembled``,
+``job_running``, ``job_done``, ``job_retried``) stamp a lifecycle,
+observe a latency histogram and open or close per-rank busy intervals —
+nothing else.  Every exported counter and gauge is copied out of
+:meth:`Engine.stats() <repro.engine.Engine.stats>` when a snapshot is
+taken, through the one :data:`STATS_METRICS` table (counters as totals
+since the telemetry was bound), so the two can never disagree.
+
 Cost discipline
 ---------------
 Telemetry is designed to be left on in a service: the enabled path adds
-a handful of counter/gauge updates and one small record per job —
+a few clock reads, histogram observes and one small record per job —
 **per job**, never per message or per collective round — and the
 engine-throughput benchmark CI-enforces a ≤5% budget
 (``benchmarks/bench_engine_throughput.py --overhead``).  The disabled
@@ -67,7 +78,66 @@ __all__ = [
     "SnapshotRing",
     "NULL_ENGINE_TELEMETRY",
     "LIFECYCLE_STATES",
+    "STATS_METRICS",
 ]
+
+#: Totals, exported as counters: ``{metric name: Engine.stats() key}``.
+_COUNTERS = {
+    "engine.jobs.submitted": "submitted",
+    "engine.jobs.completed": "completed",
+    "engine.jobs.failed": "failed",
+    "engine.jobs.cancelled": "cancelled",
+    "engine.jobs.rejected": "rejected",
+    "engine.jobs.retried": "retried",
+    "engine.jobs.reaped": "reaped",
+    "engine.jobs.shrunk": "shrunk",
+    "engine.jobs.leaked_messages": "leaked_messages_drained",
+    "engine.ranks.quarantines": "quarantines",
+    "engine.ranks.revivals": "revivals",
+}
+
+#: Every count and level telemetry exports, read from ``Engine.stats()``
+#: at snapshot time.  A dotted key descends into a nested dict, and a
+#: family the engine does not have (``ipc`` on the thread backend) is
+#: skipped; a list exports its length, a flag 0/1, and a dict (the
+#: fabric's traffic counters, empty on the flat topology) one gauge per
+#: item under the metric name.  Everything not in ``_COUNTERS`` is a gauge.
+STATS_METRICS = {
+    **_COUNTERS,
+    "engine.queue.depth": "pending",
+    "engine.jobs.inflight": "inflight",
+    "engine.ranks.free": "free_ranks",
+    "engine.ranks.quarantined": "quarantined_ranks",
+    "engine.capacity.effective": "effective_capacity",
+    "engine.capacity.degraded": "degraded",
+    "engine.schedule_cache.hits": "schedule_cache.hits",
+    "engine.schedule_cache.misses": "schedule_cache.misses",
+    "engine.schedule_cache.hit_rate": "schedule_cache.hit_rate",
+    "engine.kernel_cache.hits": "kernel_cache.hits",
+    "engine.kernel_cache.misses": "kernel_cache.misses",
+    "engine.kernel_cache.hit_rate": "kernel_cache.hit_rate",
+    "backend.ipc.frames": "ipc.frames",
+    "backend.ipc.bytes": "ipc.bytes",
+    "backend.ipc.shm_hits": "ipc.shm_hits",
+    "backend.ipc.pickle_fallbacks": "ipc.pickle_fallbacks",
+    "engine.placement.gangs": "placement.gangs_placed",
+    "engine.placement.gang_spread": "placement.mean_gang_spread",
+    "engine.placement.single_node_gangs": "placement.single_node_gangs",
+    "fabric.congestion": "fabric",
+}
+
+
+def _stat(stats: Any, key: str) -> Any:
+    """What ``stats[key]`` exports (see :data:`STATS_METRICS`); None
+    when a family on the way down a dotted ``key`` is absent."""
+    for part in key.split("."):
+        if stats is None:
+            return None
+        stats = stats[part]
+    if isinstance(stats, list):
+        return len(stats)
+    return int(stats) if isinstance(stats, bool) else stats
+
 
 #: Lifecycle states in transition order; the last four are terminal.
 #: "retrying" is the self-healing loop: a failed attempt re-enters
@@ -76,9 +146,6 @@ LIFECYCLE_STATES = (
     "submitted", "queued", "gang-assembled", "running", "retrying",
     "completed", "failed", "cancelled", "saturated",
 )
-
-#: Terminal job status → counter attribute used by :meth:`job_done`.
-_TERMINAL = {"done": "completed", "failed": "failed", "cancelled": "cancelled"}
 
 
 class JobLifecycle:
@@ -93,7 +160,7 @@ class JobLifecycle:
     __slots__ = (
         "job_id", "label", "session", "nprocs", "has_fault_plan",
         "t_submitted", "t_queued", "t_assembled", "t_running", "t_done",
-        "state", "virtual_seconds", "attempt",
+        "state", "virtual_seconds", "attempt", "members",
     )
 
     def __init__(
@@ -119,6 +186,7 @@ class JobLifecycle:
         self.t_done: float | None = None
         self.state = "submitted"
         self.virtual_seconds: float | None = None
+        self.members: tuple[int, ...] = ()  # pool ranks, once assembled
 
     # -- derived intervals --------------------------------------------------
 
@@ -169,10 +237,11 @@ class JobLifecycle:
 class EngineTelemetry:
     """Always-on observability for one :class:`~repro.engine.Engine`.
 
-    The engine calls the ``job_*``/``rank_*`` hooks from its submit,
-    dispatch and completion paths (each hook is a few instrument
-    updates); everything else — snapshots, Prometheus rendering, the
-    dashboard — reads from here without touching the engine hot path.
+    The engine calls the six ``job_*`` hooks from its submit, dispatch
+    and completion paths (each stamps a lifecycle and at most observes
+    a histogram and opens or closes busy intervals); everything else —
+    snapshots, Prometheus rendering, the dashboard — reads from here
+    without touching the engine hot path.
     """
 
     enabled = True
@@ -195,59 +264,41 @@ class EngineTelemetry:
         self._intervals: deque[tuple[int, float, float, int, str | None]] = (
             deque(maxlen=max_intervals)
         )
-        # Per-rank state is only mutated from job_assembled/job_done,
-        # both called with the engine lock held, so no telemetry lock
-        # guards it; readers (utilization, snapshots) take lock-free
-        # copies and tolerate a fraction of a job of skew, which is
-        # harmless in monitoring data.
+        # Per-rank state is only mutated from job_assembled/job_done/
+        # job_retried, all called with the engine lock held, so no
+        # telemetry lock guards it; readers (utilization, snapshots)
+        # take lock-free copies and tolerate a fraction of a job of
+        # skew, which is harmless in monitoring data.
         self._busy = [0.0] * nprocs  # cumulative busy seconds per rank
         self._open: list[float | None] = [None] * nprocs
         self._jobs_per_rank = [0] * nprocs
         self._closed_per_rank = [0] * nprocs
         self._engine: Any = None
+        self._base: dict[str, Any] = {}
         reg = self.registry
-        # Instruments are created once, here, so the hooks below touch
-        # only pre-resolved references (no name lookups per job).
-        self._c_submitted = reg.counter("engine.jobs.submitted")
-        self._c_completed = reg.counter("engine.jobs.completed")
-        self._c_failed = reg.counter("engine.jobs.failed")
-        self._c_cancelled = reg.counter("engine.jobs.cancelled")
-        self._c_rejected = reg.counter("engine.jobs.rejected")
-        self._g_queue = reg.gauge("engine.queue.depth")
-        self._g_inflight = reg.gauge("engine.jobs.inflight")
-        self._g_free = reg.gauge("engine.ranks.free")
-        self._g_busy_fraction = reg.gauge("engine.ranks.busy_fraction")
+        # The histograms are created once, here, so the hooks below
+        # touch only pre-resolved references (no name lookups per job).
         self._h_queue_wait = reg.histogram("engine.job.queue_wait_seconds")
         self._h_exec = reg.histogram("engine.job.exec_seconds")
         self._h_e2e = reg.histogram("engine.job.e2e_seconds")
         self._h_virtual = reg.histogram("engine.job.virtual_seconds")
-        # Self-healing instruments (PR 8): retries, leak sweeps, rank
-        # quarantine/revival, degraded-capacity gauges.
-        self._c_retried = reg.counter("engine.jobs.retried")
-        self._c_reaped = reg.counter("engine.jobs.reaped")
-        self._c_shrunk = reg.counter("engine.jobs.shrunk")
-        self._c_leaked = reg.counter("engine.jobs.leaked_messages")
-        self._c_quarantines = reg.counter("engine.ranks.quarantines")
-        self._c_revivals = reg.counter("engine.ranks.revivals")
-        self._g_quarantined = reg.gauge("engine.ranks.quarantined")
-        self._g_effective = reg.gauge("engine.capacity.effective")
-        self._g_degraded = reg.gauge("engine.capacity.degraded")
-        self._g_queue.set(0)
-        self._g_inflight.set(0)
-        self._g_free.set(nprocs)
-        self._g_quarantined.set(0)
-        self._g_effective.set(nprocs)
-        self._g_degraded.set(0)
 
     def bind(self, engine: Any) -> None:
-        """Attach the owning engine (snapshot reads its scheduler stats)."""
+        """Attach the owning engine, whose ``stats()`` every snapshot
+        reads.  Counters report totals since this call, so a telemetry
+        swapped onto a live engine starts a fresh series; ``None``
+        detaches, and the series ends at the engine's totals of now."""
+        if engine is None:
+            self.snapshot()
+        else:
+            self._base = engine.stats()
         self._engine = engine
 
     def now(self) -> float:
         """Seconds on the telemetry's monotonic wall clock."""
         return time.perf_counter() - self._t0
 
-    # -- engine hooks (hot path; each is O(instruments touched)) -----------
+    # -- engine hooks (hot path; stamps, histograms, busy intervals) -------
 
     def job_admitted(
         self,
@@ -257,7 +308,6 @@ class EngineTelemetry:
         nprocs: int,
         has_fault_plan: bool,
         t_submitted: float,
-        queue_depth: int,
         attempt: int = 1,
     ) -> JobLifecycle:
         """A job entered the pending queue; returns its lifecycle record.
@@ -274,9 +324,6 @@ class EngineTelemetry:
         )
         lc.t_queued = self.now()
         lc.state = "queued"
-        if attempt == 1:
-            self._c_submitted.inc()
-        self._g_queue.set(queue_depth)
         return lc
 
     def job_rejected(
@@ -290,19 +337,15 @@ class EngineTelemetry:
         lc = JobLifecycle(-1, label, session, nprocs, False, t_submitted)
         lc.t_done = self.now()
         lc.state = "saturated"
-        self._c_rejected.inc()
         with self._lock:
             self._history.append(lc)
 
     def job_assembled(
-        self,
-        lc: JobLifecycle,
-        members: tuple[int, ...],
-        queue_depth: int,
-        inflight: int,
-        free_ranks: int,
+        self, lc: JobLifecycle, members: tuple[int, ...]
     ) -> None:
-        """The job's gang was assembled and dispatched onto ``members``.
+        """The job's gang was assembled and dispatched onto ``members``
+        — fewer than requested when an ``allow_shrink=True`` job meets
+        a degraded pool.
 
         Called (like :meth:`job_done`) with the engine lock held, which
         serializes the per-rank open/close bookkeeping without any lock
@@ -311,13 +354,12 @@ class EngineTelemetry:
         t = self.now()
         lc.t_assembled = t
         lc.state = "gang-assembled"
+        lc.members = members
+        lc.nprocs = len(members)
         for r in members:
             self._open[r] = t
             self._jobs_per_rank[r] += 1
         self._h_queue_wait.observe(max(t - (lc.t_queued or t), 0.0))
-        self._g_queue.set(queue_depth)
-        self._g_inflight.set(inflight)
-        self._g_free.set(free_ranks)
 
     def job_running(self, lc: JobLifecycle) -> None:
         """The first member rank entered the job's function.
@@ -331,130 +373,54 @@ class EngineTelemetry:
             lc.t_running = self.now()
             lc.state = "running"
 
-    def job_done(
-        self,
-        lc: JobLifecycle,
-        status: str,
-        virtual_seconds: float,
-        members: tuple[int, ...],
-        queue_depth: int,
-        inflight: int,
-        free_ranks: int,
-        leaked: int = 0,
-    ) -> None:
-        """Terminal transition: ``status`` is the job's final engine state
-        (``done``/``failed``/``cancelled``).  ``leaked`` is the number
-        of envelopes the finalize sweep drained for this job (messages
-        it sent but never received, e.g. unwound mid-collective).
+    def _close(self, lc: JobLifecycle, state: str) -> float:
+        """Take ``lc`` terminal in ``state`` now: close the busy
+        interval of every member rank and file the record in the
+        history.  Returns the stamp.
 
-        Closes the busy interval of every member rank at gang
-        granularity — one ``(rank, t_start, t_done)`` slice per member,
-        where ``t_start`` is the first member's entry (members of a gang
-        start within microseconds of each other, so per-member begin/end
-        stamps would buy precision the monitoring data cannot use at
-        16 extra hook calls per job).
+        Intervals are closed at gang granularity — one ``(rank,
+        t_start, t_done)`` slice per member, where ``t_start`` is the
+        first member's entry (members of a gang start within
+        microseconds of each other, so per-member begin/end stamps would
+        buy precision the monitoring data cannot use at 16 extra hook
+        calls per job).
         """
         t = self.now()
         lc.t_done = t
-        lc.state = _TERMINAL.get(status, status)
+        lc.state = state
+        t_start = lc.t_running if lc.t_running is not None else lc.t_assembled
+        for r in lc.members:  # empty unless the gang was assembled
+            self._open[r] = None
+            self._busy[r] += t - t_start
+            self._closed_per_rank[r] += 1
+            self._intervals.append((r, t_start, t, lc.job_id, lc.label))
+        with self._lock:
+            self._history.append(lc)
+        return t
+
+    def job_done(
+        self, lc: JobLifecycle, status: str, virtual_seconds: float
+    ) -> None:
+        """Terminal transition, with the engine lock held: ``status`` is
+        the job's final engine state (``done``/``failed``/``cancelled``)."""
         lc.virtual_seconds = virtual_seconds
-        counter = {
-            "done": self._c_completed,
-            "failed": self._c_failed,
-            "cancelled": self._c_cancelled,
-        }.get(status)
-        if counter is not None:
-            counter.inc()
-        if leaked:
-            self._c_leaked.inc(leaked)
+        t = self._close(lc, "completed" if status == "done" else status)
         if lc.t_assembled is not None:
-            t_start = lc.t_running if lc.t_running is not None else lc.t_assembled
-            for r in members:
-                self._open[r] = None
-                self._busy[r] += t - t_start
-                self._closed_per_rank[r] += 1
-                self._intervals.append((r, t_start, t, lc.job_id, lc.label))
             self._h_exec.observe(max(t - lc.t_assembled, 0.0))
             self._h_virtual.observe(max(virtual_seconds, 0.0))
         self._h_e2e.observe(max(t - lc.t_submitted, 0.0))
-        self._g_queue.set(queue_depth)
-        self._g_inflight.set(inflight)
-        self._g_free.set(free_ranks)
-        with self._lock:
-            self._history.append(lc)
 
-    def job_retried(
-        self,
-        lc: JobLifecycle,
-        attempt: int,
-        delay: float,
-        members: tuple[int, ...],
-        leaked: int = 0,
-    ) -> None:
-        """Attempt ``attempt`` of a job failed and will be re-run after
-        ``delay`` seconds of backoff.
+    def job_retried(self, lc: JobLifecycle) -> None:
+        """This attempt failed and the job is parked for backoff.
 
         Called (like :meth:`job_done`) with the engine lock held.  The
         failed attempt's lifecycle goes terminal here with state
-        "retrying"; the re-admitted attempt gets a *fresh* lifecycle
-        from :meth:`job_admitted` with ``attempt + 1``, so per-attempt
-        histories stay intact and the latency histograms measure each
-        attempt's real execution.
+        "retrying" and the job lets go of it; the re-admitted attempt
+        gets a *fresh* lifecycle from :meth:`job_admitted`, so
+        per-attempt histories stay intact and the latency histograms
+        measure only attempts that ran to a verdict.
         """
-        t = self.now()
-        lc.t_done = t
-        lc.state = "retrying"
-        self._c_retried.inc()
-        if leaked:
-            self._c_leaked.inc(leaked)
-        if lc.t_assembled is not None:
-            t_start = (
-                lc.t_running if lc.t_running is not None else lc.t_assembled
-            )
-            for r in members:
-                self._open[r] = None
-                self._busy[r] += t - t_start
-                self._closed_per_rank[r] += 1
-                self._intervals.append((r, t_start, t, lc.job_id, lc.label))
-        with self._lock:
-            self._history.append(lc)
-
-    def job_reaped(self, job_id: int) -> None:
-        """The supervisor's stuck-job reaper cancelled+unwound a job
-        that exceeded its deadline (escalation past the collective
-        watchdog).  The terminal :meth:`job_done` still follows."""
-        self._c_reaped.inc()
-
-    def job_shrunk(self, lc: JobLifecycle, nprocs: int) -> None:
-        """An ``allow_shrink=True`` job was gang-assembled onto
-        ``nprocs`` ranks — fewer than requested — because the pool is
-        running degraded.  Called with the engine lock held, just
-        before :meth:`job_assembled`."""
-        lc.nprocs = nprocs
-        self._c_shrunk.inc()
-
-    def rank_quarantined(
-        self, rank: int, quarantined: int, effective: int
-    ) -> None:
-        """Pool ``rank`` died inside a job and was quarantined; the gang
-        scheduler will skip it until a probe revives it."""
-        self._c_quarantines.inc()
-        self._g_quarantined.set(quarantined)
-        self._g_effective.set(effective)
-
-    def rank_revived(
-        self, rank: int, quarantined: int, effective: int
-    ) -> None:
-        """A quarantined rank passed its health probe and rejoined the
-        schedulable pool."""
-        self._c_revivals.inc()
-        self._g_quarantined.set(quarantined)
-        self._g_effective.set(effective)
-
-    def degraded_changed(self, degraded: bool, effective: int) -> None:
-        """The engine crossed its capacity floor (either direction)."""
-        self._g_degraded.set(1 if degraded else 0)
-        self._g_effective.set(effective)
+        self._close(lc, "retrying")
 
     # -- cold-path reads ----------------------------------------------------
 
@@ -489,61 +455,32 @@ class EngineTelemetry:
     def snapshot(self) -> dict[str, Any]:
         """One JSON-serializable telemetry frame.
 
-        Schedule-cache hit/miss counts are pulled live from the bound
-        engine's world and mirrored into registry gauges here — a
-        snapshot-time sync, deliberately not a per-``choose()`` counter
-        increment, so the cache's lock-free read path stays untouched.
+        Every count and level is copied here from the bound engine's
+        ``stats()`` into the registry (:data:`STATS_METRICS`) — a
+        snapshot-time sync, deliberately not an increment per job or per
+        ``choose()``, so the engine keeps one set of books and the
+        caches' lock-free read paths stay untouched.
         """
         t = self.now()
         util = self.utilization(t)
-        self._g_busy_fraction.set(
+        reg = self.registry
+        reg.gauge("engine.ranks.busy_fraction").set(
             sum(util) / len(util) if util else 0.0
         )
         engine_stats: dict[str, Any] | None = None
         if self._engine is not None:
             engine_stats = self._engine.stats()
-            cache = engine_stats["schedule_cache"]
-            reg = self.registry
-            reg.gauge("engine.schedule_cache.hits").set(cache["hits"])
-            reg.gauge("engine.schedule_cache.misses").set(cache["misses"])
-            reg.gauge("engine.schedule_cache.hit_rate").set(cache["hit_rate"])
-            kcache = engine_stats.get("kernel_cache")
-            if kcache is not None:
-                reg.gauge("engine.kernel_cache.hits").set(kcache["hits"])
-                reg.gauge("engine.kernel_cache.misses").set(kcache["misses"])
-                reg.gauge("engine.kernel_cache.hit_rate").set(
-                    kcache["hit_rate"]
-                )
-            ipc = engine_stats.get("ipc")
-            if ipc is not None:
-                # Process-backend IPC counters, so zero-copy coverage
-                # is observable in Prometheus/top (docs/backends.md).
-                reg.gauge("backend.ipc.frames").set(ipc["frames"])
-                reg.gauge("backend.ipc.bytes").set(ipc["bytes"])
-                reg.gauge("backend.ipc.shm_hits").set(ipc["shm_hits"])
-                reg.gauge("backend.ipc.pickle_fallbacks").set(
-                    ipc["pickle_fallbacks"]
-                )
-            placement = engine_stats.get("placement")
-            if placement is not None:
-                # Locality placement quality (docs/topology.md): how
-                # many fabric nodes the average gang straddles, and how
-                # often packing achieved the single-node ideal.
-                reg.gauge("engine.placement.gangs").set(
-                    placement["gangs_placed"]
-                )
-                reg.gauge("engine.placement.gang_spread").set(
-                    placement["mean_gang_spread"]
-                )
-                reg.gauge("engine.placement.single_node_gangs").set(
-                    placement["single_node_gangs"]
-                )
-            fabric = engine_stats.get("fabric")
-            if fabric:
-                # Multi-tier fabric traffic counters — only non-flat
-                # topologies report any (FlatTopology.stats() is {}).
-                for name, value in fabric.items():
-                    reg.gauge(f"fabric.congestion.{name}").set(value)
+            for name, key in STATS_METRICS.items():
+                value = _stat(engine_stats, key)
+                if value is None:
+                    continue
+                if name in _COUNTERS:
+                    reg.counter(name).value = value - _stat(self._base, key)
+                elif isinstance(value, dict):
+                    for item, level in value.items():
+                        reg.gauge(f"{name}.{item}").set(level)
+                else:
+                    reg.gauge(name).set(value)
         frame: dict[str, Any] = {
             "type": "snapshot",
             "ts": self._epoch + t,
@@ -573,7 +510,7 @@ class EngineTelemetry:
         followed by one final ``type: "metrics"`` registry snapshot."""
         for lc in self.recent_jobs(len(self._history)):
             yield lc.to_record()
-        yield {"type": "metrics", **self.registry.snapshot()}
+        yield {"type": "metrics", **self.snapshot()["metrics"]}
 
     def dumps_jsonl(self) -> str:
         """The lifecycle records as newline-delimited JSON."""

@@ -4,6 +4,9 @@
 Kept apart from :mod:`repro.obs.telemetry` so an engine built without
 telemetry never loads the lifecycle/snapshot machinery; that module
 re-exports :data:`NULL_ENGINE_TELEMETRY` for callers that name it there.
+It answers the same six engine hooks (``job_admitted``, ``job_rejected``,
+``job_assembled``, ``job_running``, ``job_done``, ``job_retried``) and
+cold-path reads; the engine's counts never pass through either object.
 """
 
 from __future__ import annotations
@@ -45,21 +48,6 @@ class _NullEngineTelemetry:
         pass
 
     def job_retried(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def job_reaped(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def job_shrunk(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def rank_quarantined(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def rank_revived(self, *a: Any, **k: Any) -> None:
-        pass
-
-    def degraded_changed(self, *a: Any, **k: Any) -> None:
         pass
 
     def utilization(self, now: float | None = None) -> list[float]:

@@ -27,13 +27,19 @@ def block_split(data, p: int, r: int):
     return data[lo:hi]
 
 
+def fresh_env() -> dict[str, str]:
+    """The environment of a new interpreter that sees only this
+    checkout's ``src`` — wherever the tree under test is checked out."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    return {**os.environ, "PYTHONPATH": src}
+
+
 def run_fresh(code: str) -> str:
     """Run ``code`` in a new interpreter that sees only this checkout's
     ``src`` (what it imports is then its own doing); returns stdout."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        env={**os.environ, "PYTHONPATH": src},
+        env=fresh_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -61,9 +67,3 @@ def paper_data():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: long-running test (integration sweeps)"
-    )

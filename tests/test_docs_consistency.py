@@ -210,3 +210,35 @@ class TestNoEnvironmentSwitches:
         for path in paths:
             named = re.findall(r"\bREPRO_[A-Z_]+", path.read_text())
             assert not named, f"{path.relative_to(ROOT)} names {named}"
+
+
+class TestMetricCatalogue:
+    """docs/observability.md lists every metric an engine exports, and
+    nothing an engine does not."""
+
+    @staticmethod
+    def _documented() -> set[str]:
+        doc = _read("docs/observability.md")
+        table = doc.split("### Metric catalogue")[1].split("\n### ")[0]
+        names: set[str] = set()
+        for row in re.findall(r"^\| (`[^|]+) \|", table, flags=re.M):
+            first, *rest = re.findall(r"`([\w.]+)`", row)
+            names.add(first)
+            # "`a.b.hits` / `.misses`" abbreviates a.b.misses.
+            names.update(first.rsplit(".", 1)[0] + tail for tail in rest)
+        return names
+
+    def test_catalogue_is_what_live_engines_export(self):
+        from repro.engine import Engine
+        from repro.runtime.fabric import multi_node
+
+        exported: set[str] = set()
+        for options in (
+            {}, {"topology": multi_node(2)}, {"backend": "process"},
+        ):
+            with Engine(2, telemetry=True, **options) as engine:
+                engine.submit(lambda comm: comm.rank).result()
+                metrics = engine.telemetry.snapshot()["metrics"]
+            for kind in ("counters", "gauges", "histograms"):
+                exported.update(metrics[kind])
+        assert self._documented() == exported

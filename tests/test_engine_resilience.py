@@ -261,16 +261,18 @@ class TestLeakedMessages:
         # A rank died mid-collective: messages addressed to it were
         # swept at finalize and must be visible in both surfaces.
         assert stats["leaked_messages_drained"] > 0
-        counter = telemetry.registry.counter("engine.jobs.leaked_messages")
-        assert counter.value == stats["leaked_messages_drained"]
+        counters = telemetry.snapshot()["metrics"]["counters"]
+        assert (
+            counters["engine.jobs.leaked_messages"]
+            == stats["leaked_messages_drained"]
+        )
 
     def test_clean_jobs_leak_nothing(self):
         telemetry = EngineTelemetry(4)
         with Engine(4, telemetry=telemetry) as engine:
             engine.submit(raw_sum_job).result()
-        assert telemetry.registry.counter(
-            "engine.jobs.leaked_messages"
-        ).value == 0
+        counters = telemetry.snapshot()["metrics"]["counters"]
+        assert counters["engine.jobs.leaked_messages"] == 0
 
 
 class TestQuarantineAndDegraded:

@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -57,20 +55,17 @@ class TestExamples:
         assert "fused speedup" in out
         assert "aggregate utilization" in out
 
-    @pytest.mark.slow
     def test_particle_octants(self):
         out = run_example("particle_octants.py", timeout=300)
         assert "octant populations" in out
         assert "dense: True" in out
 
-    @pytest.mark.slow
     def test_scan_algorithms(self):
         out = run_example("scan_algorithms_demo.py", timeout=300)
         assert "globally sorted = True" in out
 
-    @pytest.mark.slow
     def test_summed_area_table(self):
-        out = run_example("summed_area_table.py", timeout=300)
+        out = run_example("summed_area_table.py", "512", "256")
         assert "MISMATCH" not in out
         assert out.count("ok") >= 5
 

@@ -10,6 +10,7 @@ path (poison-tested like the disabled tracer).
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,11 +18,14 @@ import pytest
 from repro import global_reduce
 from repro.analysis import engine_session_to_chrome_trace
 from repro.engine import Engine
-from repro.errors import EngineSaturated
+from repro.engine.resilience import RetryPolicy, SupervisorConfig
+from repro.errors import EngineSaturated, SpmdError
+from repro.faults import FailStop, FaultPlan
 from repro.obs import render_prometheus
 from repro.obs.telemetry import (
     LIFECYCLE_STATES,
     NULL_ENGINE_TELEMETRY,
+    STATS_METRICS,
     EngineTelemetry,
     SnapshotRing,
 )
@@ -34,6 +38,12 @@ def _job(comm):
 
 def _failing_job(comm):
     raise RuntimeError("boom")
+
+
+def _counters(tel):
+    """The counters of a fresh snapshot (counts are the engine's own,
+    written into the registry when a snapshot is taken)."""
+    return tel.snapshot()["metrics"]["counters"]
 
 
 def _gated_job(gate):
@@ -75,9 +85,7 @@ class TestJobLifecycle:
             with pytest.raises(Exception):
                 h.result()
             assert h.lifecycle.state == "failed"
-            assert eng.telemetry.registry.counter(
-                "engine.jobs.failed"
-            ).value == 1
+            assert _counters(eng.telemetry)["engine.jobs.failed"] == 1
 
     def test_cancelled_pending_job(self):
         gate = threading.Event()
@@ -101,7 +109,7 @@ class TestJobLifecycle:
             eng.submit(_job, nprocs=2, block=False)  # fills the queue
             with pytest.raises(EngineSaturated):
                 eng.submit(_job, nprocs=2, block=False, session="t")
-            assert tel.registry.counter("engine.jobs.rejected").value == 1
+            assert _counters(tel)["engine.jobs.rejected"] == 1
             rejected = [
                 lc for lc in tel.recent_jobs() if lc.state == "saturated"
             ]
@@ -132,10 +140,8 @@ class TestJobLifecycle:
             fresh = eng.telemetry
             assert fresh is not old
             eng.submit(_job, nprocs=2).result()
-            assert old.registry.counter("engine.jobs.submitted").value == 1
-            assert fresh.registry.counter(
-                "engine.jobs.submitted"
-            ).value == 1
+            assert _counters(old)["engine.jobs.submitted"] == 1
+            assert _counters(fresh)["engine.jobs.submitted"] == 1
             assert fresh.latency_summary()["e2e_s"]["count"] == 1
             eng.set_telemetry(False)
             h = eng.submit(_job, nprocs=2)
@@ -214,6 +220,203 @@ class TestSchedulerMetrics:
                 eng.submit(_job, nprocs=2).result()
         assert len(tel.intervals()) == 4
         assert tel.interval_drops == 6 * 2 - 4
+
+
+def _flaky_job():
+    """A job whose first attempt fails and whose second succeeds."""
+    attempts = []
+
+    def fn(comm):
+        if comm.rank == 0:
+            attempts.append(comm.rank)
+            if len(attempts) == 1:
+                raise RuntimeError("transient")
+        return comm.rank
+
+    return fn
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.005)
+
+
+#: A backoff long enough that a failed attempt stays parked for as long
+#: as a test wants to look at it.
+_PARKED = RetryPolicy(max_attempts=2, backoff_base=60.0, backoff_max=60.0)
+
+#: What a flat thread-backend engine exports, recorded from the commit
+#: before the counts moved out of the hooks: names and kinds are API
+#: (dashboards and scrape configs are written against them).
+_FLAT_SURFACE = [
+    ("engine.capacity.degraded", "gauge"),
+    ("engine.capacity.effective", "gauge"),
+    ("engine.job.e2e_seconds", "histogram"),
+    ("engine.job.exec_seconds", "histogram"),
+    ("engine.job.queue_wait_seconds", "histogram"),
+    ("engine.job.virtual_seconds", "histogram"),
+    ("engine.jobs.cancelled", "counter"),
+    ("engine.jobs.completed", "counter"),
+    ("engine.jobs.failed", "counter"),
+    ("engine.jobs.inflight", "gauge"),
+    ("engine.jobs.leaked_messages", "counter"),
+    ("engine.jobs.reaped", "counter"),
+    ("engine.jobs.rejected", "counter"),
+    ("engine.jobs.retried", "counter"),
+    ("engine.jobs.shrunk", "counter"),
+    ("engine.jobs.submitted", "counter"),
+    ("engine.kernel_cache.hit_rate", "gauge"),
+    ("engine.kernel_cache.hits", "gauge"),
+    ("engine.kernel_cache.misses", "gauge"),
+    ("engine.placement.gang_spread", "gauge"),
+    ("engine.placement.gangs", "gauge"),
+    ("engine.placement.single_node_gangs", "gauge"),
+    ("engine.queue.depth", "gauge"),
+    ("engine.ranks.busy_fraction", "gauge"),
+    ("engine.ranks.free", "gauge"),
+    ("engine.ranks.quarantined", "gauge"),
+    ("engine.ranks.quarantines", "counter"),
+    ("engine.ranks.revivals", "counter"),
+    ("engine.schedule_cache.hit_rate", "gauge"),
+    ("engine.schedule_cache.hits", "gauge"),
+    ("engine.schedule_cache.misses", "gauge"),
+]
+
+_FLAT_PROMETHEUS_TYPES = [
+    "# TYPE repro_engine_uptime_seconds gauge",
+    "# TYPE repro_engine_rank_busy_fraction gauge",
+    "# TYPE repro_engine_rank_jobs_total counter",
+    "# TYPE repro_engine_capacity_degraded gauge",
+    "# TYPE repro_engine_capacity_effective gauge",
+    "# TYPE repro_engine_job_e2e_seconds summary",
+    "# TYPE repro_engine_job_exec_seconds summary",
+    "# TYPE repro_engine_job_queue_wait_seconds summary",
+    "# TYPE repro_engine_job_virtual_seconds summary",
+    "# TYPE repro_engine_jobs_cancelled_total counter",
+    "# TYPE repro_engine_jobs_completed_total counter",
+    "# TYPE repro_engine_jobs_failed_total counter",
+    "# TYPE repro_engine_jobs_inflight gauge",
+    "# TYPE repro_engine_jobs_leaked_messages_total counter",
+    "# TYPE repro_engine_jobs_reaped_total counter",
+    "# TYPE repro_engine_jobs_rejected_total counter",
+    "# TYPE repro_engine_jobs_retried_total counter",
+    "# TYPE repro_engine_jobs_shrunk_total counter",
+    "# TYPE repro_engine_jobs_submitted_total counter",
+    "# TYPE repro_engine_kernel_cache_hit_rate gauge",
+    "# TYPE repro_engine_kernel_cache_hits gauge",
+    "# TYPE repro_engine_kernel_cache_misses gauge",
+    "# TYPE repro_engine_placement_gang_spread gauge",
+    "# TYPE repro_engine_placement_gangs gauge",
+    "# TYPE repro_engine_placement_single_node_gangs gauge",
+    "# TYPE repro_engine_queue_depth gauge",
+    "# TYPE repro_engine_ranks_busy_fraction gauge",
+    "# TYPE repro_engine_ranks_free gauge",
+    "# TYPE repro_engine_ranks_quarantined gauge",
+    "# TYPE repro_engine_ranks_quarantines_total counter",
+    "# TYPE repro_engine_ranks_revivals_total counter",
+    "# TYPE repro_engine_schedule_cache_hit_rate gauge",
+    "# TYPE repro_engine_schedule_cache_hits gauge",
+    "# TYPE repro_engine_schedule_cache_misses gauge",
+]
+
+
+class TestOneSetOfBooks:
+    """Counts and levels are the engine's (``Engine.stats()``); a
+    snapshot copies them out through ``STATS_METRICS``, so the two
+    halves of one frame cannot disagree whatever path a job left by."""
+
+    def test_metrics_agree_with_engine_stats(self):
+        gate = threading.Event()
+        crash_rank_1 = FaultPlan(
+            seed=1, failstops=(FailStop(rank=1, at_op=1),)
+        )
+        quick_probe = SupervisorConfig(interval=0.02, probe_after=0.05)
+        with Engine(4, queue_depth=1, supervisor=quick_probe) as eng:
+            eng.submit(_job).result()  # before the bind: not in the series
+            base = eng.stats()
+            eng.set_telemetry(True)
+            eng.submit(_job).result()
+            with pytest.raises(SpmdError):
+                eng.submit(_failing_job).result()
+            eng.submit(
+                _flaky_job(), retry_policy=RetryPolicy(backoff_base=0.001)
+            ).result()
+            blocker = eng.submit(_gated_job(gate))
+            pending = eng.submit(_job)
+            with pytest.raises(EngineSaturated):
+                eng.submit(_job, block=False)
+            assert pending.cancel()
+            gate.set()
+            blocker.result()
+            parked = eng.submit(_failing_job, retry_policy=_PARKED)
+            _wait_for(lambda: eng.stats()["retry_backlog"] == 1)
+            assert parked.cancel()
+            survived = eng.submit(_job, fault_plan=crash_rank_1).result()
+            assert survived.failed_ranks == {1}
+            # Revived on an idle pool: no job follows to refresh a gauge.
+            _wait_for(lambda: eng.stats()["revivals"] == 1)
+            frame = eng.telemetry.snapshot()
+        counters = frame["metrics"]["counters"]
+        gauges = frame["metrics"]["gauges"]
+        stats = frame["engine"]
+        for name, key in STATS_METRICS.items():
+            value = stats
+            for part in key.split("."):
+                value = None if value is None else value[part]
+            if value is None or value == {}:
+                assert not any(g.startswith(name) for g in gauges), name
+            elif name in counters:
+                assert counters[name] == value - base[key], name
+            else:
+                if isinstance(value, list):
+                    value = len(value)
+                assert gauges[name] == value, name
+        assert counters["engine.jobs.submitted"] == 7
+        assert counters["engine.jobs.completed"] == 4
+        assert counters["engine.jobs.failed"] == 1
+        assert counters["engine.jobs.cancelled"] == 2
+        assert counters["engine.jobs.retried"] == 2
+        assert counters["engine.jobs.rejected"] == 1
+        assert counters["engine.ranks.quarantines"] == 1
+        assert gauges["engine.ranks.free"] == stats["free_ranks"] == 4
+
+    def test_shutdown_closes_a_parked_lifecycle_once(self):
+        """``shutdown(drain=False)`` with a job parked in backoff: the
+        failed attempt's lifecycle went terminal when it was parked and
+        must not be closed (and billed as busy time) a second time."""
+        eng = Engine(4, telemetry=True)
+        tel = eng.telemetry
+        try:
+            handle = eng.submit(_failing_job, retry_policy=_PARKED)
+            _wait_for(lambda: eng.stats()["retry_backlog"] == 1)
+            assert handle.lifecycle is None  # the attempt is over
+            intervals, busy = tel.intervals(), list(tel._busy)
+            history = [id(lc) for lc in tel.recent_jobs(64)]
+            time.sleep(0.05)  # backoff time a second close would bill
+        finally:
+            eng.shutdown(drain=False)
+        assert tel.intervals() == intervals
+        assert tel._busy == busy
+        assert [id(lc) for lc in tel.recent_jobs(64)] == history
+        assert len(set(history)) == len(history) == 1
+        assert tel.recent_jobs()[0].state == "retrying"
+        assert tel.snapshot()["engine"]["cancelled"] == 1
+
+    def test_exported_surface_is_pinned(self):
+        with Engine(4, telemetry=True) as eng:
+            eng.submit(_job, nprocs=2).result()
+            metrics = eng.telemetry.snapshot()["metrics"]
+            text = render_prometheus(eng.telemetry)
+        surface = sorted(
+            (name, kind[:-1])
+            for kind in ("counters", "gauges", "histograms")
+            for name in metrics[kind]
+        )
+        assert surface == _FLAT_SURFACE
+        types = [l for l in text.splitlines() if l.startswith("# TYPE")]
+        assert types == _FLAT_PROMETHEUS_TYPES
 
 
 class TestRegistryThreadSafety:

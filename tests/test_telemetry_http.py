@@ -22,6 +22,8 @@ from repro.engine.top import fetch_snapshot, render_frame, run_top
 from repro.obs.telemetry import NULL_ENGINE_TELEMETRY
 from repro.ops import SumOp
 
+from tests.conftest import fresh_env
+
 
 def _job(comm):
     return global_reduce(comm, SumOp(), np.arange(8.0) + comm.rank)
@@ -139,8 +141,7 @@ class TestServeCli:
                 "--trace-out", str(trace_out),
             ],
             capture_output=True, text=True, timeout=120,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
+            env=fresh_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "metrics:" in proc.stdout  # announces the bound endpoint
@@ -171,8 +172,7 @@ class TestServeCli:
                 "--metrics-port", str(port), "--linger", "20",
             ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
+            env=fresh_env(),
         )
         try:
             url = f"http://127.0.0.1:{port}"
@@ -184,8 +184,7 @@ class TestServeCli:
                     "--url", url, "--once",
                 ],
                 capture_output=True, text=True, timeout=30,
-                env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-                cwd="/root/repo",
+                env=fresh_env(),
             )
             assert top.returncode == 0, top.stderr
             assert "repro engine top — pool 2 ranks" in top.stdout
