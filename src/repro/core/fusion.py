@@ -18,16 +18,18 @@ Fused results are bit-identical to the corresponding sequence of
 blocking calls, for every operator (commutative or not):
 
 * an entry joins a wave only if its *own* ``algorithm="auto"`` choice
-  would be recursive doubling (true for every non-splittable state —
+  (the communicator's answer, from the *world's* table) would be
+  recursive doubling (true for every non-splittable state —
   scalars, objects, tuple states — and for splittable arrays under the
   tuned byte threshold); the wave itself is pinned to recursive
   doubling, so each member goes through exactly the association order
   its blocking call would have used;
-* entries whose auto choice is a segmenting schedule (large splittable
-  arrays routed to ring/Rabenseifner) are dispatched as *individual*
-  nonblocking collectives with ``algorithm="auto"`` — again the blocking
-  association order — because fusing them would trade away their
-  bandwidth-optimal schedule for no latency win.
+* entries whose auto choice is anything else (large splittable arrays
+  routed to ring/Rabenseifner, or to ``hierarchical`` by a fabric's own
+  table) are dispatched as *individual* nonblocking collectives with
+  ``algorithm="auto"`` — again the blocking association order — because
+  fusing them would trade away their bandwidth-optimal schedule for no
+  latency win.
 
 A wave whose *own* auto choice is recursive doubling too (always, for
 the non-splittable product state; under the byte threshold for a
@@ -35,10 +37,13 @@ concatenated array) is issued as ``"auto"`` rather than by name, which
 lets it take the tuner's fitted fan-out: the radix moves rounds and
 messages, never the association.
 
-The fuse-or-dispatch watermark comes from the same fitted
-:class:`~repro.mpi.tuning.DecisionTable` as ``algorithm="auto"``
-(``python -m repro tune`` fits both), so the two decisions share one
-cost model.
+The fuse-or-dispatch watermark is the ``fusion`` band of that same
+:class:`~repro.mpi.tuning.DecisionTable` (``python -m repro tune`` fits
+both, per fabric), so the two decisions share one cost model.
+
+Phases are the driver's own (:mod:`repro.core.reduce`): accumulate at
+``add``, generate at delivery, and between them a ``combine`` span
+around the wait, named for the wave (``fused[K]``) or a lone operator.
 
 Failure semantics: waves ride the nonblocking request layer, so a peer
 fail-stop surfaces as ``RankFailedError`` from ``waitall()``/
@@ -51,17 +56,18 @@ collective.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.operator import ReduceScanOp
-from repro.core.reduce import accumulate_local, accumulate_local_many, wire_op
-from repro.errors import CommunicatorError
+from repro.core.reduce import _generate, accumulate_local_many, wire_op
 from repro.localview.api import _as_op
 from repro.mpi import tuning as _tuning
 from repro.mpi.comm import Communicator
 from repro.mpi.op import Op
+from repro.obs.tracer import NULL_SPAN
 from repro.util.sizing import payload_nbytes
 
 __all__ = ["PendingReduction", "ReductionBucket", "global_reduce_many"]
@@ -96,12 +102,13 @@ def _wave_op(member_ops: Sequence[Op]) -> Op:
 class PendingReduction:
     """Handle to one reduction queued in a :class:`ReductionBucket`."""
 
-    __slots__ = ("op_name", "_wire", "_state", "_generate", "_bucket",
-                 "_result", "_done")
+    __slots__ = ("op_name", "nbytes", "_wire", "_state", "_generate",
+                 "_bucket", "_result", "_done")
 
     def __init__(self, bucket: "ReductionBucket", wire: Op, state: Any,
                  generate: Callable[[Any], Any] | None):
         self.op_name = wire.name
+        self.nbytes = payload_nbytes(state)  # as queued: combining may grow it
         self._wire = wire
         self._state = state
         self._generate = generate
@@ -131,7 +138,7 @@ class ReductionBucket:
     Usable directly (``add``/``allreduce`` then ``waitall``) or as a
     context manager via :meth:`repro.mpi.comm.Communicator.fused`.
     Queued entries fuse until the pending bytes cross ``max_bytes``
-    (default: the fitted threshold from ``repro.mpi.tuning``), which
+    (default: the ``fusion`` threshold of the world's table), which
     flushes a wave as a *nonblocking* collective — so waves themselves
     overlap — and ``waitall()`` flushes the remainder and completes
     everything.
@@ -140,7 +147,10 @@ class ReductionBucket:
     def __init__(self, comm: Communicator, *, max_bytes: int | None = None):
         self._comm = comm
         if max_bytes is None:
-            max_bytes = _tuning.fusion_flush_bytes(comm.size)
+            fabric = comm.context.world.topology.signature
+            max_bytes = _tuning.fusion_flush_bytes(
+                comm.size, table=_tuning.get_decision_table(fabric)
+            )
         self._max_bytes = max_bytes
         self._queue: list[PendingReduction] = []
         self._queued_bytes = 0
@@ -159,8 +169,7 @@ class ReductionBucket:
         :func:`repro.core.reduce.global_reduce` with ``root=None``): the
         accumulate phase runs now, the combine wave is deferred, and the
         generate phase runs at delivery."""
-        state = accumulate_local(self._comm, op, values, accum_rate=accum_rate)
-        return self._enqueue(wire_op(op), state, op.red_gen)
+        return self.add_many([op], values, accum_rate=accum_rate)[0]
 
     def add_many(
         self,
@@ -177,7 +186,9 @@ class ReductionBucket:
             self._comm, ops, values, accum_rate=accum_rate
         )
         return [
-            self._enqueue(wire_op(op), state, op.red_gen)
+            self._enqueue(
+                wire_op(op), state, partial(_generate, self._comm, op)
+            )
             for op, state in zip(ops, states)
         ]
 
@@ -203,20 +214,16 @@ class ReductionBucket:
             self._dispatch([pending], fused=False)
             return pending
         self._queue.append(pending)
-        self._queued_bytes += payload_nbytes(state)
+        self._queued_bytes += pending.nbytes
         if self._queued_bytes > self._max_bytes and len(self._queue) > 1:
             self.flush()
         return pending
 
     def _auto_is_doubling(self, value: Any, op: Op) -> bool:
-        """Would ``algorithm="auto"`` run this allreduce on recursive
-        doubling (at whatever radix)?"""
-        comm = self._comm
-        nbytes, splittable = comm._tuning_inputs(value, op, comm.size)
-        choice = _tuning.choose_allreduce(
-            nbytes, comm.size, op.commutative, splittable
-        )
-        return choice == "recursive_doubling"
+        """Would ``algorithm="auto"`` run this allreduce on the doubling
+        schedule (at whatever radix)?"""
+        algorithm, _radix = self._comm._auto_choice("allreduce", value, op)
+        return algorithm == _tuning.RADIX_SCHEDULES["allreduce"]
 
     # -- flushing ----------------------------------------------------------
 
@@ -241,7 +248,7 @@ class ReductionBucket:
             m.counter("fusion.waves_saved").inc(len(entries) - 1)
             m.histogram("fusion.wave.members").observe(len(entries))
             m.histogram("fusion.wave.nbytes").observe(
-                sum(payload_nbytes(e._state) for e in entries)
+                sum(e.nbytes for e in entries)
             )
         homogeneous = self._concat_wave(entries)
         if homogeneous is not None:
@@ -289,7 +296,7 @@ class ReductionBucket:
             wave, first,
             algorithm=(
                 "auto" if self._auto_is_doubling(wave, first)
-                else "recursive_doubling"
+                else _tuning.RADIX_SCHEDULES["allreduce"]
             ),
         )
         return (req, entries, deliver)
@@ -310,8 +317,19 @@ class ReductionBucket:
         every handle's ``result()`` is ready."""
         self.flush()
         inflight, self._inflight = self._inflight, []
+        tr = self._comm.tracer
         for req, entries, deliver in inflight:
-            deliver(req.wait(), entries)
+            # A wave's members share its rounds, so the wait goes under
+            # the wave's name; a lone dispatch keeps its operator's.
+            k = len(entries)
+            with (
+                tr.span("combine", phase="combine",
+                        op=entries[0].op_name if k == 1 else f"fused[{k}]",
+                        nbytes=sum(e.nbytes for e in entries))
+                if tr.enabled else NULL_SPAN
+            ):
+                raw = req.wait()
+            deliver(raw, entries)
 
     def __enter__(self) -> "ReductionBucket":
         return self

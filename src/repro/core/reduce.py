@@ -14,6 +14,15 @@
 The accumulate phase runs locally with no communication; the combine
 phase is one local-view reduction of the per-rank states; the generate
 phase translates the final state to the output type.
+
+Each phase is written once, here; :func:`global_reduce` (plain or
+pipelined), the waves of :mod:`repro.core.fusion` and the scans of
+:mod:`repro.core.scan` compose them.  Every fold — whole block, column
+chunk, fused member — is counted (``kernels.accum.<kind>``), offered to
+the process backend and charged in one body; ``algorithm="auto"`` is the
+communicator's decision alone (a driver that must know it first asks
+``Communicator._auto_choice``); a phase span opens as ``tr.span(...) if
+tr.enabled else NULL_SPAN`` around one body.
 """
 
 from __future__ import annotations
@@ -22,13 +31,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.kernels import Kernel, batched_accumulate
+from repro.core.kernels import batched_accumulate
 from repro.core.operator import ReduceScanOp
 from repro.errors import OperatorError
 from repro.localview.api import LOCAL_ALLREDUCE, LOCAL_REDUCE
-from repro.mpi import tuning as _tuning
 from repro.mpi.comm import Communicator
 from repro.mpi.op import Op
+from repro.obs.tracer import NULL_SPAN
 from repro.runtime.channels import MISS as _proc_MISS
 from repro.util.sizing import payload_nbytes
 
@@ -42,6 +51,11 @@ __all__ = [
 #: Target chunk size for the overlapped accumulate/combine pipeline.
 _OVERLAP_CHUNK_BYTES = 64 * 1024
 
+#: Allreduce schedules whose per-element association order does not
+#: depend on where the state is cut (ring's rotation and the
+#: hierarchical schedule's node-local ring follow segment boundaries).
+_CUT_INVARIANT = ("recursive_doubling", "rabenseifner")
+
 
 def wire_op(op: ReduceScanOp) -> Op:
     """Lower a global-view operator's combine function to a wire-level
@@ -51,7 +65,7 @@ def wire_op(op: ReduceScanOp) -> Op:
         op.combine,
         commutative=op.commutative,
         identity=op.ident,
-        elementwise=getattr(op, "elementwise", False),
+        elementwise=op.elementwise,
         name=op.name,
     )
 
@@ -69,13 +83,7 @@ def accumulate_local(
     Charges ``len(values)`` elements of virtual time at ``accum_rate``
     (or the operator's own ``accum_rate``) when one is set.
     """
-    tr = comm.tracer
-    if not tr.enabled:
-        return _accumulate_impl(comm, op, values, accum_rate)
-    with tr.span("accumulate", phase="accumulate", op=op.name) as sp:
-        state = _accumulate_impl(comm, op, values, accum_rate)
-        sp.add(nbytes=payload_nbytes(values), elements=len(values))
-    return state
+    return _accumulate_impl(comm, op, values, accum_rate, len(values))
 
 
 def accumulate_local_many(
@@ -95,31 +103,19 @@ def accumulate_local_many(
     as K sequential calls — only the wall-clock data movement is shared.
     """
     n = len(values)
-    if len(ops) < 2 or n == 0:
-        return [
-            accumulate_local(comm, op, values, accum_rate=accum_rate)
-            for op in ops
-        ]
-    tr = comm.tracer
-    states = batched_accumulate(
-        ops, values, cache=comm.context.world.kernel_cache,
-        metrics=tr.metrics if tr.enabled else None,
-    )
-    nbytes = payload_nbytes(values)
-    for op in ops:
-        rate = accum_rate if accum_rate is not None else op.accum_rate
-        if not tr.enabled:
-            if rate is not None:
-                comm.charge_elements(rate, n, f"accum:{op.name}")
-            continue
-        # Virtual time only advances inside charge_elements, so per-op
-        # spans around the charges attribute phases exactly as K
-        # sequential accumulate_local calls would.
-        with tr.span("accumulate", phase="accumulate", op=op.name) as sp:
-            sp.add(nbytes=nbytes, elements=n)
-            if rate is not None:
-                comm.charge_elements(rate, n, f"accum:{op.name}")
-    return states
+    world = comm.context.world
+    # The sweep runs under this process's GIL, so with a process backend
+    # each fold is offered to this rank's worker instead.
+    if len(ops) > 1 and n > 0 and world.proc_pool is None:
+        swept = batched_accumulate(
+            ops, values, cache=world.kernel_cache, metrics=comm.tracer.metrics
+        )
+    else:
+        swept = [_proc_MISS] * len(ops)
+    return [
+        _accumulate_impl(comm, op, values, accum_rate, n, state)
+        for op, state in zip(ops, swept)
+    ]
 
 
 def _accumulate_impl(
@@ -127,41 +123,44 @@ def _accumulate_impl(
     op: ReduceScanOp,
     values: Sequence[Any] | np.ndarray,
     accum_rate: str | None,
+    elements: float,
+    state: Any = _proc_MISS,
 ) -> Any:
-    n = len(values)
-    if n == 0:
-        return op.ident()
-    kern = _fold_kernel(comm, op, values)
-    # Process backend: offload the fold to this rank's worker process,
-    # which runs the identical fold; virtual time is charged here, in
-    # the parent, exactly as for the in-process fold — so clocks, traces
-    # and schedules cannot depend on where the fold ran.
-    pool = getattr(comm.context.world, "proc_pool", None)
-    state = (
-        _proc_MISS if pool is None
-        else pool.accumulate(comm.context.rank, op, values)
-    )
-    if state is _proc_MISS:
-        state = op.pre_accum(op.ident(), values[0])
-        state = kern.accumulate(op, state, values)
-        state = op.post_accum(state, values[n - 1])
-    rate = accum_rate if accum_rate is not None else op.accum_rate
-    if rate is not None:
-        comm.charge_elements(rate, n, f"accum:{op.name}")
-    return state
-
-
-def _fold_kernel(
-    comm: Communicator, op: ReduceScanOp, values: Sequence[Any] | np.ndarray
-) -> Kernel:
-    """The kernel that folds this non-empty block, counted under
-    ``kernels.accum.<kind>`` — before the fold and wherever it then
-    runs, so kernel observability cannot depend on the backend."""
-    kern = comm.context.world.kernel_cache.get(op, values)
-    m = comm.tracer.metrics
-    if m.enabled:
-        m.counter(f"kernels.accum.{kern.kind}").inc()
-    return kern
+    """The one fold of one block.  ``elements`` is what it reports and
+    is charged for: the block's length, or an overlapped column chunk's
+    share ``n·(hi-lo)/m`` of it.  ``state`` is the fold's result when a
+    shared sweep has already produced it."""
+    tr = comm.tracer
+    with (
+        tr.span("accumulate", phase="accumulate", op=op.name,
+                nbytes=payload_nbytes(values), elements=elements)
+        if tr.enabled else NULL_SPAN
+    ):
+        n = len(values)
+        if n == 0:
+            return op.ident()
+        world = comm.context.world
+        kern = world.kernel_cache.get(op, values)
+        # Counted before the fold and wherever it then runs, so kernel
+        # observability cannot depend on the backend.
+        m = tr.metrics
+        if m.enabled:
+            m.counter(f"kernels.accum.{kern.kind}").inc()
+        # Process backend: offload the fold to this rank's worker, which
+        # runs the identical fold; virtual time is charged here, in the
+        # parent, exactly as for the in-process fold — so clocks, traces
+        # and schedules cannot depend on where the fold ran.
+        pool = world.proc_pool
+        if state is _proc_MISS and pool is not None:
+            state = pool.accumulate(comm.context.rank, op, values)
+        if state is _proc_MISS:
+            state = op.pre_accum(op.ident(), values[0])
+            state = kern.accumulate(op, state, values)
+            state = op.post_accum(state, values[n - 1])
+        rate = accum_rate if accum_rate is not None else op.accum_rate
+        if rate is not None:
+            comm.charge_elements(rate, elements, f"accum:{op.name}")
+        return state
 
 
 def global_reduce(
@@ -205,16 +204,16 @@ def global_reduce(
         Cost-model overrides; default to the operator's own settings.
     algorithm:
         Combine-phase schedule, forwarded to the local-view layer.  The
-        default ``"auto"`` consults :mod:`repro.mpi.tuning`'s decision
-        table (operators with ``elementwise = True`` and 1-D array
-        states become eligible for segmenting schedules).
+        default ``"auto"`` is the communicator's choice from its world's
+        decision table (operators with ``elementwise = True`` and 1-D
+        array states become eligible for segmenting schedules).
     overlap:
         ``"auto"`` (default) pipelines accumulate and combine for large
         elementwise column-blocked inputs — the local array is split
         into column chunks and the combine rounds of chunk *i* progress
-        (via nonblocking collectives) while ``accum_block`` runs on
-        chunk *i+1*.  Bit-identical to the unpipelined path; only the
-        virtual makespan changes.  ``"off"`` disables the pipeline.
+        (via nonblocking collectives) while chunk *i+1* accumulates.
+        Bit-identical to the unpipelined path (it stands down wherever
+        it could not be); ``"off"`` disables the pipeline.
 
     Returns
     -------
@@ -226,69 +225,50 @@ def global_reduce(
             "wrap plain functions with make_op()/from_binary()"
         )
     tr = comm.tracer
-    if not tr.enabled:
-        return _global_reduce_impl(
-            comm, op, values, root, fanout, accum_rate, combine_seconds,
-            algorithm, overlap,
+    with tr.span("global_reduce", op=op.name) if tr.enabled else NULL_SPAN:
+        cs = op.combine_seconds if combine_seconds is None else combine_seconds
+        pipelined = (
+            _overlapped_allreduce(comm, op, values, accum_rate, cs)
+            if overlap == "auto" and root is None and algorithm == "auto"
+            else None
         )
-    with tr.span("global_reduce", op=op.name):
-        return _global_reduce_impl(
-            comm, op, values, root, fanout, accum_rate, combine_seconds,
-            algorithm, overlap,
+        state, chunks = pipelined or (
+            accumulate_local(comm, op, values, accum_rate=accum_rate), None
         )
+        with (
+            tr.span("combine", phase="combine", op=op.name,
+                    nbytes=payload_nbytes(state))
+            if tr.enabled else NULL_SPAN
+        ):
+            if chunks is None:
+                total, rcomm = _combine_phase(
+                    comm, op, state, root, fanout, cs, algorithm
+                )
+            else:
+                # Chunk i's rounds progressed while chunk i+1
+                # accumulated; what is left of them is waited out here.
+                total, rcomm = np.concatenate(
+                    [np.atleast_1d(r.wait()) for r in chunks]
+                ), comm
+        if root is not None:
+            # The root answers.  If the group shrank mid-combine and the
+            # root did not survive, every survivor does (rooted semantics
+            # are unsatisfiable without the root).
+            root_world = comm._world_rank(root)
+            if comm.context.rank != root_world and root_world in rcomm._members:
+                return None
+        return _generate(comm, op, total)
 
 
-def _global_reduce_impl(
-    comm: Communicator,
-    op: ReduceScanOp,
-    values: Sequence[Any] | np.ndarray,
-    root: int | None,
-    fanout: int,
-    accum_rate: str | None,
-    combine_seconds: float | None,
-    algorithm: str,
-    overlap: str,
-) -> Any:
+def _generate(comm: Communicator, op: ReduceScanOp, total: Any) -> Any:
+    """The generate phase (Listing 2, line 12), for the plain reduce and
+    for each member a fused wave delivers."""
     tr = comm.tracer
-    cs = op.combine_seconds if combine_seconds is None else combine_seconds
-    if overlap == "auto" and root is None and algorithm == "auto":
-        total = _overlapped_allreduce(
-            comm, op, values, accum_rate=accum_rate, cs=cs
-        )
-        if total is not None:
-            if not tr.enabled:
-                return op.red_gen(total)
-            with tr.span("generate", phase="generate", op=op.name):
-                return op.red_gen(total)
-    state = accumulate_local(comm, op, values, accum_rate=accum_rate)
-    shrunk = False
-    if tr.enabled:
-        with tr.span("combine", phase="combine", op=op.name) as sp:
-            sp.add(nbytes=payload_nbytes(state))
-            total, shrunk, rcomm = _combine_phase(
-                comm, op, state, root, fanout, cs, algorithm
-            )
-    else:
-        total, shrunk, rcomm = _combine_phase(
-            comm, op, state, root, fanout, cs, algorithm
-        )
-    if root is not None and shrunk:
-        # The group shrank mid-combine: the result goes to the
-        # original root if it survived, to every survivor otherwise
-        # (rooted semantics are unsatisfiable without the root).
-        root_world = comm._world_rank(root)
-        if root_world in rcomm._members and comm.context.rank != root_world:
-            return None
-        if not tr.enabled:
-            return op.red_gen(total)
-        with tr.span("generate", phase="generate", op=op.name):
-            return op.red_gen(total)
-    if root is None or comm.rank == root:
-        if not tr.enabled:
-            return op.red_gen(total)
-        with tr.span("generate", phase="generate", op=op.name):
-            return op.red_gen(total)
-    return None
+    with (
+        tr.span("generate", phase="generate", op=op.name)
+        if tr.enabled else NULL_SPAN
+    ):
+        return op.red_gen(total)
 
 
 def _combine_phase(
@@ -299,8 +279,13 @@ def _combine_phase(
     fanout: int,
     cs: float | None,
     algorithm: str,
-):
+) -> tuple[Any, Communicator]:
+    """The blocking combine: ``(total, communicator it ran on)``."""
     wop = wire_op(op)
+
+    def allreduce(c: Communicator, s: Any) -> Any:
+        return LOCAL_ALLREDUCE(c, wop, s, combine_seconds=cs, algorithm=algorithm)
+
     if comm.context.world.can_fail:
         # Restartable path: the post-accumulate state is the
         # checkpoint; on a combine failure, survivors shrink and
@@ -309,51 +294,39 @@ def _combine_phase(
         # so every survivor can answer if the root dies.
         from repro.core.resilient import resilient_combine
 
-        total, rcomm = resilient_combine(
-            comm, op, state,
-            lambda c, s: LOCAL_ALLREDUCE(
-                c, wop, s,
-                commutative=op.commutative, combine_seconds=cs,
-                algorithm=algorithm,
-            ),
-        )
-        return total, rcomm is not comm, rcomm
+        return resilient_combine(comm, op, state, allreduce)
     if root is None:
-        total = LOCAL_ALLREDUCE(
-            comm, wop, state,
-            commutative=op.commutative, combine_seconds=cs,
-            algorithm=algorithm,
-        )
-    else:
-        total = LOCAL_REDUCE(
-            comm, wop, state,
-            root=root, commutative=op.commutative, fanout=fanout,
-            combine_seconds=cs, algorithm=algorithm,
-        )
-    return total, False, comm
+        return allreduce(comm, state), comm
+    return LOCAL_REDUCE(
+        comm, wop, state, root=root, fanout=fanout,
+        combine_seconds=cs, algorithm=algorithm,
+    ), comm
 
 
 def _overlapped_allreduce(
     comm: Communicator,
     op: ReduceScanOp,
     values: Any,
-    *,
     accum_rate: str | None,
     cs: float | None,
-) -> Any:
-    """The chunked accumulate/combine pipeline.  Returns the combined
-    full state, or None when the input is not eligible.
+) -> tuple[Any, list] | None:
+    """The chunked accumulate/combine pipeline, up to its last issue.
+    Returns ``(stand_in, requests)`` — the whole state's shape and dtype
+    without storage (it never exists in one piece before the combine)
+    and the chunks' in-flight collectives, for the caller's combine
+    phase to wait out — or None when the input is not eligible.
 
     Eligibility: an allreduce-flavored call in a fault-free world, over
     a 2-D column-blocked ndarray (rows are elements, columns are state
     slots), an elementwise operator with the default pre/post hooks, a
-    state large enough that the tuner would segment it, and a combine
-    schedule whose per-element association order is independent of
-    where the state is cut (recursive doubling / Rabenseifner — ring's
-    rotation makes its association depend on segment boundaries, so it
-    bails).  Under those gates the column chunks accumulate and combine
-    bit-identically to the whole, because NumPy's axis-0 reduction is
-    per-column independent and the schedule is pinned per chunk.
+    state large enough that the tuner would segment it, and — asked of
+    the communicator for the whole state — a combine schedule whose
+    per-element association order is independent of where the state is
+    cut (:data:`_CUT_INVARIANT`; on ring, or under a fabric table that
+    routes to ``hierarchical``, the pipeline stands down).  Under those
+    gates the column chunks accumulate and combine bit-identically to
+    the whole, because NumPy's axis-0 reduction is per-column
+    independent and the schedule is pinned per chunk.
 
     Cost accounting: each chunk charges its fraction ``n·(hi-lo)/m`` of
     the accumulate elements at the operator's rate *before* the next
@@ -361,11 +334,9 @@ def _overlapped_allreduce(
     (engine drains on every block) while chunk i+1 accumulates — the
     overlapped time shows up as merged, not summed, virtual time.
     """
-    if comm.size == 1 or comm.context.world.can_fail:
+    if comm.size == 1 or comm.context.world.can_fail or not op.elementwise:
         return None
     if not isinstance(values, np.ndarray) or values.ndim != 2:
-        return None
-    if not getattr(op, "elementwise", False):
         return None
     cls = type(op)
     if (cls.pre_accum is not ReduceScanOp.pre_accum
@@ -377,39 +348,28 @@ def _overlapped_allreduce(
         return None
     # Probe the state dtype on a tiny slice (no virtual-time charges).
     probe = op.accum_block(op.ident(), values[:1, :2])
-    if not isinstance(probe, np.ndarray) or probe.shape != (2,):
-        return None
-    if probe.dtype == object:
+    if (not isinstance(probe, np.ndarray) or probe.shape != (2,)
+            or probe.dtype == object):
         return None
     state_nbytes = m * probe.itemsize
     if state_nbytes <= 2 * _OVERLAP_CHUNK_BYTES:
         return None  # not enough combine work to hide anything behind
     wop = wire_op(op)
-    resolved = _tuning.choose_allreduce(
-        state_nbytes, nprocs, wop.commutative, wop.elementwise and m >= nprocs
-    )
-    if resolved not in ("recursive_doubling", "rabenseifner"):
+    stand_in = np.broadcast_to(probe[:1], (m,))
+    resolved, _radix = comm._auto_choice("allreduce", stand_in, wop)
+    if resolved not in _CUT_INVARIANT:
         return None
     chunk_cols = max(
         nprocs, int(np.ceil(m * _OVERLAP_CHUNK_BYTES / state_nbytes))
     )
     k = max(2, -(-m // chunk_cols))
     bounds = [m * i // k for i in range(k + 1)]
-    rate = accum_rate if accum_rate is not None else op.accum_rate
-    tr = comm.tracer
     requests = []
-    for i in range(k):
-        lo, hi = bounds[i], bounds[i + 1]
-        sub = values[:, lo:hi]
-        if tr.enabled:
-            with tr.span("accumulate", phase="accumulate", op=op.name) as sp:
-                chunk = op.accum_block(op.ident(), sub)
-                sp.add(nbytes=sub.nbytes, elements=n * (hi - lo) / m)
-        else:
-            chunk = op.accum_block(op.ident(), sub)
-        if rate is not None:
-            comm.charge_elements(rate, n * (hi - lo) / m, f"accum:{op.name}")
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = _accumulate_impl(
+            comm, op, values[:, lo:hi], accum_rate, n * (hi - lo) / m
+        )
         requests.append(
             comm.iallreduce(chunk, wop, combine_seconds=cs, algorithm=resolved)
         )
-    return np.concatenate([np.atleast_1d(r.wait()) for r in requests])
+    return stand_in, requests

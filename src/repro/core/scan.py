@@ -32,6 +32,7 @@ from repro.core.reduce import accumulate_local, wire_op
 from repro.errors import OperatorError
 from repro.localview.api import LOCAL_XSCAN
 from repro.mpi.comm import Communicator
+from repro.obs.tracer import NULL_SPAN
 from repro.util.sizing import payload_nbytes
 
 __all__ = ["global_scan", "global_xscan"]
@@ -54,57 +55,32 @@ def _scan_impl(
             "wrap plain functions with make_op()/from_binary()"
         )
     tr = comm.tracer
-    if not tr.enabled:
-        return _scan_phases(
-            comm, op, values,
-            exclusive=exclusive, accum_rate=accum_rate,
-            combine_seconds=combine_seconds, scan_rate=scan_rate,
-            algorithm=algorithm,
-        )
-    with tr.span("global_xscan" if exclusive else "global_scan", op=op.name):
-        return _scan_phases(
-            comm, op, values,
-            exclusive=exclusive, accum_rate=accum_rate,
-            combine_seconds=combine_seconds, scan_rate=scan_rate,
-            algorithm=algorithm,
-        )
-
-
-def _scan_phases(
-    comm: Communicator,
-    op: ReduceScanOp,
-    values: Sequence[Any] | np.ndarray,
-    *,
-    exclusive: bool,
-    accum_rate: str | None,
-    combine_seconds: float | None,
-    scan_rate: str | None,
-    algorithm: str,
-) -> list[Any]:
-    tr = comm.tracer
-    # Accumulate phase (identical to the reduction's).
-    state = accumulate_local(comm, op, values, accum_rate=accum_rate)
-    # Combine phase: exclusive prefix of the per-rank states.  Always
-    # exclusive — each rank needs the combination of *earlier* ranks'
-    # states only; inclusivity is a local property of the generate loop.
-    cs = op.combine_seconds if combine_seconds is None else combine_seconds
-    if tr.enabled:
-        with tr.span("combine", phase="combine", op=op.name) as sp:
-            sp.add(nbytes=payload_nbytes(state))
+    with (
+        tr.span("global_xscan" if exclusive else "global_scan", op=op.name)
+        if tr.enabled else NULL_SPAN
+    ):
+        # Accumulate phase (identical to the reduction's).
+        state = accumulate_local(comm, op, values, accum_rate=accum_rate)
+        # Combine phase: exclusive prefix of the per-rank states.  Always
+        # exclusive — each rank needs the combination of *earlier* ranks'
+        # states only; inclusivity is a local property of the generate
+        # loop.
+        cs = op.combine_seconds if combine_seconds is None else combine_seconds
+        with (
+            tr.span("combine", phase="combine", op=op.name,
+                    nbytes=payload_nbytes(state))
+            if tr.enabled else NULL_SPAN
+        ):
             prefix = _scan_combine(comm, op, state, cs, algorithm)
-    else:
-        prefix = _scan_combine(comm, op, state, cs, algorithm)
-    # Generate phase: walk the local data again, emitting outputs.
-    if tr.enabled:
-        with tr.span("generate", phase="generate", op=op.name) as sp:
-            out = _scan_generate(
+        # Generate phase: walk the local data again, emitting outputs.
+        with (
+            tr.span("generate", phase="generate", op=op.name,
+                    elements=len(values))
+            if tr.enabled else NULL_SPAN
+        ):
+            return _scan_generate(
                 comm, op, prefix, values, exclusive, accum_rate, scan_rate
             )
-            sp.add(elements=len(values))
-        return out
-    return _scan_generate(
-        comm, op, prefix, values, exclusive, accum_rate, scan_rate
-    )
 
 
 def _scan_combine(
@@ -114,6 +90,12 @@ def _scan_combine(
     cs: float | None,
     algorithm: str,
 ) -> Any:
+    def xscan(c: Communicator, s: Any) -> Any:
+        return LOCAL_XSCAN(
+            c, op.ident, wire_op(op), s,
+            combine_seconds=cs, algorithm=algorithm,
+        )
+
     if comm.context.world.can_fail:
         # Restartable path (mirrors global_reduce): the
         # post-accumulate state is the checkpoint; on a combine
@@ -122,20 +104,8 @@ def _scan_combine(
         # survivor's prefix covers its surviving predecessors.
         from repro.core.resilient import resilient_combine
 
-        prefix, _rcomm = resilient_combine(
-            comm, op, state,
-            lambda c, s: LOCAL_XSCAN(
-                c, op.ident, wire_op(op), s,
-                commutative=op.commutative, combine_seconds=cs,
-                algorithm=algorithm,
-            ),
-        )
-        return prefix
-    return LOCAL_XSCAN(
-        comm, op.ident, wire_op(op), state,
-        commutative=op.commutative, combine_seconds=cs,
-        algorithm=algorithm,
-    )
+        return resilient_combine(comm, op, state, xscan)[0]
+    return xscan(comm, state)
 
 
 def _scan_generate(

@@ -815,13 +815,15 @@ class Engine:
         # Last member rank out finalizes, outside the engine lock; the
         # job counts as inflight until its result is assembled, so
         # drain() cannot return with a result still being built.
-        leaked = self._finalize(job)
+        leaked, result, err = self._finalize(job)
         if job.is_probe:
-            # Probes bypass all scheduler accounting; _probe_rank reads
-            # job.status off the done event.
+            # Probes bypass all scheduler accounting and the lock;
+            # _probe_rank reads job.status off the done event.
+            self._settle(job, result, err)
             return
         retry_inline = False
         with self._cv:
+            self._settle(job, result, err)
             self._inflight -= 1
             self._running.discard(job)
             self._leaked_drained += leaked
@@ -861,11 +863,15 @@ class Engine:
         if retry_inline:
             self._admit_due_retries()
 
-    def _finalize(self, job: _Job) -> int:
-        """Assemble the job's result/error; sweep leaked envelopes.
+    def _finalize(
+        self, job: _Job
+    ) -> tuple[int, SpmdResult | None, BaseException | None]:
+        """Sweep the job's leaked envelopes and assemble what it ends
+        with: ``(leaked, result, error)``, one of the last two ``None``.
 
         Runs outside the engine lock, exactly once per job, on the
-        worker thread of the job's last-finishing rank.
+        worker thread of the job's last-finishing rank; the job's status
+        is :meth:`_settle`'s to decide, under the lock.
         """
         world = job.world
         wall = time.perf_counter() - job.t0
@@ -889,35 +895,39 @@ class Engine:
             )
         with job.lock:
             timed_out = job.timed_out
-        err: BaseException | None = None
-        terminal = "failed"
-        if job.cancelled:
-            err = JobCancelled(f"job {job.job_id} cancelled")
-            terminal = "cancelled"
-        elif job.failures:
-            err = SpmdError(
+        if job.failures:
+            return leaked, None, SpmdError(
                 job.failures, rank_states=job.failure_states
             )
-        elif timed_out:
-            err = job.timeout_error
-        if err is None:
-            group_rank = {wr: gr for gr, wr in enumerate(job.members)}
-            dead = world.membership.dead_snapshot()
-            job.result = SpmdResult(
-                returns=job.returns,
-                clocks=clocks,
-                traces=[world.traces[w] for w in job.members],
-                wall_seconds=wall,
-                profile=world.run_capture,
-                failed_ranks=frozenset(group_rank[w] for w in dead),
-            )
-            job.status = "done"
-            job.done_event.set()
-            return leaked
+        if timed_out:
+            return leaked, None, job.timeout_error
+        group_rank = {wr: gr for gr, wr in enumerate(job.members)}
+        dead = world.membership.dead_snapshot()
+        return leaked, SpmdResult(
+            returns=job.returns,
+            clocks=clocks,
+            traces=[world.traces[w] for w in job.members],
+            wall_seconds=wall,
+            profile=world.run_capture,
+            failed_ranks=frozenset(group_rank[w] for w in dead),
+        ), None
+
+    def _settle(
+        self, job: _Job, result: SpmdResult | None, err: BaseException | None
+    ) -> None:
+        """Take ``job`` out of "running": done, cancelled, failed, or
+        parked for a retry.  One critical section for every scheduled
+        job (the caller holds the engine lock), so a ``cancel()`` lands
+        wholly before it — and is read here — or wholly after, on a job
+        that is parked or terminal; never in between, counted twice."""
         policy = job.retry_policy
-        if (
-            terminal == "failed"
-            and policy is not None
+        if job.cancelled:
+            job.status = "cancelled"
+            job.error = JobCancelled(f"job {job.job_id} cancelled")
+        elif err is None:
+            job.status, job.result = "done", result
+        elif (
+            policy is not None
             and not self._closed
             and policy.should_retry(job.attempt, err)
         ):
@@ -928,11 +938,10 @@ class Engine:
             # error (with its rank_states) is what surfaces.
             job.last_error = err
             job.status = "retrying"
-            return leaked
-        job.error = err
-        job.status = terminal
+            return
+        else:
+            job.status, job.error = "failed", err
         job.done_event.set()
-        return leaked
 
     # -- self-healing internals (called by the Supervisor) ------------------
 

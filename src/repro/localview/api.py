@@ -28,6 +28,7 @@ from typing import Any, Callable
 
 from repro.mpi.comm import Communicator
 from repro.mpi.op import Op
+from repro.obs.tracer import NULL_SPAN
 from repro.util.sizing import payload_nbytes
 
 __all__ = [
@@ -55,6 +56,20 @@ def _as_op(combine: CombineFn | Op, commutative: bool, identity: IdentFn | None)
     return Op(combine, commutative=commutative, identity=identity)
 
 
+def _local_view(
+    comm: Communicator, name: str, collective: Callable[..., Any],
+    value: Any, op: Op, **options: Any,
+) -> Any:
+    """Run the communicator's ``collective`` on one value per processor,
+    under the routine's combine-phase span when tracing is on."""
+    tr = comm.tracer
+    with (
+        tr.span(name, phase="combine", op=op.name, nbytes=payload_nbytes(value))
+        if tr.enabled else NULL_SPAN
+    ):
+        return collective(value, op, **options)
+
+
 def LOCAL_REDUCE(
     comm: Communicator,
     combine: CombineFn | Op,
@@ -76,19 +91,11 @@ def LOCAL_REDUCE(
     :meth:`~repro.mpi.comm.Communicator.reduce`; the default ``"auto"``
     lets the tuned decision table pick the schedule.
     """
-    op = _as_op(combine, commutative, None)
-    tr = comm.tracer
-    if not tr.enabled:
-        return comm.reduce(
-            value, op, root=root, fanout=fanout,
-            combine_seconds=combine_seconds, algorithm=algorithm,
-        )
-    with tr.span("LOCAL_REDUCE", phase="combine", op=op.name) as sp:
-        sp.add(nbytes=payload_nbytes(value))
-        return comm.reduce(
-            value, op, root=root, fanout=fanout,
-            combine_seconds=combine_seconds, algorithm=algorithm,
-        )
+    return _local_view(
+        comm, "LOCAL_REDUCE", comm.reduce,
+        value, _as_op(combine, commutative, None), root=root, fanout=fanout,
+        combine_seconds=combine_seconds, algorithm=algorithm,
+    )
 
 
 def LOCAL_ALLREDUCE(
@@ -106,17 +113,11 @@ def LOCAL_ALLREDUCE(
     :meth:`~repro.mpi.comm.Communicator.allreduce`; the default
     ``"auto"`` lets the tuned decision table pick the schedule.
     """
-    op = _as_op(combine, commutative, None)
-    tr = comm.tracer
-    if not tr.enabled:
-        return comm.allreduce(
-            value, op, combine_seconds=combine_seconds, algorithm=algorithm
-        )
-    with tr.span("LOCAL_ALLREDUCE", phase="combine", op=op.name) as sp:
-        sp.add(nbytes=payload_nbytes(value))
-        return comm.allreduce(
-            value, op, combine_seconds=combine_seconds, algorithm=algorithm
-        )
+    return _local_view(
+        comm, "LOCAL_ALLREDUCE", comm.allreduce,
+        value, _as_op(combine, commutative, None),
+        combine_seconds=combine_seconds, algorithm=algorithm,
+    )
 
 
 def LOCAL_SCAN(
@@ -136,17 +137,11 @@ def LOCAL_SCAN(
     be computed from the exclusive one without communication, not vice
     versa).
     """
-    op = _as_op(combine, commutative, ident)
-    tr = comm.tracer
-    if not tr.enabled:
-        return comm.scan(
-            value, op, combine_seconds=combine_seconds, algorithm=algorithm
-        )
-    with tr.span("LOCAL_SCAN", phase="combine", op=op.name) as sp:
-        sp.add(nbytes=payload_nbytes(value))
-        return comm.scan(
-            value, op, combine_seconds=combine_seconds, algorithm=algorithm
-        )
+    return _local_view(
+        comm, "LOCAL_SCAN", comm.scan,
+        value, _as_op(combine, commutative, ident),
+        combine_seconds=combine_seconds, algorithm=algorithm,
+    )
 
 
 def LOCAL_XSCAN(
@@ -164,17 +159,11 @@ def LOCAL_XSCAN(
     exactly what makes the exclusive scan's first slot well-defined."""
     if ident is None and not (isinstance(combine, Op) and combine.identity):
         raise TypeError("LOCAL_XSCAN requires an identity function")
-    op = _as_op(combine, commutative, ident)
-    tr = comm.tracer
-    if not tr.enabled:
-        return comm.exscan(
-            value, op, combine_seconds=combine_seconds, algorithm=algorithm
-        )
-    with tr.span("LOCAL_XSCAN", phase="combine", op=op.name) as sp:
-        sp.add(nbytes=payload_nbytes(value))
-        return comm.exscan(
-            value, op, combine_seconds=combine_seconds, algorithm=algorithm
-        )
+    return _local_view(
+        comm, "LOCAL_XSCAN", comm.exscan,
+        value, _as_op(combine, commutative, ident),
+        combine_seconds=combine_seconds, algorithm=algorithm,
+    )
 
 
 def exclusive_from_inclusive_shift(

@@ -23,7 +23,7 @@ from repro.mpi import collectives as _coll
 from repro.mpi import request as _req
 from repro.mpi import tuning as _tuning
 from repro.mpi.op import Op
-from repro.mpi.schedule_cache import ScheduleCache
+from repro.obs.tracer import NULL_SPAN
 from repro.runtime.channels import ANY_SOURCE, ANY_TAG
 from repro.runtime.fabric import contiguous_node_groups
 from repro.runtime.world import RankContext
@@ -257,22 +257,19 @@ class Communicator:
         and topology are both immutable."""
         if self._node_groups_cache is False:
             self._node_groups_cache = contiguous_node_groups(
-                getattr(self._ctx.world, "topology", None), self._members
+                self._ctx.world.topology, self._members
             )
         return self._node_groups_cache
-
-    def _topology_signature(self) -> str:
-        topo = getattr(self._ctx.world, "topology", None)
-        return "flat" if topo is None else topo.signature
 
     def _auto_choice(
         self, kind: str, value: Any, op: Any, combine_seconds: float = 0.0
     ) -> tuple[str, int]:
         """Resolve ``algorithm="auto"`` for one collective call to
-        ``(algorithm, radix)``.
+        ``(algorithm, radix)`` — the one resolver: the global-view
+        drivers that must know the answer before they issue (the
+        overlapped reduce, a fusion bucket) ask here too.
 
-        One lookup in the world's cross-job :class:`ScheduleCache`
-        (attached to every world built by this package): cached
+        One lookup in the world's cross-job ``ScheduleCache``: cached
         constant-decision spans return exactly what the tuning choice
         functions would, amortized across every job sharing the world.
         The world's topology signature joins the decision key: a fabric
@@ -283,12 +280,10 @@ class Communicator:
         """
         commutative = op.commutative if isinstance(op, Op) else True
         nbytes, splittable = self._tuning_inputs(value, op, self.size)
-        cache = getattr(self._ctx.world, "schedule_cache", None)
-        if cache is None:
-            cache = ScheduleCache()
-        return cache.schedule(
+        world = self._ctx.world
+        return world.schedule_cache.schedule(
             kind, nbytes, self.size, commutative, splittable,
-            topology=self._topology_signature(),
+            topology=world.topology.signature,
             combine_seconds=combine_seconds,
             cost_model=self._ctx.cost_model,
         )
@@ -313,48 +308,42 @@ class Communicator:
         ``root`` re-roots a rank-0-rooted plan.
         """
         tr = self._ctx.tracer
-        if tr.enabled:
-            # Blocking reductions and scans name their op on the span
-            # (operands lead with (value, op); nothing else has .name).
-            op = None if request or len(operands) < 2 else operands[1]
-            with tr.span(
-                name, phase="collective", op=getattr(op, "name", None)
-            ):
-                return self._start(
-                    name, kind, operands, algorithm, root, request, options
-                )
-        return self._start(
-            name, kind, operands, algorithm, root, request, options
-        )
-
-    def _start(
-        self, name, kind, operands, algorithm, root, request, options
-    ) -> Any:
-        self._ctx.trace.on_collective(name, kind)
-        ch = self._channel(name)
-        if algorithm == "auto":
-            # (value, op) lead the operands of every tuned kind.  The
-            # radix is auto's alone: a named schedule is the classic one.
-            algorithm, radix = self._auto_choice(
-                kind, *operands[:2], options.get("combine_seconds", 0.0)
+        # Blocking reductions and scans name their op on the span
+        # (operands lead with (value, op); nothing else has .name).
+        with (
+            tr.span(
+                name, phase="collective",
+                op=None if request or len(operands) < 2
+                else getattr(operands[1], "name", None),
             )
-            if radix != 2:
-                options["radix"] = radix
-        schedule = _coll.schedule(
-            kind, algorithm, caller=name, resumable=request
-        )
-        if schedule.groups:
-            # With no hierarchy (flat fabric, or all members on one
-            # node) the plan degrades to the flat schedules internally.
-            options["groups"] = self._node_groups()
-        plan = schedule.plan(ch, *operands, **options)
-        if not schedule.resumable:
-            plan = _finished_plan(plan)
-        if root != 0:
-            plan = _reroot_plan(ch, plan, root)
-        if request:
-            return _req.Request(self._ctx, ch, plan, name=name)
-        return _coll.run_plan(ch, plan)
+            if tr.enabled else NULL_SPAN
+        ):
+            self._ctx.trace.on_collective(name, kind)
+            ch = self._channel(name)
+            if algorithm == "auto":
+                # (value, op) lead the operands of every tuned kind.  The
+                # radix is auto's alone: a named schedule is the classic
+                # one.
+                algorithm, radix = self._auto_choice(
+                    kind, *operands[:2], options.get("combine_seconds", 0.0)
+                )
+                if radix != 2:
+                    options["radix"] = radix
+            schedule = _coll.schedule(
+                kind, algorithm, caller=name, resumable=request
+            )
+            if schedule.groups:
+                # With no hierarchy (flat fabric, or all members on one
+                # node) the plan degrades to the flat schedules internally.
+                options["groups"] = self._node_groups()
+            plan = schedule.plan(ch, *operands, **options)
+            if not schedule.resumable:
+                plan = _finished_plan(plan)
+            if root != 0:
+                plan = _reroot_plan(ch, plan, root)
+            if request:
+                return _req.Request(self._ctx, ch, plan, name=name)
+            return _coll.run_plan(ch, plan)
 
     # -- collectives ----------------------------------------------------------
 

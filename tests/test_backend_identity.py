@@ -16,17 +16,20 @@ ndarray frames, pickled lists of tuples, and the inline fallback for
 the unpicklable segmented lambda.
 """
 
+import pickle
 import random
 
 import numpy as np
 import pytest
 
+from repro.core.fusion import global_reduce_many
 from repro.core.operator import state_equal
 from repro.core.reduce import global_reduce
 from repro.core.scan import global_scan
 from repro.engine import Engine
 from repro.faults.chaos import CHAOS_CASES
 from repro.faults.plan import random_plan
+from repro.ops import MaxOp, MinKOp, SumOp
 
 SIZES = (4, 8, 16)
 N_PER_RANK = 5
@@ -116,6 +119,33 @@ def test_reduce_identity_lossy(case, nprocs, engines):
     )
     assert plan.lossy
     _assert_identical(case, reduce_program, nprocs, engines, fault_plan=plan)
+
+
+def fused_program(comm):
+    x = np.arange(20_000, dtype=np.int64) * (comm.rank + 1)
+    return global_reduce_many(
+        comm, [(SumOp(), x), (MaxOp(), x), (MinKOp(10), x)]
+    )
+
+
+def overlapped_program(comm):
+    block = np.random.default_rng(comm.rank).standard_normal((4, 65536))
+    return global_reduce(comm, SumOp(), block)  # pipelined: 8 column chunks
+
+
+@pytest.mark.parametrize("program", [fused_program, overlapped_program])
+def test_every_entry_point_offers_its_folds(program, engines):
+    """The fused and the overlapped drivers accumulate through the same
+    body as the plain reduce, so their folds reach the workers too —
+    and come back as the thread backend's bytes."""
+    thread_eng, proc_eng = engines[4]
+    frames_before = proc_eng.stats()["ipc"]["frames"]
+    baseline = thread_eng.submit(program).result()
+    via_proc = proc_eng.submit(program).result()
+    assert pickle.dumps(via_proc.returns) == pickle.dumps(baseline.returns)
+    assert via_proc.clocks == baseline.clocks
+    assert via_proc.summary_trace.n_sends == baseline.summary_trace.n_sends
+    assert proc_eng.stats()["ipc"]["frames"] > frames_before
 
 
 def test_grid_actually_offloaded(engines):

@@ -20,6 +20,7 @@ from repro.engine import Engine, RetryPolicy, SupervisorConfig
 from repro.errors import (
     EngineDegraded,
     EngineSaturated,
+    JobCancelled,
     SpmdError,
     SpmdTimeout,
 )
@@ -215,6 +216,51 @@ class TestRetryExecution:
             with pytest.raises(SpmdError):
                 handle.result(timeout=30.0)
         assert handle.attempt == 1  # no policy, no retry
+
+
+class TestCancelInTheFinalizeWindow:
+    """A ``cancel()`` that lands after the last rank's ``_finalize`` has
+    returned and before ``_rank_done`` re-takes the engine lock used to
+    find the job already marked "retrying", take it terminal, and then
+    be counted (and filed in the telemetry history) a second time when
+    ``_rank_done`` got the lock.  The transition out of "running" is one
+    critical section now, so the cancel is seen exactly once."""
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_cancel_is_counted_once(self, monkeypatch, telemetry):
+        def always_raises(comm):
+            raise ValueError("boom")
+
+        cancelled = []
+        finalize = Engine._finalize
+
+        def finalize_then_cancel(engine, job):
+            out = finalize(engine, job)
+            if not cancelled:  # the first attempt's window, exactly once
+                cancelled.append(handle.cancel())
+            return out
+
+        monkeypatch.setattr(Engine, "_finalize", finalize_then_cancel)
+        tel = EngineTelemetry(2) if telemetry else None
+        with Engine(2, telemetry=tel) as engine:
+            handle = engine.submit(
+                always_raises,
+                retry_policy=RetryPolicy(
+                    max_attempts=3, backoff_base=0.2, jitter=0.0
+                ),
+            )
+            with pytest.raises(JobCancelled):
+                handle.result(timeout=30.0)
+            assert engine.drain(timeout=30.0)
+            stats = engine.stats()
+        assert cancelled == [True]
+        assert handle.status == "cancelled"
+        assert (stats["submitted"], stats["cancelled"]) == (1, 1)
+        assert (stats["retried"], stats["failed"]) == (0, 0)
+        if tel is not None:
+            history = tel.recent_jobs()
+            assert len(history) == 1 and history[0].state == "cancelled"
+            assert len(tel.intervals()) == 2  # one per member rank
 
 
 class TestRetryDeterminismGrid:

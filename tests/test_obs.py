@@ -7,10 +7,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis import to_chrome_trace, tracer_to_chrome_trace
-from repro.core import global_reduce, global_scan
+from repro.core import global_reduce, global_reduce_many, global_scan
 from repro.obs import (
     NULL_METRICS,
     NULL_TRACER,
@@ -25,7 +26,7 @@ from repro.obs import (
     profiling,
 )
 from repro.obs.metrics import Histogram
-from repro.ops import CountsOp, SumOp
+from repro.ops import CountsOp, MaxOp, MinKOp, SumOp
 from repro.runtime import cluster_2006, spmd_run
 from repro.runtime.trace import Trace, merge_traces
 
@@ -200,6 +201,61 @@ class TestSpanCapture:
         assert sum_phases["accumulate"]["elements"] > 0
         assert sum_phases["accumulate"]["bytes"] > 0
         assert set(sum_phases) >= {"accumulate", "combine", "generate"}
+
+
+# -- one span tree, whichever entry point ran --------------------------------
+
+
+def _plain_reduce(comm):
+    return global_reduce(comm, SumOp(), np.arange(64.0) + comm.rank)
+
+
+def _overlapped_reduce(comm):
+    # 512 KiB of state: the pipelined path, in 8 column chunks.
+    return global_reduce(comm, SumOp(), np.ones((4, 65536)) * comm.rank)
+
+
+def _fused_reduces(comm):
+    x = np.arange(20_000, dtype=np.int64) * (comm.rank + 1)
+    return global_reduce_many(
+        comm, [(SumOp(), x), (MaxOp(), x), (MinKOp(10), x)]
+    )
+
+
+def _plain_scan(comm):
+    return global_scan(comm, SumOp(), np.arange(64.0))
+
+
+class TestEveryEntryPointEmitsTheThreePhases:
+    """Accumulate and generate under each operator, combine under the
+    operator (or, for a fused wave, the wave: its members share the
+    rounds), and one ``kernels.accum.*`` count per fold performed."""
+
+    @pytest.mark.parametrize("program, ops, combine_op, chunks", [
+        (_plain_reduce, ["sum"], "sum", 1),
+        (_overlapped_reduce, ["sum"], "sum", 8),
+        (_fused_reduces, ["sum", "max", "mink(k=10)"], "fused[3]", 1),
+        (_plain_scan, ["sum"], "sum", 1),
+    ])
+    def test_phases_and_fold_counts(self, program, ops, combine_op, chunks):
+        p = 4
+        tracer = Tracer()
+        spmd_run(program, p, tracer=tracer)
+        by_op = phase_summary(tracer)["ops"]
+        for op in ops:
+            assert by_op[op]["accumulate"]["spans"] == p * chunks
+            assert by_op[op]["accumulate"]["bytes"] > 0
+            assert by_op[op]["generate"]["spans"] == p
+        combine = by_op[combine_op]["combine"]
+        assert combine["spans"] == p and combine["bytes"] > 0
+        # Waiting on the chunks' / the wave's rounds is combine time.
+        assert combine["virtual_seconds"] > 0
+        counters = tracer.metrics.snapshot()["counters"]
+        folds = sum(
+            n for name, n in counters.items()
+            if name.startswith("kernels.accum.")
+        )
+        assert folds == len(ops) * p * chunks
 
 
 # -- charges are leaf spans --------------------------------------------------

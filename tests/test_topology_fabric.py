@@ -23,6 +23,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.fusion import global_reduce_many
 from repro.core.operator import state_equal
 from repro.core.reduce import global_reduce
 from repro.core.scan import global_scan
@@ -37,6 +38,7 @@ from repro.faults.plan import (
 from repro.mpi import tuning as _tuning
 from repro.mpi.op import SUM
 from repro.mpi.schedule_cache import ScheduleCache
+from repro.ops import SumOp
 from repro.runtime import spmd_run
 from repro.runtime.costmodel import CostModel
 from repro.runtime.fabric import (
@@ -479,16 +481,22 @@ class TestPlacement:
 # ---------------------------------------------------------------------------
 
 
-def _hier_table(topology_sig):
-    """A table that sends every large commutative allreduce to the
-    hierarchical schedule on one fabric."""
+def _hier_table(topology_sig, *, everything=False):
+    """A table that sends every large commutative allreduce (with
+    ``everything``, every one the guards leave to the table) to the
+    hierarchical schedule on one fabric, and fuses up to 256 KiB —
+    sixteen times the flat default."""
     B = _tuning.Band
     U = 1 << 62
+    cutoffs = ((U, "hierarchical"),)
+    if not everything:
+        cutoffs = ((65536, "recursive_doubling"),) + cutoffs
     return _tuning.DecisionTable(
-        allreduce=(B(U, ((65536, "recursive_doubling"), (U, "hierarchical"))),),
+        allreduce=(B(U, cutoffs),),
         reduce=_tuning.DEFAULT_TABLE.reduce,
         scan=_tuning.DEFAULT_TABLE.scan,
         source="test",
+        fusion=(B(U, ((262144, "fuse"), (U, "flush"))),),
         topology=topology_sig,
     )
 
@@ -573,6 +581,77 @@ class TestTopologyTuning:
             )
         finally:
             _tuning.set_decision_table(None, topology=sig)
+
+    # The drivers that must know auto's answer before they issue (the
+    # overlapped reduce, a fusion bucket) ask the communicator, so on a
+    # fabric with its own table they agree with the blocking call.
+
+    def test_overlapped_reduce_matches_unpipelined_on_fitted_fabric(self):
+        def prog(comm, overlap):
+            block = np.random.default_rng(comm.rank).standard_normal(
+                (4, 65536)
+            )
+            return global_reduce(comm, SumOp(), block, overlap=overlap)
+
+        sig = "multi_node:4"
+        _tuning.set_decision_table(_hier_table(sig))
+        try:
+            auto, off = (
+                spmd_run(prog, 8, args=(overlap,), topology=multi_node(4))
+                for overlap in ("auto", "off")
+            )
+        finally:
+            _tuning.set_decision_table(None, topology=sig)
+        for a, b in zip(auto.returns, off.returns):
+            assert a.tobytes() == b.tobytes()
+        # The table routes the 512 KiB state to "hierarchical", which is
+        # not cut-invariant: the pipeline stood down rather than differ.
+        assert auto.time == off.time
+        assert auto.summary_trace.n_sends == off.summary_trace.n_sends
+
+    @pytest.mark.parametrize("p", [8, 12, 16])
+    def test_fused_matches_sequential_on_fitted_fabric(self, p):
+        def blocks(rank):
+            rng = np.random.default_rng(100 + rank)
+            return [rng.standard_normal((16, 32)) for _ in range(4)]
+
+        def fused(comm):
+            return global_reduce_many(
+                comm, [(SumOp(), b) for b in blocks(comm.rank)]
+            )
+
+        def sequential(comm):
+            return [global_reduce(comm, SumOp(), b) for b in blocks(comm.rank)]
+
+        sig = "multi_node:4"
+        _tuning.set_decision_table(_hier_table(sig, everything=True))
+        try:
+            got = spmd_run(fused, p, topology=multi_node(4)).returns
+            want = spmd_run(sequential, p, topology=multi_node(4)).returns
+        finally:
+            _tuning.set_decision_table(None, topology=sig)
+        for g, w in zip(got, want):
+            assert [x.tobytes() for x in g] == [x.tobytes() for x in w]
+
+    def test_bucket_flushes_at_the_fabric_tables_threshold(self):
+        def prog(comm):
+            with comm.fused() as bucket:
+                # 3 x 8 KiB crosses the flat 16 KiB watermark, not the
+                # fabric table's 256 KiB: nothing flushes before exit.
+                for _ in range(3):
+                    bucket.allreduce(np.ones(1024), SUM)
+                queued = len(bucket._queue)
+            return bucket._max_bytes, queued
+
+        sig = "multi_node:4"
+        _tuning.set_decision_table(_hier_table(sig))
+        try:
+            on_fabric = spmd_run(prog, 8, topology=multi_node(4)).returns[0]
+            on_flat = spmd_run(prog, 8).returns[0]
+        finally:
+            _tuning.set_decision_table(None, topology=sig)
+        assert on_fabric == (262144, 3)
+        assert on_flat == (_tuning.fusion_flush_bytes(8), 0)
 
     def test_table_roundtrip_preserves_topology(self):
         table = _hier_table("multi_node:4")
