@@ -162,7 +162,6 @@ def run_soak(
         "quarantines": stats["quarantines"],
         "revivals": stats["revivals"],
         "reaped": stats["reaped"],
-        "shrunk": stats["shrunk"],
         "leaked_messages_drained": stats["leaked_messages_drained"],
         "revival_swept_messages": stats["revival_swept_messages"],
         "quarantined_at_end": stats["quarantined_ranks"],
@@ -219,7 +218,7 @@ def render(m: dict) -> str:
         f"{m['healthy_jobs']} first-try OK",
         f"  self-heal         : {m['retries']} retries, "
         f"{m['quarantines']} quarantines, {m['revivals']} revivals, "
-        f"{m['reaped']} reaped, {m['shrunk']} shrunk",
+        f"{m['reaped']} reaped",
         f"  leaked msgs swept : {m['leaked_messages_drained']} at finalize, "
         f"{m['revival_swept_messages']} at revival",
         f"  e2e latency       : p50 {_ms(m['e2e_p50_s'])}, "

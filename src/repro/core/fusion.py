@@ -137,21 +137,18 @@ class ReductionBucket:
 
     Usable directly (``add``/``allreduce`` then ``waitall``) or as a
     context manager via :meth:`repro.mpi.comm.Communicator.fused`.
-    Queued entries fuse until the pending bytes cross ``max_bytes``
-    (default: the ``fusion`` threshold of the world's table), which
-    flushes a wave as a *nonblocking* collective — so waves themselves
-    overlap — and ``waitall()`` flushes the remainder and completes
-    everything.
+    Queued entries fuse until the pending bytes cross the ``fusion``
+    threshold of the world's table, which flushes a wave as a
+    *nonblocking* collective — so waves themselves overlap — and
+    ``waitall()`` flushes the remainder and completes everything.
     """
 
-    def __init__(self, comm: Communicator, *, max_bytes: int | None = None):
+    def __init__(self, comm: Communicator):
         self._comm = comm
-        if max_bytes is None:
-            fabric = comm.context.world.topology.signature
-            max_bytes = _tuning.fusion_flush_bytes(
-                comm.size, table=_tuning.get_decision_table(fabric)
-            )
-        self._max_bytes = max_bytes
+        fabric = comm.context.world.topology.signature
+        self._max_bytes = _tuning.fusion_flush_bytes(
+            comm.size, table=_tuning.get_decision_table(fabric)
+        )
         self._queue: list[PendingReduction] = []
         self._queued_bytes = 0
         self._inflight: list[tuple[Any, list[PendingReduction], Callable]] = []
@@ -345,7 +342,6 @@ def global_reduce_many(
     items: Sequence[tuple[ReduceScanOp, Sequence[Any] | np.ndarray]],
     *,
     accum_rate: str | None = None,
-    max_bytes: int | None = None,
 ) -> list[Any]:
     """Run K global reductions as fused combine waves; returns their
     results in order.  Equivalent to (and bit-identical with)
@@ -356,7 +352,7 @@ def global_reduce_many(
     share one accumulate-phase data sweep (:meth:`ReductionBucket.add_many`)
     when their kernels allow it — the K-operators-one-block case of
     ``comm.fused()`` costs one pass over memory instead of K."""
-    bucket = ReductionBucket(comm, max_bytes=max_bytes)
+    bucket = ReductionBucket(comm)
     items = list(items)
     handles: list[PendingReduction] = []
     i = 0

@@ -105,7 +105,9 @@ def accumulate_local_many(
     n = len(values)
     world = comm.context.world
     # The sweep runs under this process's GIL, so with a process backend
-    # each fold is offered to this rank's worker instead.
+    # each fold is offered to this rank's worker instead (a batch of
+    # GIL-holding fallback kernels is tile-exact too, and the sweep
+    # folds every member whether or not its kernel is).
     if len(ops) > 1 and n > 0 and world.proc_pool is None:
         swept = batched_accumulate(
             ops, values, cache=world.kernel_cache, metrics=comm.tracer.metrics
@@ -149,9 +151,14 @@ def _accumulate_impl(
         # Process backend: offload the fold to this rank's worker, which
         # runs the identical fold; virtual time is charged here, in the
         # parent, exactly as for the in-process fold — so clocks, traces
-        # and schedules cannot depend on where the fold ran.
+        # and schedules cannot depend on where the fold ran.  An
+        # elementwise kernel is one ``ufunc.reduce``, which releases the
+        # GIL by itself: a worker could only add the round trip.
         pool = world.proc_pool
-        if state is _proc_MISS and pool is not None:
+        if (
+            state is _proc_MISS and pool is not None
+            and kern.kind != "elementwise"
+        ):
             state = pool.accumulate(comm.context.rank, op, values)
         if state is _proc_MISS:
             state = op.pre_accum(op.ident(), values[0])

@@ -41,5 +41,5 @@ from repro import _lazy
 __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "core": ("Engine", "Session"),
     "job": ("JobHandle",),
-    "resilience": ("RetryPolicy", "Supervisor", "SupervisorConfig"),
+    "resilience": ("RetryPolicy", "Supervisor"),
 })

@@ -40,7 +40,7 @@ closes admission and either drains or aborts.
 
 Self-healing
 ------------
-A :class:`~repro.engine.resilience.Supervisor` thread (on by default)
+A :class:`~repro.engine.resilience.Supervisor` thread (always on)
 closes the loop between job outcomes and pool health: ranks a finished
 job reports dead are **quarantined** (the gang scheduler skips them)
 and periodically probed back to life; jobs submitted with a
@@ -50,9 +50,8 @@ retryable error are re-run on a fresh
 jobs stuck past their deadline are reaped server-side.  Admission
 control tracks **effective capacity** (pool minus quarantined): a job
 that no longer fits raises :class:`~repro.errors.EngineDegraded` (or
-waits, when blocking) unless submitted with ``allow_shrink=True``, in
-which case it is gang-assembled onto the ranks that remain.  See
-``docs/engine.md`` ("Self-healing").
+waits for revival, when blocking).  See ``docs/engine.md``
+("Self-healing").
 """
 
 from __future__ import annotations
@@ -82,8 +81,8 @@ from repro.runtime.costmodel import CostModel
 from repro.runtime.executor import SpmdResult
 from repro.runtime.world import World
 
+from repro.engine import resilience
 from repro.engine.job import JobHandle, _Job
-from repro.engine.resilience import RetryPolicy, Supervisor, SupervisorConfig
 
 __all__ = ["Engine", "Session"]
 
@@ -118,19 +117,16 @@ class Engine:
     preconfigured instance; the default (off) keeps the submit/schedule
     hot path allocation-free (the same guarantee as disabled tracing).
 
-    ``supervisor`` controls the self-healing layer: ``True`` (default)
-    runs a :class:`~repro.engine.resilience.Supervisor` thread with
-    default :class:`~repro.engine.resilience.SupervisorConfig`; pass a
-    config to tune it, or ``False`` to disable (retries then re-admit
-    inline with no backoff, and quarantine/reaping are off).
+    The self-healing layer is always on: every engine runs one
+    :class:`~repro.engine.resilience.Supervisor` thread, paced by the
+    constants of :mod:`repro.engine.resilience`.
 
     ``backend`` selects the execution backend (see ``docs/backends.md``):
     ``"thread"`` (default) folds accumulate phases in-process — the
     bit-identity oracle; ``"process"`` offloads them to a
     :class:`~repro.runtime.procworld.ProcPool` of forked rank workers
     over shared-memory rings, byte-identical by contract and enforced
-    by the backend identity grid.  ``backend_options`` forwards keyword
-    arguments (``ring_bytes``, ``min_offload_bytes``) to the pool.
+    by the backend identity grid.
 
     ``topology`` installs a :class:`repro.runtime.fabric.Topology` on
     the pool's world (flat by default — bit-identical to the plain cost
@@ -139,11 +135,6 @@ class Engine:
     the lowest-numbered free ranks.  See ``docs/topology.md``.
     """
 
-    #: Default wall-clock budget for joining the pool's worker threads
-    #: at :meth:`shutdown` (previously a hardcoded, undocumented 5.0 s
-    #: inside shutdown itself).  Override per call via ``join_timeout``.
-    DEFAULT_JOIN_TIMEOUT = 5.0
-
     def __init__(
         self,
         nprocs: int,
@@ -151,9 +142,7 @@ class Engine:
         cost_model: CostModel | None = None,
         queue_depth: int = 128,
         telemetry: "bool | EngineTelemetry | None" = False,
-        supervisor: "bool | SupervisorConfig | None" = True,
         backend: str = "thread",
-        backend_options: dict | None = None,
         topology: Any | None = None,
     ):
         if queue_depth < 1:
@@ -172,7 +161,7 @@ class Engine:
             # held mid-acquire by another thread.
             from repro.runtime.procworld import ProcPool
 
-            self._proc_pool = ProcPool(nprocs, **(backend_options or {}))
+            self._proc_pool = ProcPool(nprocs)
             self._world.proc_pool = self._proc_pool
         else:
             self._proc_pool = None
@@ -205,18 +194,11 @@ class Engine:
         self._n_reaped = 0
         self._n_quarantines = 0
         self._n_revivals = 0
-        self._n_shrunk = 0
         self._revival_swept = 0
         # Locality placement counters (guarded by the engine lock).
         self._gangs_placed = 0
         self._spread_sum = 0
         self._single_node_gangs = 0
-        if supervisor is True:
-            self._sup_cfg: SupervisorConfig | None = SupervisorConfig()
-        elif supervisor is False or supervisor is None:
-            self._sup_cfg = None
-        else:
-            self._sup_cfg = supervisor
         self._telemetry.bind(self)  # reads stats(): the books above exist
         self._boxes: list[queue.SimpleQueue] = [
             queue.SimpleQueue() for _ in range(nprocs)
@@ -230,10 +212,7 @@ class Engine:
         ]
         for t in self._threads:
             t.start()
-        self._supervisor = (
-            Supervisor(self, self._sup_cfg).start()
-            if self._sup_cfg is not None else None
-        )
+        self._supervisor = resilience.Supervisor(self).start()
 
     # -- introspection ------------------------------------------------------
 
@@ -310,7 +289,6 @@ class Engine:
                 "reaped": self._n_reaped,
                 "quarantines": self._n_quarantines,
                 "revivals": self._n_revivals,
-                "shrunk": self._n_shrunk,
                 "revival_swept_messages": self._revival_swept,
                 "status": self._status_locked(),
                 "schedule_cache": self._world.schedule_cache.stats(),
@@ -334,7 +312,8 @@ class Engine:
 
     def status(self) -> str:
         """Coarse health: ``"ok"``, ``"degraded"`` (schedulable capacity
-        below the supervisor's ``capacity_floor``) or ``"closed"``."""
+        below :data:`~repro.engine.resilience.CAPACITY_FLOOR` of the
+        pool) or ``"closed"``."""
         with self._lock:
             return self._status_locked()
 
@@ -359,8 +338,7 @@ class Engine:
         session: str | None = None,
         block: bool = True,
         queue_timeout: float | None = None,
-        retry_policy: RetryPolicy | None = None,
-        allow_shrink: bool = False,
+        retry_policy: resilience.RetryPolicy | None = None,
     ) -> JobHandle:
         """Submit ``fn(comm, *args)`` as a job; returns a :class:`JobHandle`.
 
@@ -384,12 +362,11 @@ class Engine:
           contract (:func:`repro.faults.transient_plan`);
         * ``retry_policy`` re-runs retryable failures on a fresh
           :class:`~repro.runtime.world.JobWorld` per attempt (results of
-          an eventual success are bit-identical to a fault-free run);
-        * ``allow_shrink=True`` lets the scheduler gang-assemble the job
-          onto fewer ranks when quarantine has shrunk the pool below
-          ``nprocs``; without it such a job raises
-          :class:`~repro.errors.EngineDegraded` (non-blocking) or waits
-          for revival (blocking).
+          an eventual success are bit-identical to a fault-free run).
+
+        A job asking for more ranks than quarantine has left schedulable
+        raises :class:`~repro.errors.EngineDegraded` (``block=False`` or
+        ``queue_timeout`` expired) or waits for revival (blocking).
 
         ``session`` labels the job's telemetry lifecycle with the
         submitting client (set automatically by :meth:`Session.submit`).
@@ -420,18 +397,13 @@ class Engine:
         )
         # Resolve the first attempt's fault plan up front (the source —
         # possibly a callable — rides along on the job for retries).
-        if retry_policy is not None:
-            plan0 = retry_policy.fault_plan_for(fault_plan, 0)
-        elif callable(fault_plan):
-            plan0 = fault_plan(0)
-        else:
-            plan0 = fault_plan
+        plan0 = fault_plan(0) if callable(fault_plan) else fault_plan
         with self._cv:
             while True:
                 if self._closed:
                     raise EngineClosed("engine is shut down")
                 effective = self._nprocs - len(self._quarantined)
-                degraded_block = (not allow_shrink) and nprocs > effective
+                degraded_block = nprocs > effective
                 if (
                     not degraded_block
                     and len(self._pending) < self._queue_depth
@@ -442,8 +414,8 @@ class Engine:
                     reason = (
                         f"job requests {nprocs} ranks but only {effective} "
                         f"of {self._nprocs} are schedulable "
-                        f"({len(self._quarantined)} quarantined); resubmit "
-                        f"with allow_shrink=True or back off until revival"
+                        f"({len(self._quarantined)} quarantined); back off "
+                        f"until revival"
                     )
                 else:
                     exc_type = EngineSaturated
@@ -477,7 +449,6 @@ class Engine:
             )
             job.fault_plan_source = fault_plan
             job.retry_policy = retry_policy
-            job.allow_shrink = allow_shrink
             job.session = session
             job.admitted_at = time.perf_counter()
             self._next_job_id += 1
@@ -517,7 +488,6 @@ class Engine:
         *,
         drain: bool = True,
         timeout: float | None = None,
-        join_timeout: float | None = None,
     ) -> bool:
         """Close admission and stop the pool.
 
@@ -526,13 +496,11 @@ class Engine:
         cancels every pending/retrying job and aborts every running one
         (their waiters see :class:`~repro.errors.JobCancelled`).
 
-        ``join_timeout`` bounds how long the worker threads get to join
-        afterwards; it defaults to ``timeout`` when that is set, else
-        :data:`DEFAULT_JOIN_TIMEOUT` (5.0 s).  Threads that fail to
-        join within the budget are logged as a warning and the call
-        returns ``False`` — previously the 5 s cap was hardcoded and
-        a wedged pool "shut down" silently.  Idempotent: repeat calls
-        return the first call's join verdict.
+        The worker threads then get ``timeout`` seconds to join, or
+        :data:`~repro.engine.resilience.JOIN_TIMEOUT` (5.0 s) when it
+        is None.  Threads that fail to join within the budget are
+        logged as a warning and the call returns ``False``.
+        Idempotent: repeat calls return the first call's join verdict.
         """
         with self._cv:
             already_joined = self._joined
@@ -560,14 +528,10 @@ class Engine:
             for job in running:
                 job.cancelled = True
                 job.world.abort()
-        if self._supervisor is not None:
-            self._supervisor.stop()
+        self._supervisor.stop()
         for box in self._boxes:
             box.put(None)
-        if join_timeout is None:
-            join_timeout = (
-                self.DEFAULT_JOIN_TIMEOUT if timeout is None else timeout
-            )
+        join_timeout = resilience.JOIN_TIMEOUT if timeout is None else timeout
         join_deadline = time.monotonic() + join_timeout
         stragglers = []
         for t in self._threads:
@@ -666,19 +630,9 @@ class Engine:
         """
         while self._pending:
             job = self._pending[0]
-            want = job.nprocs
-            effective = self._nprocs - len(self._quarantined)
-            if want > effective and job.allow_shrink and effective >= 1:
-                # Degraded pool: gang-assemble onto what remains rather
-                # than queueing forever.  Only quarantine shrinks a job
-                # — contention for free ranks still means waiting.
-                want = effective
-            if want > len(self._free):
+            if job.nprocs > len(self._free):
                 break
             self._pending.popleft()
-            if want != job.nprocs:
-                job.nprocs = want
-                self._n_shrunk += 1
             members = self._assemble_members_locked(job.nprocs)
             self._free.difference_update(members)
             topo = self._world.topology
@@ -821,7 +775,6 @@ class Engine:
             # _probe_rank reads job.status off the done event.
             self._settle(job, result, err)
             return
-        retry_inline = False
         with self._cv:
             self._settle(job, result, err)
             self._inflight -= 1
@@ -829,15 +782,12 @@ class Engine:
             self._leaked_drained += leaked
             self._quarantine_locked(job)
             if job.status == "retrying":
+                # The one way back into the queue: the backoff heap,
+                # drained by the supervisor's tick.
                 self._n_retried += 1
                 delay = job.retry_policy.backoff_seconds(
                     job.attempt, job.job_id
                 )
-                if self._supervisor is None:
-                    # No supervisor thread to wake: re-admit inline,
-                    # immediately (backoff needs someone to keep time).
-                    delay = 0.0
-                    retry_inline = True
                 self._retry_seq += 1
                 heapq.heappush(
                     self._retry_due,
@@ -860,8 +810,6 @@ class Engine:
                     )
             self._dispatch_locked()
             self._cv.notify_all()  # wake drain()ers and submitters
-        if retry_inline:
-            self._admit_due_retries()
 
     def _finalize(
         self, job: _Job
@@ -952,9 +900,6 @@ class Engine:
         fail-stopped inside the job is pulled from the free set and
         withheld from gang assembly until a probe revives it.
         """
-        cfg = self._sup_cfg
-        if cfg is None or not cfg.quarantine or job.world is None:
-            return
         now = time.perf_counter()
         for w in job.world.membership.dead_snapshot():
             if w in self._quarantined:
@@ -965,11 +910,10 @@ class Engine:
             self._n_quarantines += 1
 
     def _degraded_locked(self) -> bool:
-        """Schedulable capacity is below the supervisor's floor."""
-        cfg = self._sup_cfg
-        return cfg is not None and (
+        """Schedulable capacity is below the floor."""
+        return (
             self._nprocs - len(self._quarantined)
-            < cfg.capacity_floor * self._nprocs
+            < resilience.CAPACITY_FLOOR * self._nprocs
         )
 
     def _admit_due_retries(self) -> None:
@@ -1001,7 +945,6 @@ class Engine:
         job.members = ()
         job.timed_out = False
         job.timeout_error = None
-        job.nprocs = job.requested_nprocs  # a prior attempt may have shrunk
         job.admitted_at = time.perf_counter()
         job.status = "pending"
         tel = self._telemetry
@@ -1023,20 +966,19 @@ class Engine:
         Escalation above the per-collective hang watchdog and the
         *client-side* ``JobHandle.result`` timeout: even with no client
         blocked in ``result()``, a job that exceeds its submit-time
-        ``timeout`` (plus the supervisor's grace) is aborted and
-        unwound, so an abandoned wedged job can never hold pool ranks
-        forever.  Pending jobs past their deadline are failed in place.
+        ``timeout`` (plus :data:`~repro.engine.resilience.REAP_GRACE`)
+        is aborted and unwound, so an abandoned wedged job can never
+        hold pool ranks forever.  Pending jobs past their deadline are
+        failed in place.
         """
-        cfg = self._sup_cfg
-        if cfg is None or not cfg.reap:
-            return
+        grace = resilience.REAP_GRACE
         now = time.perf_counter()
         to_abort: list[_Job] = []
         with self._cv:
             for job in self._running:
                 if job.is_probe or job.timeout is None or job.cancelled:
                     continue
-                if now - job.t0 <= job.timeout + cfg.reap_grace:
+                if now - job.t0 <= job.timeout + grace:
                     continue
                 with job.lock:
                     if job.timed_out:
@@ -1045,7 +987,7 @@ class Engine:
             expired = [
                 job for job in self._pending
                 if job.timeout is not None
-                and now - job.admitted_at > job.timeout + cfg.reap_grace
+                and now - job.admitted_at > job.timeout + grace
             ]
             for job in expired:
                 self._pending.remove(job)
@@ -1078,16 +1020,13 @@ class Engine:
     def _probe_quarantined(self) -> None:
         """Probe quarantined ranks whose cool-down elapsed; revive the
         ones that pass (return them to the free set and re-dispatch)."""
-        cfg = self._sup_cfg
-        if cfg is None or not cfg.quarantine:
-            return
         now = time.perf_counter()
         with self._cv:
             if self._closed:
                 return
             due = [
                 w for w, t in self._quarantined_at.items()
-                if now - t >= cfg.probe_after
+                if now - t >= resilience.PROBE_AFTER
             ]
         for w in due:
             ok = self._probe_rank(w)
@@ -1144,7 +1083,7 @@ class Engine:
         job.is_probe = True
         job.start(self._world, (w,))
         self._boxes[w].put((job, 0))
-        if not job.done_event.wait(self._sup_cfg.probe_timeout):
+        if not job.done_event.wait(resilience.PROBE_TIMEOUT):
             return False
         return job.status == "done" and job.returns == ["ok"]
 

@@ -13,6 +13,7 @@ import threading
 import time
 from typing import Any, Callable, Sequence
 
+from repro.engine import resilience
 from repro.errors import SpmdTimeout
 from repro.runtime.world import JobWorld
 
@@ -39,8 +40,7 @@ class _Job:
         "lifecycle", "virtual_seconds",
         # Self-healing fields (engine/resilience.py):
         "retry_policy", "attempt", "fault_plan_source", "last_error",
-        "allow_shrink", "requested_nprocs", "session", "admitted_at",
-        "is_probe",
+        "session", "admitted_at", "is_probe",
     )
 
     def __init__(
@@ -93,8 +93,6 @@ class _Job:
         #: *resolved for the current attempt*.
         self.fault_plan_source = fault_plan
         self.last_error: BaseException | None = None
-        self.allow_shrink = False
-        self.requested_nprocs = nprocs  # nprocs may shrink per attempt
         self.session: str | None = None
         self.admitted_at = 0.0  # perf_counter at (re-)admission
         #: Internal supervisor health probes bypass all job accounting.
@@ -214,7 +212,7 @@ class JobHandle:
                 job.timed_out = True
                 job.timeout_error = err
             job.world.abort()
-            job.done_event.wait(5.0)
+            job.done_event.wait(resilience.JOIN_TIMEOUT)
             raise err
         if job.error is not None:
             raise job.error

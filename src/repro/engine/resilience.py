@@ -4,22 +4,23 @@ Two pieces live here, both pure policy (mechanism stays in
 :mod:`repro.engine.core`):
 
 :class:`RetryPolicy`
-    Per-submit: how many attempts a job gets, how long to back off
-    between them (exponential with deterministic seeded jitter), which
-    errors are worth retrying, and how the fault plan is re-derived per
-    attempt.  Every retry runs in a **fresh**
-    :class:`~repro.runtime.world.JobWorld` — new clocks, membership,
-    abort flag, context id — so a successful attempt is bit-identical
-    to a fault-free standalone run of the same function.
+    Per-submit: how many attempts a job gets and how long to back off
+    between them (exponential with deterministic seeded jitter).  Every
+    retry runs in a **fresh** :class:`~repro.runtime.world.JobWorld` —
+    new clocks, membership, abort flag, context id — so a successful
+    attempt is bit-identical to a fault-free standalone run of the same
+    function.
 
-:class:`SupervisorConfig` / :class:`Supervisor`
-    Engine-wide: the background thread that re-admits retry-scheduled
-    jobs when their backoff elapses, reaps jobs stuck past their
-    deadline (escalation above the per-collective hang watchdog), and
-    probes quarantined pool ranks to revive them.  The engine starts
-    one by default; ``Engine(..., supervisor=False)`` opts out, in
-    which case retries re-admit inline (no backoff) and quarantine is
-    disabled.
+:class:`Supervisor`
+    Engine-wide, always on: the background thread that re-admits
+    retry-scheduled jobs when their backoff elapses (the one way a
+    failed attempt gets back into the queue), reaps jobs stuck past
+    their deadline (escalation above the per-collective hang watchdog),
+    and probes quarantined pool ranks to revive them.
+
+What nobody outside ``tests/`` ever set is a module constant below, not
+a parameter (EXPERIMENTS EX-KNOBS); tests that need a faster loop
+``monkeypatch`` the constant.
 
 Determinism contract: backoff jitter is drawn from a
 ``random.Random`` seeded with a string of ``(policy seed, job id,
@@ -31,11 +32,46 @@ seed arithmetic.  Nothing in this module consumes ambient entropy.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SpmdError
 
-__all__ = ["RetryPolicy", "SupervisorConfig", "Supervisor"]
+__all__ = ["RetryPolicy", "Supervisor"]
+
+#: How long threads may take to unwind, in wall-clock seconds: the rank
+#: threads joined by ``Engine.shutdown`` (when it is given no
+#: ``timeout``), the supervisor thread in :meth:`Supervisor.stop`, and
+#: the ranks of a job ``JobHandle.result`` has just aborted.
+JOIN_TIMEOUT = 5.0
+
+#: Seconds between supervisor ticks (retry re-admission, reaping and
+#: probing all happen on this cadence).
+TICK_INTERVAL = 0.05
+#: Extra seconds past a job's deadline before the reaper fires, leaving
+#: the client-side timeout (which produces the same diagnosis) the
+#: first shot.
+REAP_GRACE = 1.0
+#: Seconds a rank stays quarantined before the supervisor probes it (a
+#: failed probe re-arms this delay).
+PROBE_AFTER = 0.25
+#: Wall-clock budget for one probe job.
+PROBE_TIMEOUT = 5.0
+#: Fraction of the pool that must be schedulable for the engine to
+#: report "ok"; below it ``Engine.status()`` is "degraded".
+CAPACITY_FLOOR = 0.75
+
+#: Multiplier per subsequent retry (exponential backoff).
+BACKOFF_FACTOR = 2.0
+#: Cap on any single backoff interval, seconds.
+BACKOFF_MAX = 1.0
+#: Fractional jitter: each backoff is scaled by a factor drawn uniformly
+#: from ``[1 - JITTER, 1 + JITTER]`` — deterministically, from ``(seed,
+#: job_id, attempt)`` — so gangs of retrying jobs de-synchronize
+#: without sacrificing replayability.
+JITTER = 0.1
+#: Errors worth retrying (isinstance against the job's terminal error):
+#: timeouts and cancellations are not transient.
+RETRY_ON = (SpmdError,)
 
 
 @dataclass(frozen=True)
@@ -48,77 +84,47 @@ class RetryPolicy:
         Total attempts, *including* the first.  ``max_attempts=1``
         disables retries; 3 means "two retries".
     backoff_base:
-        Backoff before the first retry, in wall-clock seconds.
-    backoff_factor:
-        Multiplier per subsequent retry (exponential backoff).
-    backoff_max:
-        Cap on any single backoff interval.
-    jitter:
-        Fractional jitter: each backoff is scaled by a factor drawn
-        uniformly from ``[1 - jitter, 1 + jitter]`` — deterministically,
-        from ``(seed, job_id, attempt)`` — so gangs of retrying jobs
-        de-synchronize without sacrificing replayability.
+        Backoff before the first retry, in wall-clock seconds; it grows
+        by :data:`BACKOFF_FACTOR` per retry up to :data:`BACKOFF_MAX`.
     seed:
         Root seed for the jitter stream.
-    retry_on:
-        Exception classes worth retrying (checked with isinstance
-        against the job's terminal error).  Defaults to
-        :class:`~repro.errors.SpmdError` only — timeouts and
-        cancellations are not transient.
-    reseed_faults:
-        When True (default), a static :class:`~repro.faults.FaultPlan`
-        submitted with the job is re-derived per attempt via
-        :func:`repro.faults.plan.reseed` — fail-stops do not recur, so
-        a deterministic crash becomes a transient one.  Callable plan
-        sources (``attempt -> plan``) are always consulted per attempt
-        and ignore this flag.
+
+    A static :class:`~repro.faults.FaultPlan` submitted with the job is
+    re-derived per attempt via :func:`repro.faults.plan.reseed` —
+    fail-stops do not recur, so a deterministic crash becomes a
+    transient one.  Callable plan sources (``attempt -> plan``) are
+    consulted per attempt instead.
     """
 
     max_attempts: int = 3
     backoff_base: float = 0.01
-    backoff_factor: float = 2.0
-    backoff_max: float = 1.0
-    jitter: float = 0.1
     seed: int = 0
-    retry_on: tuple[type[BaseException], ...] = (SpmdError,)
-    reseed_faults: bool = True
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_base < 0 or self.backoff_max < 0:
+        if self.backoff_base < 0:
             raise ValueError("backoff intervals must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if not self.retry_on:
-            raise ValueError("retry_on must name at least one exception type")
 
     def should_retry(self, attempt: int, error: BaseException) -> bool:
         """True when failed attempt number ``attempt`` (1-based) earns
         another run under this policy."""
-        return attempt < self.max_attempts and isinstance(
-            error, tuple(self.retry_on)
-        )
+        return attempt < self.max_attempts and isinstance(error, RETRY_ON)
 
     def backoff_seconds(self, attempt: int, job_id: int) -> float:
         """Backoff after failed attempt ``attempt`` (1-based), jittered
         deterministically per ``(seed, job_id, attempt)``."""
         delay = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
+            BACKOFF_MAX, self.backoff_base * BACKOFF_FACTOR ** (attempt - 1)
         )
-        if self.jitter > 0.0 and delay > 0.0:
+        if delay > 0.0:
             import random
 
             rng = random.Random(f"retry:{self.seed}:{job_id}:{attempt}")
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return max(delay, 0.0)
+            delay *= 1.0 + JITTER * (2.0 * rng.random() - 1.0)
+        return delay
 
     def fault_plan_for(self, source, attempt_index: int):
         """The fault plan for attempt ``attempt_index`` (0 = first).
@@ -130,67 +136,11 @@ class RetryPolicy:
             return None
         if callable(source):
             return source(attempt_index)
-        if attempt_index == 0 or not self.reseed_faults:
+        if attempt_index == 0:
             return source
         from repro.faults.plan import reseed
 
         return reseed(source, attempt_index)
-
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Tuning knobs for the engine's supervisor thread.
-
-    Attributes
-    ----------
-    interval:
-        Seconds between supervisor ticks (retry re-admission, reaping,
-        probing all happen on this cadence).
-    reap:
-        Enable the stuck-job reaper: a running job that exceeds its
-        submit-time ``timeout`` is aborted and unwound *server-side*,
-        even if no client is blocked in ``result()`` — the escalation
-        that guarantees the pool can never be wedged by an abandoned
-        job.  Pending jobs past their deadline are failed in place.
-    reap_grace:
-        Extra seconds past a job's deadline before the reaper fires,
-        leaving the client-side timeout (which produces the same
-        diagnosis) the first shot.
-    quarantine:
-        Enable rank quarantine: world ranks a finished job reports dead
-        are withheld from gang assembly until a probe revives them.
-    probe_after:
-        Seconds a rank stays quarantined before the supervisor probes
-        it (a failed probe re-arms this delay).
-    probe_timeout:
-        Wall-clock budget for one probe job.
-    capacity_floor:
-        Fraction of the pool that must be schedulable for the engine to
-        report "ok"; below it :meth:`~repro.engine.Engine.status`
-        returns "degraded" and non-``allow_shrink`` jobs that no longer
-        fit raise :class:`~repro.errors.EngineDegraded` (non-blocking
-        submits) instead of queueing forever.
-    """
-
-    interval: float = 0.05
-    reap: bool = True
-    reap_grace: float = 1.0
-    quarantine: bool = True
-    probe_after: float = 0.25
-    probe_timeout: float = 5.0
-    capacity_floor: float = 0.75
-
-    def __post_init__(self):
-        if self.interval <= 0:
-            raise ValueError(f"interval must be > 0, got {self.interval}")
-        if self.probe_after < 0 or self.probe_timeout <= 0:
-            raise ValueError("probe_after must be >= 0, probe_timeout > 0")
-        if self.reap_grace < 0:
-            raise ValueError(f"reap_grace must be >= 0, got {self.reap_grace}")
-        if not 0.0 <= self.capacity_floor <= 1.0:
-            raise ValueError(
-                f"capacity_floor must be in [0, 1], got {self.capacity_floor}"
-            )
 
 
 class Supervisor:
@@ -203,9 +153,8 @@ class Supervisor:
     every retrying job into a hang.
     """
 
-    def __init__(self, engine, config: SupervisorConfig):
+    def __init__(self, engine):
         self._engine = engine
-        self.config = config
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         #: Exceptions swallowed by the tick loop (diagnostics).
@@ -220,19 +169,20 @@ class Supervisor:
             self._thread.start()
         return self
 
-    def stop(self, timeout: float = 5.0) -> bool:
-        """Stop the thread; True when it joined within ``timeout``."""
+    def stop(self) -> bool:
+        """Stop the thread; True when it joined within
+        :data:`JOIN_TIMEOUT`."""
         self._stop.set()
         thread = self._thread
         if thread is not None:
-            thread.join(timeout=timeout)
+            thread.join(timeout=JOIN_TIMEOUT)
             alive = thread.is_alive()
             self._thread = None
             return not alive
         return True
 
     def _run(self) -> None:
-        while not self._stop.wait(self.config.interval):
+        while not self._stop.wait(TICK_INTERVAL):
             self.tick()
         # Final tick on shutdown so retries scheduled moments before
         # close are flushed (cancelled) rather than stranded.

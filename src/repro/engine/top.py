@@ -94,10 +94,9 @@ def render_frame(frame: dict[str, Any]) -> str:
         )
         lines.append(
             "  self-heal: {} retries, {} quarantines, {} revivals, "
-            "{} reaped, {} shrunk".format(
+            "{} reaped".format(
                 eng.get("retried", 0), eng.get("quarantines", 0),
                 eng.get("revivals", 0), eng.get("reaped", 0),
-                eng.get("shrunk", 0),
             )
         )
     cache_hits = gauges.get("engine.schedule_cache.hits")

@@ -191,9 +191,8 @@ class EngineDegraded(EngineSaturated):
     below its capacity floor: enough ranks are quarantined that the job
     cannot be placed at its requested size.  Subclasses
     :class:`EngineSaturated` so existing backpressure handlers keep
-    working; clients that care can catch it specifically, resubmit with
-    ``allow_shrink=True``, or back off until the supervisor revives
-    quarantined ranks."""
+    working; clients that care can catch it specifically and back off
+    until the supervisor revives quarantined ranks."""
 
 
 class JobCancelled(ReproError):

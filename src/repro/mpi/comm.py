@@ -582,7 +582,7 @@ class Communicator:
         if eng is not None:
             eng.drain_delivered()
 
-    def fused(self, **kwargs) -> "ReductionBucket":
+    def fused(self) -> "ReductionBucket":
         """A :class:`repro.core.fusion.ReductionBucket` bound to this
         communicator, usable as a context manager::
 
@@ -592,11 +592,11 @@ class Communicator:
             # exiting flushed the bucket; a.result() / b.result() are ready
 
         Queued reductions are coalesced into shared combine waves (see
-        docs/overlap.md); keyword arguments are forwarded to the bucket.
+        docs/overlap.md).
         """
         from repro.core.fusion import ReductionBucket
 
-        return ReductionBucket(self, **kwargs)
+        return ReductionBucket(self)
 
     # -- fault tolerance (ULFM-style) -----------------------------------------
 

@@ -90,7 +90,6 @@ _COUNTERS = {
     "engine.jobs.rejected": "rejected",
     "engine.jobs.retried": "retried",
     "engine.jobs.reaped": "reaped",
-    "engine.jobs.shrunk": "shrunk",
     "engine.jobs.leaked_messages": "leaked_messages_drained",
     "engine.ranks.quarantines": "quarantines",
     "engine.ranks.revivals": "revivals",
@@ -343,9 +342,7 @@ class EngineTelemetry:
     def job_assembled(
         self, lc: JobLifecycle, members: tuple[int, ...]
     ) -> None:
-        """The job's gang was assembled and dispatched onto ``members``
-        — fewer than requested when an ``allow_shrink=True`` job meets
-        a degraded pool.
+        """The job's gang was assembled and dispatched onto ``members``.
 
         Called (like :meth:`job_done`) with the engine lock held, which
         serializes the per-rank open/close bookkeeping without any lock
@@ -355,7 +352,6 @@ class EngineTelemetry:
         lc.t_assembled = t
         lc.state = "gang-assembled"
         lc.members = members
-        lc.nprocs = len(members)
         for r in members:
             self._open[r] = t
             self._jobs_per_rank[r] += 1

@@ -82,7 +82,6 @@ def spmd_run(
     tracer: Tracer | None = None,
     fault_plan: Any | None = None,
     backend: str = "thread",
-    backend_options: dict | None = None,
     topology: Any | None = None,
 ) -> SpmdResult:
     """Execute ``fn(comm, *args)`` on ``nprocs`` simulated ranks.
@@ -122,8 +121,7 @@ def spmd_run(
         ``"process"`` offloads them to forked rank workers over
         shared-memory rings (``repro.runtime.procworld``) — results
         are byte-identical, wall-clock is parallel.  See
-        ``docs/backends.md``.  ``backend_options`` forwards pool
-        keywords (``ring_bytes``, ``min_offload_bytes``).
+        ``docs/backends.md``.
     topology:
         A :class:`repro.runtime.fabric.Topology` pricing each message by
         the network tiers it crosses.  Defaults to the flat fabric,
@@ -143,9 +141,7 @@ def spmd_run(
             nprocs = forced_ranks
 
     engine = Engine(
-        nprocs, cost_model=cost_model,
-        backend=backend, backend_options=backend_options,
-        topology=topology,
+        nprocs, cost_model=cost_model, backend=backend, topology=topology
     )
     try:
         handle = engine.submit(

@@ -65,17 +65,18 @@ from repro.runtime.channels import (
 )
 from repro.util.sizing import ensure_transferable, payload_nbytes
 
-__all__ = ["MISS", "ProcPool", "DEFAULT_RING_BYTES", "DEFAULT_MIN_OFFLOAD_BYTES"]
+__all__ = ["MISS", "ProcPool", "RING_BYTES", "MIN_OFFLOAD_BYTES"]
 
 #: Capacity of each request/response ring (per worker, per direction).
 #: Frames larger than this fall back to the command pipe — they are not
 #: errors, just not zero-copy.
-DEFAULT_RING_BYTES = 1 << 24  # 16 MiB
+RING_BYTES = 1 << 24  # 16 MiB
 
-#: Blocks smaller than this are folded in-process: an IPC round trip
-#: costs tens of microseconds, which only pays for itself on blocks
-#: whose fold is slower than that.
-DEFAULT_MIN_OFFLOAD_BYTES = 1 << 16  # 64 KiB
+#: Blocks smaller than this are folded in-process.  Fitted, not chosen
+#: (EXPERIMENTS EX-BACKEND): the smallest block at which a GIL-holding
+#: fold offloaded to a worker beat the thread backend in at least 4 of
+#: 5 interleaved rounds on the recording host, the cell below it losing.
+MIN_OFFLOAD_BYTES = 1 << 18  # 256 KiB
 
 #: /dev/shm name prefix for this package's segments, so leak checks (and
 #: humans) can attribute them.
@@ -237,20 +238,11 @@ class ProcPool:
     :meth:`accumulate` returns :data:`MISS`.
     """
 
-    def __init__(
-        self,
-        nranks: int,
-        *,
-        ring_bytes: int = DEFAULT_RING_BYTES,
-        min_offload_bytes: int = DEFAULT_MIN_OFFLOAD_BYTES,
-    ):
+    def __init__(self, nranks: int):
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
         from multiprocessing import shared_memory
 
-        self.nranks = nranks
-        self.ring_bytes = ring_bytes
-        self.min_offload_bytes = min_offload_bytes
         self._ctx = multiprocessing.get_context("fork")
         self._closed = False
         self._stats_lock = threading.Lock()
@@ -273,11 +265,11 @@ class ProcPool:
         try:
             for r in range(nranks):
                 req = shared_memory.SharedMemory(
-                    create=True, size=ring_bytes,
+                    create=True, size=RING_BYTES,
                     name=f"{SHM_PREFIX}-{os.getpid()}-{id(self) & 0xFFFF:x}-{r}-req",
                 )
                 resp = shared_memory.SharedMemory(
-                    create=True, size=ring_bytes,
+                    create=True, size=RING_BYTES,
                     name=f"{SHM_PREFIX}-{os.getpid()}-{id(self) & 0xFFFF:x}-{r}-resp",
                 )
                 self._shms.extend((req, resp))
@@ -308,7 +300,7 @@ class ProcPool:
             nbytes = int(values.nbytes)
         else:
             nbytes = payload_nbytes(values)
-        if nbytes < self.min_offload_bytes:
+        if nbytes < MIN_OFFLOAD_BYTES:
             return MISS
         try:
             op_bytes = self._op_bytes(op)

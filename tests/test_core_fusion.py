@@ -117,17 +117,29 @@ class TestReductionBucket:
         assert all(run_all(prog, 8))
 
     def test_byte_threshold_autoflush(self):
-        """Crossing max_bytes flushes mid-stream: more than one wave,
-        results still exact."""
+        """Crossing the table's ``fusion`` threshold flushes mid-stream:
+        more than one wave, results still exact."""
+        import dataclasses
+
+        from repro.mpi import tuning
+
         tracer = Tracer()
 
         def prog(comm):
             xs = np.arange(64.0) + comm.rank  # 512 B per entry
-            with comm.fused(max_bytes=600) as bucket:
+            with comm.fused() as bucket:
                 handles = [bucket.allreduce(xs, mpi.SUM) for _ in range(4)]
             return [h.result().tolist() for h in handles]
 
-        res = spmd_run(prog, 4, tracer=tracer)
+        flush_at_600 = dataclasses.replace(
+            tuning.get_decision_table(),
+            fusion=(tuning.Band(1 << 62, ((600, "fuse"), (1 << 62, "flush"))),),
+        )
+        previous = tuning.set_decision_table(flush_at_600)
+        try:
+            res = spmd_run(prog, 4, tracer=tracer)
+        finally:
+            tuning.set_decision_table(previous)
         expected = (np.arange(64.0) * 4 + 6).tolist()
         assert res.returns == [[expected] * 4] * 4
         waves = tracer.metrics.counter("fusion.waves").value

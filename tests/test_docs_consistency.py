@@ -1,6 +1,7 @@
 """Documentation-consistency guards: every file, command and module the
 docs reference must actually exist."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -69,6 +70,26 @@ class TestExperiments:
             assert (ROOT / match.group(1)).exists(), match.group(0)
 
 
+def _audited_callables():
+    """The entry points whose options EX-KNOBS audits."""
+    from repro.core.fusion import ReductionBucket, global_reduce_many
+    from repro.engine import Engine, RetryPolicy
+    from repro.mpi.comm import Communicator
+    from repro.runtime import spmd_run
+    from repro.runtime.procworld import ProcPool
+
+    return {
+        "spmd_run": spmd_run,
+        "Engine": Engine,
+        "Engine.submit": Engine.submit,
+        "Engine.shutdown": Engine.shutdown,
+        "RetryPolicy": RetryPolicy,
+        "ProcPool": ProcPool,
+        "ReductionBucket": ReductionBucket,
+        "global_reduce_many": global_reduce_many,
+    }
+
+
 class TestApiDoc:
     def test_documented_names_importable(self):
         """Spot-check the api.md tables: the named operators must exist."""
@@ -92,27 +113,16 @@ class TestApiDoc:
 
 
     def test_entry_point_signatures_are_the_code(self):
-        """Every full `spmd_run(...)`, `Engine(...)` and
-        `Engine.submit(...)` signature quoted in api.md lists exactly
-        the parameters of the function, in order — a removed option
-        cannot live on in the docs, a new one cannot go undocumented.
-        Elided forms (`Engine(..., supervisor=False)`) are examples,
-        not signatures, and are skipped."""
-        import inspect
-
-        from repro.engine import Engine
-        from repro.runtime import spmd_run
-
-        targets = {
-            "spmd_run": spmd_run,
-            "Engine": Engine,
-            "Engine.submit": Engine.submit,
-        }
+        """Every full signature of an audited callable quoted in api.md
+        lists exactly the parameters of the function, in order — a
+        removed option cannot live on in the docs, a new one cannot go
+        undocumented.  Elided forms (`Engine(..., telemetry=True)`) are
+        examples, not signatures, and are skipped."""
+        targets = _audited_callables()
         doc = " ".join(_read("docs/api.md").split())
         seen = set()
-        for name, params in re.findall(
-            r"`(spmd_run|Engine|Engine\.submit)\(([^`)]*)\)`", doc
-        ):
+        names = "|".join(re.escape(n) for n in targets)
+        for name, params in re.findall(rf"`({names})\(([^`)]*)\)`", doc):
             if "..." in params:
                 continue
             documented = [
@@ -126,6 +136,27 @@ class TestApiDoc:
             assert documented == actual, f"docs/api.md: {name}(...) drifted"
             seen.add(name)
         assert seen == set(targets)
+
+    def test_every_keyword_has_a_row_in_the_knob_audit(self):
+        """EX-KNOBS' remaining-options table names every keyword
+        parameter of the audited callables, so the audit cannot drift:
+        a new option needs a row saying who sets it and where it wins."""
+        table = _read("EXPERIMENTS.md").split("**Remaining options.**")[1]
+        table = table.split("\n\n")[1]  # the block after the heading
+        audited = {}  # owner as the first cell writes it -> its keywords
+        for first_cell in re.findall(r"^\| (.+?) \|", table, flags=re.M):
+            for owner, params in re.findall(r"`([\w.]+)\(([^`]*)\)`", first_cell):
+                audited.setdefault(owner, set()).update(
+                    re.findall(r"(\w+)=", params)
+                )
+        for name, fn in _audited_callables().items():
+            keywords = {
+                p.name for p in inspect.signature(fn).parameters.values()
+                if p.default is not p.empty
+            }
+            owner = "submit" if name == "Engine.submit" else name
+            missing = keywords - audited.get(owner, set())
+            assert not missing, f"EX-KNOBS has no row for {name}({missing})"
 
 
 class TestScheduleRegistryDocs:

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import Engine, RetryPolicy, SupervisorConfig
+from repro.engine import Engine, RetryPolicy, resilience
 from repro.errors import (
     EngineDegraded,
     EngineSaturated,
@@ -71,17 +71,7 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
             RetryPolicy(backoff_base=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(retry_on=())
-        with pytest.raises(ValueError):
-            SupervisorConfig(interval=0.0)
-        with pytest.raises(ValueError):
-            SupervisorConfig(capacity_floor=1.5)
 
     def test_should_retry(self):
         policy = RetryPolicy(max_attempts=3)
@@ -92,18 +82,42 @@ class TestRetryPolicy:
         assert not policy.should_retry(1, ValueError("not transient"))
 
     def test_backoff_deterministic_and_bounded(self):
-        policy = RetryPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5,
-            jitter=0.2, seed=7,
-        )
+        policy = RetryPolicy(backoff_base=0.1, seed=7)
         for attempt in (1, 2, 3, 6):
             a = policy.backoff_seconds(attempt, job_id=42)
             b = policy.backoff_seconds(attempt, job_id=42)
             assert a == b  # same (seed, job, attempt) -> same jitter
-            nominal = min(0.5, 0.1 * 2.0 ** (attempt - 1))
-            assert nominal * 0.8 <= a <= nominal * 1.2
+            nominal = min(
+                resilience.BACKOFF_MAX,
+                0.1 * resilience.BACKOFF_FACTOR ** (attempt - 1),
+            )
+            spread = resilience.JITTER * nominal
+            assert nominal - spread <= a <= nominal + spread
         # Different jobs de-synchronize.
         assert policy.backoff_seconds(1, 1) != policy.backoff_seconds(1, 2)
+
+    def test_backoff_schedule_is_the_recorded_one(self):
+        """The factor, cap and jitter became constants; the stream did
+        not move: these are the values the commit before computed for
+        the same ``(seed, job_id, attempt)``, so a recorded retry
+        schedule replays unchanged."""
+        assert (
+            resilience.BACKOFF_FACTOR, resilience.BACKOFF_MAX,
+            resilience.JITTER, resilience.RETRY_ON,
+        ) == (2.0, 1.0, 0.1, (SpmdError,))
+        recorded = [
+            (RetryPolicy(), 1, 1, 0.009027499680245682),
+            (RetryPolicy(), 2, 1, 0.01975057801021572),
+            (RetryPolicy(backoff_base=0.002), 1, 7, 0.0018837359801107164),
+            (RetryPolicy(backoff_base=0.002, seed=3), 4, 42,
+             0.017106543330506263),
+            (RetryPolicy(max_attempts=8, backoff_base=0.002), 3, 5,
+             0.007743621852527278),
+            (RetryPolicy(backoff_base=0.1, seed=7), 6, 42,
+             1.0475828018895907),  # capped at BACKOFF_MAX, then jittered
+        ]
+        for policy, attempt, job_id, seconds in recorded:
+            assert policy.backoff_seconds(attempt, job_id) == seconds
 
     def test_fault_plan_for(self):
         policy = RetryPolicy()
@@ -114,11 +128,8 @@ class TestRetryPolicy:
         derived = policy.fault_plan_for(KILL_RANK_1, 1)
         assert derived.failstops == ()
         assert derived.seed != KILL_RANK_1.seed
-        # reseed_faults=False replays the same plan every attempt.
-        sticky = RetryPolicy(reseed_faults=False)
-        assert sticky.fault_plan_for(KILL_RANK_1, 2) is KILL_RANK_1
-        # Callable sources are consulted per attempt, flag ignored.
-        assert sticky.fault_plan_for(always_failstop, 4) is KILL_RANK_1
+        # Callable sources are consulted per attempt, never reseeded.
+        assert policy.fault_plan_for(always_failstop, 4) is KILL_RANK_1
 
 
 class TestPlanDerivation:
@@ -178,29 +189,76 @@ class TestRetryExecution:
         assert exc.value.rank_states
         assert stats["retried"] == 1 and stats["failed"] == 1
 
-    def test_retry_on_filters_error_types(self):
-        # SpmdError failures are not retried under a timeout-only policy.
-        picky = RetryPolicy(
-            max_attempts=3, backoff_base=0.001, retry_on=(SpmdTimeout,),
-        )
-        with Engine(4) as engine:
-            handle = engine.submit(
-                raw_sum_job, fault_plan=KILL_RANK_1, retry_policy=picky,
-            )
-            with pytest.raises(SpmdError):
-                handle.result(timeout=30.0)
-            assert handle.attempt == 1
-            assert engine.stats()["retried"] == 0
+    def test_retry_on_filters_error_types(self, monkeypatch):
+        # Only RETRY_ON errors earn another attempt: a reaped job's
+        # SpmdTimeout is terminal on its first attempt under a policy.
+        monkeypatch.setattr(resilience, "TICK_INTERVAL", 0.02)
+        monkeypatch.setattr(resilience, "REAP_GRACE", 0.05)
+        release = threading.Event()
 
-    def test_retry_without_supervisor_readmits_inline(self):
-        with Engine(4, supervisor=False) as engine:
+        def stuck(comm):
+            release.wait(8.0)
+
+        try:
+            with Engine(2) as engine:
+                handle = engine.submit(
+                    stuck, timeout=0.1,
+                    retry_policy=RetryPolicy(max_attempts=3),
+                )
+                time.sleep(0.5)  # no client waiting: the reaper times it out
+                release.set()
+                with pytest.raises(SpmdTimeout, match="reaped"):
+                    handle.result(timeout=10.0)
+                assert handle.attempt == 1
+                assert engine.stats()["retried"] == 0
+        finally:
+            release.set()
+
+    def test_retry_readmitted_by_supervisor_after_backoff(self, monkeypatch):
+        """A failed attempt has one way back into the queue: the backoff
+        heap, drained by the supervisor's tick — never the worker thread
+        that finalized the attempt, never before its backoff is up —
+        and the books and the bytes match a fault-free run's."""
+        readmitted_on = []
+        readmit = Engine._readmit_retry
+
+        def spy(engine, job):
+            readmitted_on.append(threading.current_thread().name)
+            return readmit(engine, job)
+
+        monkeypatch.setattr(Engine, "_readmit_retry", spy)
+        policy = RetryPolicy(max_attempts=3, backoff_base=0.2)
+        telemetry = EngineTelemetry(4)
+        with Engine(4, telemetry=telemetry) as engine:
+            clean = engine.submit(raw_sum_job).result(timeout=30.0)
+            t0 = time.perf_counter()
             handle = engine.submit(
-                raw_sum_job, fault_plan=KILL_RANK_1,
-                retry_policy=RetryPolicy(max_attempts=3),
+                raw_sum_job, fault_plan=KILL_RANK_1, retry_policy=policy
             )
             res = handle.result(timeout=30.0)
+            waited = time.perf_counter() - t0
+            stats = engine.stats()
+        assert readmitted_on == ["engine-supervisor"]
+        assert waited >= policy.backoff_seconds(1, handle.job_id)
         assert handle.attempt == 2
-        assert res.returns == spmd_run(raw_sum_job, 4).returns
+        assert (stats["retried"], stats["completed"], stats["failed"]) == (
+            1, 2, 0
+        )
+        # One lifecycle per attempt: the crashed one ends "retrying".
+        states = [
+            (lc.job_id, lc.attempt, lc.state) for lc in telemetry.recent_jobs()
+        ]
+        assert sorted(states) == [
+            (handle.job_id - 1, 1, "completed"),  # the fault-free run
+            (handle.job_id, 1, "retrying"),
+            (handle.job_id, 2, "completed"),
+        ]
+        counters = telemetry.snapshot()["metrics"]["counters"]
+        assert counters["engine.jobs.retried"] == 1
+        assert counters["engine.jobs.completed"] == 2
+        for got, want in zip(res.returns, clean.returns):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert res.clocks == clean.clocks
 
     def test_attempt_is_one_without_retries(self):
         with Engine(2) as engine:
@@ -245,9 +303,7 @@ class TestCancelInTheFinalizeWindow:
         with Engine(2, telemetry=tel) as engine:
             handle = engine.submit(
                 always_raises,
-                retry_policy=RetryPolicy(
-                    max_attempts=3, backoff_base=0.2, jitter=0.0
-                ),
+                retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.2),
             )
             with pytest.raises(JobCancelled):
                 handle.result(timeout=30.0)
@@ -298,7 +354,7 @@ class TestRetryDeterminismGrid:
 class TestLeakedMessages:
     def test_midcollective_failstop_counts_leaked_messages(self):
         telemetry = EngineTelemetry(4)
-        with Engine(4, telemetry=telemetry, supervisor=False) as engine:
+        with Engine(4, telemetry=telemetry) as engine:
             with pytest.raises(SpmdError):
                 engine.submit(
                     raw_sum_job, fault_plan=KILL_RANK_1
@@ -322,8 +378,11 @@ class TestLeakedMessages:
 
 
 class TestQuarantineAndDegraded:
-    # Probes pushed far out: these tests pin ranks *in* quarantine.
-    FROZEN = SupervisorConfig(interval=0.02, probe_after=300.0)
+    @pytest.fixture(autouse=True)
+    def frozen(self, monkeypatch):
+        # Probes pushed far out: these tests pin ranks *in* quarantine.
+        monkeypatch.setattr(resilience, "TICK_INTERVAL", 0.02)
+        monkeypatch.setattr(resilience, "PROBE_AFTER", 300.0)
 
     def _kill_two_ranks(self, engine):
         plan = FaultPlan(
@@ -336,7 +395,7 @@ class TestQuarantineAndDegraded:
             ).result(timeout=30.0)
 
     def test_dead_ranks_quarantined_and_status_degraded(self):
-        with Engine(4, supervisor=self.FROZEN) as engine:
+        with Engine(4) as engine:
             assert engine.status() == "ok"
             self._kill_two_ranks(engine)
             stats = engine.stats()
@@ -347,36 +406,34 @@ class TestQuarantineAndDegraded:
             assert engine.status() == "degraded"
         assert engine.status() == "closed"
 
-    def test_degraded_submit_raises_unless_shrink(self):
-        with Engine(4, supervisor=self.FROZEN) as engine:
+    def test_degraded_submit_raises_or_waits(self, monkeypatch):
+        with Engine(4) as engine:
             self._kill_two_ranks(engine)
-            with pytest.raises(EngineDegraded, match="allow_shrink"):
+            with pytest.raises(EngineDegraded, match="2 quarantined"):
                 engine.submit(raw_sum_job, nprocs=4, block=False)
+            with pytest.raises(EngineDegraded, match="waited 0.05 s"):
+                engine.submit(raw_sum_job, nprocs=4, queue_timeout=0.05)
             # EngineDegraded extends EngineSaturated: existing
             # backpressure handlers keep working unmodified.
             assert issubclass(EngineDegraded, EngineSaturated)
             # Jobs that still fit the effective capacity run normally.
             res = engine.submit(raw_sum_job, nprocs=2).result(timeout=30.0)
             assert res.returns == spmd_run(raw_sum_job, 2).returns
-
-    def test_allow_shrink_gang_assembles_on_fewer_ranks(self):
-        with Engine(4, supervisor=self.FROZEN) as engine:
-            self._kill_two_ranks(engine)
-            handle = engine.submit(
-                raw_sum_job, nprocs=4, allow_shrink=True
-            )
-            res = handle.result(timeout=30.0)
-            stats = engine.stats()
-        # Shrunk to the 2 schedulable ranks, same answer as a 2-rank run.
-        assert res.nprocs == 2
-        assert res.returns == spmd_run(raw_sum_job, 2).returns
-        assert stats["shrunk"] == 1
+            # A blocking submit of the full gang waits for revival and
+            # then runs at its requested size: a degraded pool has one
+            # behaviour, never a smaller gang.
+            monkeypatch.setattr(resilience, "PROBE_AFTER", 0.05)
+            res = engine.submit(raw_sum_job, nprocs=4).result(timeout=30.0)
+            assert res.nprocs == 4
+            assert res.returns == spmd_run(raw_sum_job, 4).returns
+            assert engine.stats()["revivals"] == 2
 
 
 class TestProbeAndRevive:
-    def test_quarantined_rank_is_probed_back(self):
-        cfg = SupervisorConfig(interval=0.02, probe_after=0.05)
-        with Engine(4, supervisor=cfg) as engine:
+    def test_quarantined_rank_is_probed_back(self, monkeypatch):
+        monkeypatch.setattr(resilience, "TICK_INTERVAL", 0.02)
+        monkeypatch.setattr(resilience, "PROBE_AFTER", 0.05)
+        with Engine(4) as engine:
             with pytest.raises(SpmdError):
                 engine.submit(
                     raw_sum_job, nprocs=4, fault_plan=KILL_RANK_1
@@ -398,7 +455,7 @@ class TestProbeAndRevive:
 
 
 class TestReaper:
-    def test_stuck_job_is_reaped_server_side(self):
+    def test_stuck_job_is_reaped_server_side(self, monkeypatch):
         release = threading.Event()
 
         def stuck(comm):
@@ -411,9 +468,10 @@ class TestReaper:
             else:
                 release.wait(8.0)
 
-        cfg = SupervisorConfig(interval=0.02, reap_grace=0.05)
+        monkeypatch.setattr(resilience, "TICK_INTERVAL", 0.02)
+        monkeypatch.setattr(resilience, "REAP_GRACE", 0.05)
         try:
-            with Engine(2, supervisor=cfg) as engine:
+            with Engine(2) as engine:
                 handle = engine.submit(stuck, timeout=0.1)
                 time.sleep(0.5)  # no client waiting: server-side only
                 release.set()
@@ -427,18 +485,18 @@ class TestReaper:
         finally:
             release.set()
 
-    def test_reap_disabled_leaves_job_to_the_client(self):
+    def test_job_inside_its_grace_is_left_to_the_client(self, monkeypatch):
         release = threading.Event()
 
         def gated(comm):
             release.wait(8.0)
             return comm.rank
 
-        cfg = SupervisorConfig(interval=0.02, reap=False)
+        monkeypatch.setattr(resilience, "TICK_INTERVAL", 0.02)
         try:
-            with Engine(2, supervisor=cfg) as engine:
+            with Engine(2) as engine:
                 handle = engine.submit(gated, timeout=0.1)
-                time.sleep(0.4)
+                time.sleep(0.4)  # past the deadline, inside REAP_GRACE
                 assert handle.status == "running"  # nobody reaped it
                 release.set()
                 handle.wait(5.0)
@@ -449,7 +507,7 @@ class TestReaper:
 
 class TestShutdownJoin:
     def test_default_join_timeout_documented_and_overridable(self):
-        assert Engine.DEFAULT_JOIN_TIMEOUT == 5.0
+        assert resilience.JOIN_TIMEOUT == 5.0
         engine = Engine(2)
         engine.submit(raw_sum_job).result()
         assert engine.shutdown() is True
@@ -469,7 +527,7 @@ class TestShutdownJoin:
             # them, so the join budget expires and shutdown says so
             # instead of silently "succeeding".
             with caplog.at_level("WARNING", logger="repro.engine"):
-                clean = engine.shutdown(drain=False, join_timeout=0.2)
+                clean = engine.shutdown(drain=False, timeout=0.2)
             assert clean is False
             assert any(
                 "failed to join" in rec.message for rec in caplog.records

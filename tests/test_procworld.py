@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
-from repro.ops import SumOp, SegmentedOp
+from repro.ops import MinKOp, SumOp, SegmentedOp
 from repro.core.reduce import global_reduce
+from repro.runtime import procworld
 from repro.runtime.procworld import MISS, ProcPool, SHM_PREFIX, _fold_state
 from tests.conftest import run_fresh
 
@@ -27,12 +28,27 @@ def _leaked_segments():
 
 
 @pytest.fixture
-def pool():
-    p = ProcPool(2, ring_bytes=1 << 20, min_offload_bytes=0)
+def forced(monkeypatch):
+    """Offload every block, over small rings: these tests are about the
+    IPC path, not about where it pays."""
+    monkeypatch.setattr(procworld, "MIN_OFFLOAD_BYTES", 0)
+    monkeypatch.setattr(procworld, "RING_BYTES", 1 << 20)
+    return monkeypatch
+
+
+@pytest.fixture
+def pool(forced):
+    p = ProcPool(2)
     try:
         yield p
     finally:
         p.shutdown()
+
+
+def min3_job(comm):
+    """A fold the engine offers to the pool (segmented kernel; a plain
+    ``SumOp`` is one ``ufunc.reduce`` and stays inline)."""
+    return global_reduce(comm, MinKOp(3), np.arange(1000.0) + comm.rank)
 
 
 def test_accumulate_matches_inline_fold(pool):
@@ -73,7 +89,10 @@ def test_fresh_worker_first_fold_imports_nothing():
             def post_accum(self, state, x):   # runs in the worker, after the fold
                 return (state, loaded())
 
-        pool = ProcPool(1, ring_bytes=1 << 20, min_offload_bytes=0)
+        import repro.runtime.procworld as procworld
+        procworld.MIN_OFFLOAD_BYTES = 0
+        procworld.RING_BYTES = 1 << 20
+        pool = ProcPool(1)
         try:
             at_fork = loaded()
             state = pool.accumulate(0, Spy(), np.arange(1000.0))
@@ -95,11 +114,15 @@ def test_list_payload_uses_pickle_fallback(pool):
     assert pool.ipc_stats()["pickle_fallbacks"] >= 1
 
 
-def test_small_block_misses_below_threshold():
-    p = ProcPool(1, ring_bytes=1 << 20, min_offload_bytes=1 << 16)
+def test_small_block_misses_below_threshold(monkeypatch):
+    monkeypatch.setattr(procworld, "RING_BYTES", 1 << 20)
+    below = np.zeros(procworld.MIN_OFFLOAD_BYTES // 8 - 1)
+    p = ProcPool(1)
     try:
-        assert p.accumulate(0, SumOp(), np.arange(4.0)) is MISS
+        assert p.accumulate(0, SumOp(), below) is MISS
         assert p.ipc_stats()["frames"] == 0
+        at = np.zeros(procworld.MIN_OFFLOAD_BYTES // 8)
+        assert p.accumulate(0, SumOp(), at) is not MISS
     finally:
         p.shutdown()
 
@@ -110,8 +133,9 @@ def test_unpicklable_operator_misses(pool):
     assert pool.ipc_stats()["inline_fallbacks"] >= 1
 
 
-def test_oversize_frame_falls_back_to_pipe():
-    p = ProcPool(1, ring_bytes=1 << 12, min_offload_bytes=0)
+def test_oversize_frame_falls_back_to_pipe(forced):
+    forced.setattr(procworld, "RING_BYTES", 1 << 12)
+    p = ProcPool(1)
     try:
         values = np.arange(10_000, dtype=np.float64)  # 80 KB > 4 KB ring
         state = p.accumulate(0, SumOp(), values)
@@ -217,11 +241,8 @@ def test_shutdown_idempotent_and_reaps(pool):
     assert pool.accumulate(0, SumOp(), np.arange(100.0)) is MISS
 
 
-def test_engine_supervisor_restarts_dead_worker():
-    eng = Engine(
-        2, backend="process",
-        backend_options={"min_offload_bytes": 0, "ring_bytes": 1 << 20},
-    )
+def test_engine_supervisor_restarts_dead_worker(forced):
+    eng = Engine(2, backend="process")
     try:
         pool = eng.proc_pool
         os.kill(pool._workers[1].proc.pid, signal.SIGKILL)
@@ -234,30 +255,23 @@ def test_engine_supervisor_restarts_dead_worker():
             time.sleep(0.05)
         assert pool.worker_alive(1)
         # And jobs keep producing correct results throughout.
-        def job(comm):
-            return global_reduce(
-                comm, SumOp(), np.arange(1000.0) + comm.rank
-            )
-        res = eng.submit(job).result()
-        assert res.returns[0] == 2 * np.arange(1000.0).sum() + 1000
+        res = eng.submit(min3_job).result()
+        assert sorted(res.returns[0]) == [0.0, 1.0, 1.0]
+        assert eng.stats()["ipc"]["frames"] > 0
     finally:
         eng.shutdown(drain=False)
 
 
-def test_engine_shutdown_soak_no_leaks():
+def test_engine_shutdown_soak_no_leaks(forced):
     """50 create/shutdown cycles leak neither processes nor segments."""
+    forced.setattr(procworld, "RING_BYTES", 1 << 18)
     baseline_segments = set(_leaked_segments())
     for cycle in range(50):
-        eng = Engine(
-            2, backend="process",
-            backend_options={"min_offload_bytes": 0, "ring_bytes": 1 << 18},
-        )
+        eng = Engine(2, backend="process")
         if cycle % 10 == 0:  # exercise real traffic on some cycles
-            res = eng.submit(
-                lambda comm: global_reduce(comm, SumOp(), np.arange(100.0))
-            ).result()
-            # 2 ranks each contribute the same block.
-            assert res.returns[0] == 2 * np.arange(100.0).sum()
+            res = eng.submit(min3_job).result()
+            assert sorted(res.returns[0]) == [0.0, 1.0, 1.0]
+            assert eng.stats()["ipc"]["frames"] > 0
         pids = [w.proc.pid for w in eng.proc_pool._workers]
         assert eng.shutdown() is True
         assert set(_leaked_segments()) == baseline_segments, (
@@ -275,47 +289,35 @@ def test_engine_shutdown_soak_no_leaks():
                 os.kill(pid, 0)
 
 
-def test_spmd_run_backend_kwarg():
-    def job(comm):
-        return global_reduce(comm, SumOp(), np.arange(500.0) * (comm.rank + 1))
-
+def test_spmd_run_backend_kwarg(forced):
     from repro.runtime import spmd_run
 
-    r_thread = spmd_run(job, 2)
-    r_proc = spmd_run(
-        job, 2, backend="process", backend_options={"min_offload_bytes": 0}
-    )
-    assert r_proc.returns == r_thread.returns
+    r_thread = spmd_run(min3_job, 2)
+    r_proc = spmd_run(min3_job, 2, backend="process")
+    for got, want in zip(r_proc.returns, r_thread.returns):
+        assert got.tobytes() == want.tobytes()
     assert r_proc.clocks == r_thread.clocks
     assert not _leaked_segments()
 
 
-def test_kernel_routing_counters_match_thread_backend():
+def test_kernel_routing_counters_match_thread_backend(forced):
     """A successful offload records the same schedule-cache decision and
     ``kernels.accum.*`` tracer counters the inline fold would have, so
     kernel-routing observability does not depend on the backend."""
     from repro.obs import Tracer
     from repro.runtime import spmd_run
 
-    def job(comm):
-        return global_reduce(
-            comm, SumOp(), np.arange(20_000.0) * (comm.rank + 1)
-        )
-
-    def accum_counters(backend, **opts):
+    def accum_counters(backend):
         tracer = Tracer()
-        spmd_run(
-            job, 2, tracer=tracer, backend=backend,
-            backend_options=opts or None,
-        )
+        spmd_run(min3_job, 2, tracer=tracer, backend=backend)
         snap = tracer.metrics.snapshot()["counters"]
         return {
             k: v for k, v in snap.items() if k.startswith("kernels.accum.")
         }
 
     thread = accum_counters("thread")
-    process = accum_counters("process", min_offload_bytes=0)
-    assert thread  # the fold actually routed through the kernel tier
+    process = accum_counters("process")
+    assert thread == {"kernels.accum.segmented": 2}  # an offered fold
     assert process == thread
 
 

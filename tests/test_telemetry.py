@@ -18,7 +18,8 @@ import pytest
 from repro import global_reduce
 from repro.analysis import engine_session_to_chrome_trace
 from repro.engine import Engine
-from repro.engine.resilience import RetryPolicy, SupervisorConfig
+from repro.engine import resilience
+from repro.engine.resilience import RetryPolicy
 from repro.errors import EngineSaturated, SpmdError
 from repro.faults import FailStop, FaultPlan
 from repro.obs import render_prometheus
@@ -243,9 +244,12 @@ def _wait_for(predicate, timeout=10.0):
         time.sleep(0.005)
 
 
-#: A backoff long enough that a failed attempt stays parked for as long
-#: as a test wants to look at it.
-_PARKED = RetryPolicy(max_attempts=2, backoff_base=60.0, backoff_max=60.0)
+@pytest.fixture
+def parked(monkeypatch):
+    """A policy whose backoff is long enough that a failed attempt stays
+    parked for as long as a test wants to look at it."""
+    monkeypatch.setattr(resilience, "BACKOFF_MAX", 60.0)
+    return RetryPolicy(max_attempts=2, backoff_base=60.0)
 
 #: What a flat thread-backend engine exports, recorded from the commit
 #: before the counts moved out of the hooks: names and kinds are API
@@ -265,7 +269,6 @@ _FLAT_SURFACE = [
     ("engine.jobs.reaped", "counter"),
     ("engine.jobs.rejected", "counter"),
     ("engine.jobs.retried", "counter"),
-    ("engine.jobs.shrunk", "counter"),
     ("engine.jobs.submitted", "counter"),
     ("engine.kernel_cache.hit_rate", "gauge"),
     ("engine.kernel_cache.hits", "gauge"),
@@ -302,7 +305,6 @@ _FLAT_PROMETHEUS_TYPES = [
     "# TYPE repro_engine_jobs_reaped_total counter",
     "# TYPE repro_engine_jobs_rejected_total counter",
     "# TYPE repro_engine_jobs_retried_total counter",
-    "# TYPE repro_engine_jobs_shrunk_total counter",
     "# TYPE repro_engine_jobs_submitted_total counter",
     "# TYPE repro_engine_kernel_cache_hit_rate gauge",
     "# TYPE repro_engine_kernel_cache_hits gauge",
@@ -327,13 +329,14 @@ class TestOneSetOfBooks:
     snapshot copies them out through ``STATS_METRICS``, so the two
     halves of one frame cannot disagree whatever path a job left by."""
 
-    def test_metrics_agree_with_engine_stats(self):
+    def test_metrics_agree_with_engine_stats(self, monkeypatch, parked):
         gate = threading.Event()
         crash_rank_1 = FaultPlan(
             seed=1, failstops=(FailStop(rank=1, at_op=1),)
         )
-        quick_probe = SupervisorConfig(interval=0.02, probe_after=0.05)
-        with Engine(4, queue_depth=1, supervisor=quick_probe) as eng:
+        monkeypatch.setattr(resilience, "TICK_INTERVAL", 0.02)
+        monkeypatch.setattr(resilience, "PROBE_AFTER", 0.05)
+        with Engine(4, queue_depth=1) as eng:
             eng.submit(_job).result()  # before the bind: not in the series
             base = eng.stats()
             eng.set_telemetry(True)
@@ -350,9 +353,9 @@ class TestOneSetOfBooks:
             assert pending.cancel()
             gate.set()
             blocker.result()
-            parked = eng.submit(_failing_job, retry_policy=_PARKED)
+            parked_job = eng.submit(_failing_job, retry_policy=parked)
             _wait_for(lambda: eng.stats()["retry_backlog"] == 1)
-            assert parked.cancel()
+            assert parked_job.cancel()
             survived = eng.submit(_job, fault_plan=crash_rank_1).result()
             assert survived.failed_ranks == {1}
             # Revived on an idle pool: no job follows to refresh a gauge.
@@ -382,14 +385,14 @@ class TestOneSetOfBooks:
         assert counters["engine.ranks.quarantines"] == 1
         assert gauges["engine.ranks.free"] == stats["free_ranks"] == 4
 
-    def test_shutdown_closes_a_parked_lifecycle_once(self):
+    def test_shutdown_closes_a_parked_lifecycle_once(self, parked):
         """``shutdown(drain=False)`` with a job parked in backoff: the
         failed attempt's lifecycle went terminal when it was parked and
         must not be closed (and billed as busy time) a second time."""
         eng = Engine(4, telemetry=True)
         tel = eng.telemetry
         try:
-            handle = eng.submit(_failing_job, retry_policy=_PARKED)
+            handle = eng.submit(_failing_job, retry_policy=parked)
             _wait_for(lambda: eng.stats()["retry_backlog"] == 1)
             assert handle.lifecycle is None  # the attempt is over
             intervals, busy = tel.intervals(), list(tel._busy)
