@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -90,6 +91,22 @@ def run_soak(
         max_attempts=max_attempts, backoff_base=0.002, seed=seed
     )
     with Engine(POOL_RANKS, telemetry=telemetry) as engine:
+        # Every stats() read during the soak must balance: a job is in
+        # exactly one of pending / inflight / retry_backlog / terminal.
+        reads, unbalanced, soak_over = [0], [], threading.Event()
+
+        def watch_books():
+            while not soak_over.wait(0.002):
+                s = engine.stats()
+                reads[0] += 1
+                if s["submitted"] != (
+                    s["completed"] + s["failed"] + s["cancelled"]
+                    + s["pending"] + s["inflight"] + s["retry_backlog"]
+                ):
+                    unbalanced.append(s)
+
+        watcher = threading.Thread(target=watch_books, daemon=True)
+        watcher.start()
         # Fault-free baseline: the byte-identity reference every eventual
         # success is compared against.  Same engine, fresh JobWorld —
         # per-job isolation makes this equivalent to a standalone run.
@@ -138,6 +155,8 @@ def run_soak(
         wall = time.perf_counter() - t0
 
         engine.drain()
+        soak_over.set()
+        watcher.join()
         stats = engine.stats()
     latency = telemetry.latency_summary()
 
@@ -166,6 +185,8 @@ def run_soak(
         "revival_swept_messages": stats["revival_swept_messages"],
         "quarantined_at_end": stats["quarantined_ranks"],
         "status_at_end": stats["status"],
+        "stats_reads": reads[0],
+        "unbalanced_stats_reads": len(unbalanced),
         "e2e_p50_s": e2e["p50"],
         "e2e_p99_s": e2e["p99"],
     }
@@ -187,6 +208,11 @@ def check(m: dict) -> list[str]:
         problems.append(
             f"only {m['healthy_first_try_ok']}/{m['healthy_jobs']} healthy "
             "jobs completed first-try with the right answer"
+        )
+    if m["unbalanced_stats_reads"]:
+        problems.append(
+            f"{m['unbalanced_stats_reads']} of {m['stats_reads']} stats() "
+            "reads broke the conservation identity"
         )
     if m["retries"] == 0:
         problems.append("no retries happened — the chaos plan injected nothing")

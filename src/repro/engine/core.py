@@ -1,73 +1,44 @@
 """The persistent multi-tenant engine: one world, resident rank threads,
 many concurrent jobs.
 
-Where :func:`repro.runtime.spmd_run` historically built a fresh world
-and spawned ``nprocs`` threads per call, an :class:`Engine` pays those
-costs once: it owns one pool :class:`~repro.runtime.world.World` (the
-mailboxes, the context-id allocator, the cross-job schedule cache) and
-one resident thread per pool rank.  Clients submit SPMD functions
-through :meth:`Engine.submit` or a :class:`Session` and get back
-:class:`~repro.engine.job.JobHandle`\\ s.
+An :class:`Engine` pays world construction and thread start-up once: it
+owns one pool :class:`~repro.runtime.world.World` (the mailboxes, the
+context-id allocator, the cross-job schedule cache) and one resident
+thread per pool rank.  Clients submit SPMD functions through
+:meth:`Engine.submit` or a :class:`Session` and get back
+:class:`~repro.engine.job.JobHandle`\\ s; :func:`repro.runtime.spmd_run`
+is a shim over a transient one.
 
-Scheduling
-----------
-Jobs are gang-scheduled FIFO: a job asking for ``k <= pool`` ranks waits
-until ``k`` pool ranks are free, then runs on the lowest-numbered free
-ranks (packed by node and rack on a multi-tier fabric).  Jobs smaller
-than the pool run genuinely concurrently.  The queue is strict FIFO (a
-large job at the head blocks later small ones), which trades some
-utilization for no starvation and a deterministic admission order.
-
-Isolation
----------
-Each dispatched job gets a :class:`~repro.runtime.world.JobWorld`: fresh
-virtual clocks, traces, membership (failure detector + watchdog), abort
-flag, tracer capture and fault injector, plus a world-unique base
-context id so two jobs' message tags can never match even while
-interleaved on the same mailboxes.  Results are **bit-identical** to a
-standalone ``spmd_run`` of the same function: returns, per-rank virtual
-times, message counts and makespan — independent of where in the pool
-the job landed (costs are rank-uniform and everything user-visible is
-labeled with group ranks).
-
-Admission control
------------------
-``queue_depth`` bounds how many jobs may wait; a full queue blocks
-:meth:`Engine.submit` (backpressure) or raises
-:class:`~repro.errors.EngineSaturated` for non-blocking submits.
-:meth:`Engine.drain` waits for quiescence; :meth:`Engine.shutdown`
-closes admission and either drains or aborts.
-
-Self-healing
-------------
-A :class:`~repro.engine.resilience.Supervisor` thread (always on)
-closes the loop between job outcomes and pool health: ranks a finished
-job reports dead are **quarantined** (the gang scheduler skips them)
-and periodically probed back to life; jobs submitted with a
-:class:`~repro.engine.resilience.RetryPolicy` that fail with a
-retryable error are re-run on a fresh
-:class:`~repro.runtime.world.JobWorld` after a deterministic backoff;
-jobs stuck past their deadline are reaped server-side.  Admission
-control tracks **effective capacity** (pool minus quarantined): a job
-that no longer fits raises :class:`~repro.errors.EngineDegraded` (or
-waits for revival, when blocking).  See ``docs/engine.md``
-("Self-healing").
+Who does what
+-------------
+*Where a job is* — pending, running, parked for a retry, terminal — and
+which ranks are free or quarantined is the
+:class:`~repro.engine.scheduler.Scheduler`'s: plain state, one method
+per move, no thread.  This module keeps what needs a thread or a wait:
+the lock and condition every move runs under, the rank threads and their
+boxes, running a job's ranks and assembling its result, the process
+pool, the telemetry hooks, and ``submit`` / ``drain`` / ``shutdown``.
+The :class:`~repro.engine.resilience.Supervisor` thread paces the
+self-healing steps (:meth:`Engine.admit_due_retries`,
+:meth:`~Engine.reap_stuck_jobs`, :meth:`~Engine.probe_quarantined`,
+:meth:`~Engine.probe_backend`).  The state table — status, container,
+who may move it — is in ``docs/engine.md``, with the isolation model:
+each placed job runs over a fresh :class:`~repro.runtime.world.JobWorld`
+(clocks, membership, abort flag, base context id), so its results are
+**bit-identical** to a standalone ``spmd_run`` wherever in the pool it
+landed.
 """
 
 from __future__ import annotations
 
-import heapq
 import queue
 import threading
 import time
-from collections import deque
 from typing import Any, Callable, Sequence
 
 from repro.errors import (
     CommunicatorError,
     EngineClosed,
-    EngineDegraded,
-    EngineSaturated,
     JobCancelled,
     RankFailStop,
     RuntimeAbort,
@@ -82,7 +53,8 @@ from repro.runtime.executor import SpmdResult
 from repro.runtime.world import World
 
 from repro.engine import resilience
-from repro.engine.job import JobHandle, _Job
+from repro.engine.job import JobHandle, Session, _deadline, _Job, _remaining
+from repro.engine.scheduler import Scheduler
 
 __all__ = ["Engine", "Session"]
 
@@ -111,28 +83,25 @@ def _probe_fn(comm):
 class Engine:
     """A resident rank pool serving many SPMD jobs over one world.
 
+    ``queue_depth`` bounds how many jobs may wait; a full queue blocks
+    :meth:`submit` (backpressure) or raises
+    :class:`~repro.errors.EngineSaturated` for non-blocking submits.
+
     ``telemetry`` enables the service-level observability layer
     (:mod:`repro.obs.telemetry`): ``True`` builds a fresh
-    :class:`~repro.obs.telemetry.EngineTelemetry`, or pass a
-    preconfigured instance; the default (off) keeps the submit/schedule
-    hot path allocation-free (the same guarantee as disabled tracing).
+    :class:`~repro.obs.telemetry.EngineTelemetry`, or pass your own;
+    off (default) keeps the submit/schedule hot path allocation-free.
 
-    The self-healing layer is always on: every engine runs one
-    :class:`~repro.engine.resilience.Supervisor` thread, paced by the
-    constants of :mod:`repro.engine.resilience`.
-
-    ``backend`` selects the execution backend (see ``docs/backends.md``):
-    ``"thread"`` (default) folds accumulate phases in-process — the
-    bit-identity oracle; ``"process"`` offloads them to a
+    ``backend`` (``docs/backends.md``): ``"thread"`` (default) folds
+    accumulate phases in-process — the bit-identity oracle;
+    ``"process"`` offloads them to a
     :class:`~repro.runtime.procworld.ProcPool` of forked rank workers
-    over shared-memory rings, byte-identical by contract and enforced
-    by the backend identity grid.
+    over shared-memory rings, byte-identical by contract.
 
     ``topology`` installs a :class:`repro.runtime.fabric.Topology` on
     the pool's world (flat by default — bit-identical to the plain cost
-    model).  Gang placement follows from it: gangs are packed into as
-    few nodes/racks as the fabric allows, which on the flat fabric is
-    the lowest-numbered free ranks.  See ``docs/topology.md``.
+    model); gang placement follows from it
+    (:func:`~repro.engine.scheduler.place_gang`, ``docs/topology.md``).
     """
 
     def __init__(
@@ -166,39 +135,12 @@ class Engine:
         else:
             self._proc_pool = None
         self._nprocs = nprocs
-        self._queue_depth = queue_depth
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
-        self._pending: deque[_Job] = deque()
-        self._running: set[_Job] = set()
-        self._free: set[int] = set(range(nprocs))
-        self._inflight = 0
-        self._closed = False
+        #: Where every job is, and every count (guarded by ``_lock``).
+        self._sched = Scheduler(nprocs, queue_depth, self._world.topology)
         self._joined = False
-        self._next_job_id = 1
-        # Counters (read via stats(); written under the engine lock).
-        self._n_submitted = 0
-        self._n_completed = 0
-        self._n_failed = 0
-        self._n_cancelled = 0
-        self._n_rejected = 0
-        self._peak_inflight = 0
-        self._leaked_drained = 0
-        # Self-healing state (all guarded by the engine lock).
-        self._quarantined: set[int] = set()
-        self._quarantined_at: dict[int, float] = {}
-        self._retry_due: list[tuple[float, int, _Job]] = []  # backoff heap
-        self._retry_seq = 0
         self._join_clean = True
-        self._n_retried = 0
-        self._n_reaped = 0
-        self._n_quarantines = 0
-        self._n_revivals = 0
-        self._revival_swept = 0
-        # Locality placement counters (guarded by the engine lock).
-        self._gangs_placed = 0
-        self._spread_sum = 0
-        self._single_node_gangs = 0
         self._telemetry.bind(self)  # reads stats(): the books above exist
         self._boxes: list[queue.SimpleQueue] = [
             queue.SimpleQueue() for _ in range(nprocs)
@@ -249,12 +191,9 @@ class Engine:
         """Swap the telemetry layer on a live engine (``True`` builds a
         fresh :class:`EngineTelemetry`; ``False``/``None`` disables).
 
-        Meant for quiescent points — attaching observability to a
-        warmed-up engine, or starting a fresh measurement series after
-        warm-up traffic (the throughput benchmark does the latter).
-        Jobs admitted before the swap carry lifecycles stamped by the
-        old telemetry but report their remaining transitions to the new
-        one, so swapping with jobs pending or running skews both series.
+        Meant for quiescent points (after warm-up traffic, say): jobs
+        admitted before the swap carry lifecycles stamped by the old
+        telemetry but report their remaining transitions to the new one.
         """
         telemetry = _resolve_telemetry(telemetry, self._nprocs)
         with self._lock:
@@ -263,34 +202,13 @@ class Engine:
         telemetry.bind(self)
 
     def stats(self) -> dict[str, Any]:
-        """Scheduler, cache and self-healing counters (a consistent
-        snapshot).  ``effective_capacity`` is the pool minus quarantined
-        ranks — what admission control actually schedules against."""
+        """Scheduler, cache and self-healing counters, one consistent
+        snapshot (``effective_capacity``: the pool minus quarantined)."""
         with self._lock:
-            effective = self._nprocs - len(self._quarantined)
             return {
                 "nprocs": self._nprocs,
                 "telemetry_enabled": self._telemetry.enabled,
-                "pending": len(self._pending),
-                "inflight": self._inflight,
-                "free_ranks": len(self._free),
-                "submitted": self._n_submitted,
-                "completed": self._n_completed,
-                "failed": self._n_failed,
-                "cancelled": self._n_cancelled,
-                "rejected": self._n_rejected,
-                "peak_inflight": self._peak_inflight,
-                "leaked_messages_drained": self._leaked_drained,
-                "quarantined_ranks": sorted(self._quarantined),
-                "effective_capacity": effective,
-                "degraded": self._degraded_locked(),
-                "retried": self._n_retried,
-                "retry_backlog": len(self._retry_due),
-                "reaped": self._n_reaped,
-                "quarantines": self._n_quarantines,
-                "revivals": self._n_revivals,
-                "revival_swept_messages": self._revival_swept,
-                "status": self._status_locked(),
+                **self._sched.stats(),
                 "schedule_cache": self._world.schedule_cache.stats(),
                 "kernel_cache": self._world.kernel_cache.stats(),
                 "backend": self._backend,
@@ -299,14 +217,6 @@ class Engine:
                     if self._proc_pool is not None else None
                 ),
                 "topology": self._world.topology.signature,
-                "placement": {
-                    "gangs_placed": self._gangs_placed,
-                    "mean_gang_spread": (
-                        self._spread_sum / self._gangs_placed
-                        if self._gangs_placed else 0.0
-                    ),
-                    "single_node_gangs": self._single_node_gangs,
-                },
                 "fabric": self._world.topology.stats(),
             }
 
@@ -315,13 +225,7 @@ class Engine:
         below :data:`~repro.engine.resilience.CAPACITY_FLOOR` of the
         pool) or ``"closed"``."""
         with self._lock:
-            return self._status_locked()
-
-    def _status_locked(self) -> str:
-        """:meth:`status`, for callers already holding the engine lock."""
-        if self._closed:
-            return "closed"
-        return "degraded" if self._degraded_locked() else "ok"
+            return self._sched.status()
 
     # -- submission ---------------------------------------------------------
 
@@ -351,22 +255,18 @@ class Engine:
         * ``block=True`` (default) waits while the pending queue is at
           ``queue_depth``, up to ``queue_timeout`` seconds (None = as
           long as it takes), then raises
-          :class:`~repro.errors.EngineSaturated`;
-        * ``block=False`` raises :class:`EngineSaturated` immediately on
-          a full queue.
+          :class:`~repro.errors.EngineSaturated`; ``block=False`` raises
+          it immediately on a full queue;
+        * a job asking for more ranks than quarantine has left
+          schedulable raises :class:`~repro.errors.EngineDegraded` on
+          the same terms, or waits for revival (blocking).
 
-        Self-healing extensions:
-
-        * ``fault_plan`` may be a static plan **or** a callable
-          ``attempt -> plan`` (attempt 0 = first run) — the chaos-tenant
-          contract (:func:`repro.faults.transient_plan`);
-        * ``retry_policy`` re-runs retryable failures on a fresh
-          :class:`~repro.runtime.world.JobWorld` per attempt (results of
-          an eventual success are bit-identical to a fault-free run).
-
-        A job asking for more ranks than quarantine has left schedulable
-        raises :class:`~repro.errors.EngineDegraded` (``block=False`` or
-        ``queue_timeout`` expired) or waits for revival (blocking).
+        ``fault_plan`` may be a static plan **or** a callable
+        ``attempt -> plan`` (attempt 0 = first run,
+        :func:`repro.faults.transient_plan`); ``retry_policy`` re-runs
+        retryable failures on a fresh
+        :class:`~repro.runtime.world.JobWorld` per attempt (an eventual
+        success is bit-identical to a fault-free run).
 
         ``session`` labels the job's telemetry lifecycle with the
         submitting client (set automatically by :meth:`Session.submit`).
@@ -375,8 +275,7 @@ class Engine:
         nprocs = self._nprocs if nprocs is None else nprocs
         tel = self._telemetry
         # Entry stamp *before* any backpressure wait, so queued-submitted
-        # measures the admission stall.  The disabled branch stays
-        # allocation-free: no lifecycle object, no instrument touches.
+        # measures the admission stall (allocation-free when disabled).
         t_submit = tel.now() if tel.enabled else 0.0
         if nprocs < 1:
             raise CommunicatorError(f"nprocs must be >= 1, got {nprocs}")
@@ -386,80 +285,39 @@ class Engine:
                 f"{self._nprocs}"
             )
         if tracer is None:
-            # Same convention as spmd_run: an installed profiling session
-            # captures jobs that don't bring their own tracer.  (The
-            # profile CLI's rank override is applied by the spmd_run
-            # shim, not here — an engine's pool size is fixed.)
+            # As spmd_run: an installed profiling session captures jobs
+            # that bring no tracer (its rank override is the shim's to
+            # apply — an engine's pool size is fixed).
             tracer = active_tracer()
-        deadline = (
-            None if queue_timeout is None
-            else time.monotonic() + queue_timeout
+        deadline = _deadline(queue_timeout)
+        job = _Job(
+            fn, args, nprocs,
+            timeout=timeout, tracer=tracer, fault_plan=fault_plan,
+            label=label, retry_policy=retry_policy, session=session,
         )
-        # Resolve the first attempt's fault plan up front (the source —
-        # possibly a callable — rides along on the job for retries).
-        plan0 = fault_plan(0) if callable(fault_plan) else fault_plan
+        sched = self._sched
         with self._cv:
             while True:
-                if self._closed:
+                if sched.closed:
                     raise EngineClosed("engine is shut down")
-                effective = self._nprocs - len(self._quarantined)
-                degraded_block = nprocs > effective
-                if (
-                    not degraded_block
-                    and len(self._pending) < self._queue_depth
-                ):
+                refusal = sched.refusal(nprocs)
+                if refusal is None:
                     break
-                if degraded_block:
-                    exc_type: type[EngineSaturated] = EngineDegraded
-                    reason = (
-                        f"job requests {nprocs} ranks but only {effective} "
-                        f"of {self._nprocs} are schedulable "
-                        f"({len(self._quarantined)} quarantined); back off "
-                        f"until revival"
-                    )
-                else:
-                    exc_type = EngineSaturated
-                    reason = (
-                        f"pending queue is at its depth limit "
-                        f"({self._queue_depth})"
-                    )
-                remaining = (
-                    None if deadline is None
-                    else deadline - time.monotonic()
-                )
+                remaining = _remaining(deadline)
                 expired = remaining is not None and remaining <= 0.0
                 if not block or expired:
-                    self._n_rejected += 1
+                    sched.reject()
                     if tel.enabled:
                         tel.job_rejected(
-                            label if label is not None
-                            else getattr(fn, "__name__", None),
-                            session, nprocs, t_submit,
+                            job.label, session, nprocs, t_submit
                         )
+                    exc_type, reason = refusal
                     if expired:
                         reason += f" (waited {queue_timeout} s)"
                     raise exc_type(reason)
                 self._cv.wait(remaining)
-            job = _Job(
-                self._next_job_id, fn, args, nprocs,
-                timeout=timeout,
-                tracer=tracer,
-                fault_plan=plan0,
-                label=label,
-            )
-            job.fault_plan_source = fault_plan
-            job.retry_policy = retry_policy
-            job.session = session
-            job.admitted_at = time.perf_counter()
-            self._next_job_id += 1
-            self._n_submitted += 1
-            self._pending.append(job)
-            if tel.enabled:
-                job.lifecycle = tel.job_admitted(
-                    job.job_id, job.label, session, nprocs,
-                    plan0 is not None, t_submit,
-                )
-            self._dispatch_locked()
+            sched.admit(job, time.perf_counter())
+            self._admitted_locked(job, t_submit)
         return JobHandle(job, self)
 
     def session(self, label: str | None = None) -> "Session":
@@ -471,30 +329,26 @@ class Engine:
     def drain(self, timeout: float | None = None) -> bool:
         """Block until no job is pending, running or awaiting retry;
         False on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = _deadline(timeout)
         with self._cv:
-            while self._pending or self._inflight or self._retry_due:
-                remaining = (
-                    None if deadline is None
-                    else deadline - time.monotonic()
-                )
+            while not self._sched.idle():
+                remaining = _remaining(deadline)
                 if remaining is not None and remaining <= 0.0:
                     return False
                 self._cv.wait(remaining)
         return True
 
     def shutdown(
-        self,
-        *,
-        drain: bool = True,
-        timeout: float | None = None,
+        self, *, drain: bool = True, timeout: float | None = None
     ) -> bool:
         """Close admission and stop the pool.
 
         ``drain=True`` (graceful) lets queued, running and retrying jobs
-        finish first (up to ``timeout`` seconds); ``drain=False``
-        cancels every pending/retrying job and aborts every running one
-        (their waiters see :class:`~repro.errors.JobCancelled`).
+        finish first, up to ``timeout`` seconds.  Whatever is still here
+        then — everything, with ``drain=False`` — is cancelled: pending
+        and retrying jobs at once, running ones by abort (their waiters
+        see :class:`~repro.errors.JobCancelled` as soon as the ranks
+        unwind), so no handle outlives the engine unsettled.
 
         The worker threads then get ``timeout`` seconds to join, or
         :data:`~repro.engine.resilience.JOIN_TIMEOUT` (5.0 s) when it
@@ -504,31 +358,21 @@ class Engine:
         """
         with self._cv:
             already_joined = self._joined
-            self._closed = True
+            self._sched.close()
             self._cv.notify_all()
         if already_joined:
             return self._join_clean
         if drain:
             self.drain(timeout)
-        else:
-            with self._cv:
-                unplaced = [
-                    *self._pending, *(entry[2] for entry in self._retry_due)
-                ]
-                self._pending.clear()
-                self._retry_due.clear()
-                running = list(self._running)
-                for job in unplaced:
-                    self._finish_unplaced_locked(
-                        job, "cancelled",
-                        JobCancelled(
-                            f"job {job.job_id} cancelled by engine shutdown"
-                        ),
-                    )
-            for job in running:
-                job.cancelled = True
-                job.world.abort()
+        with self._cv:
+            unplaced, running = self._sched.sweep()
+            for job in unplaced:
+                self._finished_locked(job)
+        for job in running:
+            job.world.abort()
         self._supervisor.stop()
+        # Nothing can be placed after the sweep, so the sentinel is the
+        # last thing each box ever holds.
         for box in self._boxes:
             box.put(None)
         join_timeout = resilience.JOIN_TIMEOUT if timeout is None else timeout
@@ -562,147 +406,76 @@ class Engine:
     def __exit__(self, *exc: Any) -> None:
         self.shutdown()
 
-    # -- scheduling internals -----------------------------------------------
+    # -- executing the scheduler's moves (engine lock held) -----------------
 
-    def _assemble_members_locked(self, k: int) -> tuple[int, ...]:
-        """Pick ``k`` free ranks for a gang.  Caller holds the engine lock.
-
-        On the flat topology this is exactly the historical policy —
-        the lowest-numbered free ranks — so pre-fabric engine behavior
-        is untouched.  On a multi-tier fabric the gang is packed to
-        minimize the tiers its collectives must cross: the *tightest*
-        single node that fits (best-fit keeps big holes open for big
-        gangs), else the tightest single rack filled from its fullest
-        nodes, else a global fill by descending node free count.
-        Members are returned sorted, which keeps each node's ranks a
-        contiguous group-rank range — the layout the hierarchical
-        collectives exploit.  All choices are deterministic (sorted
-        sets, index tie-breaks), and job *results* never depend on
-        placement, only virtual times.
-        """
-        free = sorted(self._free)
-        topo = self._world.topology
-        if topo.is_flat:
-            return tuple(free[:k])
-        by_node: dict[int, list[int]] = {}
-        for r in free:
-            by_node.setdefault(topo.node_of(r), []).append(r)
-        # 1) Tightest single node that fits.
-        fits = [(len(rs), n) for n, rs in by_node.items() if len(rs) >= k]
-        if fits:
-            _, node = min(fits)
-            return tuple(by_node[node][:k])
-        # 2) Tightest single rack, filled from its fullest nodes.
-        by_rack: dict[int, list[int]] = {}
-        for node, rs in by_node.items():
-            by_rack.setdefault(topo.rack_of(rs[0]), []).append(node)
-        rack_fits = [
-            (sum(len(by_node[n]) for n in nodes), rack)
-            for rack, nodes in by_rack.items()
-            if sum(len(by_node[n]) for n in nodes) >= k
-        ]
-        if rack_fits:
-            _, rack = min(rack_fits)
-            pool_nodes = sorted(
-                by_rack[rack], key=lambda n: (-len(by_node[n]), n)
+    def _admitted_locked(self, job: _Job, t_submit: float) -> None:
+        """``job`` just joined the pending queue (new, or a retry's next
+        attempt): give the attempt its lifecycle and place what fits."""
+        tel = self._telemetry
+        if tel.enabled:
+            job.lifecycle = tel.job_admitted(
+                job.job_id, job.label, job.session, job.nprocs,
+                job.fault_plan is not None, t_submit, attempt=job.attempt,
             )
-        else:
-            # 3) Span racks: fill by descending node free count globally.
-            pool_nodes = sorted(
-                by_node, key=lambda n: (-len(by_node[n]), n)
-            )
-        chosen: list[int] = []
-        for node in pool_nodes:
-            take = min(k - len(chosen), len(by_node[node]))
-            chosen.extend(by_node[node][:take])
-            if len(chosen) == k:
-                break
-        return tuple(sorted(chosen))
+        self._dispatch_locked()
 
     def _dispatch_locked(self) -> None:
-        """Start every head-of-queue job the free ranks can hold.
-
-        Caller holds the engine lock.  Placement is deterministic (see
-        :meth:`_assemble_members_locked`): the lowest-numbered free
-        ranks on the flat default, locality-packed on a multi-tier
-        fabric — results don't depend on it, but a deterministic
-        scheduler is far easier to debug.
-        """
-        while self._pending:
-            job = self._pending[0]
-            if job.nprocs > len(self._free):
-                break
-            self._pending.popleft()
-            members = self._assemble_members_locked(job.nprocs)
-            self._free.difference_update(members)
-            topo = self._world.topology
-            if not topo.is_flat:
-                spread = topo.nodes_spanned(members)
-                self._gangs_placed += 1
-                self._spread_sum += spread
-                if spread == 1:
-                    self._single_node_gangs += 1
-            self._inflight += 1
-            self._peak_inflight = max(self._peak_inflight, self._inflight)
+        """Start every job the scheduler places: a fresh
+        :class:`~repro.runtime.world.JobWorld`, one box item per member."""
+        for job in self._sched.place():
             if job.lifecycle is not None:
-                self._telemetry.job_assembled(job.lifecycle, members)
-            self._running.add(job)
-            job.start(self._world, members)
-            for g, w in enumerate(members):
-                self._boxes[w].put((job, g))
+                self._telemetry.job_assembled(job.lifecycle, job.members)
+            job.start(self._world)
+            done = self._rank_done
+            for g, w in enumerate(job.members):
+                self._boxes[w].put((job, g, done))
             self._cv.notify_all()  # queue space freed: wake submitters
+
+    def _finished_locked(self, job: _Job) -> None:
+        """``job`` just went terminal: close its lifecycle (a job that
+        was parked has none — its failed attempt's closed as "retrying")
+        and wake its waiters, drain()ers and submitters."""
+        if job.lifecycle is not None:
+            self._telemetry.job_done(
+                job.lifecycle, job.status, job.virtual_seconds
+            )
+        job.done_event.set()
+        self._cv.notify_all()
 
     def _cancel_job(self, job: _Job) -> bool:
         """Cancel ``job`` (see :meth:`JobHandle.cancel`)."""
         with self._cv:
-            if job.status == "retrying":
-                # Parked in backoff: withdraw it from the retry heap so
-                # drain() does not wait on a cancelled job.
-                self._retry_due = [
-                    entry for entry in self._retry_due
-                    if entry[2] is not job
-                ]
-                heapq.heapify(self._retry_due)
-            elif job.status == "pending":
-                try:
-                    self._pending.remove(job)
-                except ValueError:  # pragma: no cover - dispatch race
-                    return False
-            if job.status in ("retrying", "pending"):
-                self._finish_unplaced_locked(
-                    job, "cancelled",
-                    JobCancelled(f"job {job.job_id} cancelled"),
-                )
+            if self._sched.withdraw(
+                job, "cancelled", JobCancelled(f"job {job.job_id} cancelled")
+            ):
+                self._finished_locked(job)
                 return True
-            if job.status != "running":
+            if not self._sched.flag_cancelled(job):
                 return False
-            job.cancelled = True
+            world = job.world
         # Abort outside the engine lock: it takes mailbox locks.
-        job.world.abort()
+        world.abort()
         return True
 
-    def _finish_unplaced_locked(
-        self, job: _Job, status: str, error: BaseException
-    ) -> None:
-        """Take a job that holds no ranks — pending, or parked in retry
-        backoff — terminal as ``status`` ("cancelled" or "failed").
-
-        The caller holds the engine lock and has already taken the job
-        out of the pending deque or the retry heap.  A parked job has no
-        lifecycle to close: its failed attempt's went terminal
-        ("retrying") in ``_rank_done`` and the next attempt never got one.
-        """
-        job.status = status
-        job.error = error
-        if status == "cancelled":
-            job.cancelled = True
-            self._n_cancelled += 1
-        else:
-            self._n_failed += 1
-        if job.lifecycle is not None:
-            self._telemetry.job_done(job.lifecycle, status, 0.0)
-        job.done_event.set()
-        self._cv.notify_all()
+    def _abort_timed_out(
+        self, job: _Job, message: str, reaped: bool = False
+    ) -> SpmdTimeout:
+        """The one timeout-abort: a running job blew its deadline — as
+        seen by a client's ``result()`` or by the reaper — so record the
+        diagnosis (once; :meth:`Scheduler.settle` fails the job with it)
+        and unwind the job's ranks.  Returns the diagnosis."""
+        world = job.world
+        err = SpmdTimeout(
+            message,
+            rank_states=None if world is None else world.rank_states(),
+        )
+        with self._cv:
+            first = job.world is world and self._sched.time_out(
+                job, err, reaped
+            )
+        if first:
+            world.abort()
+        return err
 
     # -- worker side --------------------------------------------------------
 
@@ -712,12 +485,13 @@ class Engine:
             item = box.get()
             if item is None:
                 return
-            job, group_rank = item
-            self._run_rank(job, world_rank, group_rank)
+            self._run_rank(world_rank, *item)
 
-    def _run_rank(self, job: _Job, w: int, g: int) -> None:
+    def _run_rank(self, w: int, job: _Job, g: int, done: Callable) -> None:
         """Run one member rank of one job on its resident pool thread:
-        bind the mailbox to the job, call ``fn``, record how it ended."""
+        bind the mailbox to the job, call ``fn``, record how it ended,
+        then report to ``done`` (:meth:`_rank_done`; a health probe
+        brings its own)."""
         world = job.world
         mailbox = self._world.mailboxes[w]
         lc = job.lifecycle
@@ -750,76 +524,41 @@ class Engine:
                 world.retire_rank(w)
         finally:
             mailbox.bind_job(*previous)
-            self._rank_done(job, w)
+            done(job, w)
 
     def _rank_done(self, job: _Job, w: int) -> None:
         with self._cv:
-            if not job.is_probe and w not in self._quarantined:
-                # A rank quarantined mid-job (by another job's finalize)
-                # stays withheld; probes run *on* quarantined ranks and
-                # never touch the free set.
-                self._free.add(w)
-            job.ranks_left -= 1
-            last = job.ranks_left == 0
-            if not last:
+            if not self._sched.release(job, w):
                 # The freed rank may already complete another job's gang.
                 self._dispatch_locked()
-                self._cv.notify_all()
                 return
         # Last member rank out finalizes, outside the engine lock; the
-        # job counts as inflight until its result is assembled, so
+        # job stays in the running set until its result is assembled, so
         # drain() cannot return with a result still being built.
         leaked, result, err = self._finalize(job)
-        if job.is_probe:
-            # Probes bypass all scheduler accounting and the lock;
-            # _probe_rank reads job.status off the done event.
-            self._settle(job, result, err)
-            return
+        dead = job.world.membership.dead_snapshot()
         with self._cv:
-            self._settle(job, result, err)
-            self._inflight -= 1
-            self._running.discard(job)
-            self._leaked_drained += leaked
-            self._quarantine_locked(job)
-            if job.status == "retrying":
-                # The one way back into the queue: the backoff heap,
-                # drained by the supervisor's tick.
-                self._n_retried += 1
-                delay = job.retry_policy.backoff_seconds(
-                    job.attempt, job.job_id
-                )
-                self._retry_seq += 1
-                heapq.heappush(
-                    self._retry_due,
-                    (time.perf_counter() + delay, self._retry_seq, job),
-                )
-                if job.lifecycle is not None:
-                    # This attempt is over; the next gets a fresh record.
-                    self._telemetry.job_retried(job.lifecycle)
-                    job.lifecycle = None
-            else:
-                if job.status == "done":
-                    self._n_completed += 1
-                elif job.status == "cancelled":
-                    self._n_cancelled += 1
-                else:
-                    self._n_failed += 1
-                if job.lifecycle is not None:
-                    self._telemetry.job_done(
-                        job.lifecycle, job.status, job.virtual_seconds
-                    )
+            status = self._sched.settle(
+                job, result, err, time.perf_counter(), leaked, dead
+            )
+            if status != "retrying":
+                self._finished_locked(job)
+            elif job.lifecycle is not None:
+                # This attempt is over; the next gets a fresh record.
+                self._telemetry.job_retried(job.lifecycle)
+                job.lifecycle = None
             self._dispatch_locked()
-            self._cv.notify_all()  # wake drain()ers and submitters
 
     def _finalize(
         self, job: _Job
     ) -> tuple[int, SpmdResult | None, BaseException | None]:
-        """Sweep the job's leaked envelopes and assemble what it ends
-        with: ``(leaked, result, error)``, one of the last two ``None``.
+        """Sweep the job's leaked envelopes and assemble what its ranks
+        end with: ``(leaked, result, error)``, one of the last two
+        ``None``.
 
-        Runs outside the engine lock, exactly once per job, on the
+        Runs outside the engine lock, exactly once per attempt, on the
         worker thread of the job's last-finishing rank; the job's status
-        is :meth:`_settle`'s to decide, under the lock.
+        is :meth:`Scheduler.settle`'s to decide, under the lock.
         """
         world = job.world
         wall = time.perf_counter() - job.t0
@@ -841,14 +580,10 @@ class Engine:
             leaked += self._world.mailboxes[w].drain_where(
                 lambda src, tag: world.owns_tag(tag)
             )
-        with job.lock:
-            timed_out = job.timed_out
         if job.failures:
             return leaked, None, SpmdError(
                 job.failures, rank_states=job.failure_states
             )
-        if timed_out:
-            return leaked, None, job.timeout_error
         group_rank = {wr: gr for gr, wr in enumerate(job.members)}
         dead = world.membership.dead_snapshot()
         return leaked, SpmdResult(
@@ -860,293 +595,101 @@ class Engine:
             failed_ranks=frozenset(group_rank[w] for w in dead),
         ), None
 
-    def _settle(
-        self, job: _Job, result: SpmdResult | None, err: BaseException | None
-    ) -> None:
-        """Take ``job`` out of "running": done, cancelled, failed, or
-        parked for a retry.  One critical section for every scheduled
-        job (the caller holds the engine lock), so a ``cancel()`` lands
-        wholly before it — and is read here — or wholly after, on a job
-        that is parked or terminal; never in between, counted twice."""
-        policy = job.retry_policy
-        if job.cancelled:
-            job.status = "cancelled"
-            job.error = JobCancelled(f"job {job.job_id} cancelled")
-        elif err is None:
-            job.status, job.result = "done", result
-        elif (
-            policy is not None
-            and not self._closed
-            and policy.should_retry(job.attempt, err)
-        ):
-            # Transient failure under a RetryPolicy: park for backoff
-            # instead of going terminal.  The done event stays unset —
-            # the client keeps waiting — and _rank_done schedules the
-            # re-admission.  On exhausted retries the *last* attempt's
-            # error (with its rank_states) is what surfaces.
-            job.last_error = err
-            job.status = "retrying"
-            return
-        else:
-            job.status, job.error = "failed", err
-        job.done_event.set()
+    # -- supervision steps (paced by the Supervisor's tick) -----------------
 
-    # -- self-healing internals (called by the Supervisor) ------------------
-
-    def _quarantine_locked(self, job: _Job) -> None:
-        """Quarantine pool ranks ``job`` reports dead (engine lock held).
-
-        Feeds rank-pool health from job finalize: a world rank that
-        fail-stopped inside the job is pulled from the free set and
-        withheld from gang assembly until a probe revives it.
-        """
-        now = time.perf_counter()
-        for w in job.world.membership.dead_snapshot():
-            if w in self._quarantined:
-                continue
-            self._quarantined.add(w)
-            self._quarantined_at[w] = now
-            self._free.discard(w)
-            self._n_quarantines += 1
-
-    def _degraded_locked(self) -> bool:
-        """Schedulable capacity is below the floor."""
-        return (
-            self._nprocs - len(self._quarantined)
-            < resilience.CAPACITY_FLOOR * self._nprocs
-        )
-
-    def _admit_due_retries(self) -> None:
-        """Re-admit retry-parked jobs whose backoff has elapsed (every
-        parked job, once the engine is closing — a graceful drain lets
-        retries finish rather than stranding their waiters)."""
+    def admit_due_retries(self) -> None:
+        """Re-admit parked jobs whose backoff has elapsed (every parked
+        job, once the engine is closing).  The next attempt's plan is
+        resolved *first*, outside the lock — the source may be the
+        user's ``attempt -> plan`` callable — and only then does the job
+        move heap → pending, in one step: it is never in neither."""
         while True:
             with self._cv:
-                if not self._retry_due:
-                    return
-                due_at, _, job = self._retry_due[0]
-                if due_at > time.perf_counter() and not self._closed:
-                    return
-                heapq.heappop(self._retry_due)
-                if job.done_event.is_set():
-                    # Cancelled while parked; heap shrank: wake drain().
-                    self._cv.notify_all()
-                    continue
-            self._readmit_retry(job)
-
-    def _readmit_retry(self, job: _Job) -> None:
-        """Queue the next attempt of a retry-parked job."""
-        job.attempt += 1
-        plan = job.retry_policy.fault_plan_for(
-            job.fault_plan_source, job.attempt - 1
-        )
-        job.fault_plan = plan
-        job.world = None
-        job.members = ()
-        job.timed_out = False
-        job.timeout_error = None
-        job.admitted_at = time.perf_counter()
-        job.status = "pending"
-        tel = self._telemetry
-        with self._cv:
-            if job.done_event.is_set():  # pragma: no cover - cancel race
+                job = self._sched.due(time.perf_counter())
+            if job is None:
                 return
-            self._pending.append(job)
-            if tel.enabled:
-                job.lifecycle = tel.job_admitted(
-                    job.job_id, job.label, job.session, job.nprocs,
-                    plan is not None, tel.now(), attempt=job.attempt,
+            try:
+                plan = job.retry_policy.fault_plan_for(
+                    job.fault_plan_source, job.attempt
                 )
-            self._dispatch_locked()
-            self._cv.notify_all()
+            except Exception as exc:  # noqa: BLE001 - the user's callable
+                with self._cv:
+                    if self._sched.withdraw(job, "failed", exc):
+                        self._finished_locked(job)
+                continue
+            with self._cv:
+                if self._sched.readmit(job, plan, time.perf_counter()):
+                    self._admitted_locked(job, self._telemetry.now())
 
-    def _reap_stuck_jobs(self) -> None:
-        """Fail jobs stuck past their deadline, server-side.
-
-        Escalation above the per-collective hang watchdog and the
-        *client-side* ``JobHandle.result`` timeout: even with no client
-        blocked in ``result()``, a job that exceeds its submit-time
-        ``timeout`` (plus :data:`~repro.engine.resilience.REAP_GRACE`)
-        is aborted and unwound, so an abandoned wedged job can never
-        hold pool ranks forever.  Pending jobs past their deadline are
-        failed in place.
-        """
-        grace = resilience.REAP_GRACE
+    def reap_stuck_jobs(self) -> None:
+        """Fail jobs stuck past their deadline, server-side: even with
+        no client blocked in ``result()``, a running job past its
+        ``timeout`` (plus ``REAP_GRACE``) is aborted and unwound — an
+        abandoned wedged job never holds pool ranks forever — and a
+        pending one is failed in place."""
         now = time.perf_counter()
-        to_abort: list[_Job] = []
         with self._cv:
-            for job in self._running:
-                if job.is_probe or job.timeout is None or job.cancelled:
-                    continue
-                if now - job.t0 <= job.timeout + grace:
-                    continue
-                with job.lock:
-                    if job.timed_out:
-                        continue
-                to_abort.append(job)
-            expired = [
-                job for job in self._pending
-                if job.timeout is not None
-                and now - job.admitted_at > job.timeout + grace
-            ]
-            for job in expired:
-                self._pending.remove(job)
-                self._n_reaped += 1
-                self._finish_unplaced_locked(
-                    job, "failed",
-                    SpmdTimeout(
-                        f"job {job.job_id} spent over {job.timeout} s "
-                        f"queued without being dispatched (pool saturated "
-                        f"or degraded); reaped by the engine supervisor"
-                    ),
-                )
-        for job in to_abort:
-            states = job.world.rank_states()
-            err = SpmdTimeout(
+            overdue = self._sched.overdue(now)
+            for job in self._sched.expire(now):
+                self._finished_locked(job)
+        for job in overdue:
+            self._abort_timed_out(
+                job,
                 f"job {job.job_id} exceeded its {job.timeout} s deadline; "
                 f"reaped by the engine supervisor (aborted and unwound)",
-                rank_states=states,
+                reaped=True,
             )
-            with job.lock:
-                if job.timed_out:  # pragma: no cover - client-side race
-                    continue
-                job.timed_out = True
-                job.timeout_error = err
-            with self._cv:
-                self._n_reaped += 1
-            # Abort outside the engine lock: it takes mailbox locks.
-            job.world.abort()
 
-    def _probe_quarantined(self) -> None:
+    def probe_quarantined(self) -> None:
         """Probe quarantined ranks whose cool-down elapsed; revive the
-        ones that pass (return them to the free set and re-dispatch)."""
-        now = time.perf_counter()
+        ones that pass (back to the free set, and place what now fits)."""
         with self._cv:
-            if self._closed:
-                return
-            due = [
-                w for w, t in self._quarantined_at.items()
-                if now - t >= resilience.PROBE_AFTER
-            ]
+            due = self._sched.probe_due(time.perf_counter())
         for w in due:
-            ok = self._probe_rank(w)
+            ok, swept = self._probe_rank(w)
             with self._cv:
-                if self._closed or w not in self._quarantined:
-                    continue
-                if ok:
-                    self._quarantined.discard(w)
-                    del self._quarantined_at[w]
-                    self._free.add(w)
-                    self._n_revivals += 1
+                if self._sched.revive(w, ok, time.perf_counter(), swept):
                     self._dispatch_locked()
-                    self._cv.notify_all()
-                else:  # pragma: no cover - probe failure is exceptional
-                    self._quarantined_at[w] = time.perf_counter()
+                    self._cv.notify_all()  # capacity is back: wake submitters
 
-    def _probe_backend(self) -> None:
-        """Supervisor step: restart dead process-backend workers.
-
-        A dead worker is never a correctness problem — its rank's
-        accumulates fall back to the in-process fold — but it silently
-        costs parallelism, so the supervisor re-forks it.  No-op on the
-        thread backend.
-        """
+    def probe_backend(self) -> None:
+        """Restart dead process-backend workers (no-op on the thread
+        backend): a dead worker costs no correctness — its rank folds
+        in-process — but silently costs parallelism."""
         pool = self._proc_pool
         if pool is None or pool.closed:
             return
         for r in pool.dead_workers():
             pool.restart_worker(r)
 
-    def _probe_rank(self, w: int) -> bool:
+    def _probe_rank(self, w: int) -> tuple[bool, int]:
         """One health probe of quarantined rank ``w``: sweep the stale
         envelopes out of its mailbox, then run a 1-rank probe job on it
-        through the normal worker path."""
+        through the normal worker path.  The probe never enters the
+        scheduler: it runs *on* a withheld rank and reports to its own
+        ``done``.  Returns ``(passed, envelopes swept)``."""
         if not self._threads[w].is_alive():
-            return False
+            return False, 0
         if self._proc_pool is not None and not self._proc_pool.ping(w):
             # Process backend: a quarantined rank only counts revived
             # when its offload worker answers too (restart first).
             if not self._proc_pool.restart_worker(w):
-                return False
+                return False, 0
         swept = self._world.revive_rank(w)
-        with self._cv:
-            if self._closed:
-                return False
-            self._revival_swept += swept
-            probe_id = self._next_job_id
-            self._next_job_id += 1
         job = _Job(
-            probe_id, _probe_fn, (), 1,
+            _probe_fn, (), 1,
             timeout=None, tracer=None, fault_plan=None,
             label=f"probe-rank-{w}",
         )
-        job.is_probe = True
-        job.start(self._world, (w,))
-        self._boxes[w].put((job, 0))
-        if not job.done_event.wait(resilience.PROBE_TIMEOUT):
-            return False
-        return job.status == "done" and job.returns == ["ok"]
+        job.members = (w,)
+        with self._cv:
+            if self._sched.closed:  # the box may already hold its sentinel
+                return False, swept
+            job.start(self._world)
+            self._boxes[w].put((job, 0, self._probe_done))
+        ok = job.done_event.wait(resilience.PROBE_TIMEOUT)
+        return ok and job.error is None and job.returns == ["ok"], swept
 
-
-class Session:
-    """A client-facing handle over an :class:`Engine`.
-
-    Sessions add per-client bookkeeping on top of the engine's global
-    scheduling: each tracks the handles it submitted, so a client can
-    drain *its own* jobs without waiting on anyone else's.  Many
-    sessions (threads) may share one engine.
-    """
-
-    def __init__(self, engine: Engine, label: str | None = None):
-        self._engine = engine
-        self.label = label
-        self._lock = threading.Lock()
-        self._handles: list[JobHandle] = []
-
-    @property
-    def engine(self) -> Engine:
-        return self._engine
-
-    @property
-    def handles(self) -> list[JobHandle]:
-        """Handles of every job this session submitted (snapshot)."""
-        with self._lock:
-            return list(self._handles)
-
-    def submit(self, fn: Callable[..., Any], **kwargs: Any) -> JobHandle:
-        """Submit a job (same keywords as :meth:`Engine.submit`).  The
-        session's label rides along so telemetry lifecycles attribute
-        the job to this client."""
-        kwargs.setdefault("session", self.label)
-        handle = self._engine.submit(fn, **kwargs)
-        with self._lock:
-            self._handles.append(handle)
-        return handle
-
-    def results(self, timeout: float | None = None) -> list:
-        """The :class:`SpmdResult` of every submitted job, in submission
-        order (raises on the first failed job, like the handle would)."""
-        return [h.result(timeout) for h in self.handles]
-
-    def drain(self, timeout: float | None = None) -> bool:
-        """Wait until every job this session submitted has finished."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for handle in self.handles:
-            remaining = (
-                None if deadline is None else deadline - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0.0:
-                return False
-            if not handle.wait(remaining):
-                return False
-        return True
-
-    def close(self, timeout: float | None = None) -> None:
-        """Drain the session's jobs (the engine itself stays up)."""
-        self.drain(timeout)
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+    def _probe_done(self, job: _Job, w: int) -> None:
+        _, job.result, job.error = self._finalize(job)
+        job.done_event.set()

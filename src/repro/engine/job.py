@@ -3,34 +3,42 @@
 A **job** is one SPMD function execution multiplexed onto the engine's
 resident rank pool: the unit that used to be an entire ``spmd_run`` —
 fresh threads, fresh world and all — becomes a record that borrows pool
-ranks for its duration.  :class:`JobHandle` is the client's view: wait,
-cancel, fetch the :class:`~repro.runtime.executor.SpmdResult`.
+ranks for its duration.  :class:`JobHandle` is the client's view of one
+job: wait, cancel, fetch the :class:`~repro.runtime.executor.SpmdResult`;
+a :class:`Session` is one client's view of all the jobs it submitted.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.engine import resilience
 from repro.errors import SpmdTimeout
 from repro.runtime.world import JobWorld
 
-__all__ = ["JobHandle"]
+if TYPE_CHECKING:
+    from repro.engine.core import Engine
 
-#: Job lifecycle states (the engine moves jobs left to right; "cancelled"
-#: can be entered from "pending" or, via abort, from "running";
-#: "retrying" loops a failed attempt back to "pending" under a
-#: RetryPolicy).
-JOB_STATES = (
-    "pending", "running", "retrying", "done", "failed", "cancelled",
-)
+__all__ = ["JobHandle", "Session"]
+
+
+def _deadline(timeout: float | None) -> float | None:
+    return None if timeout is None else time.monotonic() + timeout
+
+
+def _remaining(deadline: float | None) -> float | None:
+    return None if deadline is None else deadline - time.monotonic()
 
 
 class _Job:
-    """Internal per-job record; all scheduling fields are guarded by the
-    engine's lock, all completion fields by ``lock``/the done event."""
+    """Internal per-job record.  The scheduling fields (``status``,
+    ``members``, ``ranks_left``, ``attempt``, ``cancelled``,
+    ``timed_out``) are written by the scheduler alone, under the engine's
+    lock; the per-rank outcome (``returns``, ``failures``) by the rank
+    threads, under ``lock``.  ``status`` is one of ``pending | running |
+    retrying | done | failed | cancelled`` (state table: docs/engine.md)."""
 
     __slots__ = (
         "job_id", "fn", "args", "nprocs", "timeout", "tracer", "fault_plan",
@@ -39,13 +47,12 @@ class _Job:
         "failure_states", "ranks_left", "t0", "result", "error",
         "lifecycle", "virtual_seconds",
         # Self-healing fields (engine/resilience.py):
-        "retry_policy", "attempt", "fault_plan_source", "last_error",
-        "session", "admitted_at", "is_probe",
+        "retry_policy", "attempt", "fault_plan_source", "session",
+        "admitted_at",
     )
 
     def __init__(
         self,
-        job_id: int,
         fn: Callable[..., Any],
         args: Sequence[Any],
         nprocs: int,
@@ -54,14 +61,19 @@ class _Job:
         tracer: Any,
         fault_plan: Any,
         label: str | None,
+        retry_policy: Any = None,
+        session: str | None = None,
     ):
-        self.job_id = job_id
+        self.job_id = 0  # assigned at admission (a health probe keeps 0)
         self.fn = fn
         self.args = tuple(args)
         self.nprocs = nprocs
         self.timeout = timeout
         self.tracer = tracer
-        self.fault_plan = fault_plan
+        #: What submit() was given: None, a static plan, or a callable
+        #: attempt -> plan; ``fault_plan`` is the *current attempt's*.
+        self.fault_plan_source = fault_plan
+        self.fault_plan = fault_plan(0) if callable(fault_plan) else fault_plan
         self.label = label if label is not None else getattr(
             fn, "__name__", None
         )
@@ -84,22 +96,15 @@ class _Job:
         #: None on the telemetry-off (allocation-free) path.
         self.lifecycle = None
         self.virtual_seconds = 0.0  # simulated makespan, set at finalize
-        #: RetryPolicy, or None when failures are terminal on the first
-        #: attempt (the pre-resilience contract).
-        self.retry_policy = None
+        #: RetryPolicy, or None: failures are terminal on the first attempt.
+        self.retry_policy = retry_policy
         self.attempt = 1  # 1-based; bumped at each retry re-admission
-        #: What submit() was given as fault_plan: None, a static plan,
-        #: or a callable attempt -> plan.  ``fault_plan`` holds the plan
-        #: *resolved for the current attempt*.
-        self.fault_plan_source = fault_plan
-        self.last_error: BaseException | None = None
-        self.session: str | None = None
+        self.session = session
         self.admitted_at = 0.0  # perf_counter at (re-)admission
-        #: Internal supervisor health probes bypass all job accounting.
-        self.is_probe = False
 
-    def start(self, parent_world, members: tuple[int, ...]) -> None:
-        """Bind the job to its pool placement (engine lock held).
+    def start(self, parent_world) -> None:
+        """Bind the job to the pool ranks in ``members`` (engine lock
+        held; the scheduler has just placed it).
 
         Re-callable: a retried attempt starts over with a **fresh**
         :class:`~repro.runtime.world.JobWorld` (new clocks, membership,
@@ -108,14 +113,11 @@ class _Job:
         """
         self.failures = {}
         self.failure_states = None
-        self.members = tuple(members)
         self.world = JobWorld(
             parent_world, self.members,
             tracer=self.tracer, fault_plan=self.fault_plan,
         )
         self.returns = [None] * self.nprocs
-        self.ranks_left = self.nprocs
-        self.status = "running"
         self.t0 = time.perf_counter()
 
 
@@ -202,16 +204,11 @@ class JobHandle:
                     f"(queued or awaiting retry, attempt {job.attempt}); "
                     f"cancelled"
                 )
-            states = job.world.rank_states()
-            err = SpmdTimeout(
+            err = self._engine._abort_timed_out(
+                job,
                 f"SPMD run did not finish within {budget} s "
                 f"(possible deadlock); aborted",
-                rank_states=states,
             )
-            with job.lock:
-                job.timed_out = True
-                job.timeout_error = err
-            job.world.abort()
             job.done_event.wait(resilience.JOIN_TIMEOUT)
             raise err
         if job.error is not None:
@@ -223,3 +220,65 @@ class JobHandle:
             f"JobHandle(id={self.job_id}, label={self.label!r}, "
             f"status={self.status!r})"
         )
+
+
+class Session:
+    """A client-facing handle over an :class:`Engine`.
+
+    Sessions add per-client bookkeeping on top of the engine's global
+    scheduling: each tracks the handles it submitted, so a client can
+    drain *its own* jobs without waiting on anyone else's.  Many
+    sessions (threads) may share one engine.
+    """
+
+    def __init__(self, engine: Engine, label: str | None = None):
+        self._engine = engine
+        self.label = label
+        self._lock = threading.Lock()
+        self._handles: list[JobHandle] = []
+
+    @property
+    def engine(self) -> Engine:
+        return self._engine
+
+    @property
+    def handles(self) -> list[JobHandle]:
+        """Handles of every job this session submitted (snapshot)."""
+        with self._lock:
+            return list(self._handles)
+
+    def submit(self, fn: Callable[..., Any], **kwargs: Any) -> JobHandle:
+        """Submit a job (same keywords as :meth:`Engine.submit`).  The
+        session's label rides along so telemetry lifecycles attribute
+        the job to this client."""
+        kwargs.setdefault("session", self.label)
+        handle = self._engine.submit(fn, **kwargs)
+        with self._lock:
+            self._handles.append(handle)
+        return handle
+
+    def results(self, timeout: float | None = None) -> list:
+        """The :class:`SpmdResult` of every submitted job, in submission
+        order (raises on the first failed job, like the handle would)."""
+        return [h.result(timeout) for h in self.handles]
+
+    def drain(self, timeout: float | None = None) -> bool:
+        """Wait until every job this session submitted has finished."""
+        deadline = _deadline(timeout)
+        for handle in self.handles:
+            remaining = _remaining(deadline)
+            if remaining is not None and remaining <= 0.0:
+                return False
+            if not handle.wait(remaining):
+                return False
+        return True
+
+    def close(self, timeout: float | None = None) -> None:
+        """Drain the session's jobs (the engine itself stays up)."""
+        self.drain(timeout)
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()

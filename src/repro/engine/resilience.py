@@ -1,7 +1,10 @@
 """Self-healing policies for the persistent engine.
 
-Two pieces live here, both pure policy (mechanism stays in
-:mod:`repro.engine.core`):
+Two pieces live here.  The retry policy is pure; the supervisor is a
+pacemaker.  *What* is due, overdue or degraded is decided by
+:class:`repro.engine.scheduler.Scheduler`, which alone reads
+``REAP_GRACE``, ``PROBE_AFTER`` and ``CAPACITY_FLOOR``; the other
+constants bound waits and are read by the threads that wait:
 
 :class:`RetryPolicy`
     Per-submit: how many attempts a job gets and how long to back off
@@ -146,56 +149,45 @@ class RetryPolicy:
 class Supervisor:
     """The engine's health-loop thread.
 
-    Pure driver: each tick calls back into the engine's supervision
-    entry points (``_admit_due_retries``, ``_reap_stuck_jobs``,
-    ``_probe_quarantined``, ``_probe_backend``), which own all locking.  A tick that raises
-    is logged-and-survived — a supervisor that silently dies would turn
+    Pure driver: each tick calls the engine's supervision steps
+    (``admit_due_retries``, ``reap_stuck_jobs``, ``probe_quarantined``,
+    ``probe_backend``), which own all locking.  A tick that raises is
+    logged-and-survived — a supervisor that silently dies would turn
     every retrying job into a hang.
     """
 
     def __init__(self, engine):
         self._engine = engine
         self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        self._thread = threading.Thread(
+            target=self._run, name="engine-supervisor", daemon=True
+        )
         #: Exceptions swallowed by the tick loop (diagnostics).
         self.tick_errors: list[BaseException] = []
 
     def start(self) -> "Supervisor":
-        if self._thread is None or not self._thread.is_alive():
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="engine-supervisor", daemon=True
-            )
-            self._thread.start()
+        self._thread.start()
         return self
 
     def stop(self) -> bool:
         """Stop the thread; True when it joined within
         :data:`JOIN_TIMEOUT`."""
         self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=JOIN_TIMEOUT)
-            alive = thread.is_alive()
-            self._thread = None
-            return not alive
-        return True
+        self._thread.join(timeout=JOIN_TIMEOUT)
+        return not self._thread.is_alive()
 
     def _run(self) -> None:
         while not self._stop.wait(TICK_INTERVAL):
             self.tick()
-        # Final tick on shutdown so retries scheduled moments before
-        # close are flushed (cancelled) rather than stranded.
-        self.tick()
 
     def tick(self) -> None:
         """One supervision pass (also callable synchronously in tests)."""
         eng = self._engine
         for step in (
-            eng._admit_due_retries,
-            eng._reap_stuck_jobs,
-            eng._probe_quarantined,
-            eng._probe_backend,
+            eng.admit_due_retries,
+            eng.reap_stuck_jobs,
+            eng.probe_quarantined,
+            eng.probe_backend,
         ):
             try:
                 step()

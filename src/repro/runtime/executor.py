@@ -29,6 +29,8 @@ from repro.runtime.trace import Trace, merge_traces
 
 __all__ = ["SpmdResult", "spmd_run"]
 
+_Engine = None  # repro.engine.core.Engine, bound by the first spmd_run
+
 
 @dataclass
 class SpmdResult:
@@ -131,16 +133,18 @@ def spmd_run(
     -------
     SpmdResult with per-rank return values, virtual clocks and traces.
     """
-    # Local import: repro.engine sits above the runtime layer (it builds
-    # SpmdResult and Communicators), so the shim resolves it lazily.
-    from repro.engine.core import Engine
+    global _Engine
+    if _Engine is None:
+        # repro.engine sits above the runtime layer (it builds SpmdResult
+        # and Communicators), so the shim binds it on the first call.
+        from repro.engine.core import Engine as _Engine
 
     if tracer is None:
         tracer, forced_ranks = active_profile()
         if forced_ranks is not None:
             nprocs = forced_ranks
 
-    engine = Engine(
+    engine = _Engine(
         nprocs, cost_model=cost_model, backend=backend, topology=topology
     )
     try:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -44,6 +46,38 @@ def run_fresh(code: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def conserved(stats) -> bool:
+    """The conservation identity of ``Engine.stats()``: every submitted
+    job is in exactly one place."""
+    return stats["submitted"] == (
+        stats["completed"] + stats["failed"] + stats["cancelled"]
+        + stats["pending"] + stats["inflight"] + stats["retry_backlog"]
+    )
+
+
+@contextlib.contextmanager
+def watch_conservation(engine):
+    """Read ``engine.stats()`` from a side thread for as long as the
+    block runs; every read must satisfy :func:`conserved`."""
+    broken, stop = [], threading.Event()
+
+    def poll():
+        while not stop.is_set():
+            stats = engine.stats()
+            if not conserved(stats):
+                broken.append(stats)
+            stop.wait(0.001)
+
+    thread = threading.Thread(target=poll, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+    assert not broken, broken[0]
 
 
 def run_all(fn, nprocs: int, **kwargs):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine, RetryPolicy, resilience
+from repro.engine.scheduler import Scheduler
 from repro.errors import (
     EngineDegraded,
     EngineSaturated,
@@ -34,6 +35,7 @@ from repro.faults import (
 from repro.obs.telemetry import EngineTelemetry
 from repro.ops import MaxOp, SumOp
 from repro.runtime import spmd_run
+from tests.conftest import conserved, watch_conservation
 
 PAYLOAD = 16
 
@@ -220,13 +222,13 @@ class TestRetryExecution:
         that finalized the attempt, never before its backoff is up —
         and the books and the bytes match a fault-free run's."""
         readmitted_on = []
-        readmit = Engine._readmit_retry
+        readmit = Scheduler.readmit
 
-        def spy(engine, job):
+        def spy(sched, job, plan, now):
             readmitted_on.append(threading.current_thread().name)
-            return readmit(engine, job)
+            return readmit(sched, job, plan, now)
 
-        monkeypatch.setattr(Engine, "_readmit_retry", spy)
+        monkeypatch.setattr(Scheduler, "readmit", spy)
         policy = RetryPolicy(max_attempts=3, backoff_base=0.2)
         telemetry = EngineTelemetry(4)
         with Engine(4, telemetry=telemetry) as engine:
@@ -300,7 +302,7 @@ class TestCancelInTheFinalizeWindow:
 
         monkeypatch.setattr(Engine, "_finalize", finalize_then_cancel)
         tel = EngineTelemetry(2) if telemetry else None
-        with Engine(2, telemetry=tel) as engine:
+        with Engine(2, telemetry=tel) as engine, watch_conservation(engine):
             handle = engine.submit(
                 always_raises,
                 retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.2),
@@ -317,6 +319,91 @@ class TestCancelInTheFinalizeWindow:
             history = tel.recent_jobs()
             assert len(history) == 1 and history[0].state == "cancelled"
             assert len(tel.intervals()) == 2  # one per member rank
+
+
+def _fails_once():
+    """A 1-rank job body that raises on its first run only."""
+    runs = []
+
+    def job(comm):
+        runs.append(comm.rank)
+        if len(runs) == 1:
+            raise ValueError("first attempt")
+        return len(runs)
+
+    return job
+
+
+class TestNoStrandedJobs:
+    """A job is in exactly one of pending / running / parked / terminal
+    at every instant, so ``drain()`` and ``shutdown()`` cannot return
+    over one that is in none of them."""
+
+    def test_drain_waits_out_a_slow_plan_callable(self):
+        """The next attempt's plan comes from the user's ``attempt ->
+        plan`` callable, which may be slow.  The job used to be popped
+        off the backoff heap first and queued after: in between it was
+        nowhere, ``drain()`` returned at once and ``shutdown`` left it
+        pending forever."""
+        resolving = threading.Event()
+
+        def slow_plan(attempt):
+            if attempt:
+                resolving.set()
+                time.sleep(0.3)
+            return None
+
+        with Engine(2) as engine, watch_conservation(engine):
+            handle = engine.submit(
+                _fails_once(), nprocs=1, fault_plan=slow_plan,
+                retry_policy=RetryPolicy(backoff_base=0.001),
+            )
+            assert resolving.wait(10.0)
+            assert engine.stats()["retry_backlog"] == 1  # still parked
+            assert engine.drain(timeout=10.0)
+            assert handle.done() and handle.status == "done"
+            stats = engine.stats()
+        assert handle.result().returns == [2] and handle.attempt == 2
+        assert (stats["submitted"], stats["completed"], stats["retried"]) == (
+            1, 1, 1
+        )
+
+    def test_a_plan_callable_that_raises_fails_the_job(self):
+        def broken_plan(attempt):
+            if attempt:
+                raise RuntimeError("no plan for you")
+            return None
+
+        with Engine(2) as engine, watch_conservation(engine):
+            handle = engine.submit(
+                _fails_once(), nprocs=1, fault_plan=broken_plan,
+                retry_policy=RetryPolicy(backoff_base=0.001),
+            )
+            with pytest.raises(RuntimeError, match="no plan for you"):
+                handle.result(timeout=10.0)
+            assert engine.drain(timeout=10.0)
+            stats = engine.stats()
+        assert (stats["retried"], stats["failed"]) == (1, 1)
+
+    def test_expired_graceful_shutdown_cancels_what_is_left(self):
+        """Three pool-wide 0.2 s jobs, 0.05 s to drain them: the first
+        is running, two are queued.  The expired drain used to fall
+        straight through to the sentinels, the first job's ranks then
+        dispatched the second into boxes nobody reads, and the closed
+        engine reported one job running and one pending forever."""
+        engine = Engine(4)
+        with watch_conservation(engine):
+            handles = [
+                engine.submit(lambda comm: time.sleep(0.2)) for _ in range(3)
+            ]
+            engine.shutdown(drain=True, timeout=0.05)
+            for handle in handles:
+                assert handle.wait(5.0)  # the running one unwinds first
+                with pytest.raises(JobCancelled):
+                    handle.result()
+        stats = engine.stats()
+        assert stats["inflight"] == stats["pending"] == 0
+        assert stats["cancelled"] == 3 and conserved(stats)
 
 
 class TestRetryDeterminismGrid:

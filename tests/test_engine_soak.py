@@ -20,6 +20,7 @@ from repro.errors import JobCancelled, SpmdError
 from repro.faults import FailStop, FaultPlan
 from repro.ops import SumOp
 from repro.runtime import spmd_run
+from tests.conftest import watch_conservation
 
 N_CLIENTS = 8
 JOBS_PER_CLIENT = 26  # 8 * 26 = 208 jobs >= the 200-job soak floor
@@ -116,7 +117,7 @@ def test_soak_mixed_clients():
         except BaseException as exc:  # noqa: BLE001 - reported below
             failures.append(exc)
 
-    with Engine(8, queue_depth=64) as engine:
+    with Engine(8, queue_depth=64) as engine, watch_conservation(engine):
         threads = [
             threading.Thread(target=client, args=(i, engine), daemon=True)
             for i in range(N_CLIENTS)

@@ -249,7 +249,7 @@ def test_engine_supervisor_restarts_dead_worker(forced):
         pool._workers[1].proc.join(timeout=5.0)
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
-            eng._probe_backend()
+            eng.probe_backend()
             if pool.worker_alive(1) and pool.ping(1):
                 break
             time.sleep(0.05)
