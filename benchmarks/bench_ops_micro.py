@@ -262,19 +262,22 @@ def run_shared_sweep(
     """What the kernel tier itself buys: ``batched_accumulate`` walking
     one int64 block once for K tile-exact operators, against K
     whole-block passes (the fold ``accumulate_local`` runs, once per
-    operator).  Bytes are asserted equal; times are reported, not gated."""
+    operator).  Bytes are asserted equal; times are reported, not gated.
+    The last row per size is the ``accum_heavy`` job of ``bench/``:
+    sum, max and the selection fold ``MinKOp(10)``."""
     from repro.core.kernels import KernelCache, batched_accumulate
-    from repro.ops import AllOp, ProdOp
+    from repro.ops import AllOp, MinKOp, ProdOp
 
     # Tile-exact on int64, all eight: the smoke gate's six plus two.
     pool = [op for _, op in _smoke_ops()] + [ProdOp(np.int64(1)), AllOp()]
+    batches = [pool[:k] for k in ks]
+    batches.append([pool[0], pool[2], MinKOp(10, np.iinfo(np.int64).max)])
     rng = np.random.default_rng(34)
     cache = KernelCache()
     rows = []
     for n in ns:
         data = rng.integers(1, 1 << 30, n, dtype=np.int64)
-        for k in ks:
-            ops = pool[:k]
+        for ops in batches:
 
             def passes(ops=ops, data=data):
                 return [
@@ -291,7 +294,7 @@ def run_shared_sweep(
             sweep_s = _time_best(sweep, repeats=9)
             rows.append(
                 {
-                    "k": k,
+                    "k": len(ops),
                     "n_elements": n,
                     "ops": [op.name for op in ops],
                     "passes_s": passes_s,
@@ -349,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
             f"  shared sweep K={row['k']} n={row['n_elements']:>7}: "
             f"{row['k']} passes {row['passes_s'] * 1e3:7.3f} ms  "
             f"one sweep {row['sweep_s'] * 1e3:7.3f} ms  "
-            f"{row['speedup']:5.2f}x (report only)"
+            f"{row['speedup']:5.2f}x (report only; {'+'.join(row['ops'])})"
         )
     if report["min_speedup"] < ns.floor:
         print(f"FAIL: below the {ns.floor}x floor")

@@ -4,11 +4,12 @@ The paper's accumulate phase is a local fold over the rank's block —
 "should be optimized at the combine function's expense" (§3).  Every
 operator does that optimizing itself, in its ``accum_block`` /
 ``scan_block`` methods (``UfuncOp``'s ``ufunc.reduce``, counts'
-``bincount``, mink's ``partition``, ...; the base class loops over
-``accum``).  A :class:`Kernel` is those methods plus a *classification*
-the drivers, the metrics and the batching tier can reason about
-uniformly — the one-generic-kernel idea of Jradi et al. (arXiv
-1710.07358) applied to classification rather than code generation:
+``bincount``, mink's compare against its running k-th value, ...; the
+base class loops over ``accum``).  A :class:`Kernel` is those methods
+plus a *classification* the drivers, the metrics and the batching tier
+can reason about uniformly — the one-generic-kernel idea of Jradi et al.
+(arXiv 1710.07358) applied to classification rather than code
+generation:
 
 * :class:`ElementwiseKernel` — a pure binary ufunc with ``UfuncOp``'s own
   block methods and the default pre/post hooks.
@@ -24,9 +25,12 @@ exactly when the ufunc is exactly associative on the data's dtype
 (``min``/``max``/``logical_*``/``bitwise_*`` on any dtype,
 ``add``/``multiply`` on bool/int dtypes, never on floats: NumPy's
 pairwise reduction orders differently per tile); trivially true for the
-fallback loop; assumed false for custom segmented block methods (e.g.
-``MeanVarOp``'s Chan-style combine is order-sensitive in the last
-bits).  Only a batch whose kernels are *all* tile-exact takes the
+fallback loop; for custom segmented block methods it is what the
+operator declares (``ReduceScanOp.tile_exact``, default False:
+``MeanVarOp``'s Chan-style combine is order-sensitive in the last bits;
+True on the k-selection family and the integer bin counters, whose
+folds are exactly associative — ``check_operator`` samples the claim).
+Only a batch whose kernels are *all* tile-exact takes the
 shared single sweep in :func:`batched_accumulate` — the cache-tiling
 argument of Prajapati (arXiv 1801.05909).
 
@@ -42,7 +46,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.operator import ReduceScanOp
+from repro.core.operator import TILE_ELEMS, ReduceScanOp
 from repro.ops.arithmetic import UfuncOp
 
 __all__ = [
@@ -147,12 +151,15 @@ class FallbackKernel(Kernel):
 class SegmentedKernel(Kernel):
     """Operator with custom multi-pass vectorized block methods.
 
-    Not tile-exact: custom block numerics (Chan-style mean/variance
-    combines, partition-based top-k) need not match a tiled
-    re-association bit-for-bit."""
+    Tile-exact when the operator declares it: custom block numerics
+    (Chan-style mean/variance combines) need not match a tiled
+    re-association bit-for-bit, exact ones (k-selection, integer bin
+    counts) say so with ``tile_exact = True`` on the class."""
 
     kind = "segmented"
-    tile_exact = False
+
+    def __init__(self, tile_exact: bool):
+        self.tile_exact = tile_exact
 
 
 class ElementwiseKernel(Kernel):
@@ -190,7 +197,8 @@ def compile_kernel(op: ReduceScanOp, values: Any) -> Kernel:
     * ``UfuncOp`` (and subclasses) with the stock block methods and
       default pre/post hooks → :class:`ElementwiseKernel`.
     * Any operator overriding ``accum_block`` or ``scan_block`` →
-      :class:`SegmentedKernel` (its own vectorized multi-pass code).
+      :class:`SegmentedKernel` (its own vectorized multi-pass code),
+      tile-exact when the operator declares ``tile_exact``.
     * Everything else → :class:`FallbackKernel` (base-class loop).
 
     The test is structural — which class's methods ``type(op)`` ends up
@@ -211,7 +219,7 @@ def compile_kernel(op: ReduceScanOp, values: Any) -> Kernel:
         cls.accum_block is not ReduceScanOp.accum_block
         or cls.scan_block is not ReduceScanOp.scan_block
     ):
-        return SegmentedKernel()
+        return SegmentedKernel(bool(op.tile_exact))
     return FallbackKernel()
 
 
@@ -274,10 +282,6 @@ def default_cache() -> KernelCache:
 # --------------------------------------------------------------------------
 # Batched multi-operator accumulation: one data sweep for K operators.
 
-#: Tile size (elements) for the shared sweep — small enough that a tile
-#: of int64 stays L2-resident while K kernels each fold it.
-_TILE_ELEMS = 1 << 15
-
 
 def batched_accumulate(
     ops: Sequence[ReduceScanOp],
@@ -306,12 +310,12 @@ def batched_accumulate(
         states[i] = op.pre_accum(states[i], values[0])
     single_sweep = (
         len(ops) > 1
-        and n > _TILE_ELEMS
+        and n > TILE_ELEMS
         and all(k.tile_exact for k in kernels)
     )
     if single_sweep:
-        for lo in range(0, n, _TILE_ELEMS):
-            tile = values[lo : lo + _TILE_ELEMS]
+        for lo in range(0, n, TILE_ELEMS):
+            tile = values[lo : lo + TILE_ELEMS]
             for i, op in enumerate(ops):
                 states[i] = kernels[i].accumulate(op, states[i], tile)
         if metrics is not None and metrics.enabled:

@@ -40,6 +40,8 @@ expense"):
   local block (default: a Python loop over ``accum``).
 * ``scan_block(state, values)`` — vectorized "generate + re-accumulate"
   pass for the scan's second phase (default: a Python loop).
+* ``tile_exact`` — class attribute declaring that ``accum_block`` may be
+  applied tile by tile with a byte-identical result (default False).
 * ``accum_rate`` / ``combine_seconds`` — cost-model hooks the drivers
   use to charge virtual time for the accumulate and combine phases.
 """
@@ -52,7 +54,12 @@ import numpy as np
 
 from repro.errors import OperatorError
 
-__all__ = ["ReduceScanOp", "state_equal"]
+__all__ = ["ReduceScanOp", "state_equal", "TILE_ELEMS"]
+
+#: Tile size (elements) of the shared accumulate sweep, and of the block
+#: folds that walk a block tile by tile themselves — small enough that a
+#: tile of int64 stays L2-resident while K kernels each fold it.
+TILE_ELEMS = 1 << 15
 
 In = TypeVar("In")
 State = TypeVar("State")
@@ -72,6 +79,14 @@ class ReduceScanOp(Generic[In, State, Out]):
     #: whose state is a whole object (mink, meanvar, ...) must leave
     #: this False.
     elementwise: bool = False
+
+    #: True when ``accum_block`` is exactly associative over the block:
+    #: threading the state through any cut of the block into tiles gives
+    #: the byte-identical state as one whole-block call (k-selection,
+    #: integer bin counts; never a float sum).  The kernel tier folds
+    #: such operators tile by tile in a sweep shared with others;
+    #: ``check_operator`` samples the claim.
+    tile_exact: bool = False
 
     #: Optional cost-model rate name for charging the accumulate phase
     #: (seconds/element); None disables accumulate charging.

@@ -13,7 +13,11 @@ the algebra the runtime exploits:
   when it is dishonestly set (the sorted reduction "did fail to verify");
 * **accumulate/combine consistency** — accumulating a sequence must
   equal combining the accumulations of any contiguous split, which is
-  the identity the accumulate/combine phase split relies on.
+  the identity the accumulate/combine phase split relies on;
+* **tile-exactness honesty** — if ``tile_exact`` is True, folding a
+  block tile by tile must give the byte-identical state as folding it
+  whole, which is what lets the kernel tier share one sweep of the
+  block between operators.
 
 These cannot be proven for arbitrary user code, so they are *sampled*:
 :func:`check_operator` draws random splits of user-provided sample data
@@ -23,6 +27,7 @@ Hypothesis-based tests build on the same helpers.
 
 from __future__ import annotations
 
+import pickle
 from typing import Any, Sequence
 
 import numpy as np
@@ -37,6 +42,7 @@ __all__ = [
     "check_associativity",
     "check_commutativity",
     "check_split_consistency",
+    "check_tile_exactness",
     "sequential_reduce",
     "sequential_scan",
 ]
@@ -133,6 +139,28 @@ def check_split_consistency(
         )
 
 
+def check_tile_exactness(
+    op: ReduceScanOp, values: Sequence[Any], cuts: Sequence[int]
+) -> None:
+    """If declared ``tile_exact``, ``accum_block`` over the whole block
+    and threaded through the tiles ``cuts`` delimit give byte-identical
+    states (compared as pickled, the form a send would carry)."""
+    if not op.tile_exact:
+        return
+    whole = op.accum_block(op.ident(), values)
+    tiled = op.ident()
+    bounds = [0, *cuts, len(values)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        tiled = op.accum_block(tiled, values[lo:hi])
+    if pickle.dumps(whole) != pickle.dumps(tiled):
+        raise OperatorLawError(
+            f"{op.name}: declares tile_exact but folding the block in "
+            f"tiles cut at {list(cuts)} differs from one whole-block "
+            "accum_block — the operator is mis-declared; the shared "
+            "accumulate sweep would change its results"
+        )
+
+
 def check_operator(
     op: ReduceScanOp,
     sample_values: Sequence[Any],
@@ -146,7 +174,9 @@ def check_operator(
     returns None when all sampled checks pass.  Passing is evidence, not
     proof — but it catches the common mistakes (wrong identity, an accum
     that is not a homomorphism, a dishonest commutative flag) before they
-    become wrong answers at scale.
+    become wrong answers at scale.  Floating-point re-association shows
+    only on blocks long enough for NumPy to reduce pairwise, so give a
+    ``tile_exact`` declaration a few hundred sample values to answer to.
     """
     values = list(sample_values)
     if len(values) < 2:
@@ -167,4 +197,7 @@ def check_operator(
         check_commutativity(op, random_state(), random_state())
         check_split_consistency(
             op, values, int(rng.integers(0, len(values) + 1))
+        )
+        check_tile_exactness(
+            op, values, sorted(rng.integers(0, len(values) + 1, 3).tolist())
         )

@@ -35,6 +35,7 @@ class CountsOp(ReduceScanOp):
 
     commutative = True
     elementwise = True  # count vectors combine per category
+    tile_exact = True  # integer counts add exactly, however the block is cut
 
     def __init__(self, k: int, base: int = 1):
         if k < 1:

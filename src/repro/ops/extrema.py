@@ -8,9 +8,13 @@ computes with *forty* reductions and the F+RSMPI version with *one*
 user-defined reduction "similar to the mink and mini reductions".
 
 Input elements are ``(value, location)`` pairs; ``accum_block`` also
-accepts an ``(n, 2)`` array and vectorizes the selection with
-``lexsort``.  Ties on value resolve to the smaller location, so results
-are independent of the data distribution.
+accepts an ``(n, 2)`` array and folds it one cache tile at a time: a
+compare of the tile's values against the state's k-th, then a
+``lexsort`` of the few rows that survive (the selection fold of
+``repro.ops.mink``, ties kept).  Ties on value resolve to the smaller
+location, so results are independent of the data distribution — and of
+how a block is cut into tiles, which the operators declare with
+``tile_exact``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.operator import ReduceScanOp
+from repro.core.operator import TILE_ELEMS, ReduceScanOp
 from repro.errors import OperatorError
+from repro.ops.mink import survivors
 from repro.util.sizing import TransferSized
 
 __all__ = ["ExtremaState", "ExtremaKLocOp", "MinKLocOp", "MaxKLocOp"]
@@ -59,29 +64,37 @@ def _select_bot(rows: np.ndarray, k: int) -> np.ndarray:
     return rows[order[:k]]
 
 
-def _prefilter(arr: np.ndarray, k: int, *, largest: bool) -> np.ndarray:
-    """Cut an (n, 2) block down to exactly the k extreme rows using
-    O(n) partitions, with value ties resolved by the smaller location
-    (so the cut never changes the final, distribution-independent
-    answer).  Returns unsorted rows; callers re-sort."""
-    n = len(arr)
-    if n <= k:
-        return arr
-    vals = arr[:, 0]
-    if largest:
-        thresh = np.partition(vals, n - k)[n - k]
-        strict = arr[vals > thresh]
-    else:
-        thresh = np.partition(vals, k - 1)[k - 1]
-        strict = arr[vals < thresh]
-    need = k - len(strict)
-    ties = arr[vals == thresh]
-    if need <= 0:  # unreachable: strict keeps at most k-1 rows; defensive
-        ties = ties[:0]
-    elif len(ties) > need:
-        # smallest locations win among tied values
-        ties = ties[np.argpartition(ties[:, 1], need - 1)[:need]]
-    return np.concatenate([strict, ties])
+def _fold_rows(
+    state: np.ndarray, rows: np.ndarray, k: int, *, largest: bool
+) -> np.ndarray:
+    """The k best of ``state`` plus an ``(n, 2)`` float64 tile of rows
+    (or another k-state), canonically sorted: one compare of the tile's
+    values against the state's k-th, ties kept so the smaller location
+    can still win, then a ``lexsort`` of the state and the survivors."""
+    # Largest-first is smallest-first on the negated value, as in
+    # ``_select_top`` (so a NaN value ranks last on both sides).
+    keys = -rows[:, 0] if largest else rows[:, 0]
+    cut = np.nan  # fewer than k rows yet: everything is a candidate
+    if len(state) == k:
+        cut = -state[-1, 0] if largest else state[-1, 0]
+    best = rows[survivors(keys, k, cut, ties=True)]
+    if len(best) == 0:
+        return state
+    pool = np.concatenate([state, best])
+    return _select_top(pool, k) if largest else _select_bot(pool, k)
+
+
+def _pair_tiles(values: Any, what: str):
+    """The ``(value, loc)`` block as float64 ``(<=tile, 2)`` slices —
+    converted tile by tile, so a fold's temporaries are bounded by the
+    tile whatever the block's dtype."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise OperatorError(
+            f"{what} expects (value, loc) pairs; got shape {arr.shape}"
+        )
+    for lo in range(0, len(arr), TILE_ELEMS):
+        yield arr[lo : lo + TILE_ELEMS].astype(np.float64, copy=False)
 
 
 class ExtremaKLocOp(ReduceScanOp):
@@ -93,6 +106,7 @@ class ExtremaKLocOp(ReduceScanOp):
     """
 
     commutative = True
+    tile_exact = True
 
     def __init__(self, k: int):
         if k < 1:
@@ -114,31 +128,16 @@ class ExtremaKLocOp(ReduceScanOp):
         return state
 
     def combine(self, s1: ExtremaState, s2: ExtremaState) -> ExtremaState:
-        s1.top = _select_top(np.concatenate([s1.top, s2.top]), self.k)
-        s1.bot = _select_bot(np.concatenate([s1.bot, s2.bot]), self.k)
+        s1.top = _fold_rows(s1.top, s2.top, self.k, largest=True)
+        s1.bot = _fold_rows(s1.bot, s2.bot, self.k, largest=False)
         return s1
 
     def accum_block(self, state: ExtremaState, values) -> ExtremaState:
-        n = len(values)
-        if n == 0:
+        if len(values) == 0:
             return state
-        arr = (
-            values.astype(np.float64, copy=False)
-            if isinstance(values, np.ndarray)
-            else np.asarray(values, dtype=np.float64)
-        )
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise OperatorError(
-                f"extrema expects (value, loc) pairs; got shape {arr.shape}"
-            )
-        state.top = _select_top(
-            np.concatenate([state.top, _prefilter(arr, self.k, largest=True)]),
-            self.k,
-        )
-        state.bot = _select_bot(
-            np.concatenate([state.bot, _prefilter(arr, self.k, largest=False)]),
-            self.k,
-        )
+        for tile in _pair_tiles(values, "extrema"):
+            state.top = _fold_rows(state.top, tile, self.k, largest=True)
+            state.bot = _fold_rows(state.bot, tile, self.k, largest=False)
         return state
 
     def gen(self, state: ExtremaState) -> tuple[np.ndarray, np.ndarray]:
@@ -150,6 +149,7 @@ class _OneSidedKLocOp(ReduceScanOp):
     rows on one side only (half the state traffic of ExtremaKLocOp)."""
 
     commutative = True
+    tile_exact = True
     _largest: bool
 
     def __init__(self, k: int):
@@ -170,22 +170,14 @@ class _OneSidedKLocOp(ReduceScanOp):
         return self._select(np.concatenate([state, row]))
 
     def combine(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-        return self._select(np.concatenate([s1, s2]))
+        return _fold_rows(s1, s2, self.k, largest=self._largest)
 
     def accum_block(self, state: np.ndarray, values) -> np.ndarray:
         if len(values) == 0:
             return state
-        arr = (
-            values.astype(np.float64, copy=False)
-            if isinstance(values, np.ndarray)
-            else np.asarray(values, dtype=np.float64)
-        )
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise OperatorError(
-                f"k-extrema expects (value, loc) pairs; got shape {arr.shape}"
-            )
-        cut = _prefilter(arr, self.k, largest=self._largest)
-        return self._select(np.concatenate([state, cut]))
+        for tile in _pair_tiles(values, "k-extrema"):
+            state = _fold_rows(state, tile, self.k, largest=self._largest)
+        return state
 
     def gen(self, state: np.ndarray) -> np.ndarray:
         return state.copy()

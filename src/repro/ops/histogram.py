@@ -26,6 +26,7 @@ class HistogramOp(ReduceScanOp):
 
     commutative = True
     elementwise = True  # bin-count vectors combine per bin
+    tile_exact = True  # integer counts add exactly, however the block is cut
 
     def __init__(self, edges, *, clip: bool = False):
         edges = np.asarray(edges, dtype=np.float64)

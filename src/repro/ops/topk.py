@@ -10,6 +10,7 @@ a rich container (a sorted list of items) unrelated to the input type.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Any, Callable, Sequence
 
 from repro.core.operator import ReduceScanOp
@@ -81,10 +82,11 @@ class TopKOp(ReduceScanOp):
     def accum_block(self, state: list, values: Sequence[Any]) -> list:
         if len(values) == 0:
             return state
-        pool = list(state)
-        pool.extend(values)
-        pool.sort(key=self._sort_key)
-        state[:] = pool[: self.k]
+        # Equal to ``sorted(chain(state, values), key=...)[:k]``, tie-break
+        # included, at O(n log k) key comparisons and O(k) extra space.
+        state[:] = heapq.nsmallest(
+            self.k, chain(state, values), key=self._sort_key
+        )
         return state
 
     def gen(self, state: list) -> list:

@@ -137,6 +137,20 @@ class TestApiDoc:
             seen.add(name)
         assert seen == set(targets)
 
+    def test_operator_protocol_table_is_the_base_class(self):
+        """The protocol table in api.md names exactly the public members
+        of ``ReduceScanOp`` — a new declared attribute (``tile_exact``)
+        cannot go undocumented, a removed one cannot live on."""
+        from repro.core.operator import ReduceScanOp
+
+        section = _read("docs/api.md").split("## The operator protocol")[1]
+        table = section.split("\n## ")[0]
+        documented = set()
+        for first_cell in re.findall(r"^\| (`.+?) \|", table, flags=re.M):
+            documented.update(re.findall(r"`(\w+)`", first_cell))
+        actual = {n for n in vars(ReduceScanOp) if not n.startswith("_")}
+        assert documented == actual
+
     def test_every_keyword_has_a_row_in_the_knob_audit(self):
         """EX-KNOBS' remaining-options table names every keyword
         parameter of the audited callables, so the audit cannot drift:

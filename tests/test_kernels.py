@@ -84,10 +84,10 @@ def scalar_loops(op):
     return op
 
 
-def fused_vs_sequential(makers, data, nprocs):
+def fused_vs_sequential(makers, data, nprocs, backend="thread"):
     """Run ``global_reduce_many`` over one block under ``makers``' ops,
     assert every result byte-identical to sequential ``global_reduce``
-    calls, and return the fused run's counters."""
+    calls (both on ``backend``), and return the fused run's counters."""
     tracer = Tracer()
 
     def fused_prog(comm):
@@ -96,8 +96,8 @@ def fused_vs_sequential(makers, data, nprocs):
     def sequential_prog(comm):
         return [global_reduce(comm, make(), data) for make in makers]
 
-    fused = spmd_run(fused_prog, nprocs, tracer=tracer).returns
-    sequential = spmd_run(sequential_prog, nprocs).returns
+    fused = spmd_run(fused_prog, nprocs, tracer=tracer, backend=backend).returns
+    sequential = spmd_run(sequential_prog, nprocs, backend=backend).returns
     for rank_fused, rank_seq in zip(fused, sequential):
         for a, b in zip(rank_fused, rank_seq):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
