@@ -35,6 +35,7 @@ from repro.core.kernels import batched_accumulate
 from repro.core.operator import ReduceScanOp
 from repro.errors import OperatorError
 from repro.localview.api import LOCAL_ALLREDUCE, LOCAL_REDUCE
+from repro.mpi.collectives import SCHEDULES, _InPlace
 from repro.mpi.comm import Communicator
 from repro.mpi.op import Op
 from repro.obs.tracer import NULL_SPAN
@@ -254,9 +255,14 @@ def global_reduce(
             else:
                 # Chunk i's rounds progressed while chunk i+1
                 # accumulated; what is left of them is waited out here.
-                total, rcomm = np.concatenate(
-                    [np.atleast_1d(r.wait()) for r in chunks]
-                ), comm
+                # A chunk reduced in its own slice of ``state`` is done;
+                # a fresh result (doubling, or a non-power-of-two
+                # fold-out) is written back into the slice.
+                for view, req in chunks:
+                    got = req.wait()
+                    if not np.shares_memory(got, view):
+                        view[...] = got
+                total, rcomm = state, comm
         if root is not None:
             # The root answers.  If the group shrank mid-combine and the
             # root did not survive, every survivor does (rooted semantics
@@ -316,12 +322,17 @@ def _overlapped_allreduce(
     values: Any,
     accum_rate: str | None,
     cs: float | None,
-) -> tuple[Any, list] | None:
+) -> tuple[np.ndarray, list] | None:
     """The chunked accumulate/combine pipeline, up to its last issue.
-    Returns ``(stand_in, requests)`` — the whole state's shape and dtype
-    without storage (it never exists in one piece before the combine)
-    and the chunks' in-flight collectives, for the caller's combine
-    phase to wait out — or None when the input is not eligible.
+    Returns ``(out, chunks)`` — the one result buffer of the whole
+    state, allocated once, and per column chunk ``(out[lo:hi], request)``
+    — or None when the input is not eligible.  Each chunk's fold is
+    copied into its slice and dropped, and its allreduce is issued on
+    the slice itself: a segmenting schedule reduces there in place (the
+    driver owns the buffer, MPI_IN_PLACE), a doubling one returns a
+    fresh result.  The caller's combine phase waits the requests out
+    and writes back any result that does not share its slice's memory,
+    leaving the answer in ``out`` with no concatenation.
 
     Eligibility: an allreduce-flavored call in a fault-free world, over
     a 2-D column-blocked ndarray (rows are elements, columns are state
@@ -362,21 +373,25 @@ def _overlapped_allreduce(
     if state_nbytes <= 2 * _OVERLAP_CHUNK_BYTES:
         return None  # not enough combine work to hide anything behind
     wop = wire_op(op)
-    stand_in = np.broadcast_to(probe[:1], (m,))
-    resolved, _radix = comm._auto_choice("allreduce", stand_in, wop)
+    out = np.empty(m, probe.dtype)
+    resolved, _radix = comm._auto_choice("allreduce", out, wop)
     if resolved not in _CUT_INVARIANT:
         return None
+    in_place = SCHEDULES["allreduce"][resolved].segments
     chunk_cols = max(
         nprocs, int(np.ceil(m * _OVERLAP_CHUNK_BYTES / state_nbytes))
     )
     k = max(2, -(-m // chunk_cols))
     bounds = [m * i // k for i in range(k + 1)]
-    requests = []
+    chunks = []
     for lo, hi in zip(bounds, bounds[1:]):
-        chunk = _accumulate_impl(
+        view = out[lo:hi]
+        np.copyto(view, _accumulate_impl(
             comm, op, values[:, lo:hi], accum_rate, n * (hi - lo) / m
+        ), casting="no")
+        req = comm.iallreduce(
+            _InPlace(view) if in_place else view, wop,
+            combine_seconds=cs, algorithm=resolved,
         )
-        requests.append(
-            comm.iallreduce(chunk, wop, combine_seconds=cs, algorithm=resolved)
-        )
-    return stand_in, requests
+        chunks.append((view, req))
+    return out, chunks

@@ -75,7 +75,11 @@ __all__ = [
 
 
 class CollChannel(Protocol):
-    """Point-to-point interface a collective algorithm runs over."""
+    """Point-to-point interface a collective algorithm runs over.
+
+    ``send`` isolates its payload from the sender (the runtime's
+    ``copy_for_transfer``), so a plan sends views of a buffer it goes
+    on writing without copying them first."""
 
     rank: int
     size: int
@@ -106,10 +110,24 @@ def _require_commutative(op: Any, schedule: str) -> None:
         )
 
 
+class _InPlace(NamedTuple):
+    """MPI_IN_PLACE for the payload-segmenting schedules: ``buf`` is a
+    1-D array the caller owns and gives up, reduced in place instead of
+    in a private copy.  Only the global-view driver hands one over; the
+    result may still come back in a fresh array (the fold-out of
+    non-power-of-two groups), so the caller writes back whatever does
+    not share ``buf``'s memory."""
+
+    buf: np.ndarray
+
+
 def _as_vector(value: Any):
     """``(arr, scalar)``: a private 1-D-indexable copy of ``value`` for
-    the payload-segmenting schedules; a 0-d input becomes one element
-    and is handed back as a scalar by :func:`_from_vector`."""
+    the payload-segmenting schedules (an :class:`_InPlace` hand-off's
+    buffer itself); a 0-d input becomes one element and is handed back
+    as a scalar by :func:`_from_vector`."""
+    if isinstance(value, _InPlace):
+        return value.buf, False
     arr = np.array(value, copy=True)
     scalar = arr.ndim == 0
     return (arr.reshape(1) if scalar else arr), scalar
@@ -294,7 +312,7 @@ def reduce_ring_pipelined_plan(
             arr[sl] = op(arr[sl], got)  # own (lower ranks) on the left
             _charge_combine(ch, combine_seconds)
         if rank > 0:
-            ch.send(rank - 1, arr[sl].copy())
+            ch.send(rank - 1, arr[sl])
     if rank > 0:
         return None
     return _from_vector(arr, scalar)
@@ -687,7 +705,7 @@ def _ring_reduce_scatter(
     right, left = (rank + 1) % size, (rank - 1) % size
     for t in range(size - 1):
         i = (first - t) % size
-        ch.send(right, arr[bounds[i] : bounds[i + 1]].copy())
+        ch.send(right, arr[bounds[i] : bounds[i + 1]])
         got = yield Recv(left)
         mine = slice(bounds[(i - 1) % size], bounds[(i - 1) % size + 1])
         arr[mine] = op(got, arr[mine])
@@ -701,7 +719,7 @@ def _ring_allgather(ch: CollChannel, arr, bounds, owned: int) -> Plan:
     right, left = (rank + 1) % size, (rank - 1) % size
     for t in range(size - 1):
         i = (owned - t) % size
-        ch.send(right, arr[bounds[i] : bounds[i + 1]].copy())
+        ch.send(right, arr[bounds[i] : bounds[i + 1]])
         got = yield Recv(left)
         j = (i - 1) % size
         arr[bounds[j] : bounds[j + 1]] = got
@@ -749,8 +767,9 @@ def reduce_scatter_ring_plan(
     element-wise reduction, having moved only (p-1)/p of the data.
 
     Returns ``(segment, (lo, hi))`` where ``[lo, hi)`` is the global
-    index range of the segment (a 0-d input counts as one element).
-    Commutative operations only (ring order).
+    index range of the segment (a 0-d input counts as one element); the
+    segment owns its data, so keeping it does not pin the other n·(p-1)/p
+    elements.  Commutative operations only (ring order).
     """
     _require_commutative(op, "reduce_scatter_ring")
     rank, size = ch.rank, ch.size
@@ -768,7 +787,7 @@ def reduce_scatter_ring_plan(
         ch, arr, bounds, op, rank - 1, combine_seconds
     )
     lo, hi = int(bounds[rank]), int(bounds[rank + 1])
-    return arr[lo:hi], (lo, hi)
+    return arr[lo:hi].copy(), (lo, hi)
 
 
 def allreduce_rabenseifner_plan(
@@ -823,7 +842,7 @@ def allreduce_rabenseifner_plan(
                 keep = slice(int(bounds[mid]), int(bounds[shi]))
                 slo, shi = mid, shi
             peer = _unfolded(partner, rem)
-            ch.send(peer, arr[bounds[sent_lo] : bounds[sent_hi]].copy())
+            ch.send(peer, arr[bounds[sent_lo] : bounds[sent_hi]])
             got = yield Recv(peer)
             if partner < newrank:
                 arr[keep] = op(got, arr[keep])
@@ -836,7 +855,7 @@ def allreduce_rabenseifner_plan(
         # the partner of each round owns exactly the block sent away then.
         for partner, sent_lo, sent_hi in reversed(steps):
             peer = _unfolded(partner, rem)
-            ch.send(peer, arr[bounds[slo] : bounds[shi]].copy())
+            ch.send(peer, arr[bounds[slo] : bounds[shi]])
             got = yield Recv(peer)
             arr[bounds[sent_lo] : bounds[sent_hi]] = got
             slo, shi = min(slo, sent_lo), max(shi, sent_hi)

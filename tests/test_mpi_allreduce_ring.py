@@ -86,6 +86,20 @@ class TestRingCorrectness:
             assert seg == ([total] if rank == p - 1 else [])
             assert bounds == ((0, 1) if rank == p - 1 else (0, 0))
 
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_reduce_scatter_segment_owns_its_data(self, p):
+        """Regression: the segment was a view into the plan's private
+        full-length copy, so keeping 1/p of the result pinned all n."""
+
+        def prog(comm):
+            x = np.arange(1000.0) * (comm.rank + 1)
+            seg, (lo, hi) = comm.reduce_scatter(x, mpi.SUM)
+            return seg.flags.owndata, seg.base is None, seg.nbytes, hi - lo
+
+        for owndata, no_base, nbytes, count in run_all(prog, p):
+            assert owndata and no_base
+            assert nbytes == count * 8
+
     def test_input_not_mutated(self):
         def prog(comm):
             mine = np.full(10, float(comm.rank))

@@ -23,8 +23,18 @@ def big_block(rank):
     return rng.standard_normal((N_ROWS, N_COLS))
 
 
+class InPlaceSumOp(SumOp):
+    """Sum whose combine adds the right operand into the left one."""
+
+    def combine(self, s1, s2):
+        s1 += s2
+        return s1
+
+
 class TestChunkedOverlap:
-    @pytest.mark.parametrize("p", [2, 4, 8])
+    # Odd and non-power-of-two sizes take Rabenseifner's fold-in and
+    # fold-out, where a chunk's result comes back outside its slice.
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("op_cls", [SumOp, MaxOp])
     def test_bit_identical_and_faster(self, p, op_cls):
         def body(overlap):
@@ -40,6 +50,38 @@ class TestChunkedOverlap:
         for a, b in zip(off.returns, auto.returns):
             assert np.array_equal(a, b)  # exact, not approximate
         assert auto.time < off.time
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_left_mutating_combine_aliases_nothing(self, p):
+        """The pipeline reduces each chunk in place inside its result
+        buffer; a combine that mutates its left operand (the Chapel
+        contract allows it) must still give the unpipelined bytes, leave
+        every input block as it was, and hand each rank an array of its
+        own."""
+        blocks = [
+            np.random.default_rng(70 + r).standard_normal((6, 20_000))
+            for r in range(p)
+        ]
+        before = [b.copy() for b in blocks]
+
+        def body(overlap):
+            def prog(comm):
+                return global_reduce(
+                    comm, InPlaceSumOp(), blocks[comm.rank], overlap=overlap
+                )
+            return prog
+
+        off = spmd_run(body("off"), p)
+        auto = spmd_run(body("auto"), p)
+        assert auto.summary_trace.n_sends > off.summary_trace.n_sends  # engaged
+        for a, b in zip(off.returns, auto.returns):
+            assert np.array_equal(a, b)
+        for b, orig in zip(blocks, before):
+            assert np.array_equal(b, orig)
+        outs = off.returns + auto.returns
+        for i, x in enumerate(outs):
+            assert not any(np.shares_memory(x, b) for b in blocks)
+            assert not any(np.shares_memory(x, y) for y in outs[i + 1:])
 
     def test_deterministic(self):
         def prog(comm):

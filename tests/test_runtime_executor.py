@@ -1,12 +1,19 @@
 """Tests for the SPMD executor: results, failures, timeouts, isolation,
 determinism of virtual time."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import mpi
+from repro.core.reduce import global_reduce
 from repro.errors import DeadlockError, SpmdError, SpmdTimeout
+from repro.mpi.collectives import SCHEDULES
+from repro.ops import SumOp
 from repro.runtime import CostModel, spmd_run
+from repro.runtime.channels import Mailbox
+from repro.runtime.world import RankContext
 
 
 class TestBasics:
@@ -163,6 +170,67 @@ class TestPayloadIsolation:
         res = spmd_run(prog, 2)
         assert np.array_equal(res.returns[0], np.zeros(4))
         assert np.array_equal(res.returns[1], np.full(4, 99.0))
+
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("name", [
+        *(f"{s.kind}/{s.name}" for kind in SCHEDULES.values()
+          for s in kind.values() if s.segments),
+        "global_reduce/overlap",
+    ])
+    def test_sender_mutation_after_segment_send(self, monkeypatch, p, name):
+        """The segmenting plans send views of the buffer they go on
+        reducing in (the overlapped driver's result buffer, in place)
+        without copying them: the send itself must isolate the payload.
+        Every array send here is followed at once by the sender
+        scribbling over what it sent; the delivered message must still
+        hold the sent bytes (the sender then restores its buffer, so the
+        schedule runs on and its result is checked too)."""
+        last = threading.local()
+        deliver, send_raw = Mailbox.deliver, RankContext.send_raw
+        checked, leaked = [], []
+
+        def recording_deliver(self, env, **kw):
+            last.env = env
+            return deliver(self, env, **kw)
+
+        def scribbling_send(self, dest, tag, payload):
+            send_raw(self, dest, tag, payload)
+            if isinstance(payload, np.ndarray) and payload.size:
+                sent = payload.copy()
+                payload[...] = -7.0
+                checked.append(tag)
+                if not np.array_equal(last.env.payload, sent):
+                    leaked.append(tag)
+                payload[...] = sent
+
+        monkeypatch.setattr(Mailbox, "deliver", recording_deliver)
+        monkeypatch.setattr(RankContext, "send_raw", scribbling_send)
+        kind, algorithm = name.split("/")
+        n = 20_000  # 160 KiB: several pipelined-ring pieces, and overlap
+
+        def prog(comm):
+            v = np.arange(n, dtype=np.float64) * (comm.rank + 1)
+            if kind == "reduce":
+                return comm.reduce(v, mpi.SUM, algorithm=algorithm)
+            if kind == "allreduce":
+                return comm.allreduce(v, mpi.SUM, algorithm=algorithm)
+            if kind == "reduce_scatter":
+                seg, (lo, hi) = comm.reduce_scatter(v, mpi.SUM)
+                return seg, lo, hi
+            return global_reduce(comm, SumOp(), np.stack([v, v]))
+
+        res = spmd_run(prog, p)
+        assert checked and not leaked
+        total = np.arange(n, dtype=np.float64) * (p * (p + 1) // 2)
+        for rank, got in enumerate(res.returns):
+            if kind == "reduce" and rank != 0:
+                assert got is None
+            elif kind == "reduce_scatter":
+                seg, lo, hi = got
+                assert np.array_equal(seg, total[lo:hi])
+            else:
+                scale = 2 if kind == "global_reduce" else 1
+                assert np.array_equal(got, total * scale)
 
 
 class TestTraces:
