@@ -22,6 +22,7 @@ import numpy as np
 
 from benchmarks.conftest import write_result
 from repro import mpi
+from repro.analysis import format_table
 from repro.localview import LOCAL_ALLREDUCE
 from repro.mpi.tuning import candidates
 from repro.runtime import spmd_run
@@ -31,6 +32,7 @@ PAYLOADS = [1, 64, 1024, 16_384, 262_144]  # doubles
 
 #: Every flat schedule the registry offers ``auto``, and ``auto`` itself.
 ALGORITHMS = [*candidates("allreduce"), "auto"]
+REDUCE_ALGORITHMS = [*candidates("reduce"), "auto"]
 
 #: Virtual-time slack for "auto ties the explicit winner": the tuner's
 #: table is fitted on a grid, so at a grid-boundary payload it may pick
@@ -38,39 +40,42 @@ ALGORITHMS = [*candidates("allreduce"), "auto"]
 TIE = 1.10
 
 
-def _time(n, algorithm, cost_model):
-    def prog(comm):
-        LOCAL_ALLREDUCE(comm, mpi.SUM, np.zeros(n), algorithm=algorithm)
-
-    return spmd_run(prog, P, cost_model=cost_model).time
+def _allreduce(comm, n, algorithm):
+    LOCAL_ALLREDUCE(comm, mpi.SUM, np.zeros(n), algorithm=algorithm)
 
 
-def _sweep(cost_model):
-    return [
-        (n, {a: _time(n, a, cost_model) for a in ALGORITHMS})
+def _reduce(comm, n, algorithm):
+    comm.reduce(np.zeros(n), mpi.SUM, algorithm=algorithm)
+
+
+def record(collective, algorithms, cost_model) -> dict[int, dict[str, float]]:
+    """Virtual time of ``collective`` per payload size and algorithm."""
+    return {
+        n: {
+            a: spmd_run(lambda comm: collective(comm, n, a), P,
+                        cost_model=cost_model).time
+            for a in algorithms
+        }
         for n in PAYLOADS
+    }
+
+
+def _table(title, by, algorithms, winner=False) -> str:
+    rows = [
+        [n, *(f"{times[a]:.3e}" for a in algorithms),
+         *([min(times, key=times.get)] if winner else [])]
+        for n, times in by.items()
     ]
+    headers = ["n", *algorithms, *(["winner"] if winner else [])]
+    return format_table(headers, rows, title=title)
 
 
-def test_allreduce_algorithm_crossover(benchmark, cost_model, results_dir):
-    rows = benchmark.pedantic(_sweep, args=(cost_model,), rounds=1,
-                              iterations=1)
-    lines = [
+def test_allreduce_algorithm_crossover(cost_model, results_dir):
+    by = record(_allreduce, ALGORITHMS, cost_model)
+    write_result(results_dir, "ablation_allreduce_algorithms.txt", _table(
         f"EX-RING — allreduce algorithms, p={P} (SUM of n doubles)",
-        f"{'n':>8s}  " + "  ".join(f"{a:>17s}" for a in ALGORITHMS)
-        + f"  {'winner':>17s}",
-    ]
-    for n, times in rows:
-        winner = min(times, key=times.get)
-        lines.append(
-            f"{n:>8d}  "
-            + "  ".join(f"{times[a]:>17.3e}" for a in ALGORITHMS)
-            + f"  {winner:>17s}"
-        )
-    write_result(results_dir, "ablation_allreduce_algorithms.txt",
-                 "\n".join(lines))
-
-    by = {n: times for n, times in rows}
+        by, ALGORITHMS, winner=True,
+    ))
     # small payloads: latency dominates, recursive doubling wins
     assert by[1]["recursive_doubling"] < by[1]["ring"]
     assert by[1]["recursive_doubling"] < by[1]["rabenseifner"]
@@ -78,9 +83,7 @@ def test_allreduce_algorithm_crossover(benchmark, cost_model, results_dir):
     assert by[262_144]["ring"] < by[262_144]["recursive_doubling"]
     assert by[262_144]["rabenseifner"] < by[262_144]["recursive_doubling"]
     # and there is a crossover in between
-    winners = [
-        min(times, key=times.get) for _, times in rows
-    ]
+    winners = [min(times, key=times.get) for times in by.values()]
     assert winners[0] == "recursive_doubling" or winners[0] == "auto"
     assert winners[-1] in ("ring", "rabenseifner", "auto")
 
@@ -90,46 +93,22 @@ def test_allreduce_algorithm_crossover(benchmark, cost_model, results_dir):
     # and never loses to the per-payload winner by more than the fit slack.
     assert by[262_144]["auto"] < by[262_144]["recursive_doubling"]
     assert by[1]["auto"] < by[1]["ring"]
-    for n, times in rows:
+    for n, times in by.items():
         best = min(times[a] for a in ALGORITHMS if a != "auto")
         assert times["auto"] <= best * TIE, (n, times)
 
 
-def _time_reduce(n, algorithm, cost_model):
-    def prog(comm):
-        comm.reduce(np.zeros(n), mpi.SUM, algorithm=algorithm)
-
-    return spmd_run(prog, P, cost_model=cost_model).time
-
-
-def test_reduce_pipelined_crossover(benchmark, cost_model, results_dir):
+def test_reduce_pipelined_crossover(cost_model, results_dir):
     """Rooted reduce: order-preserving binomial vs. the segmented
     pipelined ring, and the tuned default against both."""
-    algos = [*candidates("reduce"), "auto"]
-
-    def sweep(cm):
-        return [
-            (n, {a: _time_reduce(n, a, cm) for a in algos})
-            for n in PAYLOADS
-        ]
-
-    rows = benchmark.pedantic(sweep, args=(cost_model,), rounds=1,
-                              iterations=1)
-    lines = [
+    by = record(_reduce, REDUCE_ALGORITHMS, cost_model)
+    write_result(results_dir, "ablation_reduce_algorithms.txt", _table(
         f"EX-RING — rooted reduce algorithms, p={P} (SUM of n doubles)",
-        f"{'n':>8s}  " + "  ".join(f"{a:>15s}" for a in algos),
-    ]
-    for n, times in rows:
-        lines.append(
-            f"{n:>8d}  " + "  ".join(f"{times[a]:>15.3e}" for a in algos)
-        )
-    write_result(results_dir, "ablation_reduce_algorithms.txt",
-                 "\n".join(lines))
-
-    by = {n: times for n, times in rows}
+        by, REDUCE_ALGORITHMS,
+    ))
     assert by[1]["binomial"] < by[1]["pipelined_ring"]
     assert by[262_144]["pipelined_ring"] < by[262_144]["binomial"]
     assert by[262_144]["auto"] < by[262_144]["binomial"]
-    for n, times in rows:
+    for n, times in by.items():
         best = min(times["binomial"], times["pipelined_ring"])
         assert times["auto"] <= best * TIE, (n, times)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import write_result
+from repro.analysis import format_table
 from repro.nas import is_class
 from repro.nas.intsort import (
     generate_keys,
@@ -27,65 +28,50 @@ PROCS = [2, 4, 8, 16, 32]
 CLS = is_class("A")
 
 
-def _run(cost_model):
+def record(cost_model) -> list[tuple[int, float, float, bool, bool]]:
+    """(p, t_honest, t_flagged, honest verifies, flagged verifies)."""
     whole = np.sort(generate_keys(CLS))
     rows = []
     for p in PROCS:
         bounds = [r * len(whole) // p for r in range(p + 1)]
         blocks = [whole[bounds[r] : bounds[r + 1]] for r in range(p)]
-
-        honest = spmd_run(
-            lambda comm: verify_rsmpi(
-                comm, blocks[comm.rank], check_rate="is_check_scalar"
-            ),
-            p,
-            cost_model=cost_model,
-        )
-        flagged = spmd_run(
-            lambda comm: verify_rsmpi_commutative(
-                comm, blocks[comm.rank], check_rate="is_check_scalar"
-            ),
-            p,
-            cost_model=cost_model,
-        )
-        rows.append(
-            (
+        honest, flagged = (
+            spmd_run(
+                lambda comm: verify(
+                    comm, blocks[comm.rank], check_rate="is_check_scalar"
+                ),
                 p,
-                honest.time,
-                flagged.time,
-                all(honest.returns),
-                all(flagged.returns),
+                cost_model=cost_model,
             )
+            for verify in (verify_rsmpi, verify_rsmpi_commutative)
         )
+        rows.append((p, honest.time, flagged.time,
+                     all(honest.returns), all(flagged.returns)))
     return rows
 
 
-def test_commutative_flag_no_speedup_and_misverify(
-    benchmark, cost_model, results_dir
-):
-    rows = benchmark.pedantic(_run, args=(cost_model,), rounds=1, iterations=1)
-    lines = [
-        "EX-COMM — sorted reduction flagged commutative (class A)",
-        f"{'p':>4s}  {'t_honest':>12s}  {'t_flagged':>12s}  "
-        f"{'speedup':>8s}  {'honest_ok':>9s}  {'flagged_ok':>10s}",
-    ]
-    for p, th, tf, okh, okf in rows:
-        lines.append(
-            f"{p:>4d}  {th:>12.3e}  {tf:>12.3e}  {th / tf:>8.2f}  "
-            f"{str(okh):>9s}  {str(okf):>10s}"
-        )
-    lines.append(
-        "paper: 'no speedup, though the program did fail to verify'"
-    )
-    write_result(results_dir, "ablation_commutative.txt", "\n".join(lines))
-
+def check(rows) -> None:
     for p, th, tf, okh, okf in rows:
         assert okh, f"honest verification must pass (p={p})"
         # "no speedup": the flag buys < 20% even where it is licensed to
         # reorder (and the honest run must not be slower than ~that).
         assert tf > th * 0.8, (p, th, tf)
-        if p > 5:  # deep enough combining tree to actually reorder
+        if p >= 8:  # deep enough combining tree to actually reorder
             assert not okf, (
                 f"p={p}: flagged-commutative verification unexpectedly "
                 "passed — the reordered combine should break it"
             )
+
+
+def test_commutative_flag_no_speedup_and_misverify(cost_model, results_dir):
+    rows = record(cost_model)
+    table = format_table(
+        ["p", "t_honest", "t_flagged", "speedup", "honest_ok", "flagged_ok"],
+        [[p, f"{th:.3e}", f"{tf:.3e}", f"{th / tf:.2f}", okh, okf]
+         for p, th, tf, okh, okf in rows],
+        title="EX-COMM — sorted reduction flagged commutative (class A)",
+    )
+    write_result(results_dir, "ablation_commutative.txt",
+                 table + "\npaper: 'no speedup, though the program did "
+                 "fail to verify'")
+    check(rows)

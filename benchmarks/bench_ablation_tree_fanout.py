@@ -19,6 +19,7 @@ import numpy as np
 
 from benchmarks.conftest import write_result
 from repro import mpi
+from repro.analysis import format_table
 from repro.runtime import spmd_run
 
 PROCS = [16, 64]
@@ -39,32 +40,17 @@ def _reduce_time(p, fanout, cost_model, combine_seconds=0.0):
     return spmd_run(prog, p, cost_model=cost_model).time
 
 
-def _sweep(cost_model):
-    rows = []
-    for p in PROCS:
-        for fanout in FANOUTS:
-            cheap = _reduce_time(p, fanout, cost_model)
-            costly = _reduce_time(p, fanout, cost_model,
-                                  combine_seconds=2e-5)
-            rows.append((p, fanout, cheap, costly))
-    return rows
-
-
-def test_fanout_tradeoff(benchmark, cost_model, results_dir):
-    rows = benchmark.pedantic(_sweep, args=(cost_model,), rounds=1,
-                              iterations=1)
-    lines = [
-        "EX-FANOUT — commutative SUM reduce, k-ary combine-as-available "
-        "tree",
-        f"{'p':>4s}  {'fanout':>6s}  {'t (cheap combine)':>18s}  "
-        f"{'t (costly combine)':>18s}",
+def record(cost_model) -> list[tuple[int, int, float, float]]:
+    """(p, fanout, t with free combines, t with 20 µs combines)."""
+    return [
+        (p, fanout, _reduce_time(p, fanout, cost_model),
+         _reduce_time(p, fanout, cost_model, combine_seconds=2e-5))
+        for p in PROCS
+        for fanout in FANOUTS
     ]
-    for p, fanout, cheap, costly in rows:
-        lines.append(
-            f"{p:>4d}  {fanout:>6d}  {cheap:>18.3e}  {costly:>18.3e}"
-        )
-    write_result(results_dir, "ablation_tree_fanout.txt", "\n".join(lines))
 
+
+def check(rows) -> None:
     by = {(p, f): (cheap, costly) for p, f, cheap, costly in rows}
     # With cheap combines, a wider tree (fewer latency rounds) helps at
     # p=64: fanout 8 beats binary.
@@ -73,3 +59,15 @@ def test_fanout_tradeoff(benchmark, cost_model, results_dir):
     # combine work: fanout 16 must be worse than fanout 2 at p=16
     # (15 serialized combines vs 4 parallelizable rounds).
     assert by[(16, 16)][1] > by[(16, 2)][1]
+
+
+def test_fanout_tradeoff(cost_model, results_dir):
+    rows = record(cost_model)
+    table = format_table(
+        ["p", "fanout", "t (cheap combine)", "t (costly combine)"],
+        [[p, f, f"{cheap:.3e}", f"{costly:.3e}"] for p, f, cheap, costly in rows],
+        title="EX-FANOUT — commutative SUM reduce, k-ary combine-as-available "
+        "tree",
+    )
+    write_result(results_dir, "ablation_tree_fanout.txt", table)
+    check(rows)

@@ -10,10 +10,8 @@ inside a solver, a.k.a. pipelined CG) raises the achievable speedup.
 
 from __future__ import annotations
 
-import numpy as np
-
 from benchmarks.conftest import PROC_GRID, write_result
-from repro.analysis import Series, format_series_csv
+from repro.analysis import Series, format_series_csv, format_table
 from repro.nas.cg import (
     cg_solve,
     cg_solve_fused,
@@ -25,11 +23,16 @@ from repro.runtime import spmd_run
 N = 1 << 17  # unknowns
 MAX_ITER = 60  # fixed work per run: time 60 iterations
 
-
 #: A CG iteration streams the local vectors ~8 times (matvec, two dots,
 #: three axpy-like updates); the dot_rate hook charges per element once,
-#: so scale the calibrated single-pass rate by 8.
+#: so scale the recorded single-pass rate by 8.
 PASSES_PER_ITER = 8
+
+SOLVERS = {
+    "CG (2 reductions/iter)": cg_solve,
+    "CG fused (1 reduction/iter)": cg_solve_fused,
+    "CG fused nonblocking": cg_solve_iallreduce,
+}
 
 
 def _time_per_iter(p, solver, cost_model):
@@ -47,35 +50,30 @@ def _time_per_iter(p, solver, cost_model):
     return res.time / max(iters, 1)
 
 
-def test_cg_reduction_latency_floor(benchmark, cost_model, results_dir):
-    def sweep():
-        std = Series("CG (2 reductions/iter)")
-        fused = Series("CG fused (1 reduction/iter)")
-        nonblk = Series("CG fused nonblocking")
-        for p in PROC_GRID:
-            std.add(p, _time_per_iter(p, cg_solve, cost_model))
-            fused.add(p, _time_per_iter(p, cg_solve_fused, cost_model))
-            nonblk.add(
-                p, _time_per_iter(p, cg_solve_iallreduce, cost_model)
-            )
-        return std, fused, nonblk
+def record(cost_model) -> list[Series]:
+    """Time per iteration of each solver variant (one Series each)."""
+    series = [Series(label) for label in SOLVERS]
+    for p in PROC_GRID:
+        for s, solver in zip(series, SOLVERS.values()):
+            s.add(p, _time_per_iter(p, solver, cost_model))
+    return series
 
-    std, fused, nonblk = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    lines = [
-        f"EX-CG — time per CG iteration, n={N} (strong scaling)",
-        f"{'p':>4s}  {'2 red/iter':>12s}  {'1 red/iter':>12s}  "
-        f"{'1 red nonblk':>12s}  {'S_std':>6s}  {'S_fused':>8s}",
+
+def test_cg_reduction_latency_floor(cost_model, results_dir):
+    std, fused, nonblk = series = record(cost_model)
+    rows = [
+        [p, f"{std.times[i]:.3e}", f"{fused.times[i]:.3e}",
+         f"{nonblk.times[i]:.3e}", f"{std.t1 / std.times[i]:.2f}",
+         f"{fused.t1 / fused.times[i]:.2f}"]
+        for i, p in enumerate(std.procs)
     ]
-    for i, p in enumerate(std.procs):
-        lines.append(
-            f"{p:>4d}  {std.times[i]:>12.3e}  {fused.times[i]:>12.3e}  "
-            f"{nonblk.times[i]:>12.3e}  "
-            f"{std.t1 / std.times[i]:>6.2f}  {fused.t1 / fused.times[i]:>8.2f}"
-        )
-    write_result(results_dir, "cg_reductions.txt", "\n".join(lines))
-    (results_dir / "cg_reductions.csv").write_text(
-        format_series_csv([std, fused, nonblk]) + "\n"
+    table = format_table(
+        ["p", "2 red/iter", "1 red/iter", "1 red nonblk", "S_std", "S_fused"],
+        rows,
+        title=f"EX-CG — time per CG iteration, n={N} (strong scaling)",
     )
+    write_result(results_dir, "cg_reductions.txt", table)
+    write_result(results_dir, "cg_reductions.csv", format_series_csv(series))
 
     # fused is never slower, and wins clearly where latency dominates
     for t_s, t_f in zip(std.times, fused.times):

@@ -10,17 +10,21 @@ other figure) and persisted — fault counters included — into
 2. What do lossy links cost?  (Retransmit backoff + delays, quantified
    as a makespan ratio; results stay bit-identical to fault-free.)
 3. What does surviving a mid-combine fail-stop cost?  (The revoke /
-   agree / shrink / re-combine round, quantified the same way.)
+   agree / shrink / re-combine round, quantified the same way.  How far
+   each survivor got before unwinding follows the thread schedule, so
+   the recovered run's makespan varies between repeats — see
+   docs/fault_model.md — and it is traced apart from the persisted
+   file, which keeps only deterministic runs.)
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import global_reduce
 from repro.core.operator import state_equal
 from repro.faults import FailStop, FaultPlan, LinkFaults
+from repro.obs import Tracer
 from repro.ops import SumOp
 from repro.runtime import spmd_run
 
@@ -40,32 +44,32 @@ def _blocks():
     return [rng.random(N) for _ in range(P)]
 
 
-def _run(fault_plan=None):
+def _run(fault_plan=None, tracer=None):
     blocks = _blocks()
 
     def prog(comm):
         return global_reduce(comm, SumOp(), blocks[comm.rank])
 
-    return spmd_run(prog, P, fault_plan=fault_plan)
+    return spmd_run(prog, P, fault_plan=fault_plan, tracer=tracer)
 
 
 class TestFaultOverhead:
-    def test_null_plan_is_free(self, benchmark, results_dir):
+    def test_null_plan_is_free(self):
         base = _run()
-        nulled = benchmark(lambda: _run(FaultPlan(seed=11)))
+        nulled = _run(FaultPlan(seed=11))
         assert state_equal(nulled.returns, base.returns)
         assert nulled.time == base.time
 
-    def test_lossy_links_cost_time_not_answers(self, benchmark, results_dir):
+    def test_lossy_links_cost_time_not_answers(self):
         base = _run()
-        lossy = benchmark(lambda: _run(LOSSY))
+        lossy = _run(LOSSY)
         assert state_equal(lossy.returns, base.returns)
         assert lossy.time > base.time
         ratio = lossy.time / base.time
         print(f"\nlossy-link makespan overhead: {ratio:.2f}x "
               f"({base.time:.3e}s -> {lossy.time:.3e}s)")
 
-    def test_failstop_recovery_cost(self, benchmark, results_dir):
+    def test_failstop_recovery_cost(self):
         blocks = _blocks()
         survivors = [b for q, b in enumerate(blocks) if q != 5]
 
@@ -73,13 +77,16 @@ class TestFaultOverhead:
             return global_reduce(comm, SumOp(), survivors[comm.rank])
 
         base = spmd_run(survivor_baseline, P - 1)
-        faulted = benchmark(lambda: _run(FAILSTOP))
+        tracer = Tracer()
+        faulted = _run(FAILSTOP, tracer=tracer)
         assert faulted.failed_ranks == {5}
+        counters = tracer.metrics.snapshot()["counters"]
+        assert counters["faults.failstops"] == 1
+        assert counters["faults.recoveries"] == P - 1  # one per survivor
         out = [r for q, r in enumerate(faulted.returns) if q != 5]
         assert state_equal(out, base.returns)
         # Recovery is pure overhead relative to having had the smaller
-        # world from the start; the faults.recovery_vtime histogram in
-        # the persisted metrics holds the per-run figure.
+        # world from the start.
         ratio = faulted.time / base.time
         print(f"\nfail-stop recovery makespan overhead: {ratio:.2f}x "
               f"({base.time:.3e}s -> {faulted.time:.3e}s)")

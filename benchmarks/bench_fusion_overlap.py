@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import PROC_GRID, write_result
-from repro.analysis import Series, format_series_csv
+from repro.analysis import Series, format_series_csv, format_table
 from repro.core.fusion import global_reduce_many
 from repro.core.reduce import global_reduce
 from repro.mpi import waitall
@@ -78,88 +78,70 @@ def _nonblocking(comm):
     return out
 
 
+VARIANTS = {
+    "sequential blocking": _sequential,
+    "nonblocking overlap": _nonblocking,
+    "bucketed fusion": _fused,
+}
+
+
 def _run(fn, p, cost_model):
     return spmd_run(fn, p, cost_model=cost_model, timeout=600)
 
 
-def test_fusion_k8_makespan_and_messages(benchmark, cost_model, results_dir):
+def test_fusion_k8_makespan_and_messages(cost_model, results_dir):
     """The headline numbers: K=8 concurrent reductions at 16 ranks."""
-
-    def measure():
-        seq = _run(_sequential, 16, cost_model)
-        fused = _run(_fused, 16, cost_model)
-        nonblk = _run(_nonblocking, 16, cost_model)
-        return seq, fused, nonblk
-
-    seq, fused, nonblk = benchmark.pedantic(measure, rounds=1, iterations=1)
+    seq, nonblk, fused = runs = [
+        _run(fn, 16, cost_model) for fn in VARIANTS.values()
+    ]
 
     # all three paths produce identical results
     for a, b, c in zip(seq.returns, fused.returns, nonblk.returns):
         for x, y, z in zip(a, b, c):
             assert np.array_equal(x, y) and np.array_equal(x, z)
 
-    s_sends = seq.summary_trace.n_sends
-    f_sends = fused.summary_trace.n_sends
-    n_sends = nonblk.summary_trace.n_sends
-    lines = [
-        f"EX-FUSION — K={K} concurrent reductions, 16 ranks, "
+    table = format_table(
+        ["variant", "makespan", "sends", "vs seq"],
+        [[name, f"{r.time:.3e}", r.summary_trace.n_sends,
+          f"{seq.time / r.time:.2f}x"]
+         for name, r in zip(VARIANTS, runs)],
+        title=f"EX-FUSION — K={K} concurrent reductions, 16 ranks, "
         f"{ROUNDS} rounds, n_local={N_LOCAL}",
-        f"{'variant':>22s}  {'makespan':>12s}  {'sends':>8s}  {'vs seq':>8s}",
-        f"{'sequential blocking':>22s}  {seq.time:>12.3e}  {s_sends:>8d}  "
-        f"{'1.00x':>8s}",
-        f"{'nonblocking overlap':>22s}  {nonblk.time:>12.3e}  {n_sends:>8d}  "
-        f"{seq.time / nonblk.time:>7.2f}x",
-        f"{'bucketed fusion':>22s}  {fused.time:>12.3e}  {f_sends:>8d}  "
-        f"{seq.time / fused.time:>7.2f}x",
-    ]
-    write_result(results_dir, "fusion_overlap.txt", "\n".join(lines))
+    )
+    write_result(results_dir, "fusion_overlap.txt", table)
 
     # acceptance floor: >=25% makespan cut, >=2x fewer messages
     assert fused.time <= 0.75 * seq.time
-    assert f_sends * 2 <= s_sends
+    assert fused.summary_trace.n_sends * 2 <= seq.summary_trace.n_sends
     # nonblocking-without-fusion also beats sequential (overlap alone)
     assert nonblk.time < seq.time
 
 
-def test_fusion_scaling_sweep(benchmark, cost_model, results_dir):
+def test_fusion_scaling_sweep(cost_model, results_dir):
     """Makespan of the K=8 block across the processor grid."""
+    seq, nonblk, fused = series = [Series(name) for name in VARIANTS]
+    for p in PROC_GRID:
+        for s, fn in zip(series, VARIANTS.values()):
+            s.add(p, _run(fn, p, cost_model).time)
 
-    def sweep():
-        seq = Series("sequential blocking")
-        fused = Series("bucketed fusion")
-        nonblk = Series("nonblocking overlap")
-        for p in PROC_GRID:
-            seq.add(p, _run(_sequential, p, cost_model).time)
-            fused.add(p, _run(_fused, p, cost_model).time)
-            nonblk.add(p, _run(_nonblocking, p, cost_model).time)
-        return seq, fused, nonblk
-
-    seq, fused, nonblk = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    lines = [
-        f"EX-FUSION — K={K} reductions x {ROUNDS} rounds, varying p",
-        f"{'p':>4s}  {'sequential':>12s}  {'nonblocking':>12s}  "
-        f"{'fused':>12s}  {'fuse gain':>9s}",
+    rows = [
+        [p, f"{t_s:.3e}", f"{t_n:.3e}", f"{t_f:.3e}",
+         f"{t_s / t_f:.2f}x" if t_f > 0 else "-"]  # p=1: no communication
+        for p, t_s, t_n, t_f in zip(seq.procs, seq.times, nonblk.times, fused.times)
     ]
-    for i, p in enumerate(seq.procs):
-        gain = (
-            f"{seq.times[i] / fused.times[i]:>8.2f}x"
-            if fused.times[i] > 0 else f"{'-':>9s}"  # p=1: no communication
-        )
-        lines.append(
-            f"{p:>4d}  {seq.times[i]:>12.3e}  {nonblk.times[i]:>12.3e}  "
-            f"{fused.times[i]:>12.3e}  {gain}"
-        )
-    write_result(results_dir, "fusion_scaling.txt", "\n".join(lines))
-    (results_dir / "fusion_scaling.csv").write_text(
-        format_series_csv([seq, nonblk, fused]) + "\n"
+    table = format_table(
+        ["p", "sequential", "nonblocking", "fused", "fuse gain"], rows,
+        title=f"EX-FUSION — K={K} reductions x {ROUNDS} rounds, varying p",
     )
+    write_result(results_dir, "fusion_scaling.txt", table)
+    write_result(results_dir, "fusion_scaling.csv", format_series_csv(series))
     # fusion's advantage grows with p (log-depth latency dominates)
-    for i, p in enumerate(seq.procs):
+    for p, t_s, t_f in zip(seq.procs, seq.times, fused.times):
         if p >= 4:
-            assert fused.times[i] < seq.times[i]
+            assert t_f < t_s
 
 
-def test_chunked_overlap_pipeline(benchmark, cost_model, results_dir):
+def test_chunked_overlap_pipeline(cost_model, results_dir):
     """One large elementwise reduction: the accumulate/combine pipeline
     (``overlap="auto"``) versus the phase-sequential path."""
     n_rows, n_cols = 48, 1 << 15  # 256 KiB state per rank
@@ -174,34 +156,24 @@ def test_chunked_overlap_pipeline(benchmark, cost_model, results_dir):
             )
         return prog
 
-    def sweep():
-        off = Series("phase-sequential")
-        auto = Series("chunked overlap")
-        for p in [2, 4, 8, 16]:
-            r_off = spmd_run(body("off"), p, cost_model=cost_model,
-                             timeout=600)
-            r_auto = spmd_run(body("auto"), p, cost_model=cost_model,
-                              timeout=600)
-            for a, b in zip(r_off.returns, r_auto.returns):
-                assert np.array_equal(a, b)
-            off.add(p, r_off.time)
-            auto.add(p, r_auto.time)
-        return off, auto
+    off = Series("phase-sequential")
+    auto = Series("chunked overlap")
+    for p in [2, 4, 8, 16]:
+        r_off = spmd_run(body("off"), p, cost_model=cost_model, timeout=600)
+        r_auto = spmd_run(body("auto"), p, cost_model=cost_model, timeout=600)
+        for a, b in zip(r_off.returns, r_auto.returns):
+            assert np.array_equal(a, b)
+        off.add(p, r_off.time)
+        auto.add(p, r_auto.time)
 
-    off, auto = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    lines = [
-        f"EX-FUSION — chunked accumulate/combine overlap, "
+    table = format_table(
+        ["p", "sequential", "overlapped", "gain"],
+        [[p, f"{t_off:.3e}", f"{t_auto:.3e}", f"{t_off / t_auto:.2f}x"]
+         for p, t_off, t_auto in zip(off.procs, off.times, auto.times)],
+        title=f"EX-FUSION — chunked accumulate/combine overlap, "
         f"{n_rows}x{n_cols} float64 per rank",
-        f"{'p':>4s}  {'sequential':>12s}  {'overlapped':>12s}  {'gain':>6s}",
-    ]
-    for i, p in enumerate(off.procs):
-        lines.append(
-            f"{p:>4d}  {off.times[i]:>12.3e}  {auto.times[i]:>12.3e}  "
-            f"{off.times[i] / auto.times[i]:>5.2f}x"
-        )
-    write_result(results_dir, "chunked_overlap.txt", "\n".join(lines))
-    (results_dir / "chunked_overlap.csv").write_text(
-        format_series_csv([off, auto]) + "\n"
     )
+    write_result(results_dir, "chunked_overlap.txt", table)
+    write_result(results_dir, "chunked_overlap.csv", format_series_csv([off, auto]))
     for t_off, t_auto in zip(off.times, auto.times):
         assert t_auto < t_off

@@ -38,38 +38,43 @@ def _mg_full_profile(comm):
     block = Block3D.create(cls.nx, cls.ny, cls.nz, comm.size, comm.rank)
     for _ in range(MG_ITERATIONS):
         vcycle_communication_round(comm, block, res.local)
-    return None
 
 
-def _combined_census(cost_model):
-    is_res = spmd_run(
-        lambda comm: run_is(comm, is_class("S"), verifier="mpi"),
-        P,
-        cost_model=cost_model,
-    )
-    mg_res = spmd_run(_mg_full_profile, P, cost_model=cost_model, timeout=600)
-    ep_res = spmd_run(
-        lambda comm: ep_mpi(comm, ep_class("S")), P, cost_model=cost_model
-    )
-    c_is = census(is_res.traces)
-    c_mg = census(mg_res.traces)
-    c_ep = census(ep_res.traces)
-    coll = Counter(c_is.collective_calls)
-    coll.update(c_mg.collective_calls)
-    coll.update(c_ep.collective_calls)
-    p2p = Counter(c_is.p2p_calls)
-    p2p.update(c_mg.p2p_calls)
-    p2p.update(c_ep.p2p_calls)
-    red = Counter(c_is.reduction_calls)
-    red.update(c_mg.reduction_calls)
-    red.update(c_ep.reduction_calls)
-    return c_is, c_mg, c_ep, CallCensus(dict(coll), dict(p2p), dict(red))
+def record(cost_model) -> tuple[CallCensus, CallCensus, CallCensus, CallCensus]:
+    """Per-program call census of IS, MG and EP, and their sum."""
+    parts = [
+        census(spmd_run(prog, P, cost_model=cost_model, timeout=600).traces)
+        for prog in (
+            lambda comm: run_is(comm, is_class("S"), verifier="mpi"),
+            _mg_full_profile,
+            lambda comm: ep_mpi(comm, ep_class("S")),
+        )
+    ]
+    fields = ("collective_calls", "p2p_calls", "reduction_calls")
+    combined = CallCensus(*(
+        dict(sum((Counter(getattr(c, f)) for c in parts), Counter()))
+        for f in fields
+    ))
+    return (*parts, combined)
 
 
-def test_npb_reduction_fraction(benchmark, cost_model, results_dir):
-    c_is, c_mg, c_ep, combined = benchmark.pedantic(
-        _combined_census, args=(cost_model,), rounds=1, iterations=1
-    )
+def check(c_is, c_mg, c_ep, combined) -> None:
+    # The MG ZRAN3 idiom alone contributes its 40 reductions...
+    assert c_mg.collective_calls["allreduce"] >= 40 + 2 * MG_ITERATIONS
+    # ...yet halo exchanges dominate MG's call profile.
+    assert sum(c_mg.p2p_calls.values()) > c_mg.n_reductions
+    # IS's reductions: bucket-count allreduce + verification allreduce.
+    assert c_is.n_reductions >= 2
+    # EP: three reductions and nothing else (embarrassingly parallel).
+    assert c_ep.n_reductions == 3
+    assert sum(c_ep.p2p_calls.values()) == 0
+    # Combined fraction lands in the paper's "nearly 9%" ballpark
+    # (single-digit to low-double-digit percent).
+    assert 0.03 <= combined.reduction_fraction <= 0.30
+
+
+def test_npb_reduction_fraction(cost_model, results_dir):
+    c_is, c_mg, c_ep, combined = censuses = record(cost_model)
     text = "\n\n".join(
         [
             c_is.format(f"NAS IS (class S, p={P}) — MPI call census"),
@@ -84,16 +89,4 @@ def test_npb_reduction_fraction(benchmark, cost_model, results_dir):
         ]
     )
     write_result(results_dir, "npb_callcounts.txt", text)
-
-    # The MG ZRAN3 idiom alone contributes its 40 reductions...
-    assert c_mg.collective_calls["allreduce"] >= 40 + 2 * MG_ITERATIONS
-    # ...yet halo exchanges dominate MG's call profile.
-    assert sum(c_mg.p2p_calls.values()) > c_mg.n_reductions
-    # IS's reductions: bucket-count allreduce + verification allreduce.
-    assert c_is.n_reductions >= 2
-    # EP: three reductions and nothing else (embarrassingly parallel).
-    assert c_ep.n_reductions == 3
-    assert sum(c_ep.p2p_calls.values()) == 0
-    # Combined fraction lands in the paper's "nearly 9%" ballpark
-    # (single-digit to low-double-digit percent).
-    assert 0.03 <= combined.reduction_fraction <= 0.30
+    check(*censuses)

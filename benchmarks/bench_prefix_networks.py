@@ -2,9 +2,9 @@
 
 Scans "are efficiently implemented by the parallel-prefix algorithm":
 this bench maps the depth/size trade-off of the classic networks and
-relates it to simulated scan latency — depth costs rounds of latency,
-size costs combine work — plus a wall-time micro-benchmark of circuit
-evaluation.
+relates it to modeled scan latency — depth costs rounds of latency,
+size costs combine work — and evaluates the work-efficient network on
+real data.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import operator
 import numpy as np
 
 from benchmarks.conftest import write_result
+from repro.analysis import format_table
 from repro.prefix import ALL_NETWORKS
 
 NS = [64, 256, 1024]
@@ -24,7 +25,8 @@ LATENCY = 5.0e-6
 COMBINE = 2.0e-7
 
 
-def _metrics():
+def record() -> list[tuple[int, str, int, int, float]]:
+    """(n, network, depth, size, modeled latency)."""
     rows = []
     for n in NS:
         for name, ctor in sorted(ALL_NETWORKS.items()):
@@ -36,16 +38,14 @@ def _metrics():
     return rows
 
 
-def test_prefix_design_space(benchmark, results_dir):
-    rows = _metrics()
-    lines = [
-        "EX-PREFIX — prefix-network depth/size and modeled scan latency",
-        f"{'n':>6s}  {'network':<18s}  {'depth':>5s}  {'size':>7s}  "
-        f"{'t_model':>10s}",
-    ]
-    for n, name, depth, size, t in rows:
-        lines.append(f"{n:>6d}  {name:<18s}  {depth:>5d}  {size:>7d}  {t:>10.3e}")
-    write_result(results_dir, "prefix_networks.txt", "\n".join(lines))
+def test_prefix_design_space(results_dir):
+    rows = record()
+    table = format_table(
+        ["n", "network", "depth", "size", "t_model"],
+        [[n, name, d, s, f"{t:.3e}"] for n, name, d, s, t in rows],
+        title="EX-PREFIX — prefix-network depth/size and modeled scan latency",
+    )
+    write_result(results_dir, "prefix_networks.txt", table)
 
     by = {(n, name): (d, s) for n, name, d, s, _ in rows}
     for n in NS:
@@ -59,8 +59,6 @@ def test_prefix_design_space(benchmark, results_dir):
         }
         assert sizes["brent_kung"] < sizes["sklansky"] < sizes["kogge_stone"]
 
-    # micro-benchmark: evaluate the work-efficient network on real data
     vals = list(range(1024))
-    circuit = ALL_NETWORKS["brent_kung"](1024)
-    result = benchmark(lambda: circuit.evaluate(vals, operator.add))
+    result = ALL_NETWORKS["brent_kung"](1024).evaluate(vals, operator.add)
     assert result[-1] == sum(vals)

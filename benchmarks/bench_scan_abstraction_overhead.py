@@ -17,6 +17,7 @@ import numpy as np
 
 from benchmarks.conftest import PROC_GRID, write_result
 from repro import mpi
+from repro.analysis import format_table
 from repro.core import global_scan
 from repro.localview import LOCAL_XSCAN
 from repro.ops import SumOp
@@ -58,28 +59,18 @@ def _handwritten_time(p, cost_model):
     return spmd_run(prog, p, cost_model=cost_model).time
 
 
-def test_scan_abstraction_overhead(benchmark, cost_model, results_dir):
-    def sweep():
-        rows = []
-        for p in PROC_GRID:
-            gv = _globalview_time(p, cost_model)
-            hw = _handwritten_time(p, cost_model)
-            rows.append((p, gv, hw))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    lines = [
-        f"EX-SCANOH — global-view scan vs hand-written local-view "
-        f"({N} doubles, SUM)",
-        f"{'p':>4s}  {'global-view':>12s}  {'hand-written':>12s}  "
-        f"{'overhead':>9s}",
+def test_scan_abstraction_overhead(cost_model, results_dir):
+    rows = [
+        (p, _globalview_time(p, cost_model), _handwritten_time(p, cost_model))
+        for p in PROC_GRID
     ]
-    for p, gv, hw in rows:
-        lines.append(
-            f"{p:>4d}  {gv:>12.3e}  {hw:>12.3e}  {gv / hw - 1:>8.1%}"
-        )
-    write_result(results_dir, "scan_abstraction_overhead.txt",
-                 "\n".join(lines))
+    table = format_table(
+        ["p", "global-view", "hand-written", "overhead"],
+        [[p, f"{gv:.3e}", f"{hw:.3e}", f"{gv / hw - 1:.1%}"] for p, gv, hw in rows],
+        title=f"EX-SCANOH — global-view scan vs hand-written local-view "
+        f"({N} doubles, SUM)",
+    )
+    write_result(results_dir, "scan_abstraction_overhead.txt", table)
 
     # results identical, virtual times within 10% at every p
     for p, gv, hw in rows:

@@ -12,10 +12,9 @@ study embodies.
 
 from __future__ import annotations
 
-import numpy as np
-
 from benchmarks.conftest import write_result
 from repro.algorithms import radix_sort, sample_sort
+from repro.analysis import format_table
 from repro.nas import is_class
 from repro.nas.intsort import bucket_sort, local_key_block, verify_rsmpi
 from repro.runtime import spmd_run
@@ -24,65 +23,45 @@ PROCS = [2, 4, 8, 16]
 CLS = is_class("S")  # 2^16 keys in [0, 2^11): 11 radix passes
 
 
-def _bucket_time(p, cost_model):
+def _bucket(comm):
+    return bucket_sort(comm, CLS, sort_rate="np_check").local_sorted
+
+
+def _radix(comm):
+    out = radix_sort(comm, local_key_block(comm, CLS)[0])
+    comm.charge_elements("np_check", len(out) * 11, "radix:passes")
+    return out
+
+
+def _sample(comm):
+    out = sample_sort(comm, local_key_block(comm, CLS)[0])
+    comm.charge_elements("np_check", len(out) * 2, "sample:sorts")
+    return out
+
+
+def _run(sort, p, cost_model):
     def prog(comm):
-        r = bucket_sort(comm, CLS, sort_rate="np_check")
-        assert verify_rsmpi(comm, r.local_sorted)
+        assert verify_rsmpi(comm, sort(comm))
 
-    res = spmd_run(prog, p, cost_model=cost_model, timeout=600)
-    return res.time, res.summary_trace.n_sends
+    return spmd_run(prog, p, cost_model=cost_model, timeout=600)
 
 
-def _radix_time(p, cost_model):
-    def prog(comm):
-        keys, _ = local_key_block(comm, CLS)
-        out = radix_sort(comm, keys)
-        comm.charge_elements("np_check", len(out) * 11, "radix:passes")
-        assert verify_rsmpi(comm, out)
-
-    res = spmd_run(prog, p, cost_model=cost_model, timeout=600)
-    return res.time, res.summary_trace.n_sends
-
-
-def _sample_time(p, cost_model):
-    def prog(comm):
-        keys, _ = local_key_block(comm, CLS)
-        out = sample_sort(comm, keys)
-        comm.charge_elements("np_check", len(out) * 2, "sample:sorts")
-        assert verify_rsmpi(comm, out)
-
-    res = spmd_run(prog, p, cost_model=cost_model, timeout=600)
-    return res.time, res.summary_trace.n_sends
-
-
-def test_bucket_vs_radix_vs_sample(benchmark, cost_model, results_dir):
-    def sweep():
-        rows = []
-        for p in PROCS:
-            tb, mb = _bucket_time(p, cost_model)
-            tr, mr = _radix_time(p, cost_model)
-            ts, ms = _sample_time(p, cost_model)
-            rows.append((p, tb, tr, ts, mb, mr, ms))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    lines = [
-        f"EX-SORT — bucket vs scan-based radix vs sample sort, class "
+def test_bucket_vs_radix_vs_sample(cost_model, results_dir):
+    runs = {p: [_run(s, p, cost_model) for s in (_bucket, _radix, _sample)]
+            for p in PROCS}
+    table = format_table(
+        ["p", "bucket", "radix", "sample", "msgs_b", "msgs_r", "msgs_s"],
+        [[p, *(f"{r.time:.3e}" for r in rs),
+          *(r.summary_trace.n_sends for r in rs)] for p, rs in runs.items()],
+        title=f"EX-SORT — bucket vs scan-based radix vs sample sort, class "
         f"{CLS.name} ({CLS.n_keys} keys, {CLS.max_key.bit_length() - 1}-bit)",
-        f"{'p':>4s}  {'bucket':>12s}  {'radix':>12s}  {'sample':>12s}  "
-        f"{'msgs_b':>7s}  {'msgs_r':>7s}  {'msgs_s':>7s}",
-    ]
-    for p, tb, tr, ts, mb, mr, ms in rows:
-        lines.append(
-            f"{p:>4d}  {tb:>12.3e}  {tr:>12.3e}  {ts:>12.3e}  "
-            f"{mb:>7d}  {mr:>7d}  {ms:>7d}"
-        )
-    lines.append(
-        "all verified sorted by the paper's non-commutative reduction"
     )
-    write_result(results_dir, "sorting_comparison.txt", "\n".join(lines))
+    write_result(results_dir, "sorting_comparison.txt", table + "\nall "
+                 "verified sorted by the paper's non-commutative reduction")
 
-    for p, tb, tr, ts, mb, mr, ms in rows:
+    for bucket, radix, sample in runs.values():
         # single-pass sorts beat the per-bit scans, in time and messages
-        assert tb < tr and ts < tr
-        assert mb < mr / 3 and ms < mr / 3
+        assert bucket.time < radix.time and sample.time < radix.time
+        m_radix = radix.summary_trace.n_sends
+        assert bucket.summary_trace.n_sends < m_radix / 3
+        assert sample.summary_trace.n_sends < m_radix / 3

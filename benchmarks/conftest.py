@@ -1,33 +1,28 @@
 """Shared benchmark infrastructure.
 
-Every figure benchmark uses one session-scoped cost model whose
-communication parameters follow the paper's cluster era
-(:func:`repro.runtime.cluster_2006`) and whose per-element compute rates
-are **calibrated on this machine** from the real kernels (the honest
-part of the substitution documented in DESIGN.md §2/§5).
+Every virtual-clock reproduction reads one session-scoped cost model:
+the paper's cluster-era communication (:func:`repro.runtime.cluster_2006`)
+plus the compute rates recorded in ``results/rates.json`` by
+``python -m benchmarks.rates``.  A reproduction is therefore a pure
+function of the code and that one file.
 
-Results (tables + CSV) are written under ``results/`` so EXPERIMENTS.md
-can cite them.
+Each reproduction returns its rows, lays them out with
+:func:`repro.analysis.format_table` / :func:`repro.analysis.format_series_csv`
+and persists them under ``results/`` with :func:`write_result`, so
+EXPERIMENTS.md can cite them.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from benchmarks.rates import load_model
 from repro.obs import Tracer, active_tracer, phase_summary, profiling
-
-from repro.nas.intsort.kernels import (
-    sorted_check_scalar,
-    sorted_check_tworef,
-)
-from repro.ops.extrema import ExtremaKLocOp
-from repro.runtime import CostModel, calibrate_rate, cluster_2006
+from repro.runtime import CostModel
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -36,45 +31,9 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 PROC_GRID = [1, 2, 4, 8, 16, 32, 64]
 
 
-def _calibrated_model() -> CostModel:
-    """cluster_2006 communication + rates measured from our kernels."""
-    rng = np.random.default_rng(7)
-    sample_list = np.sort(rng.integers(0, 10_000, 20_000)).tolist()
-    sample_arr = np.sort(rng.random(200_000))
-    pairs = np.column_stack([rng.random(200_000), np.arange(200_000.0)])
-
-    rate_tworef = calibrate_rate(
-        lambda n: sorted_check_tworef(sample_list[:n]), 20_000
-    )
-    rate_scalar = calibrate_rate(
-        lambda n: sorted_check_scalar(sample_list[:n]), 20_000
-    )
-    rate_np_check = calibrate_rate(
-        lambda n: bool(np.all(sample_arr[1:n] >= sample_arr[: n - 1])),
-        200_000,
-    )
-    op = ExtremaKLocOp(10)
-    rate_extrema = calibrate_rate(
-        lambda n: op.accum_block(op.ident(), pairs[:n]), 200_000
-    )
-    rate_masked_scan = calibrate_rate(
-        lambda n: int(
-            np.argmax(np.where(np.zeros(n, dtype=bool), -np.inf, sample_arr[:n]))
-        ),
-        200_000,
-    )
-    return cluster_2006().with_rates(
-        is_check_tworef=rate_tworef,
-        is_check_scalar=rate_scalar,
-        np_check=rate_np_check,
-        mg_accum=rate_extrema,
-        mg_scan=rate_masked_scan,
-    )
-
-
 @pytest.fixture(scope="session")
 def cost_model() -> CostModel:
-    return _calibrated_model()
+    return load_model()
 
 
 @pytest.fixture(scope="session")
@@ -100,7 +59,11 @@ def _bench_json_name(nodeid: str) -> str:
 @pytest.fixture(autouse=True)
 def phase_metrics(request, results_dir):
     """Trace every benchmark's simulated runs and persist the per-phase
-    breakdown as ``results/BENCH_<file>.<test>.json``.
+    breakdown and the metric counters as ``results/BENCH_<file>.<test>.json``.
+
+    Counters are integers, so the file does not depend on the order in
+    which rank threads record them; gauges and histograms (last writer,
+    streaming quantiles, float sums) would, and are left out.
 
     Reuses an already-installed profile (``python -m repro profile
     benchmarks/...``) when present; otherwise installs a fresh tracer
@@ -120,6 +83,6 @@ def phase_metrics(request, results_dir):
         return
     summary = phase_summary(runs)
     if shared is None:
-        summary["metrics"] = tracer.metrics.snapshot()
+        summary["counters"] = tracer.metrics.snapshot()["counters"]
     out = results_dir / f"{_bench_json_name(request.node.nodeid)}.json"
     out.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")

@@ -120,7 +120,7 @@ def _cmd_tour(argv: list[str]) -> int:
         print(f"trace written to {ns.trace} (open in Perfetto)")
     print("\nnext: python examples/quickstart.py | "
           "python -m repro profile examples/quickstart.py | "
-          "pytest benchmarks/ --benchmark-only | docs/")
+          "pytest benchmarks/ | docs/")
     return 0
 
 

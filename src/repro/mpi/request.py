@@ -65,7 +65,7 @@ class Request:
 
     __slots__ = (
         "name", "_ch", "_engine", "_plan", "_pending", "_done",
-        "_result", "_error", "_finalize", "_t_issue", "_t_wait",
+        "_result", "_error", "_finalize",
     )
 
     def __init__(
@@ -85,8 +85,6 @@ class Request:
         self._result: Any = None
         self._error: BaseException | None = None
         self._finalize = finalize
-        self._t_issue = ctx.clock.t
-        self._t_wait: float | None = None
         self._engine = ProgressEngine.for_context(ctx)
         m = self._engine.metrics
         if m.enabled:
@@ -123,8 +121,6 @@ class Request:
         """Block until this request completes; return the collective's
         result (deterministic in both value and virtual time)."""
         if not self._done:
-            if self._t_wait is None:
-                self._t_wait = self._engine.ctx.clock.t
             self._engine.wait(self)
         if self._error is not None:
             raise self._error
@@ -144,18 +140,9 @@ class Request:
         self._result = self._finalize(raw) if self._finalize is not None else raw
         self._done = True
         self._pending = None
-        eng = self._engine
-        m = eng.metrics
+        m = self._engine.metrics
         if m.enabled:
             m.counter("coll.nonblocking.completed").inc()
-            t_done = eng.ctx.clock.t
-            issued = t_done - self._t_issue
-            if issued > 0.0:
-                # Fraction of the request's lifetime that overlapped
-                # useful caller work (issue -> first wait).
-                waited_from = self._t_wait if self._t_wait is not None else t_done
-                ratio = min(max((waited_from - self._t_issue) / issued, 0.0), 1.0)
-                m.histogram("coll.overlap.ratio").observe(ratio)
 
     def _fail(self, error: BaseException) -> None:
         self._error = error
@@ -200,9 +187,6 @@ class ProgressEngine:
 
     def register(self, req: Request) -> None:
         self._outstanding.append(req)
-        m = self.metrics
-        if m.enabled:
-            m.gauge("coll.outstanding").set(len(self._outstanding))
 
     def _retire(self, req: Request) -> None:
         try:
@@ -214,9 +198,6 @@ class ProgressEngine:
             self._cursor -= 1
         if self._cursor >= len(self._outstanding):
             self._cursor = 0
-        m = self.metrics
-        if m.enabled:
-            m.gauge("coll.outstanding").set(len(self._outstanding))
 
     # -- deterministic (blocking) progress ---------------------------------
 

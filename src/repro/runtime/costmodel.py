@@ -26,9 +26,12 @@ Local computation is charged through named **rates** (seconds/element).
 Rates can be fixed (the deterministic defaults below, loosely modeled on a
 2000s-era cluster node so the compute/latency ratio is realistic) or
 **calibrated** by timing the actual Python/NumPy kernels on the current
-machine via :func:`calibrate_rate`.  Figure benchmarks calibrate the
-kernels they charge for, so the reproduced curves reflect real relative
-costs of this implementation, while communication follows the model.
+machine via :func:`calibrate_rate`.  Calibration is one explicit step
+(``python -m benchmarks.rates``) that times the kernels the figures
+charge for and writes the rates to the committed ``results/rates.json``;
+every figure benchmark reads that file, so the reproduced curves reflect
+real relative costs of this implementation, communication follows the
+model, and each committed figure regenerates byte for byte.
 """
 
 from __future__ import annotations
