@@ -60,21 +60,19 @@ def record(collective, algorithms, cost_model) -> dict[int, dict[str, float]]:
     }
 
 
-def _table(title, by, algorithms, winner=False) -> str:
+def _table(title, by, algorithms) -> str:
     rows = [
-        [n, *(f"{times[a]:.3e}" for a in algorithms),
-         *([min(times, key=times.get)] if winner else [])]
+        [n, *(f"{times[a]:.3e}" for a in algorithms), min(times, key=times.get)]
         for n, times in by.items()
     ]
-    headers = ["n", *algorithms, *(["winner"] if winner else [])]
-    return format_table(headers, rows, title=title)
+    return format_table(["n", *algorithms, "winner"], rows, title=title)
 
 
 def test_allreduce_algorithm_crossover(cost_model, results_dir):
     by = record(_allreduce, ALGORITHMS, cost_model)
     write_result(results_dir, "ablation_allreduce_algorithms.txt", _table(
         f"EX-RING — allreduce algorithms, p={P} (SUM of n doubles)",
-        by, ALGORITHMS, winner=True,
+        by, ALGORITHMS,
     ))
     # small payloads: latency dominates, recursive doubling wins
     assert by[1]["recursive_doubling"] < by[1]["ring"]

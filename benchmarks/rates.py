@@ -75,9 +75,9 @@ def host() -> dict[str, object]:
     }
 
 
-def load_model(path: Path = RATES_FILE) -> CostModel:
+def load_model() -> CostModel:
     """cluster_2006 communication plus the recorded compute rates."""
-    return cluster_2006().with_rates(**json.loads(path.read_text())["rates"])
+    return cluster_2006().with_rates(**json.loads(RATES_FILE.read_text())["rates"])
 
 
 if __name__ == "__main__":
