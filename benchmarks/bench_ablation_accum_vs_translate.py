@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import write_result
 from repro.ops import MinKOp, TranslateMinKOp
@@ -52,7 +51,7 @@ def _accumulate_style_block(data):
     return op.accum_block(op.ident(), data)
 
 
-def test_translate_style_slower(benchmark, results_dir):
+def test_translate_style_slower(results_dir):
     data = _data()
     expected = np.sort(data)[:K][::-1]
 
@@ -88,7 +87,3 @@ def test_translate_style_slower(benchmark, results_dir):
     # the paper's claim, on this machine:
     assert t_tr > t_acc * 1.5
     assert t_blk < t_acc
-
-    # and give pytest-benchmark a stable micro-measurement of the
-    # accumulate-style fast path
-    benchmark(lambda: _accumulate_style_block(data))

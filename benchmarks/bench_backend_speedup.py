@@ -23,14 +23,12 @@ One floor: with >= 2 usable cores the 1 MiB / 4 rank cell must read
 ``FLOOR``x or better; on one core the ratio is recorded and the gate
 skipped.  Byte-identity of every compared job across backends and
 shm-offload coverage are asserted unconditionally.  Results land in
-``results/BENCH_backend_speedup.json``::
-
-    PYTHONPATH=src:. python benchmarks/bench_backend_speedup.py [--smoke]
+``results/BENCH_backend_speedup.json`` and ``results/backend_speedup.txt``,
+re-measured on every run.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
@@ -38,10 +36,10 @@ import pickle
 import platform
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 
+from benchmarks.conftest import write_result
 from repro.core.fusion import global_reduce_many
 from repro.core.operator import ReduceScanOp
 from repro.core.reduce import global_reduce
@@ -221,18 +219,15 @@ def measure(kind: str, block_bytes: int, nranks: int, forced: bool) -> dict:
     }
 
 
-def run(smoke: bool) -> dict:
+def run() -> dict:
     cores = usable_cores()
-    plan = [("plain", b, GATE_RANKS, True) for b in FIT_BYTES]
-    plan.append(("plain", GATE_BYTES, GATE_RANKS, False))
-    if not smoke:
-        plan += [("plain", b, 8, True) for b in FIT_BYTES]
-        plan += [("plain", MIB, 8, False)]
-        plan += [
-            ("plain", b, n, False) for b in (4 * MIB, 8 * MIB) for n in (4, 8)
-        ]
-        plan.append(("fused3", MIB, GATE_RANKS, False))
-        plan.append(("overlapped", 8 * MIB, GATE_RANKS, False))
+    plan = []
+    for n in (GATE_RANKS, 8):
+        plan += [("plain", b, n, True) for b in FIT_BYTES]
+        plan.append(("plain", GATE_BYTES, n, False))
+    plan += [("plain", b, n, False) for b in (4 * MIB, 8 * MIB) for n in (4, 8)]
+    plan.append(("fused3", MIB, GATE_RANKS, False))
+    plan.append(("overlapped", 8 * MIB, GATE_RANKS, False))
     cells = [measure(*cell) for cell in plan]
     # The fit: the smallest candidate that wins >= 4 of 5 rounds at 4
     # ranks (None: no candidate did, the threshold belongs above them).
@@ -243,8 +238,7 @@ def run(smoke: bool) -> dict:
     gate = cells[plan.index(("plain", GATE_BYTES, GATE_RANKS, False))]
     return {
         "benchmark": "backend_speedup",
-        "command": "PYTHONPATH=src:. python benchmarks/bench_backend_speedup.py"
-        + (" --smoke" if smoke else ""),
+        "command": "pytest benchmarks/bench_backend_speedup.py",
         "host": {
             "usable_cores": cores, "cpu_count": os.cpu_count(),
             "python": platform.python_version(), "numpy": np.__version__,
@@ -289,36 +283,10 @@ def render(report: dict) -> str:
     return "\n".join(lines)
 
 
-def passes(report: dict) -> bool:
-    return not report["gate_active"] or report["gate_ratio"] >= report["floor"]
-
-
-def record(report: dict, results: Path) -> None:
-    results.mkdir(exist_ok=True)
-    (results / "BENCH_backend_speedup.json").write_text(
+def test_process_backend_speedup(results_dir):
+    report = run()
+    (results_dir / "BENCH_backend_speedup.json").write_text(
         json.dumps(report, indent=2) + "\n"
     )
-    (results / "backend_speedup.txt").write_text(render(report) + "\n")
-
-
-class TestBackendSpeedup:
-    def test_process_backend_speedup(self, results_dir):
-        report = run(smoke=True)
-        record(report, results_dir)
-        assert passes(report), render(report)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="the gate cell and the threshold fit at 4 ranks only (CI)",
-    )
-    report = run(parser.parse_args().smoke)
-    print(render(report))
-    record(report, Path(__file__).resolve().parent.parent / "results")
-    return 0 if passes(report) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    write_result(results_dir, "backend_speedup.txt", render(report))
+    assert not report["gate_active"] or report["gate_ratio"] >= FLOOR

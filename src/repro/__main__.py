@@ -12,9 +12,9 @@
   the collective algorithm decision table (:mod:`repro.mpi.tuning`) by
   simulating every candidate algorithm over a rank/payload grid; emits
   the fitted table as JSON plus a BENCH json of the full measurement
-  grid.
-* ``python -m repro chaos [--seeds N] [--ranks P ...] [--smoke]
-  [--ops NAME ...] [--out P]`` — soak-test every operator in
+  grid (``--dry-run``: print the table, write nothing).
+* ``python -m repro chaos [--seeds N] [--ranks P ...] [--ops NAME ...]
+  [--out P]`` — soak-test every operator in
   ``repro.ops`` under random seeded fault plans (lossy links and
   combine-phase fail-stops) and check results against failure-free
   baselines (:mod:`repro.faults.chaos`).
@@ -253,8 +253,7 @@ def _cmd_tune(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--dry-run", action="store_true",
-        help="fit on a reduced grid and print the table without writing "
-        "any files (CI smoke)",
+        help="print the fitted table without writing any files",
     )
     ns = parser.parse_args(argv)
 
@@ -268,14 +267,6 @@ def _cmd_tune(argv: list[str]) -> int:
 
     rank_grid = ns.ranks or tuning.DEFAULT_RANK_GRID
     payload_grid = ns.payloads or tuning.DEFAULT_PAYLOAD_GRID
-    if ns.dry_run and ns.ranks is None and ns.payloads is None:
-        rank_grid = (4, 8)
-        payload_grid = tuple(8 * 16**k for k in range(4))
-        if topology is not None:
-            # A 2-node smoke cell so the hierarchical candidate is
-            # exercised across the slow tier, not just degenerately.
-            rpn = getattr(topology, "ranks_per_node", 4)
-            rank_grid = (rpn, 2 * rpn)
 
     topo_sig = topology.signature if topology is not None else "flat"
     print(
@@ -357,10 +348,6 @@ def _cmd_chaos(argv: list[str]) -> int:
         help="input elements per rank (default: 6)",
     )
     parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced fixed grid for CI: 3 seeds x {4, 8} ranks",
-    )
-    parser.add_argument(
         "--out", default=None, metavar="PATH",
         help="also write the full per-trial results as JSON to PATH",
     )
@@ -375,12 +362,7 @@ def _cmd_chaos(argv: list[str]) -> int:
     )
 
     sizes = tuple(ns.ranks) if ns.ranks else (4, 8, 16)
-    n_seeds = ns.seeds
-    if ns.smoke and ns.ranks is None:
-        sizes = (4, 8)
-    if ns.smoke and ns.seeds == 20:
-        n_seeds = 3
-    seeds = range(ns.seed_base, ns.seed_base + n_seeds)
+    seeds = range(ns.seed_base, ns.seed_base + ns.seeds)
     cases = CHAOS_CASES
     if ns.ops:
         by_name = {c.name: c for c in CHAOS_CASES}
@@ -392,10 +374,10 @@ def _cmd_chaos(argv: list[str]) -> int:
         cases = tuple(by_name[n] for n in ns.ops)
     modes = tuple(ns.modes) if ns.modes else ("lossy", "failstop")
 
-    n_cells = len(cases) * len(sizes) * n_seeds * len(modes)
+    n_cells = len(cases) * len(sizes) * ns.seeds * len(modes)
     print(
         f"chaos soak: {len(cases)} operators x ranks {list(sizes)} x "
-        f"{n_seeds} seeds x modes {list(modes)} = {n_cells} trials"
+        f"{ns.seeds} seeds x modes {list(modes)} = {n_cells} trials"
     )
     results = run_chaos(
         seeds=list(seeds), sizes=sizes, n_per_rank=ns.elements,

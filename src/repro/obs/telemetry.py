@@ -39,9 +39,9 @@ Cost discipline
 ---------------
 Telemetry is designed to be left on in a service: the enabled path adds
 a few clock reads, histogram observes and one small record per job —
-**per job**, never per message or per collective round — and the
-engine-throughput benchmark CI-enforces a ≤5% budget
-(``benchmarks/bench_engine_throughput.py --overhead``).  The disabled
+**per job**, never per message or per collective round — and the hook
+work of one job is held to ≤5% of the job
+(``tests/test_telemetry.py::TestHookBudget``).  The disabled
 path is the shared :data:`NULL_ENGINE_TELEMETRY`, whose ``enabled``
 attribute gates every hook call site, so a telemetry-off engine
 allocates no telemetry objects at all on the submit/schedule hot path

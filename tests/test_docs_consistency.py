@@ -1,6 +1,7 @@
 """Documentation-consistency guards: every file, command and module the
 docs reference must actually exist."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -14,10 +15,24 @@ def _read(name: str) -> str:
     return (ROOT / name).read_text()
 
 
+def _assert_benchmark_paths_exist(path: Path) -> None:
+    for match in re.finditer(r"benchmarks/\w+\.py", path.read_text()):
+        assert (ROOT / match.group(0)).exists(), (path.name, match.group(0))
+
+
+#: What quotes benchmark commands besides the three documents above:
+#: the topic docs, the contributor skill notes and CI.  CHANGES and
+#: ROADMAP are history and may name what was removed.
+_OTHER_BENCHMARK_DOCS = [
+    *sorted((ROOT / "docs").glob("*.md")),
+    *sorted(ROOT.glob(".*/skills/*/SKILL.md")),
+    *sorted((ROOT / ".github").rglob("*.yml")),
+]
+
+
 class TestReadme:
     def test_referenced_benchmark_files_exist(self):
-        for match in re.finditer(r"benchmarks/(bench_\w+\.py)", _read("README.md")):
-            assert (ROOT / "benchmarks" / match.group(1)).exists(), match.group(0)
+        _assert_benchmark_paths_exist(ROOT / "README.md")
 
     def test_referenced_examples_exist(self):
         for match in re.finditer(r"examples/(\w+\.py)", _read("README.md")):
@@ -42,10 +57,7 @@ class TestReadme:
 
 class TestDesign:
     def test_experiment_index_bench_targets_exist(self):
-        for match in re.finditer(
-            r"`benchmarks/(bench_\w+\.py)`", _read("DESIGN.md")
-        ):
-            assert (ROOT / "benchmarks" / match.group(1)).exists(), match.group(0)
+        _assert_benchmark_paths_exist(ROOT / "DESIGN.md")
 
     def test_inventory_packages_exist(self):
         design = _read("DESIGN.md")
@@ -64,10 +76,35 @@ class TestExperiments:
             )
 
     def test_commands_reference_existing_files(self):
-        for match in re.finditer(
-            r"pytest (benchmarks/bench_\w+\.py)", _read("EXPERIMENTS.md")
-        ):
-            assert (ROOT / match.group(1)).exists(), match.group(0)
+        _assert_benchmark_paths_exist(ROOT / "EXPERIMENTS.md")
+
+
+class TestBenchmarksRunOneWay:
+    """Every file in ``benchmarks/`` runs as ``pytest benchmarks/<file>``
+    at one size: no script entry point, no flags, no smoke split."""
+
+    def test_topic_docs_skill_and_ci_paths_exist(self):
+        for path in _OTHER_BENCHMARK_DOCS:
+            _assert_benchmark_paths_exist(path)
+
+    def test_no_benchmark_is_run_with_flags(self):
+        for path in [ROOT / "README.md", ROOT / "DESIGN.md",
+                     ROOT / "EXPERIMENTS.md", *_OTHER_BENCHMARK_DOCS]:
+            flagged = re.findall(
+                r"benchmarks/bench_\w+\.py[ \t]+--[\w-]+", path.read_text()
+            )
+            assert not flagged, (path.name, flagged)
+
+    def test_no_benchmark_parses_arguments(self):
+        for path in sorted((ROOT / "benchmarks").glob("*.py")):
+            nodes = list(ast.walk(ast.parse(path.read_text())))
+            imported = {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
+            imported.update(
+                a.name for n in nodes if isinstance(n, ast.Import) for a in n.names
+            )
+            defined = {n.name for n in nodes if isinstance(n, ast.FunctionDef)}
+            assert "argparse" not in imported, f"{path.name} imports argparse"
+            assert "main" not in defined, f"{path.name} defines main"
 
 
 def _audited_callables():

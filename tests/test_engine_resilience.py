@@ -438,6 +438,37 @@ class TestRetryDeterminismGrid:
         assert first.clocks == again.clocks
 
 
+class TestChaosSoak:
+    """EX-ENGINE-CHAOS: a chaos tenant (a transient fault plan per job,
+    retried) beside a healthy tenant on one 8-rank pool.  Fault draws are
+    string-seeded, so the outcome is deterministic, not statistical."""
+
+    def test_chaos_tenant_heals_beside_a_clean_healthy_tenant(self):
+        policy = RetryPolicy(max_attempts=8, backoff_base=0.002)
+        with Engine(8) as engine, watch_conservation(engine):
+            baseline = engine.submit(raw_sum_job, nprocs=4).result()
+            chaos = [
+                engine.submit(
+                    raw_sum_job, nprocs=4, retry_policy=policy, timeout=60.0,
+                    fault_plan=transient_plan(k, 4, failstop_rate=0.6),
+                )
+                for k in range(24)
+            ]
+            healthy = [
+                engine.submit(raw_sum_job, nprocs=4, timeout=60.0)
+                for _ in range(16)
+            ]
+            returns = [h.result(timeout=120.0).returns for h in chaos + healthy]
+            assert engine.drain(timeout=60.0)
+            stats = engine.stats()
+        # Every chaos job eventually lands the fault-free bytes; the
+        # healthy tenant never needs a second attempt.
+        assert returns == [baseline.returns] * 40
+        assert [h.attempt for h in healthy] == [1] * 16
+        assert sum(h.attempt - 1 for h in chaos) == stats["retried"] > 0
+        assert stats["quarantines"] > 0 and stats["revivals"] > 0
+
+
 class TestLeakedMessages:
     def test_midcollective_failstop_counts_leaked_messages(self):
         telemetry = EngineTelemetry(4)

@@ -468,12 +468,15 @@ class TestDecisionTable:
 
 
 class TestTuneCli:
-    def test_dry_run_smoke(self, capsys):
+    @pytest.mark.parametrize(
+        "grid",
+        [["--ranks", "4"], ["--topology", "multi_node:2", "--ranks", "2", "4"]],
+        ids=["flat", "multi_node"],
+    )
+    def test_dry_run_smoke(self, capsys, grid):
         from repro.__main__ import main
 
-        rc = main([
-            "tune", "--dry-run", "--ranks", "4", "--payloads", "8", "65536",
-        ])
+        rc = main(["tune", "--dry-run", *grid, "--payloads", "8", "65536"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "dry run: nothing written" in out

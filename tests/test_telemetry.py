@@ -522,6 +522,33 @@ class TestDisabledTelemetryAllocatesNothing:
             blocker.result()
 
 
+class TestHookBudget:
+    def test_hook_work_is_within_five_percent_of_a_job(self):
+        """The hook sequence one job fires (admitted, assembled, running,
+        done on 8 ranks) costs at most 5 % of a job on a resident
+        ``Engine(8)``.  Both sides are best-of-5: the hook work is
+        deterministic and host noise only ever adds, whereas an on/off
+        ratio of two wall-clock windows moves ±10 % on a shared host."""
+        tel, members, n = EngineTelemetry(8), tuple(range(8)), 2000
+        hook_s = job_s = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for i in range(n):
+                lc = tel.job_admitted(i, "job", None, 8, False, tel.now())
+                tel.job_assembled(lc, members)
+                tel.job_running(lc)
+                tel.job_done(lc, "done", 1e-6)
+            hook_s = min(hook_s, (time.perf_counter() - t0) / n)
+        with Engine(8) as eng:
+            eng.submit(_job).result()  # warm the pool and the caches
+            for _ in range(5):
+                t0 = time.perf_counter()
+                for h in [eng.submit(_job) for _ in range(20)]:
+                    h.result()
+                job_s = min(job_s, (time.perf_counter() - t0) / 20)
+        assert hook_s <= 0.05 * job_s, (hook_s, job_s)
+
+
 class TestSnapshotRing:
     def test_sample_and_write(self, tmp_path):
         with Engine(2, telemetry=True) as eng:

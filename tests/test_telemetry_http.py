@@ -126,9 +126,14 @@ class TestTopDashboard:
 
 
 class TestServeCli:
-    def test_serve_with_metrics_and_exports(self, tmp_path):
+    @pytest.mark.parametrize(
+        "extra", [[], ["--chaos"], ["--backend", "process"]],
+        ids=["thread", "chaos", "process"],
+    )
+    def test_serve_with_metrics_and_exports(self, tmp_path, extra):
         """serve --metrics-port end to end: run jobs, print the latency
-        report, write the snapshot JSONL and the wall-clock trace."""
+        report, write the snapshot JSONL and the wall-clock trace — also
+        beside a chaos tenant and on the process backend."""
         snap_out = tmp_path / "frames.jsonl"
         trace_out = tmp_path / "session_trace.json"
         proc = subprocess.run(
@@ -139,6 +144,7 @@ class TestServeCli:
                 "--snapshot-interval", "0.05",
                 "--snapshot-out", str(snap_out),
                 "--trace-out", str(trace_out),
+                *extra,
             ],
             capture_output=True, text=True, timeout=120,
             env=fresh_env(),
@@ -152,7 +158,10 @@ class TestServeCli:
         ]
         kinds = {r["type"] for r in records}
         assert {"job", "metrics"} <= kinds
-        jobs = [r for r in records if r["type"] == "job"]
+        jobs = [
+            r for r in records
+            if r["type"] == "job" and r["label"].startswith("client-")
+        ]
         assert len(jobs) == 2 * 6
         assert all(j["state"] == "completed" for j in jobs)
         trace = json.loads(trace_out.read_text())
