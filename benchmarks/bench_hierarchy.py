@@ -25,7 +25,9 @@ alone in ``tests/test_topology_fabric.py``:
   allreduce beats every flat schedule for >= 1 MiB payloads;
 * ``algorithm="auto"`` with a topology-fitted decision table selects
   the hierarchical schedule there (same makespan and message count as
-  asking for it explicitly).
+  asking for it explicitly);
+* every schedule, flat or hierarchical, returns the exact sum on every
+  rank of every cell (asserted as each cell is recorded).
 
 All numbers are virtual seconds under the default cost model, so the
 table is exactly reproducible on any host.
@@ -62,15 +64,22 @@ def _allreduce_prog(n_elems, algorithm):
 
 
 def _cell(nprocs, rpn, nbytes) -> dict[str, float]:
-    """Virtual makespan of every schedule on one grid cell."""
+    """Virtual makespan of every schedule on one grid cell.  Every
+    schedule must hand every rank the exact sum: the addends are small
+    integers, so float64 rounding cannot hide a wrong segment."""
     n_elems = max(nprocs, nbytes // 8)
     topo = multi_node(rpn)
-    return {
-        algo: spmd_run(
-            _allreduce_prog(n_elems, algo), nprocs, topology=topo
-        ).time
-        for algo in ALLREDUCE_FLAT + (HIER,)
-    }
+    expected = np.full(n_elems, nprocs * (nprocs + 1) / 2)
+    times = {}
+    for algo in ALLREDUCE_FLAT + (HIER,):
+        res = spmd_run(_allreduce_prog(n_elems, algo), nprocs, topology=topo)
+        for rank, out in enumerate(res.returns):
+            np.testing.assert_array_equal(
+                out, expected, err_msg=f"{algo}, rank {rank}, cell "
+                f"{(nprocs, rpn, nbytes)}",
+            )
+        times[algo] = res.time
+    return times
 
 
 def fitted_auto(nprocs=16, rpn=4, nbytes=LARGE_PAYLOAD) -> tuple[str, bool]:

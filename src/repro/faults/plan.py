@@ -317,7 +317,8 @@ class TransientPlan:
     so a job under a :class:`~repro.engine.resilience.RetryPolicy`
     eventually lands a clean attempt and completes bit-identically to a
     fault-free run.  This is the chaos-tenant primitive used by
-    ``python -m repro serve --chaos`` and the chaos-soak benchmark.
+    ``python -m repro serve --chaos`` and the chaos soak
+    (``tests/test_engine_resilience.py::TestChaosSoak``).
     """
 
     __slots__ = ("seed", "nprocs", "failstop_rate", "lossy", "max_drop")

@@ -132,8 +132,8 @@ class TestJobLifecycle:
         assert back["e2e_s"] > 0
 
     def test_set_telemetry_swaps_series(self):
-        """A quiescent swap starts a fresh measurement series — the
-        throughput benchmark excludes warm-up traffic this way."""
+        """A quiescent swap starts a fresh measurement series, so
+        warm-up traffic stays out of it."""
         with Engine(2, telemetry=True) as eng:
             eng.submit(_job, nprocs=2).result()  # "warm-up"
             old = eng.telemetry

@@ -275,8 +275,10 @@ def test_removed_hierarchical_scan_says_so():
 class TestHierarchicalAdvantage:
     def test_beats_flat_ring_and_rabenseifner_at_1mib(self):
         """EX-HIER's acceptance cell (16 ranks, 4 per node, 1 MiB) beats
-        every flat schedule, and ``auto`` under a table fitted on that
-        fabric picks it — the reproduction's own check."""
+        every flat schedule, every schedule (the segmented SMP-aware one
+        included) returns the exact sum on every rank, and ``auto`` under
+        a table fitted on that fabric picks it — the reproduction's own
+        record and check."""
         ex_hier.check(*ex_hier.record((16,), (4,), (ex_hier.LARGE_PAYLOAD,)))
 
 
