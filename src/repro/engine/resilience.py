@@ -35,6 +35,7 @@ seed arithmetic.  Nothing in this module consumes ambient entropy.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 
 from repro.errors import SpmdError
@@ -154,10 +155,15 @@ class Supervisor:
     ``probe_backend``), which own all locking.  A tick that raises is
     logged-and-survived — a supervisor that silently dies would turn
     every retrying job into a hang.
+
+    It holds its engine weakly: the engine owns the supervisor, and a
+    back reference would make every engine a reference cycle, freed only
+    by the cyclic collector — ``spmd_run``'s transient engine, its world
+    and mailboxes would outlive each call until the next collection.
     """
 
     def __init__(self, engine):
-        self._engine = engine
+        self._engine = weakref.ref(engine)
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="engine-supervisor", daemon=True
@@ -177,12 +183,14 @@ class Supervisor:
         return not self._thread.is_alive()
 
     def _run(self) -> None:
-        while not self._stop.wait(TICK_INTERVAL):
+        while not self._stop.wait(TICK_INTERVAL) and self._engine() is not None:
             self.tick()
 
     def tick(self) -> None:
         """One supervision pass (also callable synchronously in tests)."""
-        eng = self._engine
+        eng = self._engine()
+        if eng is None:
+            return
         for step in (
             eng.admit_due_retries,
             eng.reap_stuck_jobs,

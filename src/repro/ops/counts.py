@@ -80,6 +80,26 @@ class CountsOp(ReduceScanOp):
         state += np.bincount(arr, minlength=self.k)
         return state
 
+    def scan_block(self, state: np.ndarray, values, *, exclusive: bool):
+        # Each element's rank within its category: a stable sort groups
+        # the categories in block order; the offset into its group,
+        # plus the carried count, is what the per-element loop emits.
+        arr = np.asarray(values)
+        if arr.ndim != 1 or arr.dtype.kind not in "biu" or len(arr) == 0:
+            return super().scan_block(state, values, exclusive=exclusive)
+        idx = arr.astype(np.int64) - self.base
+        bad = (idx < 0) | (idx >= self.k)
+        if bad.any():
+            self._index(values[int(np.argmax(bad))])  # raises, as accum would
+        order = np.argsort(idx, kind="stable")
+        counts = np.bincount(idx, minlength=self.k)
+        group_start = np.cumsum(counts) - counts
+        rank = np.empty(len(idx), dtype=np.int64)
+        rank[order] = np.arange(len(idx)) - group_start[idx[order]]
+        out = state[idx] + rank + (0 if exclusive else 1)
+        state += counts
+        return out.tolist(), state
+
     def red_gen(self, state: np.ndarray) -> np.ndarray:
         return state.copy()
 

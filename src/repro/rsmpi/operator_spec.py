@@ -60,13 +60,39 @@ DBL_MAX = np.finfo(np.float64).max
 DBL_MIN = -np.finfo(np.float64).max
 
 
-_COERCE = {
+def _storer(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    def store(value: Any) -> Any:
+        if isinstance(value, (list, np.ndarray)):
+            return value  # array values are stored as they are
+        return convert(value)
+
+    return store
+
+
+#: C type -> the conversion of a scalar assigned to a state field of
+#: that type (the DSL's generated block folds apply the same).
+_CONVERT: dict[str, Callable[[Any], Any]] = {
     "int": int,  # Python int() truncates toward zero, like C conversion
     "long": int,
     "float": float,
     "double": float,
     "bool": lambda v: int(bool(v)),
 }
+#: C type -> what an assignment to a field of that type stores.
+_STORE = {ctype: _storer(convert) for ctype, convert in _CONVERT.items()}
+
+
+def input_components(x: Any, n: int, fname: str) -> tuple | list:
+    """The ``n`` components of one input element ``x`` of a
+    multi-parameter function ``fname`` (an array row becomes a tuple of
+    its elements); raises :class:`OperatorError` on any other shape."""
+    if isinstance(x, np.ndarray):
+        x = tuple(x)
+    if not isinstance(x, (tuple, list)) or len(x) != n:
+        raise OperatorError(
+            f"{fname} expects {n} input components, got {x!r}"
+        )
+    return x
 
 
 class StateRecord:
@@ -124,10 +150,10 @@ class StateRecord:
                 f"state has no field {name!r}; fields: {sorted(self._fields)}"
             )
         types = object.__getattribute__(self, "_types")
-        if types is not None and not isinstance(value, (list, np.ndarray)):
+        if types is not None:
             ctype = types.get(name)
             if ctype is not None:
-                value = _COERCE[ctype](value)
+                value = _STORE[ctype](value)
         self._fields[name] = value
 
     def transfer_nbytes(self) -> int:
@@ -211,6 +237,19 @@ class _SpecOp(ReduceScanOp):
         return state_equal(s1._fields, s2._fields)
 
 
+class _BlockSpecOp(_SpecOp):
+    """A DSL operator whose preprocessor generated a block fold: its
+    ``accum`` statements run over the whole block on state fields held
+    in locals (``repro.rsmpi.preprocessor.codegen``).  Threading those
+    same per-element statements through tiles is the same fold, so the
+    operator is tile-exact."""
+
+    tile_exact = True
+
+    def accum_block(self, state, values):
+        return self._spec.fn_accum_block(state, values)
+
+
 class OperatorSpec:
     """Collects an RSMPI operator declaration and builds the operator."""
 
@@ -238,6 +277,12 @@ class OperatorSpec:
         self.fn_generate: Callable | None = None
         self.fn_red_generate: Callable | None = None
         self.fn_scan_generate: Callable | None = None
+        #: ``accum`` over a whole block, ``(state, values) -> state``;
+        #: generated by the DSL preprocessor (None: the per-element loop)
+        self.fn_accum_block: Callable | None = None
+        #: why the preprocessor generated no block fold (None if it did,
+        #: or for a spec that did not come from the DSL)
+        self.block_fallback: str | None = None
 
     # -- registration decorators ---------------------------------------------
 
@@ -282,14 +327,7 @@ class OperatorSpec:
         nargs = fn.__code__.co_argcount
         if nargs <= 2:
             return fn(state, x)
-        if isinstance(x, np.ndarray):
-            x = tuple(x)
-        if not isinstance(x, (tuple, list)) or len(x) != nargs - 1:
-            raise OperatorError(
-                f"{fn.__name__} expects {nargs - 1} input components, "
-                f"got {x!r}"
-            )
-        return fn(state, *x)
+        return fn(state, *input_components(x, nargs - 1, fn.__name__))
 
     # -- build ----------------------------------------------------------------------
 
@@ -308,4 +346,6 @@ class OperatorSpec:
                 f"operator {self.name!r}: declare a state block or an "
                 "ident function"
             )
+        if self.fn_accum_block is not None:
+            return _BlockSpecOp(self)
         return _SpecOp(self)

@@ -123,6 +123,8 @@ def compile_operator_spec(
             continue  # helper function: callable from the others, no role
         _check_signature(fdecl)
         getattr(spec, fname)(compiled.namespace[fname])
+    spec.fn_accum_block = compiled.accum_block
+    spec.block_fallback = compiled.block_fallback
     return spec
 
 

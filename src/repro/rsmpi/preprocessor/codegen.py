@@ -11,14 +11,29 @@ and the whole operator becomes a ready-to-use
 C semantics preserved where they differ from Python's:
 
 * ``/`` and ``%`` on integers truncate toward zero / take the dividend's
-  sign (``_c_div``/``_c_mod`` helpers);
+  sign (``_c_div``/``_c_mod`` helpers) — NumPy integer scalars, what an
+  int64 block's elements are, count as integers;
 * ``&&``/``||``/``!`` short-circuit and yield 0/1;
-* comparisons yield bools, which are ints in Python — compatible with
-  expressions like ``s1->status &= s2->status && (...)`` from Listing 8.
+* comparisons yield 0/1 where their value is used (not a bool, and not
+  the ``np.bool_`` NumPy operands would give) — so expressions like
+  ``s1->status &= s2->status && (...)`` from Listing 8 mean what they
+  mean in C.
 
 Assignments and ``++``/``--`` are statements (or for-update clauses)
 only; using them as sub-expressions is a compile-time error rather than
 a silent mis-compile.
+
+Besides one Python function per DSL function, the generator writes one
+*block fold* per operator, ``accum_block(state, values)``: the
+``accum`` statements, verbatim, in a loop over the block, on state
+fields held in local variables — each scalar-field assignment converted
+to the field's C type as :class:`~repro.rsmpi.operator_spec.StateRecord`
+would, and the fields written back once per block.  It is the same fold
+as calling ``accum`` per element, byte for byte, at a fraction of the
+cost (no call and no record lookup per element).  A body that reaches
+the state other than through ``s->field`` cannot keep its fields in
+locals; such an operator gets no block fold (``block_fallback`` says
+why) and keeps the per-element loop.
 """
 
 from __future__ import annotations
@@ -26,7 +41,10 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.errors import DslSemanticError
+from repro.rsmpi.operator_spec import _CONVERT, _STORE, input_components
 from repro.rsmpi.preprocessor import ast_nodes as A
 
 __all__ = ["generate_python", "CompiledOperator", "C_CONSTANTS"]
@@ -48,9 +66,17 @@ _KNOWN_FUNCS = {"abs": abs, "min": min, "max": max, "floor": math.floor,
                 "ceil": math.ceil, "sqrt": math.sqrt, "fabs": abs}
 
 
+#: What C treats as integers: Python ints (and bools) and NumPy's
+#: integer and boolean scalars — an element of an int64 block is one.
+_INTEGRAL = (int, np.integer, np.bool_)
+
+#: C comparison operators: they yield the int 0 or 1.
+_COMPARE = frozenset({"<", ">", "<=", ">=", "==", "!="})
+
+
 def _c_div(a, b):
     """C division: truncates toward zero for two integers."""
-    if isinstance(a, int) and isinstance(b, int):
+    if isinstance(a, _INTEGRAL) and isinstance(b, _INTEGRAL):
         q = abs(a) // abs(b)
         return -q if (a < 0) != (b < 0) else q
     return a / b
@@ -58,7 +84,7 @@ def _c_div(a, b):
 
 def _c_mod(a, b):
     """C remainder: takes the sign of the dividend for integers."""
-    if isinstance(a, int) and isinstance(b, int):
+    if isinstance(a, _INTEGRAL) and isinstance(b, _INTEGRAL):
         return a - _c_div(a, b) * b
     return math.fmod(a, b)
 
@@ -134,20 +160,20 @@ class _FuncGen:
         elif isinstance(s, A.ExprStmt):
             self.expr_stmt(s.expr, indent)
         elif isinstance(s, A.If):
-            self.emit(f"if {self.expr(s.cond)}:", indent)
+            self.emit(f"if {self.test(s.cond)}:", indent)
             self.stmt_or_pass(s.then, indent + 1)
             if s.other is not None:
                 self.emit("else:", indent)
                 self.stmt_or_pass(s.other, indent + 1)
         elif isinstance(s, A.While):
-            self.emit(f"while {self.expr(s.cond)}:", indent)
+            self.emit(f"while {self.test(s.cond)}:", indent)
             self._loops.append("while")
             self.stmt_or_pass(s.body, indent + 1)
             self._loops.pop()
         elif isinstance(s, A.For):
             if s.init is not None:
                 self.stmt(s.init, indent)
-            cond = self.expr(s.cond) if s.cond is not None else "True"
+            cond = self.test(s.cond) if s.cond is not None else "True"
             self.emit(f"while {cond}:", indent)
             self._loops.append("for")
             self.stmt_or_pass(s.body, indent + 1)
@@ -233,6 +259,21 @@ class _FuncGen:
             return f"_c_mod({left}, {right})"
         return f"({left} {op} {right})"
 
+    def test(self, e: A.Expr) -> str:
+        """``e`` where only its truth is read (conditions, operands of
+        ``&&``/``||``/``!``): a comparison or logical operator may stay
+        a Python bool here instead of being made the int C yields."""
+        if isinstance(e, A.Binary):
+            if e.op in _COMPARE:
+                return f"({self.expr(e.left)} {e.op} {self.expr(e.right)})"
+            if e.op == "&&":
+                return f"({self.test(e.left)} and {self.test(e.right)})"
+            if e.op == "||":
+                return f"({self.test(e.left)} or {self.test(e.right)})"
+        if isinstance(e, A.Unary) and e.op == "!":
+            return f"(not {self.test(e.operand)})"
+        return self.expr(e)
+
     def expr(self, e: A.Expr) -> str:
         if isinstance(e, A.Num):
             return repr(e.value)
@@ -242,19 +283,18 @@ class _FuncGen:
             self.scope.check(e.ident)
             return e.ident
         if isinstance(e, A.Unary):
-            inner = self.expr(e.operand)
             if e.op == "!":
-                return f"(0 if {inner} else 1)"
-            return f"({e.op}{inner})"
+                return f"(0 if {self.test(e.operand)} else 1)"
+            return f"({e.op}{self.expr(e.operand)})"
         if isinstance(e, A.Binary):
-            if e.op == "&&":
-                return f"(1 if ({self.expr(e.left)}) and ({self.expr(e.right)}) else 0)"
-            if e.op == "||":
-                return f"(1 if ({self.expr(e.left)}) or ({self.expr(e.right)}) else 0)"
+            if e.op in _COMPARE or e.op in ("&&", "||"):
+                # C's 0/1, also for NumPy operands (whose comparisons
+                # give np.bool_, which adds as logical or)
+                return f"(1 if {self.test(e)} else 0)"
             return self._binary(e.op, self.expr(e.left), self.expr(e.right))
         if isinstance(e, A.Ternary):
             return (
-                f"(({self.expr(e.then)}) if ({self.expr(e.cond)}) "
+                f"(({self.expr(e.then)}) if {self.test(e.cond)} "
                 f"else ({self.expr(e.other)}))"
             )
         if isinstance(e, A.Index):
@@ -275,6 +315,264 @@ class _FuncGen:
         )
 
 
+#: C type -> the Python class its conversion returns unchanged.
+_SAME = {"int": "int", "long": "int", "float": "float", "double": "float"}
+#: Python's and NumPy's scalar classes: never a list or an array.
+_SCALARS = frozenset({bool, int, float, *np.sctypeDict.values()})
+
+
+class _NotLowerable(Exception):
+    """The ``accum`` body uses a construct the block fold cannot run
+    over locals; the message names it."""
+
+
+def _declared(s: A.Stmt | None) -> set[str]:
+    """The locals declared anywhere in statement ``s``."""
+    if isinstance(s, A.VarDecl):
+        return {name for name, _, _ in s.names}
+    if isinstance(s, A.Block):
+        return set().union(*map(_declared, s.stmts))
+    if isinstance(s, A.If):
+        return _declared(s.then) | _declared(s.other)
+    if isinstance(s, A.While):
+        return _declared(s.body)
+    if isinstance(s, A.For):
+        return _declared(s.init) | _declared(s.body)
+    return set()
+
+
+class _BlockGen(_FuncGen):
+    """Generates the block fold of one ``accum`` function.
+
+    ``s->f`` becomes the local ``<p>f_f`` (loaded once, written back
+    once, in a ``finally`` so a raise leaves the record as the
+    per-element calls would); an assignment to a scalar field is
+    converted as :class:`StateRecord` converts it; ``return`` ends the
+    element (``continue``, or a flag and ``break`` out of DSL loops).
+    ``<p>`` is a prefix no identifier of the operator contains."""
+
+    def __init__(
+        self,
+        decl: A.FuncDecl,
+        global_names: set[str],
+        fields: Mapping[str, str | None],
+        prefix: str,
+    ):
+        super().__init__(decl, global_names)
+        self.fields = fields  # name -> C type of a scalar, None: array
+        self.p = prefix
+        self.state = decl.params[0].name
+        self.used: dict[str, None] = {}  # fields touched, in order
+        self.loop_returns = 0
+        # C block scoping of locals: a local read outside the block that
+        # declares it might be unbound in one call and not the next
+        self.declared = _declared(decl.body)
+        self.blocks: list[set[str]] = [set()]
+
+    def generate(self) -> str:
+        p = self.p
+        body_start = len(self.lines)
+        self.stmt_block(self.decl.body, 3)
+        body = self.lines[body_start:] or ["            pass"]
+        del self.lines[body_start:]
+        inputs = [q.name for q in self.decl.params[1:]]
+        self.emit(f"def {p}accum_block({p}state, {p}values):", 0)
+        self.emit(f"{p}f = {p}state._fields", 1)
+        for f in self.used:
+            self.emit(f"{p}f_{f} = {p}f[{f!r}]", 1)
+        self.emit("try:", 1)
+        if len(inputs) == 1:
+            self.emit(f"for {inputs[0]} in {p}values:", 2)
+        else:
+            self.emit(f"for {p}x in {p}values:", 2)
+            self.emit(
+                f"{', '.join(inputs)}, = {p}components({p}x, "
+                f"{len(inputs)}, {self.decl.name!r})",
+                3,
+            )
+        if self.loop_returns:
+            self.emit(f"{p}ret = 0", 3)
+        self.lines.extend(body)
+        self.emit("finally:", 1)
+        for f in self.used:
+            self.emit(f"{p}f[{f!r}] = {p}f_{f}", 2)
+        if not self.used:
+            self.emit("pass", 2)
+        self.emit(f"return {p}state", 1)
+        return "\n".join(self.lines)
+
+    # -- where the state and the locals are ------------------------------------
+
+    def field(self, e: A.Expr) -> str | None:
+        """The local holding ``e`` if ``e`` is ``s->f``, else None."""
+        if not (
+            isinstance(e, A.Field)
+            and isinstance(e.base, A.Name)
+            and e.base.ident == self.state
+        ):
+            return None
+        if e.name not in self.fields:
+            raise _NotLowerable(f"state field {e.name!r} is not declared")
+        self.used[e.name] = None
+        return f"{self.p}f_{e.name}"
+
+    def name(self, ident: str) -> None:
+        if ident == self.state:
+            raise _NotLowerable(
+                f"the state {ident!r} used whole (passed to a function, "
+                "or not as a field access)"
+            )
+        if ident in self.declared and not any(ident in b for b in self.blocks):
+            raise _NotLowerable(
+                f"local {ident!r} used outside the block that declares it"
+            )
+
+    def lvalue(self, e: A.Expr) -> str:
+        local = self.field(e)
+        if local is not None:
+            return local
+        if isinstance(e, A.Name):
+            self.name(e.ident)
+        return super().lvalue(e)
+
+    def expr(self, e: A.Expr) -> str:
+        local = self.field(e)
+        if local is not None:
+            return local
+        if isinstance(e, A.Name):
+            self.name(e.ident)
+        return super().expr(e)
+
+    # -- statements ---------------------------------------------------------------
+
+    def stmt(self, s: A.Stmt, indent: int) -> None:
+        if isinstance(s, A.Return):
+            if s.value is not None:
+                self.emit(self.expr(s.value), indent)  # for its raises
+            if self._loops:
+                self.loop_returns += 1
+                self.emit(f"{self.p}ret = 1", indent)
+                self.emit("break", indent)
+            else:
+                self.emit("continue", indent)
+        elif isinstance(s, (A.While, A.For)):
+            before = self.loop_returns
+            super().stmt(s, indent)
+            if self.loop_returns != before:
+                self.emit(f"if {self.p}ret:", indent)
+                self.emit("break" if self._loops else "continue", indent + 1)
+        elif isinstance(s, A.VarDecl):
+            super().stmt(s, indent)
+            self.blocks[-1].update(name for name, _, _ in s.names)
+        elif isinstance(s, A.Block):
+            self.blocks.append(set())
+            super().stmt(s, indent)
+            self.blocks.pop()
+        else:
+            super().stmt(s, indent)
+
+    def stmt_or_pass(self, s: A.Stmt, indent: int) -> None:
+        self.blocks.append(set())
+        super().stmt_or_pass(s, indent)
+        self.blocks.pop()
+
+    def expr_stmt(self, e: A.Expr, indent: int) -> None:
+        if isinstance(e, A.Assign):
+            targets = [e.target]
+            value = e.value
+            while isinstance(value, A.Assign):
+                targets.append(value.target)
+                value = value.value
+        elif isinstance(e, (A.AugAssign, A.IncDec)):
+            targets = [e.target]
+        else:
+            targets = []
+        ctypes = [self.scalar_type(t) for t in targets]
+        if not any(ctypes):
+            super().expr_stmt(e, indent)
+            return
+        # Evaluate once, then store into each target in order, each
+        # converted to its own field's type (Python's ``a = b = v``).
+        if isinstance(e, A.Assign):
+            rhs = self.expr(value)
+        elif isinstance(e, A.AugAssign):
+            rhs = self._binary(e.op, self.lvalue(e.target), self.expr(e.value))
+        else:
+            rhs = f"{self.lvalue(e.target)} {'+' if e.op == '++' else '-'} 1"
+        tmp = f"{self.p}t"
+        if len(targets) == 1 and rhs.isidentifier():
+            tmp = rhs  # a plain variable: read it where it is
+        else:
+            self.emit(f"{tmp} = {rhs}", indent)
+        for target, ctype in zip(targets, ctypes):
+            self.emit(f"{self.lvalue(target)} = {self.store(ctype, tmp)}", indent)
+
+    def scalar_type(self, e: A.Expr) -> str | None:
+        """The C type of ``e`` if it is a scalar field ``s->f``."""
+        if self.field(e) is None:
+            return None
+        return self.fields[e.name]
+
+    def store(self, ctype: str | None, value: str) -> str:
+        """``value`` as an assignment to a field of C type ``ctype``
+        stores it: ``StateRecord``'s conversion, inlined for scalars."""
+        if ctype is None:
+            return value
+        v, p = value, self.p
+        # a scalar converts directly; anything else (a list or an array
+        # stays as it is) goes through StateRecord's own conversion
+        stored = (
+            f"{p}to_{ctype}({v}) if {v}.__class__ in {p}scalars "
+            f"else {p}store_{ctype}({v})"
+        )
+        if ctype in _SAME:
+            # int()/float() of an exact int/float returns it unchanged
+            stored = f"{v} if {v}.__class__ is {_SAME[ctype]} else {stored}"
+        return f"({stored})"
+
+
+def _fresh_prefix(taken: str) -> str:
+    """A prefix for the block fold's own variables that no identifier in
+    ``taken`` (the generated source, the namespace's names) contains."""
+    prefix = "_b_"
+    while prefix in taken:
+        prefix += "_"
+    return prefix
+
+
+def _block_fold(
+    decl: A.OperatorDecl,
+    global_names: set[str],
+    source: str,
+    namespace: dict[str, Any],
+) -> tuple[Any, str, str | None]:
+    """Generate and compile the block fold of ``decl``'s ``accum``
+    (``source`` is every function's generated code, which names every
+    identifier the operator uses): ``(function or None, its source, why
+    there is none or None)``."""
+    fn = decl.functions.get("accum")
+    if fn is None or len(fn.params) < 2 or fn.params[0].ctype != "state":
+        return None, "", "no accum(state, ...) function"
+    fields = {
+        f.name: (f.ctype if f.array_size is None else None)
+        for f in decl.state_fields
+    }
+    prefix = _fresh_prefix(" ".join([source, *namespace]))
+    try:
+        source = _BlockGen(fn, global_names, fields, prefix).generate()
+    except _NotLowerable as exc:
+        return None, "", str(exc)
+    for ctype, convert in _CONVERT.items():
+        namespace[f"{prefix}to_{ctype}"] = convert
+        namespace[f"{prefix}store_{ctype}"] = _STORE[ctype]
+    namespace[f"{prefix}components"] = input_components
+    namespace[f"{prefix}scalars"] = _SCALARS
+    exec(  # noqa: S102 - executing our own generated code
+        compile(source, f"<rsmpi:{decl.name}:accum_block>", "exec"), namespace
+    )
+    return namespace[f"{prefix}accum_block"], source, None
+
+
 class CompiledOperator:
     """The output of the preprocessor: generated source + namespace."""
 
@@ -284,11 +582,20 @@ class CompiledOperator:
         source: str,
         namespace: dict[str, Any],
         params: dict[str, Any],
+        accum_block: Any = None,
+        block_source: str = "",
+        block_fallback: str | None = None,
     ):
         self.decl = decl
         self.source = source
         self.namespace = namespace
         self.params = params
+        #: ``accum`` over a whole block, ``(state, values) -> state``
+        #: (None when the body cannot be lowered; see ``block_fallback``)
+        self.accum_block = accum_block
+        self.block_source = block_source
+        #: the construct that kept ``accum`` on the per-element loop
+        self.block_fallback = block_fallback
 
     @property
     def name(self) -> str:
@@ -370,4 +677,5 @@ def generate_python(
     exec(  # noqa: S102 - executing our own generated code
         compile(source, f"<rsmpi:{decl.name}>", "exec"), namespace
     )
-    return CompiledOperator(decl, source, namespace, dict(env))
+    block = _block_fold(decl, global_names, source, namespace)
+    return CompiledOperator(decl, source, namespace, dict(env), *block)

@@ -7,10 +7,8 @@ the offending source.  Comments (``//`` and ``/* */``) are skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 from repro.errors import DslSyntaxError
+from repro.rsmpi.preprocessor.ast_nodes import Node
 
 __all__ = ["Token", "tokenize", "KEYWORDS"]
 
@@ -52,12 +50,9 @@ _PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "keyword" | "number" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+class Token(Node):
+    # kind: "ident" | "keyword" | "number" | "punct" | "eof"
+    __slots__ = ("kind", "text", "line", "col")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"

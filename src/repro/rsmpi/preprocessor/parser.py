@@ -87,28 +87,29 @@ class _Parser:
         self.expect("rsmpi")
         self.expect("operator")
         name = self.expect_ident()
-        decl = A.OperatorDecl(name=name)
+        commutative: bool | None = None
+        params: list[A.ParamDecl] = []
+        state_fields: list[A.FieldDecl] = []
+        functions: dict[str, A.FuncDecl] = {}
         self.expect("{")
-        saw_flag = False
         while not self.at("}"):
             tok = self.peek()
             if tok.text in ("commutative", "non-commutative"):
-                if saw_flag:
+                if commutative is not None:
                     raise self.error("duplicate commutativity flag", tok)
-                saw_flag = True
-                decl.commutative = tok.text == "commutative"
+                commutative = tok.text == "commutative"
                 self.next()
             elif tok.text == "param":
-                decl.params.append(self.parse_param_decl())
+                params.append(self.parse_param_decl())
             elif tok.text == "state":
-                if decl.state_fields:
+                if state_fields:
                     raise self.error("duplicate state block", tok)
-                decl.state_fields = self.parse_state_block()
+                state_fields = self.parse_state_block()
             elif tok.text in _TYPES or tok.text in ("void", "state"):
                 fn = self.parse_function()
-                if fn.name in decl.functions:
+                if fn.name in functions:
                     raise self.error(f"duplicate function {fn.name!r}", tok)
-                decl.functions[fn.name] = fn
+                functions[fn.name] = fn
             else:
                 raise self.error(
                     "expected a commutativity flag, 'param', 'state' or a "
@@ -118,7 +119,9 @@ class _Parser:
         self.expect("}")
         if self.peek().kind != "eof":
             raise self.error("trailing input after operator block")
-        return decl
+        return A.OperatorDecl(
+            name, commutative is not False, params, state_fields, functions
+        )
 
     def parse_param_decl(self) -> A.ParamDecl:
         self.expect("param")
@@ -332,7 +335,7 @@ class _Parser:
             self.next()
             target = self.parse_unary()
             self._check_lvalue(target, tok)
-            return A.IncDec(tok.text, target, prefix=True)
+            return A.IncDec(tok.text, target, True)
         return self.parse_postfix()
 
     def parse_postfix(self) -> A.Expr:
@@ -350,7 +353,7 @@ class _Parser:
             elif tok.text in ("++", "--"):
                 self.next()
                 self._check_lvalue(expr, tok)
-                expr = A.IncDec(tok.text, expr, prefix=False)
+                expr = A.IncDec(tok.text, expr, False)
             elif tok.text == "(" and isinstance(expr, A.Name):
                 self.next()
                 args: list[A.Expr] = []

@@ -654,3 +654,31 @@ class TestShutdownJoin:
         finally:
             release.set()
             handle.wait(5.0)
+
+    def test_a_shut_down_engine_is_freed_without_the_cycle_collector(self):
+        """The supervisor holds its engine weakly, so an engine that has
+        shut down — ``spmd_run``'s transient one included — is freed by
+        reference counting alone, world and mailboxes with it, instead
+        of waiting as cyclic garbage for the next collection."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            engine = Engine(2)
+            assert engine.submit(raw_sum_job).result().returns
+            engine.shutdown()
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+            worlds = []
+
+            def job(comm):
+                worlds.append(weakref.ref(comm.context.world))
+                return raw_sum_job(comm)
+
+            assert spmd_run(job, 4).returns
+            assert [w() for w in worlds] == [None] * 4
+        finally:
+            gc.enable()

@@ -446,8 +446,9 @@ class TestWarmPathsImportNothing:
         from repro import (
             Engine, global_reduce, global_reduce_many, global_scan, global_xscan,
         )
+        from repro.core.operator import ReduceScanOp
         from repro.ops import CountsOp, MaxOp, SumOp
-        from repro.rsmpi import RSMPI_Reduceall, compile_operator
+        from repro.rsmpi import RSMPI_Reduceall, compile_operator, load_operator
 
         nprocs = 8
         rng = np.random.default_rng(14)
@@ -456,6 +457,10 @@ class TestWarmPathsImportNothing:
         keys = [np.arange(r * 64, (r + 1) * 64) for r in range(nprocs)]
         total, peak, counts = SumOp(), MaxOp(-1.0), CountsOp(8)
         listing8 = compile_operator(LISTING_8_SORTED)
+        mink, mini = load_operator("mink", k=3), load_operator("mini")
+        rows = [np.column_stack([f, np.arange(64.0)]) for f in floats]
+        for dsl in (listing8, mink, mini):  # each runs its generated fold
+            assert type(dsl).accum_block is not ReduceScanOp.accum_block
 
         jobs = {
             "reduce": lambda c: global_reduce(c, total, floats[c.rank]),
@@ -465,6 +470,10 @@ class TestWarmPathsImportNothing:
             "scan": lambda c: global_scan(c, counts, cats[c.rank]),
             "xscan": lambda c: global_xscan(c, total, floats[c.rank]),
             "rsmpi_reduceall": lambda c: RSMPI_Reduceall(listing8, keys[c.rank], c),
+            "rsmpi_array_field": lambda c: RSMPI_Reduceall(
+                mink, keys[c.rank].tolist(), c
+            ),
+            "rsmpi_tuple_rows": lambda c: RSMPI_Reduceall(mini, rows[c.rank], c).loc,
         }
 
         def same(a, b):

@@ -194,6 +194,28 @@ class TestCompilerClassification:
                 ReduceScanOp.accum_block(op, op.ident(), arr),
             ), op.name
 
+    def test_dsl_operators_with_a_generated_fold_are_segmented(self, rng):
+        """A DSL operator's generated fold runs ``accum``'s statements per
+        element over the block; threading them through tiles is the same
+        fold, so the declaration is checked, not assumed."""
+        from repro.core.validation import check_tile_exactness
+        from repro.rsmpi import load_operator, operator_names
+
+        for name in operator_names():
+            op = load_operator(name)
+            if name in ("mini", "maxi"):
+                data = np.column_stack([rng.random(300), np.arange(300.0)])
+            elif name == "counts":
+                data = rng.integers(1, 9, 300)
+            else:
+                data = rng.integers(-10**6, 10**6, 300)
+            kern = compile_kernel(op, data)
+            assert kern.kind == "segmented" and kern.tile_exact, name
+            for _ in range(5):
+                cuts = sorted(rng.integers(0, len(data) + 1, 3).tolist())
+                check_tile_exactness(op, data, cuts)
+                check_tile_exactness(op, list(data), cuts)
+
     def test_numba_available_does_not_import_numba(self):
         """It is asked from inside the benchmark process for the host
         fingerprint; importing numba there would inflate the RSS and
@@ -201,6 +223,44 @@ class TestCompilerClassification:
         loaded = "numba" in sys.modules
         assert isinstance(kernels_mod.numba_available(), bool)
         assert ("numba" in sys.modules) == loaded
+
+
+class TestCountsScanBlock:
+    """``CountsOp.scan_block`` (stable sort by category, rank within it,
+    plus the carried counts) against the base class's per-element loop."""
+
+    @pytest.mark.parametrize("exclusive", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 500])
+    @pytest.mark.parametrize("layout", ["int64", "int32", "uint8", "list"])
+    def test_matches_the_loop(self, exclusive, n, layout, rng):
+        op = CountsOp(5, base=2)
+        cats = rng.integers(2, 7, n)
+        values = cats.tolist() if layout == "list" else cats.astype(layout)
+        carried = rng.integers(0, 100, 5)
+        out, state = op.scan_block(carried.copy(), values, exclusive=exclusive)
+        ref_out, ref_state = ReduceScanOp.scan_block(
+            op, carried.copy(), values, exclusive=exclusive
+        )
+        assert out == ref_out
+        assert [type(x) for x in out] == [type(x) for x in ref_out]
+        assert state.dtype == ref_state.dtype
+        assert state.tobytes() == ref_state.tobytes()
+
+    @pytest.mark.parametrize("exclusive", [False, True])
+    @pytest.mark.parametrize("bad", [1, 7, -3])
+    def test_out_of_range_category_raises_like_the_loop(self, exclusive, bad):
+        from repro.errors import OperatorError
+
+        op = CountsOp(5, base=2)
+        for values in ([2, 3, bad, 4, 99], np.array([2, 3, bad, 4, 99])):
+            with pytest.raises(OperatorError) as block:
+                op.scan_block(op.ident(), values, exclusive=exclusive)
+            with pytest.raises(OperatorError) as loop:
+                ReduceScanOp.scan_block(
+                    op, op.ident(), values, exclusive=exclusive
+                )
+            assert str(block.value) == str(loop.value)
+            assert f"category {bad} outside [2, 6]" in str(block.value)
 
 
 class TestIdentityOracle:

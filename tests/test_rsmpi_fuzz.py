@@ -3,19 +3,45 @@
 Generates random arithmetic/conditional accumulate bodies, compiles
 them through the full lexer/parser/codegen pipeline, and checks the
 compiled function against an independently interpreted reference —
-catching precedence, short-circuit and C-semantics miscompiles.
+catching precedence, short-circuit and C-semantics miscompiles.  Inputs
+are drawn as Python ints and as NumPy scalars (what an integer array's
+elements are); the reference computes on Python ints, so both must get
+C's answer.  The same bodies, compiled into whole operators, check the
+generated block fold against the per-element ``accum`` loop.
 """
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.operator import ReduceScanOp
+from repro.rsmpi import compile_operator
 from repro.rsmpi.preprocessor import parse_operator
-from repro.rsmpi.preprocessor.codegen import _c_div, _c_mod, generate_python
+from repro.rsmpi.preprocessor.codegen import generate_python
 
 COMMON = settings(max_examples=60, deadline=None)
+
+
+def _ref_div(x, y):
+    """C integer division, on Python ints: truncates toward zero."""
+    q = abs(x) // abs(y)
+    return -q if (x < 0) != (y < 0) else q
+
+
+def _ref_mod(x, y):
+    """C remainder, on Python ints: the sign of the dividend."""
+    return x - _ref_div(x, y) * y
+
+
+#: A small int, drawn as a Python int or as a NumPy integer scalar.
+scalars = st.integers(-10, 10).flatmap(
+    lambda v: st.sampled_from([v, np.int64(v), np.int32(v)])
+)
 
 
 # --- random C expression generator -------------------------------------------
@@ -37,8 +63,8 @@ def _binary(children):
         "+": lambda x, y: x + y,
         "-": lambda x, y: x - y,
         "*": lambda x, y: x * y,
-        "/": _c_div,
-        "%": _c_mod,
+        "/": _ref_div,
+        "%": _ref_mod,
         "<": lambda x, y: int(x < y),
         ">": lambda x, y: int(x > y),
         "<=": lambda x, y: int(x <= y),
@@ -122,14 +148,41 @@ class _S:
 
 class TestDSLFuzz:
     @COMMON
-    @given(expr=expressions, i=st.integers(-10, 10), a0=st.integers(-10, 10))
+    @given(expr=expressions, i=scalars, a0=scalars)
     def test_expression_semantics_match_reference(self, expr, i, a0):
         text, ref = expr
         accum = _compile_accum(text)
         s = _S(a0)
         accum(s, i)
-        expected = ref({"i": i, "a": a0})
-        assert s.a == expected, f"expr: {text}"
+        expected = ref({"i": int(i), "a": int(a0)})
+        assert s.a == expected, f"expr: {text}, i={i!r}, a={a0!r}"
+
+    @COMMON
+    @given(
+        expr=expressions,
+        vals=st.lists(st.integers(-10, 10), max_size=12),
+        as_array=st.booleans(),
+    )
+    def test_block_fold_matches_the_loop(self, expr, vals, as_array):
+        text, _ = expr
+        op = compile_operator(f"""
+        rsmpi operator fuzz {{
+          state {{ int a; int n; int last; }}
+          void accum(state s, int i) {{
+            int a;
+            a = s->n;
+            s->a += {text};
+            s->last = {text};
+            s->n += 1;
+          }}
+          void combine(state s1, state s2) {{ s1->a += s2->a; }}
+        }}
+        """)
+        assert op.tile_exact  # the body was lowered, not left on the loop
+        values = np.array(vals, dtype=np.int64) if as_array else vals
+        block = op.accum_block(op.ident(), values)
+        loop = ReduceScanOp.accum_block(op, op.ident(), values)
+        assert pickle.dumps(block._fields) == pickle.dumps(loop._fields), text
 
     @COMMON
     @given(
