@@ -1,7 +1,7 @@
 """EX-FAULTS — cost of fault injection and of recovering from it.
 
 Three questions, each answered in virtual time (the currency of every
-other figure) and persisted — fault counters included — into
+other figure) and persisted — fault event counts included — into
 ``results/BENCH_bench_chaos_overhead.*.json`` by the shared
 ``phase_metrics`` fixture:
 
@@ -13,8 +13,9 @@ other figure) and persisted — fault counters included — into
    agree / shrink / re-combine round, quantified the same way.  How far
    each survivor got before unwinding follows the thread schedule, so
    the recovered run's makespan varies between repeats — see
-   docs/fault_model.md — and it is traced apart from the persisted
-   file, which keeps only deterministic runs.)
+   docs/fault_model.md — so it runs under its own tracer, apart from
+   the persisted file, which keeps only deterministic runs; its fault
+   events are read off the run's traces.)
 """
 
 from __future__ import annotations
@@ -77,12 +78,12 @@ class TestFaultOverhead:
             return global_reduce(comm, SumOp(), survivors[comm.rank])
 
         base = spmd_run(survivor_baseline, P - 1)
-        tracer = Tracer()
-        faulted = _run(FAILSTOP, tracer=tracer)
+        # Its own tracer keeps this run out of the persisted profile.
+        faulted = _run(FAILSTOP, tracer=Tracer())
         assert faulted.failed_ranks == {5}
-        counters = tracer.metrics.snapshot()["counters"]
-        assert counters["faults.failstops"] == 1
-        assert counters["faults.recoveries"] == P - 1  # one per survivor
+        faults = faulted.summary_trace.faults
+        assert faults["failstops"] == 1
+        assert faults["recoveries"] == P - 1  # one per survivor
         out = [r for q, r in enumerate(faulted.returns) if q != 5]
         assert state_equal(out, base.returns)
         # Recovery is pure overhead relative to having had the smaller

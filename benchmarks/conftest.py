@@ -22,6 +22,7 @@ import pytest
 
 from benchmarks.rates import load_model
 from repro.obs import Tracer, active_tracer, phase_summary, profiling
+from repro.obs.export import profile_counts
 from repro.runtime import CostModel
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -59,11 +60,12 @@ def _bench_json_name(nodeid: str) -> str:
 @pytest.fixture(autouse=True)
 def phase_metrics(request, results_dir):
     """Trace every benchmark's simulated runs and persist the per-phase
-    breakdown and the metric counters as ``results/BENCH_<file>.<test>.json``.
+    breakdown and the profile's counts (:func:`repro.obs.export
+    .profile_counts`) as ``results/BENCH_<file>.<test>.json``.
 
-    Counters are integers, so the file does not depend on the order in
-    which rank threads record them; gauges and histograms (last writer,
-    streaming quantiles, float sums) would, and are left out.
+    Counts are integers read off the spans' notes and the runs' fault
+    events, so the file does not depend on the order in which rank
+    threads record them.
 
     Reuses an already-installed profile (``python -m repro profile
     benchmarks/...``) when present; otherwise installs a fresh tracer
@@ -83,6 +85,6 @@ def phase_metrics(request, results_dir):
         return
     summary = phase_summary(runs)
     if shared is None:
-        summary["counters"] = tracer.metrics.snapshot()["counters"]
+        summary["counters"] = profile_counts(runs)
     out = results_dir / f"{_bench_json_name(request.node.nodeid)}.json"
     out.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")

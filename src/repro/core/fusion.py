@@ -239,14 +239,6 @@ class ReductionBucket:
             req = comm.iallreduce(entry._state, entry._wire)
             self._inflight.append((req, entries, self._deliver_single))
             return
-        m = comm.tracer.metrics
-        if m.enabled:
-            m.counter("fusion.waves").inc()
-            m.counter("fusion.waves_saved").inc(len(entries) - 1)
-            m.histogram("fusion.wave.members").observe(len(entries))
-            m.histogram("fusion.wave.nbytes").observe(
-                sum(e.nbytes for e in entries)
-            )
         homogeneous = self._concat_wave(entries)
         if homogeneous is not None:
             self._inflight.append(homogeneous)
@@ -325,6 +317,8 @@ class ReductionBucket:
                         nbytes=sum(e.nbytes for e in entries))
                 if tr.enabled else NULL_SPAN
             ):
+                if k > 1 and tr.enabled:
+                    tr.note(wave=k)
                 raw = req.wait()
             deliver(raw, entries)
 

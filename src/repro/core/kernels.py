@@ -6,7 +6,7 @@ operator does that optimizing itself, in its ``accum_block`` /
 ``scan_block`` methods (``UfuncOp``'s ``ufunc.reduce``, counts'
 ``bincount``, mink's compare against its running k-th value, ...; the
 base class loops over ``accum``).  A :class:`Kernel` is those methods
-plus a *classification* the drivers, the metrics and the batching tier
+plus a *classification* the drivers, the span profile and the batching tier
 can reason about uniformly — the one-generic-kernel idea of Jradi et al.
 (arXiv 1710.07358) applied to classification rather than code
 generation:
@@ -59,6 +59,7 @@ __all__ = [
     "default_cache",
     "numba_available",
     "batched_accumulate",
+    "sweep_width",
 ]
 
 
@@ -283,12 +284,25 @@ def default_cache() -> KernelCache:
 # Batched multi-operator accumulation: one data sweep for K operators.
 
 
+def sweep_width(kernels: Sequence[Kernel], n: int) -> int:
+    """How many operators one walk over an ``n``-element block folds in
+    :func:`batched_accumulate`: all of them when every kernel is
+    tile-exact and the block spans more than one tile, else 1 (each
+    operator gets its own whole-block pass)."""
+    if (
+        len(kernels) > 1
+        and n > TILE_ELEMS
+        and all(k.tile_exact for k in kernels)
+    ):
+        return len(kernels)
+    return 1
+
+
 def batched_accumulate(
     ops: Sequence[ReduceScanOp],
     values: Any,
     *,
     cache: KernelCache | None = None,
-    metrics: Any = None,
 ) -> list[Any]:
     """Accumulate the *same* block under K operators, sharing the sweep.
 
@@ -308,24 +322,14 @@ def batched_accumulate(
     kernels = [cache.get(op, values) for op in ops]
     for i, op in enumerate(ops):
         states[i] = op.pre_accum(states[i], values[0])
-    single_sweep = (
-        len(ops) > 1
-        and n > TILE_ELEMS
-        and all(k.tile_exact for k in kernels)
-    )
-    if single_sweep:
+    if sweep_width(kernels, n) > 1:
         for lo in range(0, n, TILE_ELEMS):
             tile = values[lo : lo + TILE_ELEMS]
             for i, op in enumerate(ops):
                 states[i] = kernels[i].accumulate(op, states[i], tile)
-        if metrics is not None and metrics.enabled:
-            metrics.counter("kernels.batch.sweeps").inc()
-            metrics.counter("kernels.batch.members").inc(len(ops))
     else:
         for i, op in enumerate(ops):
             states[i] = kernels[i].accumulate(op, states[i], values)
-        if metrics is not None and metrics.enabled:
-            metrics.counter("kernels.batch.fallback_passes").inc(len(ops))
     for i, op in enumerate(ops):
         states[i] = op.post_accum(states[i], values[n - 1])
     return states

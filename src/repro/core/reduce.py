@@ -18,9 +18,10 @@ phase translates the final state to the output type.
 Each phase is written once, here; :func:`global_reduce` (plain or
 pipelined), the waves of :mod:`repro.core.fusion` and the scans of
 :mod:`repro.core.scan` compose them.  Every fold — whole block, column
-chunk, fused member — is counted (``kernels.accum.<kind>``), offered to
-the process backend and charged in one body; ``algorithm="auto"`` is the
-communicator's decision alone (a driver that must know it first asks
+chunk, fused member — notes its kernel route on its span (counted as
+``kernels.accum.<kind>``), is offered to the process backend and is
+charged in one body; ``algorithm="auto"`` is the communicator's
+decision alone (a driver that must know it first asks
 ``Communicator._auto_choice``); a phase span opens as ``tr.span(...) if
 tr.enabled else NULL_SPAN`` around one body.
 """
@@ -31,7 +32,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.kernels import batched_accumulate
+from repro.core.kernels import batched_accumulate, sweep_width
 from repro.core.operator import ReduceScanOp
 from repro.errors import OperatorError
 from repro.localview.api import LOCAL_ALLREDUCE, LOCAL_REDUCE
@@ -109,14 +110,16 @@ def accumulate_local_many(
     # each fold is offered to this rank's worker instead (a batch of
     # GIL-holding fallback kernels is tile-exact too, and the sweep
     # folds every member whether or not its kernel is).
+    sweep = 0
     if len(ops) > 1 and n > 0 and world.proc_pool is None:
-        swept = batched_accumulate(
-            ops, values, cache=world.kernel_cache, metrics=comm.tracer.metrics
-        )
+        cache = world.kernel_cache
+        swept = batched_accumulate(ops, values, cache=cache)
+        if comm.tracer.enabled:
+            sweep = sweep_width([cache.get(op, values) for op in ops], n)
     else:
         swept = [_proc_MISS] * len(ops)
     return [
-        _accumulate_impl(comm, op, values, accum_rate, n, state)
+        _accumulate_impl(comm, op, values, accum_rate, n, state, sweep)
         for op, state in zip(ops, swept)
     ]
 
@@ -128,11 +131,16 @@ def _accumulate_impl(
     accum_rate: str | None,
     elements: float,
     state: Any = _proc_MISS,
+    sweep: int = 0,
 ) -> Any:
     """The one fold of one block.  ``elements`` is what it reports and
     is charged for: the block's length, or an overlapped column chunk's
     share ``n·(hi-lo)/m`` of it.  ``state`` is the fold's result when a
-    shared sweep has already produced it."""
+    batch has already produced it, and ``sweep`` (traced runs only) that
+    batch's :func:`~repro.core.kernels.sweep_width`.
+
+    Under a tracer the accumulate span notes the fold's ``kernel`` route
+    and, for a batch member, its ``sweep`` width (1: its own pass)."""
     tr = comm.tracer
     with (
         tr.span("accumulate", phase="accumulate", op=op.name,
@@ -144,11 +152,12 @@ def _accumulate_impl(
             return op.ident()
         world = comm.context.world
         kern = world.kernel_cache.get(op, values)
-        # Counted before the fold and wherever it then runs, so kernel
+        # Noted before the fold and wherever it then runs, so kernel
         # observability cannot depend on the backend.
-        m = tr.metrics
-        if m.enabled:
-            m.counter(f"kernels.accum.{kern.kind}").inc()
+        if tr.enabled:
+            tr.note(kernel=kern.kind)
+            if sweep:
+                tr.note(sweep=sweep)
         # Process backend: offload the fold to this rank's worker, which
         # runs the identical fold; virtual time is charged here, in the
         # parent, exactly as for the in-process fold — so clocks, traces

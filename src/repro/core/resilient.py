@@ -26,10 +26,11 @@ ULFM recovery loop:
    so dropping a rank silently changes the answer's meaning); it raises
    a clean :class:`~repro.errors.OperatorError` instead.
 
-Recovery activity is surfaced through ``repro.obs`` metrics:
-``faults.recoveries`` counts recovery rounds and
-``faults.recovery_vtime`` observes the virtual-time overhead between
-first failure detection and the successful re-combine.
+Recovery activity is recorded where it happens: each recovery round is
+a ``recoveries`` fault event on the rank's always-on trace
+(``Trace.faults``), and under a tracer the virtual time from first
+failure detection to the successful re-combine is a ``recovery`` leaf
+span.
 
 This module is only entered when the run's fault plan can actually
 fail-stop a rank (``JobWorld.can_fail``); fault-free runs keep the exact
@@ -66,7 +67,6 @@ def resilient_combine(
     to interpret rooted results.
     """
     checkpoint = copy.deepcopy(state)
-    metrics = comm.tracer.metrics
     clock = comm.context.clock
     first_failure_t: float | None = None
     comm_r = comm
@@ -84,9 +84,11 @@ def resilient_combine(
             if first_failure_t is None:
                 first_failure_t = clock.t
         if comm_r.agree(ok):
-            if first_failure_t is not None:
-                metrics.histogram("faults.recovery_vtime").observe(
-                    max(clock.t - first_failure_t, 0.0)
+            tr = comm.tracer
+            if first_failure_t is not None and tr.enabled:
+                tr.on_charge(
+                    "recovery", first_failure_t,
+                    max(clock.t - first_failure_t, 0.0),
                 )
             return total, comm_r
         if not op.commutative:
@@ -97,7 +99,7 @@ def resilient_combine(
                 "survivors; re-run the computation on a shrunken "
                 "communicator instead (see docs/fault_model.md)"
             )
-        metrics.counter("faults.recoveries").inc()
+        comm.trace.on_fault("recoveries")
         if first_failure_t is None:
             first_failure_t = clock.t
         comm_r = comm_r.shrink()

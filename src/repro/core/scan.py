@@ -118,9 +118,9 @@ def _scan_generate(
     scan_rate: str | None,
 ) -> list[Any]:
     kern = comm.context.world.kernel_cache.get(op, values)
-    m = comm.tracer.metrics
-    if m.enabled:
-        m.counter(f"kernels.scan.{kern.kind}").inc()
+    tr = comm.tracer
+    if tr.enabled:
+        tr.note(kernel=kern.kind)  # on the generate span
     out, _final = kern.scan(op, prefix, values, exclusive=exclusive)
     rate = accum_rate if accum_rate is not None else op.accum_rate
     if scan_rate is None:

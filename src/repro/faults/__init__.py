@@ -11,7 +11,8 @@ The package has four layers:
     :class:`FaultInjector` — a plan bound to a running world.  The
     runtime calls into it from ``RankContext.charge``/``send_raw`` and
     it answers "does this rank die now?", "how is this transmission
-    perturbed?", surfacing every event through ``repro.obs`` metrics.
+    perturbed?", counting every event on the rank's always-on trace
+    (``Trace.faults``).
 ``reliable``
     The reliable-delivery layer over lossy links: sequence-numbered
     frames, sender-modeled retransmit with exponential backoff in

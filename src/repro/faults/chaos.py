@@ -27,9 +27,10 @@ Determinism
     Each faulted run is executed twice; results, failed-rank sets and
     virtual makespans must match exactly.
 
-Fault activity (retransmits, duplicates, reorders, fail-stops,
-recovery rounds) is surfaced through ``repro.obs`` metrics and included
-in each case's report.
+Fault activity (retransmits, duplicates, delays, reorders, fail-stops,
+recovery rounds) is read off each faulted run's always-on traces
+(``SpmdResult.summary_trace.faults``) — no tracer is built — and
+included in each case's report.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from repro.core.reduce import global_reduce
 from repro.core.scan import global_scan
 from repro.errors import OperatorError, SpmdError
 from repro.faults.plan import FailStop, FaultPlan, LinkFaults
-from repro.obs.tracer import Tracer
 from repro.runtime.executor import spmd_run
 
 __all__ = ["ChaosCase", "CHAOS_CASES", "run_chaos", "chaos_report_lines"]
@@ -173,7 +173,8 @@ class CaseResult:
     mode: str  # "lossy" or "failstop"
     ok: bool
     detail: str = ""
-    metrics: dict = field(default_factory=dict)
+    #: Fault events injected into the checked faulted runs, by kind.
+    faults: dict = field(default_factory=dict)
 
 
 def _blocks(case: ChaosCase, seed: int, nprocs: int, n_per_rank: int) -> list[list]:
@@ -195,11 +196,9 @@ def _scan_prog(case: ChaosCase, blocks: list[list]):
     return prog
 
 
-def _fault_counters(tracer: Tracer) -> dict[str, int]:
-    snap = tracer.metrics.snapshot()
-    return {
-        k: v for k, v in snap["counters"].items() if k.startswith("faults.")
-    }
+def _add_faults(totals: dict[str, int], result) -> None:
+    for k, v in (result.summary_trace.faults or {}).items():
+        totals[k] = totals.get(k, 0) + v
 
 
 def _run_lossy(case: ChaosCase, seed: int, nprocs: int, n_per_rank: int) -> CaseResult:
@@ -218,27 +217,25 @@ def _run_lossy(case: ChaosCase, seed: int, nprocs: int, n_per_rank: int) -> Case
     progs = [("reduce", _reduce_prog(case, blocks))]
     if case.scan:
         progs.append(("scan", _scan_prog(case, blocks)))
-    metrics: dict[str, int] = {}
+    faults: dict[str, int] = {}
     for what, prog in progs:
         base = spmd_run(prog, nprocs)
-        tracer = Tracer()
-        faulted = spmd_run(prog, nprocs, fault_plan=plan, tracer=tracer)
+        faulted = spmd_run(prog, nprocs, fault_plan=plan)
         again = spmd_run(prog, nprocs, fault_plan=plan)
-        for k, v in _fault_counters(tracer).items():
-            metrics[k] = metrics.get(k, 0) + v
+        _add_faults(faults, faulted)
         if not state_equal(faulted.returns, base.returns):
             return CaseResult(
                 case.name, seed, nprocs, "lossy", False,
-                f"{what}: faulted result != fault-free baseline", metrics,
+                f"{what}: faulted result != fault-free baseline", faults,
             )
         if not state_equal(faulted.returns, again.returns) or (
             faulted.time != again.time
         ):
             return CaseResult(
                 case.name, seed, nprocs, "lossy", False,
-                f"{what}: faulted run is not deterministic per seed", metrics,
+                f"{what}: faulted run is not deterministic per seed", faults,
             )
-    return CaseResult(case.name, seed, nprocs, "lossy", True, "", metrics)
+    return CaseResult(case.name, seed, nprocs, "lossy", True, "", faults)
 
 
 def _run_failstop(case: ChaosCase, seed: int, nprocs: int, n_per_rank: int) -> CaseResult:
@@ -247,7 +244,7 @@ def _run_failstop(case: ChaosCase, seed: int, nprocs: int, n_per_rank: int) -> C
     victim = rng.randrange(1, nprocs)  # rank 0 survives as reference
     plan = FaultPlan(seed=seed, failstops=(FailStop(rank=victim, at_op=1),))
     op = case.make_op()
-    metrics: dict[str, int] = {}
+    faults: dict[str, int] = {}
     if not op.commutative:
         # Documented clean failure: the combine collapses with an
         # OperatorError naming the operator, not a hang or a wrong answer.
@@ -260,30 +257,26 @@ def _run_failstop(case: ChaosCase, seed: int, nprocs: int, n_per_rank: int) -> C
                 for exc in e.failures.values()
             ):
                 return CaseResult(
-                    case.name, seed, nprocs, "failstop", True, "", metrics
+                    case.name, seed, nprocs, "failstop", True, "", faults
                 )
             return CaseResult(
                 case.name, seed, nprocs, "failstop", False,
                 f"non-commutative op failed without OperatorError: {e}",
-                metrics,
+                faults,
             )
         return CaseResult(
             case.name, seed, nprocs, "failstop", False,
-            "non-commutative op did not fail cleanly", metrics,
+            "non-commutative op did not fail cleanly", faults,
         )
     survivor_blocks = [b for q, b in enumerate(blocks) if q != victim]
     progs = [("reduce", _reduce_prog)]
     if case.scan:
         progs.append(("scan", _scan_prog))
     for what, make_prog in progs:
-        tracer = Tracer()
-        faulted = spmd_run(
-            make_prog(case, blocks), nprocs, fault_plan=plan, tracer=tracer
-        )
+        faulted = spmd_run(make_prog(case, blocks), nprocs, fault_plan=plan)
         again = spmd_run(make_prog(case, blocks), nprocs, fault_plan=plan)
         baseline = spmd_run(make_prog(case, survivor_blocks), nprocs - 1)
-        for k, v in _fault_counters(tracer).items():
-            metrics[k] = metrics.get(k, 0) + v
+        _add_faults(faults, faulted)
         survivors_out = [
             r for q, r in enumerate(faulted.returns) if q != victim
         ]
@@ -291,13 +284,13 @@ def _run_failstop(case: ChaosCase, seed: int, nprocs: int, n_per_rank: int) -> C
             return CaseResult(
                 case.name, seed, nprocs, "failstop", False,
                 f"{what}: failed_ranks {set(faulted.failed_ranks)} != "
-                f"{{{victim}}}", metrics,
+                f"{{{victim}}}", faults,
             )
         if not state_equal(survivors_out, baseline.returns):
             return CaseResult(
                 case.name, seed, nprocs, "failstop", False,
                 f"{what}: survivors' result != survivor-only baseline",
-                metrics,
+                faults,
             )
         # Results are deterministic per seed (the re-combine runs from
         # fixed checkpoints over a fixed survivor group); the *virtual
@@ -307,9 +300,9 @@ def _run_failstop(case: ChaosCase, seed: int, nprocs: int, n_per_rank: int) -> C
         if not state_equal(faulted.returns, again.returns):
             return CaseResult(
                 case.name, seed, nprocs, "failstop", False,
-                f"{what}: faulted run is not deterministic per seed", metrics,
+                f"{what}: faulted run is not deterministic per seed", faults,
             )
-    return CaseResult(case.name, seed, nprocs, "failstop", True, "", metrics)
+    return CaseResult(case.name, seed, nprocs, "failstop", True, "", faults)
 
 
 def run_chaos(
@@ -353,7 +346,7 @@ def chaos_report_lines(results: list[CaseResult]) -> list[str]:
             f"  {name:<16} {mode:<9} {n_ok}/{len(rs)} trials ok"
         )
         for r in rs:
-            for k, v in r.metrics.items():
+            for k, v in r.faults.items():
                 totals[k] = totals.get(k, 0) + v
     lines.append("")
     lines.append(
@@ -362,8 +355,7 @@ def chaos_report_lines(results: list[CaseResult]) -> list[str]:
     if totals:
         lines.append(
             "fault events: " + ", ".join(
-                f"{k.removeprefix('faults.')}={v}"
-                for k, v in sorted(totals.items())
+                f"{k}={v}" for k, v in sorted(totals.items())
             )
         )
     for r in failures:

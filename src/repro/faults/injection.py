@@ -17,10 +17,10 @@ A firing fail-stop records the rank as dead in the world's membership
 :class:`~repro.errors.RankFailStop` in the rank's own thread; the
 executor treats that as a silent death, not a program error.
 
-Every injected event increments a ``faults.*`` counter on the metrics
-registry the injector was built with, so chaos runs surface their fault
-activity through the standard ``repro.obs`` pipeline (and from there
-into ``BENCH_*.json``).
+Every injected event is counted on the affected rank's always-on
+:class:`~repro.runtime.trace.Trace` (``Trace.faults``), so a faulted
+run reports its fault activity in ``SpmdResult.summary_trace`` with no
+tracer, and a traced one in its profile's counts as well.
 """
 
 from __future__ import annotations
@@ -59,12 +59,13 @@ class FaultInjector:
         self,
         plan: FaultPlan,
         nprocs: int,
-        metrics,
+        traces: list,
         rank_map: dict[int, int] | None = None,
     ) -> None:
         self.plan = plan
         self.nprocs = nprocs
-        self.metrics = metrics
+        #: Per-rank traces indexed by runtime rank (the job world's list).
+        self._traces = traces
         self.lossy = plan.lossy
         self.can_fail = plan.can_fail
         #: Runtime-rank -> plan-rank translation.  A standalone run is
@@ -94,7 +95,7 @@ class FaultInjector:
         # ``rank`` is the runtime (world) rank: membership records it,
         # but the fired-flag is tracked in plan coordinates.
         self._fired.add(self._plan_rank(rank))
-        self.metrics.counter("faults.failstops").inc()
+        self._traces[rank].on_fault("failstops")
         world.mark_failed(rank)
         raise RankFailStop(rank)
 
@@ -153,14 +154,16 @@ class FaultInjector:
         if link.delay_rate > 0.0 and rng.random() < link.delay_rate:
             delay = rng.random() * link.delay_seconds
         reorder = link.reorder_rate > 0.0 and rng.random() < link.reorder_rate
-        if drops:
-            self.metrics.counter("faults.retransmits").inc(drops)
-        if duplicate:
-            self.metrics.counter("faults.duplicates").inc()
-        if delay:
-            self.metrics.counter("faults.delays").inc()
-        if reorder:
-            self.metrics.counter("faults.reorders").inc()
+        if drops or duplicate or delay or reorder:
+            trace = self._traces[rank]
+            if drops:
+                trace.on_fault("retransmits", drops)
+            if duplicate:
+                trace.on_fault("duplicates")
+            if delay:
+                trace.on_fault("delays")
+            if reorder:
+                trace.on_fault("reorders")
         return Transmission(
             drops=drops, duplicate=duplicate, delay=delay, reorder=reorder
         )

@@ -39,7 +39,6 @@ import numpy as np
 from repro.errors import CommunicatorError
 from repro.mpi.op import Op
 from repro.mpi.topology import kary_tree
-from repro.obs.metrics import NULL_METRICS
 from repro.util.sizing import copy_for_transfer
 
 __all__ = [
@@ -91,16 +90,9 @@ class CollChannel(Protocol):
     def charge(self, seconds: float, label: str) -> None: ...
 
 
-def _metrics(ch: CollChannel):
-    """The channel's metrics registry; channels without one (tests with
-    hand-rolled channels, disabled tracing) get the shared no-op."""
-    return getattr(ch, "metrics", NULL_METRICS)
-
-
 def _charge_combine(ch: CollChannel, seconds: float) -> None:
     if seconds > 0.0:
         ch.charge(seconds, "combine")
-        _metrics(ch).histogram("combine.seconds").observe(seconds)
 
 
 def _require_commutative(op: Any, schedule: str) -> None:
@@ -203,7 +195,6 @@ def reduce_binomial_plan(
     """
     rank, size = ch.rank, ch.size
     partial = value
-    rounds = 0
     mask = 1
     while mask < size:
         if rank & mask:
@@ -214,13 +205,7 @@ def reduce_binomial_plan(
             theirs = yield Recv(src)
             partial = op(partial, theirs)
             _charge_combine(ch, combine_seconds)
-        rounds += 1
         mask <<= 1
-    # Only the root reaches here, having seen the tree's full depth.
-    m = _metrics(ch)
-    if m.enabled:
-        m.counter("collective.reduce_binomial.calls").inc()
-        m.histogram("collective.reduce_binomial.depth").observe(rounds)
     return partial
 
 
@@ -253,15 +238,6 @@ def reduce_kary_available(
     if node.parent is not None:
         ch.send(node.parent, partial)
         return None
-    m = _metrics(ch)
-    if m.enabled:
-        m.counter("collective.reduce_kary.calls").inc()
-        depth = 0
-        probe = ch.size - 1  # deepest node of the heap-numbered k-ary tree
-        while tree[probe].parent is not None:
-            probe = tree[probe].parent
-            depth += 1
-        m.histogram("collective.reduce_kary.depth").observe(depth)
     return partial
 
 
@@ -298,12 +274,6 @@ def reduce_ring_pipelined_plan(
         # per-piece byte time without flooding the run with tiny messages.
         segments = int(np.ceil(arr.nbytes / 65536)) if arr.nbytes else 1
     segments = max(1, min(int(segments), n))
-    m = _metrics(ch)
-    if m.enabled and rank == 0:
-        m.counter("collective.reduce_ring_pipelined.calls").inc()
-        m.histogram("collective.reduce_ring_pipelined.stages").observe(
-            size - 2 + segments
-        )
     bounds = _segment_bounds(n, segments)
     for s in range(segments):
         sl = slice(bounds[s], bounds[s + 1])
@@ -397,14 +367,6 @@ def allreduce_recursive_doubling_plan(
     pof2 = 1 << (size.bit_length() - 1)
     rem = size - pof2
     levels = fanout_levels(pof2, radix)
-    m = _metrics(ch)
-    if m.enabled and rank == 0:
-        m.counter("collective.allreduce_rd.calls").inc()
-        m.histogram("collective.allreduce_rd.rounds").observe(
-            len(levels) + (2 if rem else 0)
-        )
-        m.histogram("collective.allreduce_rd.radix").observe(radix)
-
     partial, newrank = yield from _fold_in(
         ch, value, op, rem, combine_seconds
     )
@@ -468,15 +430,6 @@ def scan_simultaneous_binomial_plan(
     """
     rank, size = ch.rank, ch.size
     _check_radix(radix)
-    m = _metrics(ch)
-    if m.enabled and rank == 0:
-        levels, s = 0, 1
-        while s < size:  # ceil(log_radix size)
-            levels += 1
-            s *= radix
-        m.counter("collective.scan_binomial.calls").inc()
-        m.histogram("collective.scan_binomial.rounds").observe(levels)
-        m.histogram("collective.scan_binomial.radix").observe(radix)
     full = value
     partial = None if exclusive else value
     s = 1
@@ -544,10 +497,6 @@ def scan_linear_chain_plan(
     round/compute analysis maps out.  Order-preserving, any payload.
     """
     rank, size = ch.rank, ch.size
-    m = _metrics(ch)
-    if m.enabled and rank == 0:
-        m.counter("collective.scan_chain.calls").inc()
-        m.histogram("collective.scan_chain.hops").observe(max(size - 1, 0))
     if rank == 0:
         if size > 1:
             ch.send(1, value)
@@ -742,10 +691,6 @@ def allreduce_ring_plan(
     """
     _require_commutative(op, "allreduce_ring")
     rank, size = ch.rank, ch.size
-    m = _metrics(ch)
-    if m.enabled and rank == 0:
-        m.counter("collective.allreduce_ring.calls").inc()
-        m.histogram("collective.allreduce_ring.steps").observe(2 * (size - 1))
     arr, scalar = _as_vector(value)
     if size > 1:
         bounds = _segment_bounds(len(arr), size)
@@ -773,10 +718,6 @@ def reduce_scatter_ring_plan(
     """
     _require_commutative(op, "reduce_scatter_ring")
     rank, size = ch.rank, ch.size
-    m = _metrics(ch)
-    if m.enabled and rank == 0:
-        m.counter("collective.reduce_scatter_ring.calls").inc()
-        m.histogram("collective.reduce_scatter_ring.steps").observe(size - 1)
     arr, _ = _as_vector(value)
     if size == 1:
         return arr, (0, len(arr))
@@ -815,13 +756,6 @@ def allreduce_rabenseifner_plan(
 
     pof2 = 1 << (size.bit_length() - 1)
     rem = size - pof2
-    m = _metrics(ch)
-    if m.enabled and rank == 0:
-        m.counter("collective.allreduce_rab.calls").inc()
-        m.histogram("collective.allreduce_rab.rounds").observe(
-            2 * (pof2 - 1).bit_length() + (2 if rem else 0)
-        )
-
     arr, newrank = yield from _fold_in(ch, arr, op, rem, combine_seconds)
     if newrank >= 0:
         bounds = _segment_bounds(len(arr), pof2)
@@ -908,10 +842,6 @@ class SubgroupChannel:
         self.rank = self.ranks.index(parent.rank)
         self.size = len(self.ranks)
 
-    @property
-    def metrics(self):
-        return getattr(self.parent, "metrics", NULL_METRICS)
-
     def send(self, dest: int, payload: Any) -> None:
         self.parent.send(self.ranks[dest], payload)
 
@@ -976,10 +906,6 @@ def allreduce_hierarchical_plan(
         groups = tuple((r,) for r in range(size))
     g, li = _locate_group(groups, rank)
     nnodes = len(groups)
-    m = _metrics(ch)
-    if m.enabled and rank == 0:
-        m.counter("collective.allreduce_hier.calls").inc()
-        m.histogram("collective.allreduce_hier.nodes").observe(nnodes)
     commutative = isinstance(op, Op) and op.commutative
     elementwise = getattr(op, "elementwise", False)
     nlocal = len(g)

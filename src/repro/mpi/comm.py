@@ -95,11 +95,6 @@ class _Channel:
     def charge(self, seconds: float, label: str) -> None:
         self.comm._ctx.charge(seconds, label)
 
-    @property
-    def metrics(self):
-        """The run's metrics registry (no-op when tracing is disabled)."""
-        return self.comm._ctx.tracer.metrics
-
 
 class Communicator:
     """MPI-like communicator over the simulated runtime."""
@@ -175,14 +170,6 @@ class Communicator:
                 f"{len(self._members)}"
             )
         return self._members[group_rank]
-
-    def _group_rank(self, world_rank: int) -> int:
-        try:
-            return self._members.index(world_rank)
-        except ValueError:
-            raise CommunicatorError(
-                f"world rank {world_rank} is not in this communicator"
-            ) from None
 
     # -- point-to-point -----------------------------------------------------
 
@@ -306,6 +293,11 @@ class Communicator:
         ``operands`` and ``options`` go to the schedule's plan factory;
         ``algorithm=None`` means the kind's only schedule; a non-zero
         ``root`` re-roots a rank-0-rooted plan.
+
+        Under a tracer the span notes what was decided here: group rank 0
+        notes the resolved ``schedule`` (``"kind.name"``, once per call)
+        and any fitted ``radix`` other than 2, and every rank notes
+        ``request`` on a nonblocking issue.
         """
         tr = self._ctx.tracer
         # Blocking reductions and scans name their op on the span
@@ -332,6 +324,13 @@ class Communicator:
             schedule = _coll.schedule(
                 kind, algorithm, caller=name, resumable=request
             )
+            if tr.enabled:
+                if self._rank == 0:
+                    tr.note(schedule=f"{kind}.{schedule.name}")
+                    if "radix" in options:
+                        tr.note(radix=options["radix"])
+                if request:
+                    tr.note(request=True)
             if schedule.groups:
                 # With no hierarchy (flat fabric, or all members on one
                 # node) the plan degrades to the flat schedules internally.

@@ -86,9 +86,6 @@ class Request:
         self._error: BaseException | None = None
         self._finalize = finalize
         self._engine = ProgressEngine.for_context(ctx)
-        m = self._engine.metrics
-        if m.enabled:
-            m.counter("coll.nonblocking.issued").inc()
         # Run the plan to its first receive: first-round sends are eager,
         # exactly as in the blocking algorithms.  Plans with no receives
         # (size 1, leaf ranks that only send) complete at issue and are
@@ -140,9 +137,6 @@ class Request:
         self._result = self._finalize(raw) if self._finalize is not None else raw
         self._done = True
         self._pending = None
-        m = self._engine.metrics
-        if m.enabled:
-            m.counter("coll.nonblocking.completed").inc()
 
     def _fail(self, error: BaseException) -> None:
         self._error = error
@@ -173,10 +167,6 @@ class ProgressEngine:
             eng = cls(ctx)
             ctx._progress = eng
         return eng
-
-    @property
-    def metrics(self):
-        return self.ctx.tracer.metrics
 
     @property
     def outstanding(self) -> int:

@@ -28,10 +28,6 @@ class ISClass:
     n_keys: int
     max_key: int  # keys are drawn from [0, max_key)
 
-    @property
-    def total_keys(self) -> int:
-        return self.n_keys
-
 
 @dataclass(frozen=True)
 class MGClass:

@@ -1,12 +1,15 @@
-"""Profile exporters: phase summaries, JSONL, and a text report.
+"""Profile exporters: phase summaries, counts, JSONL, and a text report.
 
-Three consumers, three formats:
+Four views of one span profile:
 
 * :func:`phase_summary` — a JSON-serializable per-operator, per-phase
   aggregate (span counts, virtual seconds, bytes, elements), used by the
   benchmark harness for ``BENCH_*.json`` files.
+* :func:`profile_counts` — event counts read off the spans' notes
+  (collective schedules, kernel routes, shared sweeps, fused waves,
+  nonblocking issues) and the runs' fault events.
 * :func:`iter_jsonl_records` / :func:`write_jsonl` / :func:`dumps_jsonl`
-  — a structured line-per-record stream (runs, spans, metrics) for
+  — a structured line-per-record stream (runs, spans, counts) for
   machine post-processing.
 * :func:`format_text_report` — the human-readable breakdown printed by
   ``python -m repro profile ... --format text``.
@@ -22,6 +25,7 @@ a phase exactly once.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any, Iterable, Iterator
 
 from repro.obs.critpath import critical_path
@@ -30,6 +34,7 @@ from repro.obs.tracer import RunCapture, Span, Tracer
 __all__ = [
     "phase_topmost_spans",
     "phase_summary",
+    "profile_counts",
     "iter_jsonl_records",
     "write_jsonl",
     "dumps_jsonl",
@@ -96,11 +101,60 @@ def phase_summary(
     }
 
 
+def profile_counts(
+    profile: Tracer | RunCapture | Iterable[RunCapture],
+) -> dict[str, int]:
+    """Event counts across runs, read off the span notes and the runs'
+    fault events: schedules per collective call, nonblocking issues,
+    kernel routes, shared sweeps, fused waves and ``faults.<event>``;
+    keys sorted, zero counts absent (catalogue: docs/observability.md).
+    """
+    counts: Counter[str] = Counter()
+    widths: Counter[int] = Counter()  # shared-sweep members by width
+    for run in _as_runs(profile):
+        for span in run.spans():
+            notes = span.notes
+            if not notes:
+                continue
+            schedule = notes.get("schedule")
+            if schedule is not None:
+                counts[f"collective.{schedule}"] += 1
+                if "radix" in notes:
+                    radix = notes["radix"]
+                    counts[f"collective.{schedule}.radix_{radix}"] += 1
+            if notes.get("request"):
+                counts["coll.nonblocking.issued"] += 1
+            kernel = notes.get("kernel")
+            if kernel is not None:
+                family = "scan" if span.phase == "generate" else "accum"
+                counts[f"kernels.{family}.{kernel}"] += 1
+            sweep = notes.get("sweep", 0)
+            if sweep == 1:
+                counts["kernels.batch.fallback_passes"] += 1
+            elif sweep > 1:
+                widths[sweep] += 1
+            wave = notes.get("wave")
+            if wave is not None:
+                counts["fusion.waves"] += 1
+                counts["fusion.waves_saved"] += wave - 1
+        for trace in run.traces or ():
+            for event, n in (trace.faults or {}).items():
+                counts[f"faults.{event}"] += n
+    if widths:
+        counts["kernels.batch.members"] = sum(widths.values())
+        # Every member of a sweep notes the sweep's width.
+        counts["kernels.batch.sweeps"] = sum(
+            members // width for width, members in widths.items()
+        )
+    return dict(sorted(counts.items()))
+
+
 # -- JSONL -----------------------------------------------------------------
 
 
 def iter_jsonl_records(tracer: Tracer) -> Iterator[dict[str, Any]]:
-    """Yield one dict per record: runs, spans, then the metrics snapshot."""
+    """Yield one dict per record: runs, spans, then the profile's
+    :func:`profile_counts`."""
     for run in tracer.runs:
         yield {
             "type": "run",
@@ -123,8 +177,9 @@ def iter_jsonl_records(tracer: Tracer) -> Iterator[dict[str, Any]]:
                 "t_end": span.t_end,
                 "bytes": span.nbytes,
                 "elements": span.elements,
+                "notes": span.notes,
             }
-    yield {"type": "metrics", **tracer.metrics.snapshot()}
+    yield {"type": "counts", "counts": profile_counts(tracer)}
 
 
 def dumps_jsonl(tracer: Tracer) -> str:
@@ -149,7 +204,7 @@ def _fmt_seconds(s: float) -> str:
 
 def format_text_report(tracer: Tracer) -> str:
     """Human-readable per-phase breakdown: one operator table per run
-    set, per-rank phase totals, the critical path, and key metrics."""
+    set, per-rank phase totals, the critical path, and the counts."""
     lines: list[str] = []
     if not tracer.runs:
         # An explicit empty report beats a zero-filled table: the usual
@@ -208,23 +263,10 @@ def format_text_report(tracer: Tracer) -> str:
                 f"({100.0 * cp.fraction(phase):5.1f}%)"
             )
 
-    snap = tracer.metrics.snapshot()
-    if snap["counters"] or snap["histograms"] or snap["gauges"]:
+    counts = profile_counts(tracer)
+    if counts:
         lines.append("")
-        lines.append("metrics")
-        for name, value in sorted(snap["counters"].items()):
+        lines.append("counts")
+        for name, value in counts.items():
             lines.append(f"  {name:<40s} {value}")
-        for name, value in sorted(snap["gauges"].items()):
-            lines.append(f"  {name:<40s} {value}")
-        for name, h in sorted(snap["histograms"].items()):
-            if not h["count"]:
-                lines.append(f"  {name:<40s} n=0")
-                continue
-            tail = ""
-            if h.get("p50") is not None:
-                tail = f" p50={h['p50']:.3g} p99={h.get('p99', 0) or 0:.3g}"
-            lines.append(
-                f"  {name:<40s} n={h['count']} sum={h['sum']:.3g} "
-                f"min={h['min']:.3g} max={h['max']:.3g}{tail}"
-            )
     return "\n".join(lines) + "\n"

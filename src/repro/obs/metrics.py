@@ -1,10 +1,12 @@
 """Metrics registry: counters, gauges, and log-bucketed histograms.
 
-Instruments are cheap named accumulators for facts that do not need a
-full span timeline — collective round counts, combine latencies, tree
-depths.  A :class:`MetricsRegistry` is shared by every rank of a run (the
-ranks are threads, so instruments take a lock on mutation), and the
-whole registry snapshots to a plain JSON-serializable dict.
+The persistent engine's telemetry (:mod:`repro.obs.telemetry`) keeps its
+job-lifecycle latencies, scheduler gauges and engine counters here, and
+:mod:`repro.obs.promexport` serves them.  Instruments are cheap named
+accumulators; several threads may update one (instruments take a lock
+on mutation), and the whole registry snapshots to a plain
+JSON-serializable dict.  Traced runs do not use it: their counts are
+read off the span profile (:func:`repro.obs.export.profile_counts`).
 
 Histograms use base-2 logarithmic buckets: an observation ``v`` falls in
 the bucket whose upper bound is the smallest power of two ``>= v``
@@ -15,9 +17,6 @@ the log.  Every histogram additionally carries a
 :class:`~repro.obs.quantiles.QuantileSet` (p50/p95/p99 by default), so
 tail latency is readable straight off a snapshot without storing
 observations.
-
-The :data:`NULL_METRICS` registry accepts the same calls and does
-nothing — it is what disabled tracing hands to the hot paths.
 """
 
 from __future__ import annotations
@@ -25,16 +24,15 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
-from repro.obs.quantiles import DEFAULT_QUANTILES, QuantileSet
+from repro.obs.quantiles import QuantileSet
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRICS",
 ]
 
 
@@ -99,7 +97,7 @@ class Histogram:
     __slots__ = ("_lock", "_buckets", "zero_count", "inf_count",
                  "count", "total", "min", "max", "_quantiles", "_pending")
 
-    def __init__(self, quantiles: Iterable[float] = DEFAULT_QUANTILES) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._buckets: dict[int, int] = {}  # exponent k -> count in (2^(k-1), 2^k]
         self.zero_count = 0
@@ -108,7 +106,7 @@ class Histogram:
         self.total = 0.0
         self.min: float | None = None
         self.max: float | None = None
-        self._quantiles = QuantileSet(quantiles)
+        self._quantiles = QuantileSet()
         self._pending: deque[float] = deque(maxlen=_QUANTILE_PENDING_CAP)
 
     @staticmethod
@@ -195,8 +193,6 @@ class Histogram:
 class MetricsRegistry:
     """Named instruments, created on first use, snapshotted as one dict."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
@@ -222,27 +218,9 @@ class MetricsRegistry:
         """The gauge named ``name`` (created on first use)."""
         return self._get(name, Gauge)
 
-    def histogram(
-        self, name: str, quantiles: Iterable[float] | None = None
-    ) -> Histogram:
-        """The histogram named ``name`` (created on first use).
-
-        ``quantiles`` customizes the tracked levels at creation time;
-        it is ignored on later lookups of an existing histogram.
-        """
-        if quantiles is None:
-            return self._get(name, Histogram)
-        with self._lock:
-            inst = self._instruments.get(name)
-            if inst is None:
-                inst = Histogram(quantiles)
-                self._instruments[name] = inst
-            elif not isinstance(inst, Histogram):
-                raise TypeError(
-                    f"metric {name!r} is a {type(inst).__name__}, "
-                    f"not a Histogram"
-                )
-            return inst
+    def histogram(self, name: str) -> Histogram:
+        """The histogram named ``name`` (created on first use)."""
+        return self._get(name, Histogram)
 
     def __iter__(self) -> Iterator[tuple[str, Any]]:
         with self._lock:
@@ -267,45 +245,3 @@ class MetricsRegistry:
             "histograms": histograms,
         }
 
-
-class _NullInstrument:
-    """Accepts every instrument call and does nothing."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, p: float) -> None:
-        return None
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class _NullMetrics:
-    """Registry stand-in used when tracing is disabled: all no-ops."""
-
-    enabled = False
-    __slots__ = ()
-
-    def counter(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(
-        self, name: str, quantiles: Iterable[float] | None = None
-    ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-
-#: Shared no-op registry (what the hot paths see when tracing is off).
-NULL_METRICS = _NullMetrics()

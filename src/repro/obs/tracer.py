@@ -9,8 +9,7 @@ so a profile describes *simulated* time exactly.
 
 Objects
 -------
-* :class:`Tracer` — one per profiling session; owns the shared
-  :class:`~repro.obs.metrics.MetricsRegistry` and one
+* :class:`Tracer` — one per profiling session; owns one
   :class:`RunCapture` per ``spmd_run``.
 * :class:`RankTracer` — one per rank per run; the handle hot paths use
   (``with comm.tracer.span(...)``).  Single-threaded by construction
@@ -19,6 +18,13 @@ Objects
   shared no-op context manager and its hooks do nothing, which is what
   makes tracing zero-overhead when off: the hot paths contain only an
   attribute load, a call, and an ``enabled`` check.
+
+A span carries, besides its clock interval, the **notes** its code
+path attaches where it decides something (:meth:`RankTracer.note`): the
+schedule and radix a collective resolved to, the kernel route of a fold,
+the width of a shared sweep or a fused wave.  Counts are read off these
+notes (:func:`repro.obs.export.profile_counts`), so the span profile is
+the only record a traced run writes.
 
 The module also maintains the **active profile**: a process-wide
 ``(tracer, ranks_override)`` installed by :func:`profiling`, which
@@ -32,8 +38,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterator
-
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 __all__ = [
     "Span",
@@ -68,6 +72,9 @@ class Span:
     nbytes: int = 0
     elements: int = 0
     depth: int = 0
+    #: Facts noted by the code that ran under the span (see
+    #: :meth:`RankTracer.note`); ``None`` when nothing was noted.
+    notes: dict[str, Any] | None = None
 
     @property
     def duration(self) -> float:
@@ -173,12 +180,11 @@ class RankTracer:
     """Span/message recorder for one rank of one run (single-threaded)."""
 
     enabled = True
-    __slots__ = ("rank", "metrics", "spans", "sends", "recvs", "_clock",
-                 "_stack", "_seq")
+    __slots__ = ("rank", "spans", "sends", "recvs", "_clock", "_stack",
+                 "_seq")
 
-    def __init__(self, rank: int, clock: Any, metrics: MetricsRegistry):
+    def __init__(self, rank: int, clock: Any):
         self.rank = rank
-        self.metrics = metrics
         self.spans: list[Span] = []  # completed spans, in completion order
         self.sends: list[SendEdge] = []
         self.recvs: list[RecvEdge] = []
@@ -195,6 +201,15 @@ class RankTracer:
         the virtual time on exit; it nests under the innermost open span.
         """
         return _SpanContext(self, name, phase, op, nbytes, elements)
+
+    def note(self, **facts: Any) -> None:
+        """Attach ``facts`` to the innermost open span's ``notes``:
+        ``tracer.note(kernel="segmented")`` inside an accumulate span."""
+        span = self._stack[-1]
+        if span.notes is None:
+            span.notes = facts
+        else:
+            span.notes.update(facts)
 
     # -- charges and message edges (called by RankContext when tracing) ---
 
@@ -227,7 +242,6 @@ class _NullRankTracer:
     """Disabled tracer: every hook is a no-op, ``span()`` allocates nothing."""
 
     enabled = False
-    metrics = NULL_METRICS
     __slots__ = ()
 
     def span(self, name: str, **kwargs: Any) -> _NullSpan:
@@ -254,6 +268,10 @@ class RunCapture:
     label: str | None = None
     makespan: float | None = None
     clocks: list[float] | None = None
+    #: The run's per-rank :class:`~repro.runtime.trace.Trace` counters
+    #: (the same objects ``SpmdResult.traces`` holds), for the fault
+    #: events a profile's counts include.
+    traces: list[Any] | None = None
 
     def spans(self) -> Iterator[Span]:
         """All ranks' completed spans."""
@@ -266,12 +284,11 @@ class RunCapture:
 
 
 class Tracer:
-    """A profiling session: shared metrics plus one capture per run."""
+    """A profiling session: one capture per run."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self.metrics = MetricsRegistry()
         self.runs: list[RunCapture] = []
         self._lock = threading.Lock()
 
@@ -279,7 +296,7 @@ class Tracer:
                   label: str | None = None) -> RunCapture:
         """Create the per-rank tracers for one ``spmd_run`` (called by
         the :class:`~repro.runtime.world.JobWorld` constructor)."""
-        ranks = [RankTracer(r, clocks[r], self.metrics) for r in range(nprocs)]
+        ranks = [RankTracer(r, clocks[r]) for r in range(nprocs)]
         with self._lock:
             run = RunCapture(index=len(self.runs), nprocs=nprocs,
                              ranks=ranks, label=label)

@@ -24,15 +24,12 @@ def blelloch_xscan(
     values: Sequence[Any],
     fn: Callable[[Any, Any], Any],
     identity: Any,
-    *,
-    metrics: Any | None = None,
 ) -> list[Any]:
     """Exclusive scan of ``values`` under ``fn`` with the given identity.
 
     Handles any length (internally pads to a power of two with
-    identities).  Runs in O(n) applications of ``fn``.  Pass a
-    :class:`repro.obs.MetricsRegistry` as ``metrics`` to record the
-    number of combine applications and the sweep depth.
+    identities).  Runs in ``2(size - 1)`` applications of ``fn`` over
+    ``2 log2(size)`` parallel steps, ``size`` the padded length.
     """
     n = len(values)
     if n == 0:
@@ -41,13 +38,11 @@ def blelloch_xscan(
     while size < n:
         size <<= 1
     x = list(values) + [identity] * (size - n)
-    applied = 0
     # up-sweep: x[j] accumulates the sum of its subtree
     d = 1
     while d < size:
         for j in range(2 * d - 1, size, 2 * d):
             x[j] = fn(x[j - d], x[j])
-            applied += 1
         d <<= 1
     # down-sweep
     x[size - 1] = identity
@@ -57,13 +52,7 @@ def blelloch_xscan(
             left = x[j - d]
             x[j - d] = x[j]
             x[j] = fn(left, x[j])
-            applied += 1
         d //= 2
-    if metrics is not None:
-        metrics.counter("blelloch.calls").inc()
-        metrics.counter("blelloch.combines").inc(applied)
-        # 2 log2(size) parallel steps: one up-sweep + one down-sweep pass.
-        metrics.histogram("blelloch.depth").observe(2 * (size - 1).bit_length())
     return x[:n]
 
 
@@ -83,10 +72,8 @@ def blelloch_scan(
     values: Sequence[Any],
     fn: Callable[[Any, Any], Any],
     identity: Any,
-    *,
-    metrics: Any | None = None,
 ) -> list[Any]:
     """Inclusive scan built the canonical way: exclusive + local fix-up."""
     return inclusive_from_exclusive(
-        values, blelloch_xscan(values, fn, identity, metrics=metrics), fn
+        values, blelloch_xscan(values, fn, identity), fn
     )

@@ -17,7 +17,13 @@ C semantics preserved where they differ from Python's:
 * comparisons yield 0/1 where their value is used (not a bool, and not
   the ``np.bool_`` NumPy operands would give) — so expressions like
   ``s1->status &= s2->status && (...)`` from Listing 8 mean what they
-  mean in C.
+  mean in C;
+* a value stored in a declared scalar local is converted to the local's
+  C type exactly as a state field's is (``int j; j = x;`` truncates a
+  double ``x`` toward zero), except where it provably has that type
+  already (an int literal into an ``int``, ``k++``), so loop counters
+  cost nothing extra.  Array locals' elements, like array fields', are
+  stored as they are.
 
 Assignments and ``++``/``--`` are statements (or for-update clauses)
 only; using them as sub-expressions is a compile-time error rather than
@@ -73,6 +79,9 @@ _INTEGRAL = (int, np.integer, np.bool_)
 #: C comparison operators: they yield the int 0 or 1.
 _COMPARE = frozenset({"<", ">", "<=", ">=", "==", "!="})
 
+#: C type -> the Python class its conversion returns unchanged.
+_SAME = {"int": "int", "long": "int", "float": "float", "double": "float"}
+
 
 def _c_div(a, b):
     """C division: truncates toward zero for two integers."""
@@ -115,6 +124,7 @@ class _FuncGen:
         self.lines: list[str] = []
         self.scope = _Scope(global_names | {p.name for p in decl.params})
         self._loops: list[str] = []  # "for" | "while" nesting
+        self.locals: dict[str, str] = {}  # scalar local -> its C type
 
     def emit(self, line: str, indent: int) -> None:
         self.lines.append("    " * indent + line)
@@ -155,8 +165,15 @@ class _FuncGen:
                         )
                 elif init is not None:
                     self.emit(f"{name} = {self.expr(init)}", indent)
+                    if not self.is_a(_SAME.get(s.ctype), init):
+                        self.emit(
+                            f"{name} = {self.store(s.ctype, name)}", indent
+                        )
                 else:
                     self.emit(f"{name} = {_ZERO[s.ctype]!r}", indent)
+                self.locals.pop(name, None)  # a redeclaration retypes it
+                if size is None:
+                    self.locals[name] = s.ctype
         elif isinstance(s, A.ExprStmt):
             self.expr_stmt(s.expr, indent)
         elif isinstance(s, A.If):
@@ -218,25 +235,81 @@ class _FuncGen:
                 targets.append(value.target)
                 value = value.value
             rhs = self.expr(value)
-            lhs = " = ".join(self.lvalue(t) for t in targets)
-            self.emit(f"{lhs} = {rhs}", indent)
+            ctypes = [self.local_type(t, e, value) for t in targets]
+            if not any(ctypes):
+                lhs = " = ".join(self.lvalue(t) for t in targets)
+                self.emit(f"{lhs} = {rhs}", indent)
+                return
+            if len(targets) > 1:
+                self.emit(f"_c_value = {rhs}", indent)
+                rhs = "_c_value"
+            for target, ctype in zip(targets, ctypes):
+                self.emit(
+                    f"{self.lvalue(target)} = {self.store(ctype, rhs)}", indent
+                )
         elif isinstance(e, A.AugAssign):
+            value = self._binary(
+                e.op, self.lvalue(e.target), self.expr(e.value)
+            )
+            ctype = self.local_type(e.target, e)
             self.emit(
-                f"{self.lvalue(e.target)} = "
-                f"{self._binary(e.op, self.lvalue(e.target), self.expr(e.value))}",
-                indent,
+                f"{self.lvalue(e.target)} = {self.store(ctype, value)}", indent
             )
         elif isinstance(e, A.IncDec):
             delta = "+ 1" if e.op == "++" else "- 1"
+            value = f"{self.lvalue(e.target)} {delta}"
+            ctype = self.local_type(e.target, e)
             self.emit(
-                f"{self.lvalue(e.target)} = {self.lvalue(e.target)} {delta}",
-                indent,
+                f"{self.lvalue(e.target)} = {self.store(ctype, value)}", indent
             )
         elif isinstance(e, A.Call):
             self.emit(self.expr(e), indent)
         else:
             # e.g. a bare `x;` — harmless, still check names
             self.emit(f"{self.expr(e)}", indent)
+
+    # -- typed locals ----------------------------------------------------------
+
+    def is_a(self, cls: str | None, e: A.Expr | None) -> bool:
+        """``e`` provably evaluates to an exact ``cls`` (``"int"`` or
+        ``"float"``): a literal of it, or a scalar local converting to it."""
+        if cls is None:
+            return False
+        if isinstance(e, A.Num):
+            return type(e.value).__name__ == cls
+        return (
+            isinstance(e, A.Name)
+            and _SAME.get(self.locals.get(e.ident)) == cls
+        )
+
+    def local_type(
+        self, target: A.Expr, e: A.Expr, value: A.Expr | None = None
+    ) -> str | None:
+        """The C type statement ``e`` must convert what it stores in
+        ``target`` to (``value``: an assignment's right-hand side): a
+        scalar local's, unless the stored value provably has it already.
+        ``None``: store as is (not a scalar local, or no conversion)."""
+        if not isinstance(target, A.Name):
+            return None
+        ctype = self.locals.get(target.ident)
+        cls = _SAME.get(ctype)
+        if cls is None:
+            return ctype  # not a local (None), or a bool: always convert
+        if isinstance(e, A.IncDec):
+            return None  # the local already holds its type; ±1 keeps it
+        if isinstance(e, A.AugAssign):
+            # int op int is an int (C division included); float op int
+            # or float is a float
+            keeps = self.is_a(cls, e.value) or (
+                cls == "float" and self.is_a("int", e.value)
+            )
+            return None if keeps else ctype
+        return None if self.is_a(cls, value) else ctype
+
+    def store(self, ctype: str | None, value: str) -> str:
+        """``value`` as stored in a scalar local of C type ``ctype``:
+        :class:`StateRecord`'s conversion (``None``: as is)."""
+        return value if ctype is None else f"_c_store_{ctype}({value})"
 
     # -- expressions -----------------------------------------------------------
 
@@ -315,8 +388,6 @@ class _FuncGen:
         )
 
 
-#: C type -> the Python class its conversion returns unchanged.
-_SAME = {"int": "int", "long": "int", "float": "float", "double": "float"}
 #: Python's and NumPy's scalar classes: never a list or an array.
 _SCALARS = frozenset({bool, int, float, *np.sctypeDict.values()})
 
@@ -484,15 +555,19 @@ class _BlockGen(_FuncGen):
                 targets.append(value.target)
                 value = value.value
         elif isinstance(e, (A.AugAssign, A.IncDec)):
-            targets = [e.target]
+            targets, value = [e.target], None
         else:
-            targets = []
-        ctypes = [self.scalar_type(t) for t in targets]
+            targets, value = [], None
+        ctypes = [
+            self.scalar_type(t) or self.local_type(t, e, value)
+            for t in targets
+        ]
         if not any(ctypes):
             super().expr_stmt(e, indent)
             return
         # Evaluate once, then store into each target in order, each
-        # converted to its own field's type (Python's ``a = b = v``).
+        # converted to its own field's or local's type (Python's
+        # ``a = b = v``).
         if isinstance(e, A.Assign):
             rhs = self.expr(value)
         elif isinstance(e, A.AugAssign):
@@ -514,8 +589,9 @@ class _BlockGen(_FuncGen):
         return self.fields[e.name]
 
     def store(self, ctype: str | None, value: str) -> str:
-        """``value`` as an assignment to a field of C type ``ctype``
-        stores it: ``StateRecord``'s conversion, inlined for scalars."""
+        """``value`` (a plain name) as an assignment to a field or local
+        of C type ``ctype`` stores it: ``StateRecord``'s conversion,
+        inlined for scalars."""
         if ctype is None:
             return value
         v, p = value, self.p
@@ -674,6 +750,8 @@ def generate_python(
     namespace.update(_KNOWN_FUNCS)
     namespace["_c_div"] = _c_div
     namespace["_c_mod"] = _c_mod
+    for ctype, store in _STORE.items():
+        namespace[f"_c_store_{ctype}"] = store
     exec(  # noqa: S102 - executing our own generated code
         compile(source, f"<rsmpi:{decl.name}>", "exec"), namespace
     )

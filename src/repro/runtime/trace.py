@@ -41,6 +41,10 @@ class Trace:
     #: The entries of ``collective_calls`` whose kind is a reduction.
     reduction_calls: Counter = field(default_factory=Counter)
     p2p_calls: Counter = field(default_factory=Counter)
+    #: Injected fault events by kind (``failstops``, ``retransmits``,
+    #: ``duplicates``, ``delays``, ``reorders``, ``recoveries``); only a
+    #: run under a fault plan creates it.
+    faults: Counter | None = None
 
     # -- recording hooks (called by the communicator/runtime) -------------
 
@@ -68,6 +72,13 @@ class Trace:
     def on_p2p(self, name: str) -> None:
         """Record an explicit user point-to-point call (send/recv)."""
         self.p2p_calls[name] += 1
+
+    def on_fault(self, event: str, n: int = 1) -> None:
+        """Record ``n`` injected fault events of kind ``event`` (called
+        by the fault injector and the recovery loop)."""
+        if self.faults is None:
+            self.faults = Counter()
+        self.faults[event] += n
 
     # -- queries -----------------------------------------------------------
 
@@ -102,4 +113,8 @@ def merge_traces(traces: Iterable[Trace]) -> Trace:
         out.collective_calls.update(tr.collective_calls)
         out.reduction_calls.update(tr.reduction_calls)
         out.p2p_calls.update(tr.p2p_calls)
+        if tr.faults:
+            if out.faults is None:
+                out.faults = Counter()
+            out.faults.update(tr.faults)
     return out

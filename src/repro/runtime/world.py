@@ -27,7 +27,6 @@ from typing import Any, Hashable
 from repro.core.kernels import default_cache
 from repro.errors import CommunicatorError
 from repro.mpi.schedule_cache import ScheduleCache
-from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.channels import Envelope, Mailbox, Membership
 from repro.runtime.clock import VirtualClock
@@ -180,6 +179,7 @@ class JobWorld:
             self.run_capture = tracer.begin_run(
                 job_size, [self.clocks[w] for w in self.members]
             )
+            self.run_capture.traces = [self.traces[w] for w in self.members]
             for g, w in enumerate(self.members):
                 self.rank_tracers[w] = self.run_capture.ranks[g]
         else:
@@ -188,11 +188,6 @@ class JobWorld:
             from repro.faults.injection import FaultInjector
             from repro.faults.plan import expand_rack_failures
 
-            metrics = (
-                tracer.metrics
-                if tracer is not None and tracer.enabled
-                else NULL_METRICS
-            )
             # Rack failures depend on where the pool placed the gang:
             # expand them against the actual members before binding.
             fault_plan = expand_rack_failures(
@@ -202,7 +197,7 @@ class JobWorld:
             # pool placement back to plan coordinates so a chaos-seeded
             # job behaves identically wherever it lands.
             self.injector = FaultInjector(
-                fault_plan, job_size, metrics,
+                fault_plan, job_size, self.traces,
                 rank_map={w: g for g, w in enumerate(self.members)},
             )
         else:

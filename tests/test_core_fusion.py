@@ -18,6 +18,7 @@ from repro.core.reduce import global_reduce
 from repro.faults import FaultPlan, LinkFaults
 from repro.faults.chaos import CHAOS_CASES
 from repro.obs import Tracer
+from repro.obs.export import profile_counts
 from repro.ops import MaxOp, MinOp, SumOp
 from repro.runtime import spmd_run
 from tests.conftest import block_split, run_all
@@ -142,7 +143,7 @@ class TestReductionBucket:
             tuning.set_decision_table(previous)
         expected = (np.arange(64.0) * 4 + 6).tolist()
         assert res.returns == [[expected] * 4] * 4
-        waves = tracer.metrics.counter("fusion.waves").value
+        waves = profile_counts(tracer)["fusion.waves"]
         assert waves == 2 * 4  # two waves of two entries per rank
 
     def test_large_splittable_dispatches_alone(self):
@@ -187,8 +188,9 @@ class TestReductionBucket:
 
         spmd_run(prog, 4, tracer=tracer)
         # 5 entries, 1 wave per rank -> 4 saved per rank, 4 ranks
-        assert tracer.metrics.counter("fusion.waves_saved").value == 16
-        assert tracer.metrics.counter("fusion.waves").value == 4
+        counts = profile_counts(tracer)
+        assert counts["fusion.waves_saved"] == 16
+        assert counts["fusion.waves"] == 4
 
 
 class TestFusionFaults:

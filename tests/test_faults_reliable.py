@@ -11,6 +11,7 @@ from repro.core.scan import global_scan
 from repro.faults import FaultPlan, LinkFaults
 from repro.mpi.collectives import schedules
 from repro.obs import Tracer
+from repro.obs.export import profile_counts
 from repro.ops import CountsOp, SortedOp, SumOp
 from repro.runtime import spmd_run
 
@@ -105,10 +106,13 @@ class TestDeterminismAndMetrics:
             return comm.allgather(comm.rank)
 
         tracer = Tracer()
-        spmd_run(prog, 8, fault_plan=HEAVY, tracer=tracer)
-        counters = tracer.metrics.snapshot()["counters"]
-        assert counters.get("faults.retransmits", 0) > 0
-        assert counters.get("faults.duplicates", 0) > 0
+        result = spmd_run(prog, 8, fault_plan=HEAVY, tracer=tracer)
+        faults = result.summary_trace.faults
+        assert faults.get("retransmits", 0) > 0
+        assert faults.get("duplicates", 0) > 0
+        counts = profile_counts(tracer)
+        assert counts["faults.retransmits"] == faults["retransmits"]
+        assert counts["faults.duplicates"] == faults["duplicates"]
 
     def test_drops_cost_virtual_time(self):
         # Retransmit backoff must make the lossy run slower in virtual

@@ -31,10 +31,12 @@ from repro.core.kernels import (
     SegmentedKernel,
     batched_accumulate,
     compile_kernel,
+    sweep_width,
 )
 from repro.core.operator import ReduceScanOp, state_equal
 from repro.faults.chaos import CHAOS_CASES
 from repro.obs import Tracer
+from repro.obs.export import profile_counts
 from repro.ops import (
     AllOp,
     BandOp,
@@ -87,7 +89,8 @@ def scalar_loops(op):
 def fused_vs_sequential(makers, data, nprocs, backend="thread"):
     """Run ``global_reduce_many`` over one block under ``makers``' ops,
     assert every result byte-identical to sequential ``global_reduce``
-    calls (both on ``backend``), and return the fused run's counters."""
+    calls (both on ``backend``), and return the fused run's
+    :func:`~repro.obs.export.profile_counts`."""
     tracer = Tracer()
 
     def fused_prog(comm):
@@ -102,7 +105,7 @@ def fused_vs_sequential(makers, data, nprocs, backend="thread"):
         for a, b in zip(rank_fused, rank_seq):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
             assert np.asarray(a).dtype == np.asarray(b).dtype
-    return tracer.metrics.snapshot()["counters"]
+    return profile_counts(tracer)
 
 
 class TestCompilerClassification:
@@ -385,27 +388,20 @@ class TestBatchedAccumulate:
 
     def test_mixed_exactness_demotes_to_per_op_passes(self):
         data = np.linspace(0.0, 1.0, 70_000)
-        ops = [SumOp(), MinOp(), MeanVarOp()]  # float add is not tile-exact
-
-        class Probe:
-            enabled = True
-
-            def __init__(self):
-                self.names = []
-
-            def counter(self, name):
-                probe = self
-
-                class C:
-                    def inc(self, k=1):
-                        probe.names.append(name)
-
-                return C()
-
-        probe = Probe()
-        batched_accumulate(ops, data, cache=KernelCache(), metrics=probe)
-        assert "kernels.batch.fallback_passes" in probe.names
-        assert "kernels.batch.sweeps" not in probe.names
+        makers = (SumOp, MinOp, MeanVarOp)  # float add is not tile-exact
+        cache = KernelCache()
+        kernels = [cache.get(make(), data) for make in makers]
+        assert sweep_width(kernels, len(data)) == 1
+        tracer = Tracer()
+        spmd_run(
+            lambda comm: global_reduce_many(
+                comm, [(make(), data) for make in makers]
+            ),
+            2, tracer=tracer,
+        )
+        snap = profile_counts(tracer)
+        assert snap.get("kernels.batch.fallback_passes") == 2 * len(makers)
+        assert "kernels.batch.sweeps" not in snap
 
     def test_functional_op_does_not_demote_the_batch(self):
         """Regression: a ``make_op`` operator classified as segmented —

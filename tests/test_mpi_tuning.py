@@ -744,9 +744,21 @@ class TestRadixDimension:
 
         tracer = Tracer()
         spmd_run(prog, 8, tracer=tracer)
-        hist = tracer.metrics.snapshot()["histograms"]
-        for name in ("allreduce_rd", "scan_binomial"):
-            rounds = hist[f"collective.{name}.rounds"]
-            radix = hist[f"collective.{name}.radix"]
-            assert (rounds["min"], rounds["max"]) == (1, 3)  # auto, explicit
-            assert (radix["min"], radix["max"]) == (2, 8)
+        rank0 = tracer.runs[0].ranks[0]
+        colls = sorted(
+            (s for s in rank0.spans if s.phase == "collective"),
+            key=lambda s: s.t_start,
+        )
+        assert [s.notes for s in colls] == [
+            {"schedule": "allreduce.recursive_doubling", "radix": 8},
+            {"schedule": "allreduce.recursive_doubling"},  # radix 2
+            {"schedule": "scan.binomial", "radix": 8},
+            {"schedule": "scan.binomial"},
+        ]
+        # Rank 0's sends: one level to 7 peers at radix 8, three levels
+        # to one peer each at radix 2 (rounds 1 and 3).
+        sends = [
+            sum(s.t_start < e.t_send <= s.t_end for e in rank0.sends)
+            for s in colls
+        ]
+        assert sends == [7, 3, 7, 3]

@@ -1,5 +1,6 @@
-"""Tests for the observability subsystem: tracer, metrics, critical
-path, exporters, timeline rendering, and the profiling CLI."""
+"""Tests for the observability subsystem: tracer, span notes and the
+counts read off them, the telemetry registry, critical path, exporters,
+timeline rendering, and the profiling CLI."""
 
 from __future__ import annotations
 
@@ -10,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import mpi
 from repro.analysis import to_chrome_trace, tracer_to_chrome_trace
-from repro.core import global_reduce, global_reduce_many, global_scan
+from repro.core import global_reduce, global_reduce_many, global_scan, make_op
+from repro.faults import FailStop, FaultPlan, LinkFaults
 from repro.obs import (
-    NULL_METRICS,
     NULL_TRACER,
     MetricsRegistry,
     RankTracer,
@@ -21,13 +23,16 @@ from repro.obs import (
     Tracer,
     critical_path,
     dumps_jsonl,
+    format_text_report,
     phase_summary,
     phase_topmost_spans,
     profiling,
 )
+from repro.obs.export import profile_counts
 from repro.obs.metrics import Histogram
 from repro.ops import CountsOp, MaxOp, MinKOp, SumOp
 from repro.runtime import cluster_2006, spmd_run
+from repro.runtime.fabric import multi_node
 from repro.runtime.trace import Trace, merge_traces
 
 REPO = Path(__file__).resolve().parent.parent
@@ -111,12 +116,6 @@ class TestRegistry:
         m.counter("x")
         with pytest.raises(TypeError, match="Counter"):
             m.histogram("x")
-
-    def test_null_metrics_accepts_everything(self):
-        assert not NULL_METRICS.enabled
-        NULL_METRICS.counter("a").inc()
-        NULL_METRICS.gauge("b").set(1.0)
-        NULL_METRICS.histogram("c").observe(-5.0)  # not even validated
 
 
 # -- span capture invariants -----------------------------------------------
@@ -250,12 +249,181 @@ class TestEveryEntryPointEmitsTheThreePhases:
         assert combine["spans"] == p and combine["bytes"] > 0
         # Waiting on the chunks' / the wave's rounds is combine time.
         assert combine["virtual_seconds"] > 0
-        counters = tracer.metrics.snapshot()["counters"]
         folds = sum(
-            n for name, n in counters.items()
+            n for name, n in profile_counts(tracer).items()
             if name.startswith("kernels.accum.")
         )
         assert folds == len(ops) * p * chunks
+
+
+# -- counts read off the span profile ----------------------------------------
+
+
+def _allreduce_auto_and_named(comm):
+    comm.allreduce(1.0, mpi.SUM)  # auto: recursive doubling, radix 8
+    comm.allreduce(np.arange(64.0), mpi.SUM, algorithm="ring")
+
+
+def _iallreduce(comm):
+    return comm.iallreduce(float(comm.rank), mpi.SUM).wait()
+
+
+def _hierarchical(comm):
+    return comm.allreduce(np.arange(16.0), mpi.SUM, algorithm="hierarchical")
+
+
+_PLUS = make_op(ident=lambda: 0, accum=lambda s, x: s + x,
+                combine=lambda a, b: a + b, name="plus")
+
+
+def _accumulates(comm):
+    x = np.arange(100, dtype=np.int64) + comm.rank
+    global_reduce(comm, SumOp(), x)  # elementwise
+    global_reduce(comm, MinKOp(3), x)  # segmented
+    global_reduce(comm, _PLUS, x.tolist())  # fallback
+    global_scan(comm, SumOp(), x)  # scan: elementwise
+    # One tile: the batch folds each member in its own pass ...
+    small = np.arange(20_000, dtype=np.int64) * (comm.rank + 1)
+    global_reduce_many(comm, [(SumOp(), small), (MinKOp(10), small)])
+    # ... more than one: all three share one sweep.
+    big = np.arange(40_000, dtype=np.int64) % 89 + comm.rank
+    global_reduce_many(comm, [
+        (SumOp(), big), (MaxOp(-1), big), (MinKOp(10, 1 << 40), big),
+    ])
+
+
+def _fused_wave(comm):
+    return global_reduce_many(
+        comm, [(SumOp(), np.arange(4.0) + comm.rank) for _ in range(5)]
+    )
+
+
+def _reduce_sum(comm):
+    return global_reduce(comm, SumOp(), np.arange(64.0) + comm.rank)
+
+
+_LOSSY = FaultPlan(seed=11, link=LinkFaults(
+    drop_rate=0.2, dup_rate=0.2, delay_rate=0.2, reorder_rate=0.2,
+))
+_FAILSTOP = FaultPlan(seed=11, failstops=(FailStop(rank=5, at_op=1),))
+
+#: One small traced job per counter family, and its counts.  The values
+#: are what the tracer's metrics registry reported for the same jobs
+#: before counts were read off the profile (``collective.allreduce_rd
+#: .calls`` is now ``collective.allreduce.recursive_doubling``, its
+#: radix histogram one ``….radix_<r>`` count per call, and so on);
+#: ``hierarchical`` alone differs: its internal subgroup plans (2
+#: Rabenseifner allreduces and 4 ring reduce-scatters) were counted as
+#: calls of their own, and only the communicator's call is one now.
+COUNT_FAMILIES = {
+    "allreduce": (_allreduce_auto_and_named, 8, {}, {
+        "collective.allreduce.recursive_doubling": 1,
+        "collective.allreduce.recursive_doubling.radix_8": 1,
+        "collective.allreduce.ring": 1,
+    }),
+    "iallreduce": (_iallreduce, 4, {}, {
+        "coll.nonblocking.issued": 4,
+        "collective.allreduce.recursive_doubling": 1,
+        "collective.allreduce.recursive_doubling.radix_4": 1,
+    }),
+    "hierarchical": (_hierarchical, 8, {"topology": multi_node(2)}, {
+        "collective.allreduce.hierarchical": 1,
+    }),
+    "accumulates": (_accumulates, 2, {}, {
+        "coll.nonblocking.issued": 4,
+        "collective.allreduce.recursive_doubling": 5,
+        "collective.allreduce.recursive_doubling.radix_4": 5,
+        "collective.scan.chain": 1,
+        "fusion.waves": 4,
+        "fusion.waves_saved": 6,
+        "kernels.accum.elementwise": 10,
+        "kernels.accum.fallback": 2,
+        "kernels.accum.segmented": 6,
+        "kernels.batch.fallback_passes": 4,
+        "kernels.batch.members": 6,
+        "kernels.batch.sweeps": 2,
+        "kernels.scan.elementwise": 2,
+    }),
+    "fused_wave": (_fused_wave, 4, {}, {
+        "coll.nonblocking.issued": 4,
+        "collective.allreduce.recursive_doubling": 1,
+        "collective.allreduce.recursive_doubling.radix_4": 1,
+        "fusion.waves": 4,
+        "fusion.waves_saved": 16,
+        "kernels.accum.elementwise": 20,
+    }),
+    "lossy": (_reduce_sum, 8, {"fault_plan": _LOSSY}, {
+        "collective.allreduce.recursive_doubling": 1,
+        "collective.allreduce.recursive_doubling.radix_8": 1,
+        "faults.delays": 14,
+        "faults.duplicates": 13,
+        "faults.reorders": 10,
+        "faults.retransmits": 15,
+        "kernels.accum.elementwise": 8,
+    }),
+    "failstop": (_reduce_sum, 8, {"fault_plan": _FAILSTOP}, {
+        "collective.allreduce.recursive_doubling": 2,
+        "collective.allreduce.recursive_doubling.radix_8": 2,
+        "faults.failstops": 1,
+        "faults.recoveries": 7,
+        "kernels.accum.elementwise": 8,
+    }),
+}
+
+
+class TestProfileCounts:
+    @pytest.mark.parametrize("family", sorted(COUNT_FAMILIES))
+    def test_counts_read_off_the_profile(self, family):
+        program, p, kwargs, expected = COUNT_FAMILIES[family]
+        tracer = Tracer()
+        result = spmd_run(program, p, tracer=tracer, **kwargs)
+        counts = profile_counts(tracer)
+        assert counts == expected
+        assert profile_counts(result.profile) == counts
+        # Fault events are the traces' own: the same with no tracer.
+        faults = {
+            f"faults.{k}": v
+            for k, v in (result.summary_trace.faults or {}).items()
+        }
+        assert faults == {
+            k: v for k, v in expected.items() if k.startswith("faults.")
+        }
+        untraced = spmd_run(program, p, **kwargs).summary_trace.faults
+        assert dict(untraced or {}) == dict(result.summary_trace.faults or {})
+
+    def test_only_the_calling_communicators_rank_0_notes_the_schedule(self):
+        tracer = Tracer()
+        spmd_run(_allreduce_auto_and_named, 8, tracer=tracer)
+        noted = {}
+        for span in tracer.spans():
+            if span.phase == "collective":
+                noted.setdefault(span.rank, []).append(span.notes)
+        assert noted[0] == [
+            {"schedule": "allreduce.recursive_doubling", "radix": 8},
+            {"schedule": "allreduce.ring"},
+        ]
+        assert all(notes == [None, None] for r, notes in noted.items() if r)
+
+    def test_recovery_is_a_leaf_span_per_survivor(self):
+        tracer = Tracer()
+        spmd_run(_reduce_sum, 8, tracer=tracer, fault_plan=_FAILSTOP)
+        spans = [s for s in tracer.spans() if s.name == "recovery"]
+        assert sorted(s.rank for s in spans) == [0, 1, 2, 3, 4, 6, 7]
+        for span in spans:
+            assert span.phase is None and span.duration > 0
+
+    def test_text_report_and_jsonl_carry_the_counts(self):
+        tracer = Tracer()
+        spmd_run(_iallreduce, 4, tracer=tracer)
+        report = format_text_report(tracer)
+        assert "counts" in report
+        assert "coll.nonblocking.issued" in report
+        lines = dumps_jsonl(tracer).splitlines()
+        records = [json.loads(line) for line in lines]
+        counts = profile_counts(tracer)
+        assert records[-1] == {"type": "counts", "counts": counts}
+        notes = [r["notes"] for r in records if r["type"] == "span"]
+        assert {"request": True} in notes
 
 
 # -- charges are leaf spans --------------------------------------------------
@@ -344,9 +512,8 @@ class TestCriticalPath:
         """Rank 0 computes [0,1], sends at t=1 (available t=6); rank 1
         arrives at its recv at t=2, blocks until 6, finishes the recv at
         t=7, then combines [7,10]."""
-        m = MetricsRegistry()
-        r0 = RankTracer(0, clock=None, metrics=m)
-        r1 = RankTracer(1, clock=None, metrics=m)
+        r0 = RankTracer(0, clock=None)
+        r1 = RankTracer(1, clock=None)
         from repro.obs import SendEdge, RecvEdge
         from repro.obs.tracer import Span
 
@@ -470,7 +637,7 @@ class TestExporters:
         lines = dumps_jsonl(tracer).splitlines()
         records = [json.loads(line) for line in lines]
         kinds = {r["type"] for r in records}
-        assert kinds == {"run", "span", "metrics"}
+        assert kinds == {"run", "span", "counts"}
         spans = [r for r in records if r["type"] == "span"]
         assert all(r["t_end"] >= r["t_start"] for r in spans)
 

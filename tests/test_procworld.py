@@ -305,12 +305,13 @@ def test_kernel_routing_counters_match_thread_backend(forced):
     ``kernels.accum.*`` tracer counters the inline fold would have, so
     kernel-routing observability does not depend on the backend."""
     from repro.obs import Tracer
+    from repro.obs.export import profile_counts
     from repro.runtime import spmd_run
 
     def accum_counters(backend):
         tracer = Tracer()
         spmd_run(min3_job, 2, tracer=tracer, backend=backend)
-        snap = tracer.metrics.snapshot()["counters"]
+        snap = profile_counts(tracer)
         return {
             k: v for k, v in snap.items() if k.startswith("kernels.accum.")
         }

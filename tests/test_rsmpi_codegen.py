@@ -11,6 +11,7 @@ from repro.core.kernels import KernelCache
 from repro.core.operator import ReduceScanOp
 from repro.errors import DslSemanticError, OperatorError
 from repro.obs import Tracer
+from repro.obs.export import profile_counts
 from repro.rsmpi import compile_operator, compile_operator_spec
 from repro.rsmpi.library import OPERATOR_SOURCES, load_operator
 from repro.rsmpi.preprocessor.codegen import (
@@ -161,6 +162,68 @@ class TestCSemantics:
         s = State(a=0)
         c.namespace["accum"](s, 1)
         assert s.a == 5 + 3 + 1
+
+
+class TestTypedLocals:
+    """A value stored in a declared scalar local takes the local's C type,
+    as a state field's does, on the per-element and the block path."""
+
+    HIST = """
+    rsmpi operator hist {
+      state { int h[4]; }
+      void accum(state s, double x) { int j; j = x; s->h[j] += 1; }
+      void combine(state s1, state s2) {
+        int k;
+        for (k = 0; k < 4; k++) { s1->h[k] += s2->h[k]; }
+      }
+      int generate(state s) { return s->h[0] * 1000 + s->h[3]; }
+    }
+    """
+    #: C truncates toward zero: 1, 0, 3, 0, 0, 2, 3 (a floor would send
+    #: -0.5 and -0.9 to h[-1], the last bin).
+    VALUES = [1.7, 0.2, 3.9, -0.5, -0.9, 2.0, 3.0]
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_double_into_int_local_truncates_toward_zero(self, as_array):
+        op = compile_operator(self.HIST)
+        values = np.array(self.VALUES) if as_array else list(self.VALUES)
+        loop = ReduceScanOp.accum_block(op, op.ident(), values)
+        block = op.accum_block(op.ident(), values)
+        assert loop.h == block.h == [3, 1, 1, 2]
+        out = spmd_run(lambda c: global_reduce(c, op, values), 2).returns
+        assert out == [6004, 6004]
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_int_into_double_local_divides_as_a_double(self, as_array):
+        op = compile_operator("""
+        rsmpi operator halves {
+          state { double h; }
+          void accum(state s, int i) { double d; d = i; s->h += d / 2; }
+          void combine(state s1, state s2) { s1->h += s2->h; }
+          double generate(state s) { return s->h; }
+        }
+        """)
+        values = np.array([3, 5, -3]) if as_array else [3, 5, -3]
+        out = spmd_run(lambda c: global_reduce(c, op, values), 2).returns
+        assert out == [5.0, 5.0]  # 1.5 + 2.5 + 1.0, not 1 + 2 - 1
+
+    def test_initializers_compound_and_chained_stores_convert(self):
+        c = compile_fns(_wrap_fn(
+            "int a = s->d; long b; double e; int f; "
+            "b = e = s->d; f = 10; f /= 4; f += 0.9; s->a = a + b + f; "
+            "s->b = e;", params="state s, int i",
+        ))
+        s = State(a=None, b=None, d=-7.6)
+        c.namespace["accum"](s, 0)
+        # a = -7, b = -7 (from -7.6), e = -7.6; f: 10 / 4 = 2, 2.9 -> 2
+        assert (s.a, s.b) == (-12, -7.6)
+
+    def test_counters_and_literals_are_not_converted(self):
+        compiled = generate_python(parse_operator(self.HIST))
+        assert "k = k + 1" in compiled.source  # k++ stays an int
+        assert "k = 0" in compiled.source
+        assert compiled.source.count("_c_store_int") == 1  # j = x only
+        assert compiled.block_source.count("_to_int(x)") == 1
 
 
 class TestConstants:
@@ -518,7 +581,7 @@ class TestNotLowered:
         values = rng.integers(1, 5, 12)
         tracer = Tracer()
         out = spmd_run(lambda c: global_reduce(c, op, values), 2, tracer=tracer)
-        counters = tracer.metrics.snapshot()["counters"]
+        counters = profile_counts(tracer)
         assert counters.get("kernels.accum.fallback") == 2
         assert "kernels.accum.segmented" not in counters
         assert out.returns[0] == 2 * op.accum_block(op.ident(), values).a
