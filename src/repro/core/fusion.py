@@ -67,7 +67,7 @@ from repro.localview.api import _as_op
 from repro.mpi import tuning as _tuning
 from repro.mpi.comm import Communicator
 from repro.mpi.op import Op
-from repro.obs.tracer import NULL_SPAN
+from repro.obs.tracer_null import NULL_SPAN
 from repro.util.sizing import payload_nbytes
 
 __all__ = ["PendingReduction", "ReductionBucket", "global_reduce_many"]

@@ -39,7 +39,7 @@ from repro.localview.api import LOCAL_ALLREDUCE, LOCAL_REDUCE
 from repro.mpi.collectives import SCHEDULES, _InPlace
 from repro.mpi.comm import Communicator
 from repro.mpi.op import Op
-from repro.obs.tracer import NULL_SPAN
+from repro.obs.tracer_null import NULL_SPAN
 from repro.runtime.channels import MISS as _proc_MISS
 from repro.util.sizing import payload_nbytes
 

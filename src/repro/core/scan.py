@@ -32,7 +32,7 @@ from repro.core.reduce import accumulate_local, wire_op
 from repro.errors import OperatorError
 from repro.localview.api import LOCAL_XSCAN
 from repro.mpi.comm import Communicator
-from repro.obs.tracer import NULL_SPAN
+from repro.obs.tracer_null import NULL_SPAN
 from repro.util.sizing import payload_nbytes
 
 __all__ = ["global_scan", "global_xscan"]

@@ -47,13 +47,14 @@ from repro.errors import (
 )
 from repro.mpi.comm import Communicator
 from repro.obs.telemetry_null import NULL_ENGINE_TELEMETRY
-from repro.obs.tracer import active_tracer
+from repro.obs.tracer_null import active_tracer
 from repro.runtime.costmodel import CostModel
 from repro.runtime.executor import SpmdResult
 from repro.runtime.world import World
 
 from repro.engine import resilience
-from repro.engine.job import JobHandle, Session, _deadline, _Job, _remaining
+from repro import _lazy
+from repro.engine.job import JobHandle, _deadline, _Job, _remaining
 from repro.engine.scheduler import Scheduler
 
 __all__ = ["Engine", "Session"]
@@ -322,6 +323,8 @@ class Engine:
 
     def session(self, label: str | None = None) -> "Session":
         """A client handle that tracks its own submissions."""
+        from repro.engine.session import Session
+
         return Session(self, label=label)
 
     # -- lifecycle ----------------------------------------------------------
@@ -693,3 +696,7 @@ class Engine:
     def _probe_done(self, job: _Job, w: int) -> None:
         _, job.result, job.error = self._finalize(job)
         job.done_event.set()
+
+
+# A client's handle over the engine; :meth:`Engine.session` imports it.
+__getattr__, __dir__, _ = _lazy.attach(__name__, {"session": ("Session",)})

@@ -14,6 +14,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro import _lazy
 from repro.engine import resilience
 from repro.errors import SpmdTimeout
 from repro.runtime.world import JobWorld
@@ -222,63 +223,6 @@ class JobHandle:
         )
 
 
-class Session:
-    """A client-facing handle over an :class:`Engine`.
-
-    Sessions add per-client bookkeeping on top of the engine's global
-    scheduling: each tracks the handles it submitted, so a client can
-    drain *its own* jobs without waiting on anyone else's.  Many
-    sessions (threads) may share one engine.
-    """
-
-    def __init__(self, engine: Engine, label: str | None = None):
-        self._engine = engine
-        self.label = label
-        self._lock = threading.Lock()
-        self._handles: list[JobHandle] = []
-
-    @property
-    def engine(self) -> Engine:
-        return self._engine
-
-    @property
-    def handles(self) -> list[JobHandle]:
-        """Handles of every job this session submitted (snapshot)."""
-        with self._lock:
-            return list(self._handles)
-
-    def submit(self, fn: Callable[..., Any], **kwargs: Any) -> JobHandle:
-        """Submit a job (same keywords as :meth:`Engine.submit`).  The
-        session's label rides along so telemetry lifecycles attribute
-        the job to this client."""
-        kwargs.setdefault("session", self.label)
-        handle = self._engine.submit(fn, **kwargs)
-        with self._lock:
-            self._handles.append(handle)
-        return handle
-
-    def results(self, timeout: float | None = None) -> list:
-        """The :class:`SpmdResult` of every submitted job, in submission
-        order (raises on the first failed job, like the handle would)."""
-        return [h.result(timeout) for h in self.handles]
-
-    def drain(self, timeout: float | None = None) -> bool:
-        """Wait until every job this session submitted has finished."""
-        deadline = _deadline(timeout)
-        for handle in self.handles:
-            remaining = _remaining(deadline)
-            if remaining is not None and remaining <= 0.0:
-                return False
-            if not handle.wait(remaining):
-                return False
-        return True
-
-    def close(self, timeout: float | None = None) -> None:
-        """Drain the session's jobs (the engine itself stays up)."""
-        self.drain(timeout)
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+# :class:`Session` (a client's handle over an engine) lives in
+# :mod:`repro.engine.session`.
+__getattr__, __dir__, _ = _lazy.attach(__name__, {"session": ("Session",)})

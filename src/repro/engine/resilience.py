@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
 
 from repro.errors import SpmdError
+from repro.util.record import Record
 
 __all__ = ["RetryPolicy", "Supervisor"]
 
@@ -78,8 +78,7 @@ JITTER = 0.1
 RETRY_ON = (SpmdError,)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Record, frozen=True):
     """How (and whether) the engine re-runs a failed job.
 
     Attributes
@@ -100,17 +99,16 @@ class RetryPolicy:
     consulted per attempt instead.
     """
 
-    max_attempts: int = 3
-    backoff_base: float = 0.01
-    seed: int = 0
+    __slots__ = ("max_attempts", "backoff_base", "seed")
 
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_base < 0:
+    def __init__(
+        self, max_attempts: int = 3, backoff_base: float = 0.01, seed: int = 0
+    ):
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        if backoff_base < 0:
             raise ValueError("backoff intervals must be >= 0")
+        Record.__init__(self, max_attempts, backoff_base, seed)
 
     def should_retry(self, attempt: int, error: BaseException) -> bool:
         """True when failed attempt number ``attempt`` (1-based) earns

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Sequence
 
-from repro.errors import CommunicatorError, RankFailedError
+from repro.errors import CommunicatorError
 from repro.mpi import collectives as _coll
 from repro.mpi import request as _req
 from repro.mpi import tuning as _tuning
 from repro.mpi.op import Op
-from repro.obs.tracer import NULL_SPAN
+from repro.obs.tracer_null import NULL_SPAN
 from repro.runtime.channels import ANY_SOURCE, ANY_TAG
 from repro.runtime.fabric import contiguous_node_groups
 from repro.runtime.world import RankContext
@@ -626,74 +626,18 @@ class Communicator:
 
     def shrink(self) -> "Communicator":
         """A new communicator over the surviving members (ULFM
-        ``MPI_Comm_shrink``).
+        ``MPI_Comm_shrink``; :func:`repro.mpi.comm_cold.shrink`)."""
+        from repro.mpi.comm_cold import shrink
 
-        The new context id is derived from the old one plus the sorted
-        set of excluded ranks, so all survivors — who share the perfect
-        failure detector's view — construct matching tags without any
-        extra communication.  Call only after :meth:`agree` has
-        established a consistent view of the failure.
-        """
-        dead = self._ctx.world.membership.dead_snapshot()
-        survivors = tuple(w for w in self._members if w not in dead)
-        if not survivors:
-            raise CommunicatorError("shrink: no surviving members")
-        excluded = tuple(sorted(set(self._members) - set(survivors)))
-        cid = ("shrink", self._cid, excluded)
-        return Communicator(self._ctx, survivors, cid)
+        return shrink(self)
 
     def agree(self, flag: bool = True) -> bool:
         """Fault-tolerant agreement on the logical AND of ``flag`` across
-        surviving members (ULFM ``MPI_Comm_agree``).
+        surviving members (ULFM ``MPI_Comm_agree``;
+        :func:`repro.mpi.comm_cold.agree`)."""
+        from repro.mpi.comm_cold import agree
 
-        Works on a revoked communicator (its control tags are exempt
-        from revocation) and tolerates the death of the coordinating
-        rank by re-electing the lowest surviving member and retrying.
-        A member dying *during* the agreement forces the result to
-        ``False`` — survivors will re-run recovery and observe the new
-        failure.  Like ULFM, the protocol assumes failures are eventually
-        quiescent; the pathological case of a coordinator dying after
-        answering only some members is outside the single-failure model
-        the recovery drivers are specified for (see docs/fault_model.md).
-        """
-        self._agree_seq += 1
-        seq = self._agree_seq
-        ctx = self._ctx
-        membership = ctx.world.membership
-        # The control tags deliberately do NOT carry a re-election
-        # attempt number.  Survivors may enter the protocol with
-        # different failure knowledge (several ranks dying at once —
-        # e.g. a rack failure — is detected at different times), so the
-        # same logical round can be attempt 0 for one member and
-        # attempt 1 for another; attempt-stamped tags then never match
-        # and the survivors deadlock.  Tags stay unambiguous without
-        # the stamp: every re-election moves to a strictly higher
-        # leader rank, so for one ``(cid, seq)`` any (member, leader)
-        # pair exchanges at most one ask and one reply.
-        while True:
-            dead = membership.dead_snapshot()
-            alive = [w for w in self._members if w not in dead]
-            leader = alive[0]
-            ask = ("ft", self._cid, seq)
-            reply = ("ftr", self._cid, seq)
-            if ctx.rank == leader:
-                result = bool(flag)
-                for w in alive:
-                    if w == leader:
-                        continue
-                    try:
-                        result = bool(ctx.recv_raw(w, ask)) and result
-                    except RankFailedError:
-                        result = False  # died mid-agreement: force recovery
-                for w in alive:
-                    if w != leader:
-                        ctx.send_raw(w, reply, result)
-                return result
-            ctx.send_raw(leader, ask, bool(flag))
-            try:
-                return bool(ctx.recv_raw(leader, reply))
-            except RankFailedError:
-                continue  # leader died: re-elect and retry
+        return agree(self, flag)
 
     # -- communicator management ----------------------------------------------
 

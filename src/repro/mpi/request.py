@@ -152,10 +152,15 @@ class ProgressEngine:
     communicator derived from the rank shares it).
     """
 
-    __slots__ = ("ctx", "_outstanding", "_cursor", "_in_step")
+    __slots__ = ("_lossy", "_outstanding", "_cursor", "_in_step")
 
     def __init__(self, ctx):
-        self.ctx = ctx
+        # The engine keeps only what it reads of the context: whether the
+        # job's links are lossy (fixed when the job's world is built).
+        # Holding ``ctx`` itself would make ``ctx._progress`` a cycle
+        # that only the cyclic GC frees, with the job's world behind it.
+        inj = ctx.world.injector
+        self._lossy = inj is not None and inj.lossy
         self._outstanding: list[Request] = []
         self._cursor = 0
         self._in_step = False
@@ -246,8 +251,7 @@ class ProgressEngine:
         """
         if self._in_step or not self._outstanding:
             return
-        inj = self.ctx.world.injector
-        if inj is not None and inj.lossy:
+        if self._lossy:
             return
         self._in_step = True
         try:

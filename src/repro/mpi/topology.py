@@ -11,9 +11,9 @@ algorithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.errors import CommunicatorError
+from repro.util.record import Record
 
 __all__ = [
     "TreeNode",
@@ -24,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(Record, frozen=True):
     """One rank's position in a reduction/broadcast tree.
 
     ``children`` are ordered by ascending rank; for an *order-preserving*
@@ -33,9 +32,10 @@ class TreeNode:
     rank range adjacent to the parent's.
     """
 
-    rank: int
-    parent: int | None
-    children: tuple[int, ...]
+    __slots__ = ("rank", "parent", "children")
+
+    def __init__(self, rank: int, parent: int | None, children: tuple[int, ...]):
+        Record.__init__(self, rank, parent, children)
 
 
 def binomial_tree(size: int) -> list[TreeNode]:

@@ -39,7 +39,6 @@ properties each schedule declares in the registry
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
@@ -48,6 +47,7 @@ import numpy as np
 from repro import _lazy
 from repro.mpi import collectives as _coll
 from repro.runtime.costmodel import CostModel
+from repro.util.record import Record
 
 __all__ = [
     "TUNED_KINDS",
@@ -121,8 +121,7 @@ _DIMENSIONS = TUNED_KINDS + ("fusion", "radix")
 _UNBOUNDED = 1 << 62  # "no upper limit" sentinel for thresholds
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(Record, frozen=True):
     """One rank band of a decision table.
 
     Applies to communicators with ``nprocs <= max_ranks`` (bands are kept
@@ -132,8 +131,10 @@ class Band:
     ``radix`` dimension the "algorithm" is the integer fan-out.)
     """
 
-    max_ranks: int
-    cutoffs: tuple[tuple[int, str | int], ...]
+    __slots__ = ("max_ranks", "cutoffs")  # int; ((max_bytes, algorithm), ...)
+
+    def __init__(self, max_ranks: int, cutoffs: tuple[tuple[int, str | int], ...]):
+        Record.__init__(self, max_ranks, cutoffs)
 
     def lookup(self, nbytes: int) -> str | int:
         for max_bytes, algorithm in self.cutoffs:
@@ -162,117 +163,53 @@ def _band_for(bands: tuple[Band, ...], nprocs: int) -> Band:
     return bands[-1]
 
 
-@dataclass(frozen=True)
-class DecisionTable:
+class DecisionTable(Record, frozen=True):
     """Byte-threshold decision tables for the tuned collectives, plus the
-    reduction-fusion crossover shared with :mod:`repro.core.fusion`."""
+    reduction-fusion crossover shared with :mod:`repro.core.fusion`.
 
-    allreduce: tuple[Band, ...]
-    reduce: tuple[Band, ...]
-    scan: tuple[Band, ...]
-    source: str = "default"
-    fusion: tuple[Band, ...] = _FUSION_FALLBACK_BANDS
-    radix: tuple[Band, ...] = _RADIX_FALLBACK_BANDS
-    #: Fabric signature this table was fitted against
-    #: (:attr:`repro.runtime.fabric.Topology.signature`).  ``"flat"``
-    #: tables are the process-wide default; non-flat tables install into
-    #: a per-signature registry consulted only by communicators whose
-    #: world runs on that fabric.
-    topology: str = "flat"
+    ``topology`` is the fabric signature the table was fitted against
+    (:attr:`repro.runtime.fabric.Topology.signature`).  ``"flat"`` tables
+    are the process-wide default; non-flat tables install into a
+    per-signature registry consulted only by communicators whose world
+    runs on that fabric."""
+
+    __slots__ = (
+        "allreduce", "reduce", "scan", "source", "fusion", "radix", "topology"
+    )
+
+    def __init__(
+        self,
+        allreduce: tuple[Band, ...],
+        reduce: tuple[Band, ...],
+        scan: tuple[Band, ...],
+        source: str = "default",
+        fusion: tuple[Band, ...] = _FUSION_FALLBACK_BANDS,
+        radix: tuple[Band, ...] = _RADIX_FALLBACK_BANDS,
+        topology: str = "flat",
+    ):
+        Record.__init__(
+            self, allreduce, reduce, scan, source, fusion, radix, topology
+        )
 
     def lookup(self, kind: str, nbytes: int, nprocs: int) -> str | int:
         return _band_for(getattr(self, kind), nprocs).lookup(nbytes)
 
-    # -- serialization ----------------------------------------------------
+    # -- serialization (:mod:`repro.mpi.tuning_cold`) -------------------
 
     def to_dict(self) -> dict[str, Any]:
-        def enc(bands: tuple[Band, ...]):
-            return [
-                {
-                    "max_ranks": (
-                        b.max_ranks if b.max_ranks < _UNBOUNDED else None
-                    ),
-                    "cutoffs": [
-                        [mb if mb < _UNBOUNDED else None, algo]
-                        for mb, algo in b.cutoffs
-                    ],
-                }
-                for b in bands
-            ]
+        """The table as JSON-ready data (what ``python -m repro tune``
+        writes)."""
+        from repro.mpi.tuning_cold import table_to_dict
 
-        return {
-            "source": self.source,
-            "topology": self.topology,
-            **{kind: enc(getattr(self, kind)) for kind in _DIMENSIONS},
-        }
+        return table_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "DecisionTable":
         """Rebuild a table from :meth:`to_dict` output, checking every
-        entry against what its dimension can actually run (registered
-        schedule names, a power-of-two radix) — a typo fails here, naming
-        the kind, band and entry, not mid-job when a payload first lands
-        in that band.  Sections that are not a dimension of the table
-        (the ``"kernel"`` section of tables written before it was
-        removed) are ignored."""
+        entry against what its dimension can run."""
+        from repro.mpi.tuning_cold import table_from_dict
 
-        def dec(kind: str) -> tuple[Band, ...]:
-            return tuple(
-                Band(
-                    max_ranks=(
-                        _UNBOUNDED if b["max_ranks"] is None
-                        else int(b["max_ranks"])
-                    ),
-                    cutoffs=tuple(
-                        (
-                            _UNBOUNDED if mb is None else int(mb),
-                            _checked_entry(kind, b["max_ranks"], mb, entry),
-                        )
-                        for mb, entry in b["cutoffs"]
-                    ),
-                )
-                for b in data[kind]
-            )
-
-        return cls(
-            **{
-                # Tables written before the fusion/radix dimensions
-                # existed keep the conservative fallbacks.
-                kind: dec(kind)
-                for kind in _DIMENSIONS
-                if kind in TUNED_KINDS or data.get(kind)
-            },
-            source=str(data.get("source", "loaded")),
-            # Tables written before fabrics existed are flat tables.
-            topology=str(data.get("topology", "flat")),
-        )
-
-
-def _checked_entry(kind: str, max_ranks, max_bytes, entry) -> str | int:
-    """One decoded table entry of dimension ``kind``, or a ``ValueError``
-    naming where in the table the unusable entry sits."""
-    if kind == "radix":
-        valid = (
-            isinstance(entry, int) and entry >= 2 and not entry & (entry - 1)
-        )
-        expected = "a power of two >= 2"
-    else:
-        names = (
-            candidates(kind, fabric=True) if kind in TUNED_KINDS
-            else FUSION_CANDIDATES
-        )
-        entry = str(entry)
-        valid = entry in names
-        expected = "one of " + ", ".join(repr(n) for n in names)
-    if valid:
-        return entry
-    removed = _coll.REMOVED.get((kind, entry))
-    raise ValueError(
-        f"decision table: {kind!r} band ranks<={max_ranks} "
-        f"bytes<={max_bytes} holds {entry!r}"
-        + (f" ({removed})" if removed else "")
-        + f"; expected {expected}"
-    )
+        return table_from_dict(data, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -365,44 +302,6 @@ def get_decision_table(topology: str = "flat") -> DecisionTable:
     return _active_table
 
 
-def set_decision_table(
-    table: DecisionTable | None, *, topology: str | None = None
-) -> DecisionTable | None:
-    """Install ``table`` and return the table it replaced.
-
-    ``topology=None`` (the default) installs under the table's own
-    :attr:`DecisionTable.topology` signature — ``"flat"`` replaces the
-    process-wide active table (``table=None`` restores the shipped
-    default); a non-flat signature installs into the per-fabric registry
-    (``table=None`` clears that fabric's entry).
-    """
-    global _active_table, _table_generation
-    if topology is None:
-        topology = "flat" if table is None else table.topology
-    _table_generation += 1
-    if topology == "flat":
-        previous: DecisionTable | None = _active_table
-        _active_table = DEFAULT_TABLE if table is None else table
-        return previous
-    if table is None:
-        return _topology_tables.pop(topology, None)
-    prev = _topology_tables.get(topology)
-    _topology_tables[topology] = table
-    return prev
-
-
-def load_decision_table(path) -> DecisionTable:
-    """Load a table emitted by ``python -m repro tune`` and install it
-    (under its own topology signature).  ``path`` is a ``str`` or
-    :class:`~pathlib.Path`."""
-    import json
-    from pathlib import Path
-
-    table = DecisionTable.from_dict(json.loads(Path(path).read_text()))
-    set_decision_table(table)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # Choice functions (the communicator's "auto" entry points)
 # ---------------------------------------------------------------------------
@@ -460,53 +359,6 @@ def _forced_schedule(
     return None
 
 
-def choose_allreduce(
-    nbytes: int, nprocs: int, commutative: bool = True,
-    splittable: bool = False, *, table: DecisionTable | None = None,
-    topology: str = "flat",
-) -> str:
-    """Pick the all-reduce schedule for one call site.
-
-    Non-commutative or non-splittable operands always get the
-    order-preserving recursive doubling; otherwise the decision table's
-    byte thresholds decide between recursive doubling, ring,
-    Rabenseifner and (on fabrics with a fitted per-topology table) the
-    hierarchical node/leader schedule.
-    """
-    return constant_span(
-        "allreduce", nbytes, nprocs, commutative, splittable,
-        table=table, topology=topology,
-    )[2]
-
-
-def choose_reduce(
-    nbytes: int, nprocs: int, commutative: bool = True,
-    splittable: bool = False, *, table: DecisionTable | None = None,
-    topology: str = "flat",
-) -> str:
-    """Pick the rooted-reduce schedule.  The pipelined ring is
-    order-preserving, so commutativity does not restrict the choice —
-    only splittability does."""
-    return constant_span(
-        "reduce", nbytes, nprocs, commutative, splittable,
-        table=table, topology=topology,
-    )[2]
-
-
-def choose_scan(
-    nbytes: int, nprocs: int, commutative: bool = True,
-    splittable: bool = False, *, table: DecisionTable | None = None,
-    topology: str = "flat",
-) -> str:
-    """Pick the scan/exscan schedule.  Both candidates are
-    order-preserving and neither segments the payload, so the table
-    decides unconditionally."""
-    return constant_span(
-        "scan", nbytes, nprocs, commutative, splittable,
-        table=table, topology=topology,
-    )[2]
-
-
 def _band_span(
     bands: tuple[Band, ...], nbytes: int, nprocs: int
 ) -> tuple[int, int, str]:
@@ -553,19 +405,6 @@ def constant_span(
         raise ValueError(f"unknown tuning kind {kind!r}")
     tbl = table or get_decision_table(topology)
     return _band_span(getattr(tbl, kind), nbytes, nprocs)
-
-
-def choose_fusion(
-    nbytes: int,
-    nprocs: int,
-    *,
-    table: DecisionTable | None = None,
-) -> str:
-    """Should a reduction bucket holding ``nbytes`` of pending state keep
-    accumulating into one fused wave (``"fuse"``) or dispatch now
-    (``"flush"``)?  Consults the same fitted table as ``algorithm="auto"``
-    so the two decisions can never disagree about the cost model."""
-    return (table or _active_table).lookup("fusion", nbytes, nprocs)
 
 
 def _exchange_seconds(
@@ -665,48 +504,6 @@ def fanout_admitted(
     )
 
 
-def choose_radix(
-    nbytes: int,
-    nprocs: int,
-    *,
-    combine_seconds: float = 0.0,
-    cost_model: CostModel | None = None,
-    table: DecisionTable | None = None,
-    topology: str = "flat",
-) -> int:
-    """Fan-out for the doubling schedules (recursive-doubling allreduce,
-    binomial scan) under ``algorithm="auto"``: the table's fitted radix
-    for this rank band and payload size if :func:`fanout_admitted` lets
-    it through, else 2.  Every radix returns the same bytes."""
-    radix = (table or get_decision_table(topology)).lookup(
-        "radix", nbytes, nprocs
-    )
-    if radix > 2 and fanout_admitted(
-        radix, nbytes, nprocs, combine_seconds, cost_model
-    ):
-        return radix
-    return 2
-
-
-def radix_band(
-    nbytes: int,
-    nprocs: int,
-    *,
-    table: DecisionTable | None = None,
-    topology: str = "flat",
-) -> tuple[int | None, int | None]:
-    """``(max_ranks, max_bytes)`` of the ``radix`` table entry that
-    answers ``(nbytes, nprocs)`` — the provenance half of a schedule
-    decision record (``None`` = unbounded)."""
-    tbl = table or get_decision_table(topology)
-    _, hi, _ = _band_span(tbl.radix, nbytes, nprocs)
-    max_ranks = _band_for(tbl.radix, nprocs).max_ranks
-    return (
-        max_ranks if max_ranks < _UNBOUNDED else None,
-        hi if hi < _UNBOUNDED else None,
-    )
-
-
 def fusion_flush_bytes(nprocs: int, *, table: DecisionTable | None = None) -> int:
     """The pending-byte threshold at which :func:`choose_fusion` flips
     from "fuse" to "flush" for ``nprocs`` ranks — the auto-flush
@@ -722,8 +519,15 @@ def fusion_flush_bytes(nprocs: int, *, table: DecisionTable | None = None) -> in
 # The fitter (simulation grids) is only ever wanted by ``python -m repro
 # tune`` and the tests that re-fit; it is imported on first use so
 # looking a decision up does not compile it.
+# The same holds for installing, loading and writing tables and the
+# point queries (:mod:`repro.mpi.tuning_cold`).
 __getattr__, __dir__, _ = _lazy.attach(__name__, {
     "tuning_fit": (
         "fit_decision_table", "DEFAULT_PAYLOAD_GRID", "DEFAULT_RANK_GRID"
+    ),
+    "tuning_cold": (
+        "set_decision_table", "load_decision_table", "choose_allreduce",
+        "choose_reduce", "choose_scan", "choose_fusion", "choose_radix",
+        "radix_band",
     ),
 })

@@ -12,7 +12,6 @@ here on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -211,7 +210,7 @@ def fit_decision_table(
     for kind in bands:
         # the largest fitted band also covers everything above it
         last = bands[kind][-1]
-        bands[kind][-1] = replace(last, max_ranks=_UNBOUNDED)
+        bands[kind][-1] = last.replace(max_ranks=_UNBOUNDED)
     table = DecisionTable(
         **{kind: tuple(fitted) for kind, fitted in bands.items()},
         source=(

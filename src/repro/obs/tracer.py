@@ -14,7 +14,10 @@ Objects
 * :class:`RankTracer` — one per rank per run; the handle hot paths use
   (``with comm.tracer.span(...)``).  Single-threaded by construction
   (each rank is one thread), so recording takes no locks.
-* :data:`NULL_TRACER` — the disabled stand-in.  Its ``span()`` returns a
+* :data:`NULL_TRACER` — the disabled stand-in (defined, with
+  :data:`NULL_SPAN` and the active-profile slot, in
+  :mod:`repro.obs.tracer_null`, so an untraced job never loads this
+  module).  Its ``span()`` returns a
   shared no-op context manager and its hooks do nothing, which is what
   makes tracing zero-overhead when off: the hot paths contain only an
   attribute load, a call, and an ``enabled`` check.
@@ -36,8 +39,16 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterator
+
+from repro.obs import tracer_null as _null
+from repro.obs.tracer_null import (  # noqa: F401  (re-exported)
+    NULL_SPAN,
+    NULL_TRACER,
+    active_profile,
+    active_tracer,
+)
+from repro.util.record import Record
 
 __all__ = [
     "Span",
@@ -57,24 +68,46 @@ __all__ = [
 PHASES = ("accumulate", "combine", "generate")
 
 
-@dataclass
-class Span:
-    """One named interval of one rank's virtual timeline."""
+class Span(Record):
+    """One named interval of one rank's virtual timeline.
 
-    span_id: str
-    parent_id: str | None
-    name: str
-    rank: int
-    t_start: float
-    t_end: float = 0.0
-    phase: str | None = None  # "accumulate" | "combine" | "generate" | ...
-    op: str | None = None  # operator name, when the span belongs to one
-    nbytes: int = 0
-    elements: int = 0
-    depth: int = 0
-    #: Facts noted by the code that ran under the span (see
-    #: :meth:`RankTracer.note`); ``None`` when nothing was noted.
-    notes: dict[str, Any] | None = None
+    ``phase`` is ``"accumulate"``, ``"combine"``, ``"generate"`` ... or
+    None; ``op`` the operator name when the span belongs to one;
+    ``notes`` the facts noted by the code that ran under the span (see
+    :meth:`RankTracer.note`), ``None`` when nothing was noted."""
+
+    __slots__ = (
+        "span_id", "parent_id", "name", "rank", "t_start", "t_end", "phase",
+        "op", "nbytes", "elements", "depth", "notes",
+    )
+
+    def __init__(
+        self,
+        span_id: str,
+        parent_id: str | None,
+        name: str,
+        rank: int,
+        t_start: float,
+        t_end: float = 0.0,
+        phase: str | None = None,
+        op: str | None = None,
+        nbytes: int = 0,
+        elements: int = 0,
+        depth: int = 0,
+        notes: dict[str, Any] | None = None,
+    ):
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.rank = rank
+        self.t_start = t_start
+        self.t_end = t_end
+        self.phase = phase
+        self.op = op
+        self.nbytes = nbytes
+        self.elements = elements
+        self.depth = depth
+        self.notes = notes
 
     @property
     def duration(self) -> float:
@@ -87,27 +120,28 @@ class Span:
         self.elements += elements
 
 
-@dataclass(frozen=True)
-class SendEdge:
-    """One message injection, as seen by the sender."""
+class SendEdge(Record, frozen=True):
+    """One message injection, as seen by the sender: ``t_send`` is the
+    sender's clock after paying the send overhead, ``available_at`` when
+    the message becomes receivable."""
 
-    dest: int
-    tag: Hashable
-    nbytes: int
-    t_send: float  # sender clock after paying the send overhead
-    available_at: float  # when the message becomes receivable
+    __slots__ = ("dest", "tag", "nbytes", "t_send", "available_at")
+
+    def __init__(self, dest: int, tag: Hashable, nbytes: int, t_send: float,
+                 available_at: float):
+        Record.__init__(self, dest, tag, nbytes, t_send, available_at)
 
 
-@dataclass(frozen=True)
-class RecvEdge:
-    """One message extraction, as seen by the receiver."""
+class RecvEdge(Record, frozen=True):
+    """One message extraction, as seen by the receiver: ``t_arrive`` is
+    the receiver's clock on reaching the receive, ``t_done`` after the
+    merge and the receive overhead."""
 
-    source: int
-    tag: Hashable
-    nbytes: int
-    t_arrive: float  # receiver clock on reaching the receive
-    available_at: float
-    t_done: float  # receiver clock after merge + receive overhead
+    __slots__ = ("source", "tag", "nbytes", "t_arrive", "available_at", "t_done")
+
+    def __init__(self, source: int, tag: Hashable, nbytes: int,
+                 t_arrive: float, available_at: float, t_done: float):
+        Record.__init__(self, source, tag, nbytes, t_arrive, available_at, t_done)
 
     @property
     def blocked(self) -> bool:
@@ -155,25 +189,6 @@ class _SpanContext:
         span.t_end = rt._clock.t
         rt.spans.append(span)
         return False
-
-
-class _NullSpan:
-    """Shared do-nothing span/context used when tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-    def add(self, nbytes: int = 0, elements: int = 0) -> None:
-        pass
-
-
-#: Shared do-nothing span returned by every disabled ``span()`` call.
-NULL_SPAN = _NULL_SPAN = _NullSpan()
 
 
 class RankTracer:
@@ -238,40 +253,34 @@ class RankTracer:
         )
 
 
-class _NullRankTracer:
-    """Disabled tracer: every hook is a no-op, ``span()`` allocates nothing."""
+class RunCapture(Record):
+    """Everything one ``spmd_run`` recorded: per-rank tracers + metadata.
 
-    enabled = False
-    __slots__ = ()
+    ``traces`` are the run's per-rank :class:`~repro.runtime.trace.Trace`
+    counters (the same objects ``SpmdResult.traces`` holds), for the
+    fault events a profile's counts include."""
 
-    def span(self, name: str, **kwargs: Any) -> _NullSpan:
-        return _NULL_SPAN
+    __slots__ = (
+        "index", "nprocs", "ranks", "label", "makespan", "clocks", "traces"
+    )
 
-    def on_send(self, *args: Any) -> None:
-        pass
-
-    def on_recv(self, *args: Any) -> None:
-        pass
-
-
-#: Shared disabled tracer handed to every rank when no profiling is active.
-NULL_TRACER = _NullRankTracer()
-
-
-@dataclass
-class RunCapture:
-    """Everything one ``spmd_run`` recorded: per-rank tracers + metadata."""
-
-    index: int
-    nprocs: int
-    ranks: list[RankTracer]
-    label: str | None = None
-    makespan: float | None = None
-    clocks: list[float] | None = None
-    #: The run's per-rank :class:`~repro.runtime.trace.Trace` counters
-    #: (the same objects ``SpmdResult.traces`` holds), for the fault
-    #: events a profile's counts include.
-    traces: list[Any] | None = None
+    def __init__(
+        self,
+        index: int,
+        nprocs: int,
+        ranks: list[RankTracer],
+        label: str | None = None,
+        makespan: float | None = None,
+        clocks: list[float] | None = None,
+        traces: list[Any] | None = None,
+    ):
+        self.index = index
+        self.nprocs = nprocs
+        self.ranks = ranks
+        self.label = label
+        self.makespan = makespan
+        self.clocks = clocks
+        self.traces = traces
 
     def spans(self) -> Iterator[Span]:
         """All ranks' completed spans."""
@@ -317,22 +326,6 @@ class Tracer:
             yield from run.spans()
 
 
-# -- the active profile (what `spmd_run` picks up when not passed a tracer) --
-
-_active_lock = threading.Lock()
-_active: tuple[Tracer, int | None] | None = None
-
-
-def active_tracer() -> Tracer | None:
-    """The tracer installed by :func:`profiling`, if any."""
-    return _active[0] if _active is not None else None
-
-
-def active_profile() -> tuple[Tracer | None, int | None]:
-    """The installed ``(tracer, ranks_override)`` pair (both None if off)."""
-    return _active if _active is not None else (None, None)
-
-
 @contextmanager
 def profiling(tracer: Tracer | None = None, *,
               ranks: int | None = None) -> Iterator[Tracer]:
@@ -345,14 +338,13 @@ def profiling(tracer: Tracer | None = None, *,
     --ranks N`` rescale workload scripts it does not control; leave it
     None everywhere else.
     """
-    global _active
     if tracer is None:
         tracer = Tracer()
-    with _active_lock:
-        previous = _active
-        _active = (tracer, ranks)
+    with _null.active_lock:
+        previous = _null.active
+        _null.active = (tracer, ranks)
     try:
         yield tracer
     finally:
-        with _active_lock:
-            _active = previous
+        with _null.active_lock:
+            _null.active = previous

@@ -82,6 +82,19 @@ _CONVERT: dict[str, Callable[[Any], Any]] = {
 _STORE = {ctype: _storer(convert) for ctype, convert in _CONVERT.items()}
 
 
+def _int_argument(value: Any) -> Any:
+    """An argument passed to an ``int`` parameter: an integer stays what
+    it is (a NumPy integer keeps its type, so a block fold over an
+    integer array need not touch its elements); anything else converts
+    as a store to an ``int`` does — a double truncates toward zero."""
+    return value if isinstance(value, (int, np.integer)) else int(value)
+
+
+#: C type -> the conversion of an argument at the call (the integer
+#: parameter types; a double parameter takes its argument as it is).
+_PARAM = {"int": _int_argument, "long": _int_argument}
+
+
 def input_components(x: Any, n: int, fname: str) -> tuple | list:
     """The ``n`` components of one input element ``x`` of a
     multi-parameter function ``fname`` (an array row becomes a tuple of

@@ -1,15 +1,15 @@
 """AST for the RSMPI operator DSL.
 
-Every node is a :class:`Node`: an immutable record whose fields are its
-class's ``__slots__``, compared, hashed and printed by value.  (Plain
-slot classes rather than frozen dataclasses: creating a dataclass runs
-generated code through ``exec``, which for 28 node classes cost tens of
-milliseconds of every import of the preprocessor.)
+Every node is a :class:`Node`: a frozen
+:class:`~repro.util.record.Record` whose fields are its class's
+``__slots__``, compared, hashed and printed by value.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
+
+from repro.util.record import Record
 
 __all__ = [
     "Node",
@@ -46,95 +46,11 @@ __all__ = [
 ]
 
 
-class Node:
-    """An immutable record.  Its fields are the class's ``__slots__``,
-    given positionally; equality, hashing and ``repr`` go by class and
-    field values."""
+class Node(Record, frozen=True):
+    """An immutable AST record (:class:`repro.util.record.Record`): its
+    fields are the class's ``__slots__``, given positionally."""
 
     __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs: Any):
-        super().__init_subclass__(**kwargs)
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = _initializer(
-                tuple(cls.__dict__[f].__set__ for f in cls.__slots__)
-            )
-
-    def __init__(self, *values: Any):
-        fields = self.__slots__
-        if len(values) != len(fields):
-            raise TypeError(
-                f"{type(self).__name__}() takes the fields {fields}, "
-                f"got {len(values)} values"
-            )
-        for f, v in zip(fields, values):
-            object.__setattr__(self, f, v)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(
-            f"cannot assign field {name!r}: {type(self).__name__} is immutable"
-        )
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(
-            f"cannot delete field {name!r}: {type(self).__name__} is immutable"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash((self.__class__, self._values()))
-
-    def __reduce__(self):
-        return (self.__class__, self._values())
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({inner})"
-
-
-def _initializer(puts: tuple) -> Any:
-    """A positional ``__init__`` storing its arguments through the slot
-    setters ``puts`` — unrolled for the arities the DSL uses, since the
-    parser builds a node per token or two."""
-    if len(puts) == 0:
-        def __init__(self):
-            pass
-    elif len(puts) == 1:
-        (p0,) = puts
-
-        def __init__(self, a):
-            p0(self, a)
-    elif len(puts) == 2:
-        p0, p1 = puts
-
-        def __init__(self, a, b):
-            p0(self, a)
-            p1(self, b)
-    elif len(puts) == 3:
-        p0, p1, p2 = puts
-
-        def __init__(self, a, b, c):
-            p0(self, a)
-            p1(self, b)
-            p2(self, c)
-    elif len(puts) == 4:
-        p0, p1, p2, p3 = puts
-
-        def __init__(self, a, b, c, d):
-            p0(self, a)
-            p1(self, b)
-            p2(self, c)
-            p3(self, d)
-    else:
-        return Node.__init__
-    return __init__
 
 
 # -- expressions -------------------------------------------------------------

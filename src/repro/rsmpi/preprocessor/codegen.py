@@ -45,12 +45,13 @@ why) and keeps the per-element loop.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.errors import DslSemanticError
-from repro.rsmpi.operator_spec import _CONVERT, _STORE, input_components
+from repro.rsmpi.operator_spec import _CONVERT, _PARAM, _STORE, input_components
 from repro.rsmpi.preprocessor import ast_nodes as A
 
 __all__ = ["generate_python", "CompiledOperator", "C_CONSTANTS"]
@@ -132,6 +133,9 @@ class _FuncGen:
     def generate(self) -> str:
         params = ", ".join(p.name for p in self.decl.params)
         self.emit(f"def {self.decl.name}({params}):", 0)
+        for p in self.decl.params:   # C converts an argument at the call
+            if p.ctype in _PARAM and not p.is_array:
+                self.emit(f"{p.name} = _c_arg_{p.ctype}({p.name})", 1)
         body_start = len(self.lines)
         self.stmt_block(self.decl.body, 1)
         if len(self.lines) == body_start:
@@ -448,6 +452,12 @@ class _BlockGen(_FuncGen):
         del self.lines[body_start:]
         inputs = [q.name for q in self.decl.params[1:]]
         self.emit(f"def {p}accum_block({p}state, {p}values):", 0)
+        if any(_converts(q) for q in self.decl.params[1:]):
+            # Integer parameters convert their arguments as the calls
+            # would, element by element — unless the block's dtype
+            # already makes every argument an integer.
+            self.emit(f"if not {p}integer_block({p}values):", 1)
+            self.emit(f"{p}values = {p}arguments({p}values)", 2)
         self.emit(f"{p}f = {p}state._fields", 1)
         for f in self.used:
             self.emit(f"{p}f_{f} = {p}f[{f!r}]", 1)
@@ -607,6 +617,36 @@ class _BlockGen(_FuncGen):
         return f"({stored})"
 
 
+def _converts(param: A.ParamVar) -> Any:
+    """The conversion an argument of ``param`` takes at the call, or None."""
+    return None if param.is_array else _PARAM.get(param.ctype)
+
+
+def _integer_block(values: Any) -> bool:
+    """Is every element of ``values`` already an integer (an array of an
+    integer dtype)?  Then no integer parameter converts anything."""
+    return isinstance(values, np.ndarray) and values.dtype.kind in "iu"
+
+
+def _arguments(fn: A.FuncDecl) -> Any:
+    """``values`` -> an iterator over its elements with ``fn``'s input
+    parameters converted at the call (lazily: an element that cannot
+    convert raises where the per-element call would)."""
+    converts = [_converts(q) for q in fn.params[1:]]
+    if len(converts) == 1:
+        return partial(map, converts[0])
+    n = len(converts)
+
+    def arguments(values: Any) -> Any:
+        for x in values:
+            yield tuple(
+                v if c is None else c(v)
+                for c, v in zip(converts, input_components(x, n, fn.name))
+            )
+
+    return arguments
+
+
 def _fresh_prefix(taken: str) -> str:
     """A prefix for the block fold's own variables that no identifier in
     ``taken`` (the generated source, the namespace's names) contains."""
@@ -642,6 +682,8 @@ def _block_fold(
         namespace[f"{prefix}to_{ctype}"] = convert
         namespace[f"{prefix}store_{ctype}"] = _STORE[ctype]
     namespace[f"{prefix}components"] = input_components
+    namespace[f"{prefix}integer_block"] = _integer_block
+    namespace[f"{prefix}arguments"] = _arguments(fn)
     namespace[f"{prefix}scalars"] = _SCALARS
     exec(  # noqa: S102 - executing our own generated code
         compile(source, f"<rsmpi:{decl.name}:accum_block>", "exec"), namespace
@@ -752,6 +794,8 @@ def generate_python(
     namespace["_c_mod"] = _c_mod
     for ctype, store in _STORE.items():
         namespace[f"_c_store_{ctype}"] = store
+    for ctype, convert in _PARAM.items():
+        namespace[f"_c_arg_{ctype}"] = convert
     exec(  # noqa: S102 - executing our own generated code
         compile(source, f"<rsmpi:{decl.name}>", "exec"), namespace
     )

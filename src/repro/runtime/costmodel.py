@@ -36,9 +36,8 @@ model, and each committed figure regenerates byte for byte.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from repro import _lazy
+from repro.util.record import Record
 
 __all__ = [
     "CostModel",
@@ -64,25 +63,31 @@ DEFAULT_RATES: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Record, frozen=True):
     """Immutable bundle of communication and computation cost parameters."""
 
-    latency: float = 5.0e-6
-    byte_time: float = 1.0 / 500.0e6  # 500 MB/s
-    send_overhead: float = 1.0e-6
-    recv_overhead: float = 1.0e-6
-    rates: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_RATES))
+    __slots__ = ("latency", "byte_time", "send_overhead", "recv_overhead", "rates")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        latency: float = 5.0e-6,
+        byte_time: float = 1.0 / 500.0e6,  # 500 MB/s
+        send_overhead: float = 1.0e-6,
+        recv_overhead: float = 1.0e-6,
+        rates: dict[str, float] | None = None,
+    ):
         for name, value in (
-            ("latency", self.latency),
-            ("byte_time", self.byte_time),
-            ("send_overhead", self.send_overhead),
-            ("recv_overhead", self.recv_overhead),
+            ("latency", latency),
+            ("byte_time", byte_time),
+            ("send_overhead", send_overhead),
+            ("recv_overhead", recv_overhead),
         ):
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
+        Record.__init__(
+            self, latency, byte_time, send_overhead, recv_overhead,
+            dict(DEFAULT_RATES) if rates is None else rates,
+        )
 
     # -- communication ---------------------------------------------------
 
@@ -107,46 +112,11 @@ class CostModel:
         """Return a copy with the given named rates added/overridden."""
         merged = dict(self.rates)
         merged.update(rates)
-        return replace(self, rates=merged)
+        return self.replace(rates=merged)
 
     def with_params(self, **params: float) -> "CostModel":
         """Return a copy with communication parameters overridden."""
-        return replace(self, **params)
-
-
-def calibrate_rate(
-    kernel: Callable[[int], None],
-    n_elements: int,
-    *,
-    repeats: int = 3,
-    min_time: float = 0.01,
-) -> float:
-    """Measure a per-element rate (seconds/element) for ``kernel``.
-
-    ``kernel(n)`` must process ``n`` elements.  The kernel is timed over
-    enough iterations to exceed ``min_time`` wall seconds, and the best of
-    ``repeats`` runs is taken (standard noise-rejection practice).
-    """
-    if n_elements <= 0:
-        raise ValueError(f"n_elements must be positive, got {n_elements}")
-    # Warm up (first call may JIT numpy ufunc dispatch, touch caches).
-    kernel(n_elements)
-    iters = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            kernel(n_elements)
-        elapsed = time.perf_counter() - t0
-        if elapsed >= min_time:
-            break
-        iters *= 2
-    best = elapsed
-    for _ in range(repeats - 1):
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            kernel(n_elements)
-        best = min(best, time.perf_counter() - t0)
-    return best / (iters * n_elements)
+        return self.replace(**params)
 
 
 def cluster_2006() -> CostModel:
@@ -169,3 +139,7 @@ def modern_node() -> CostModel:
         send_overhead=2.0e-7,
         recv_overhead=2.0e-7,
     )
+
+
+# ``calibrate_rate`` times kernels on the host: only the rates script runs it.
+__getattr__, __dir__, _ = _lazy.attach(__name__, {"calibrate": ("calibrate_rate",)})

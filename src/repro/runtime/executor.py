@@ -20,33 +20,50 @@ are re-raised in the caller wrapped in :class:`~repro.errors.SpmdError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.obs.tracer import Tracer, active_profile
+from repro.obs.tracer_null import active_profile
 from repro.runtime.costmodel import CostModel
 from repro.runtime.trace import Trace, merge_traces
+from repro.util.record import Record
+
+if TYPE_CHECKING:
+    from repro.obs.tracer import Tracer
 
 __all__ = ["SpmdResult", "spmd_run"]
 
 _Engine = None  # repro.engine.core.Engine, bound by the first spmd_run
 
 
-@dataclass
-class SpmdResult:
-    """Outcome of an SPMD run."""
+class SpmdResult(Record):
+    """Outcome of an SPMD run: per-rank return values of the user
+    function, final virtual times and traces, the wall-clock seconds of
+    the whole run, the ``RunCapture`` with spans when a tracer was
+    active, and the ranks a fault plan fail-stopped."""
 
-    returns: list[Any]  # per-rank return values of the user function
-    clocks: list[float]  # per-rank final virtual times
-    traces: list[Trace]  # per-rank traces
-    wall_seconds: float  # real elapsed wall-clock time of the whole run
-    profile: Any = None  # RunCapture with spans, when a tracer was active
-    failed_ranks: frozenset[int] = frozenset()  # ranks fail-stopped by a fault plan
-    # Memoized merge of `traces` (repr=False keeps debug output clean;
-    # compare=False keeps dataclass equality over the real fields only).
-    _summary_cache: Trace | None = field(
-        default=None, repr=False, compare=False
+    # ``_summary_cache`` memoizes the merge of ``traces``; a private slot,
+    # so it is neither compared, printed nor pickled.
+    __slots__ = (
+        "returns", "clocks", "traces", "wall_seconds", "profile",
+        "failed_ranks", "_summary_cache",
     )
+
+    def __init__(
+        self,
+        returns: list[Any],
+        clocks: list[float],
+        traces: list[Trace],
+        wall_seconds: float,
+        profile: Any = None,
+        failed_ranks: frozenset[int] = frozenset(),
+    ):
+        self.returns = returns
+        self.clocks = clocks
+        self.traces = traces
+        self.wall_seconds = wall_seconds
+        self.profile = profile
+        self.failed_ranks = failed_ranks
+        self._summary_cache = None
 
     @property
     def nprocs(self) -> int:

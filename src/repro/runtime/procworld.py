@@ -56,8 +56,8 @@ import numpy as np
 # fork, with no copy-on-write sharing.
 from repro.core import kernels as _kernels
 from repro.errors import TransferError
-from repro.runtime.channels import (
-    MISS,
+from repro.runtime.channels import MISS
+from repro.runtime.frames import (
     FrameTooLarge,
     decode_frame,
     encode_frame,

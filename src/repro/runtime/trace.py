@@ -15,8 +15,9 @@ under a :class:`repro.obs.Tracer` and read ``result.profile``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable
+
+from repro.util.record import Record
 
 __all__ = ["Trace", "merge_traces", "REDUCTION_KINDS"]
 
@@ -27,24 +28,48 @@ __all__ = ["Trace", "merge_traces", "REDUCTION_KINDS"]
 REDUCTION_KINDS = frozenset({"reduce", "allreduce", "scan", "reduce_scatter"})
 
 
-@dataclass
-class Trace:
-    """One rank's counters; the hooks take only what they count."""
+class Trace(Record):
+    """One rank's counters; the hooks take only what they count.
 
-    rank: int = 0
-    n_sends: int = 0
-    n_recvs: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    compute_seconds: float = 0.0
-    collective_calls: Counter = field(default_factory=Counter)
-    #: The entries of ``collective_calls`` whose kind is a reduction.
-    reduction_calls: Counter = field(default_factory=Counter)
-    p2p_calls: Counter = field(default_factory=Counter)
-    #: Injected fault events by kind (``failstops``, ``retransmits``,
-    #: ``duplicates``, ``delays``, ``reorders``, ``recoveries``); only a
-    #: run under a fault plan creates it.
-    faults: Counter | None = None
+    ``reduction_calls`` holds the entries of ``collective_calls`` whose
+    kind is a reduction.  ``faults`` counts injected fault events by kind
+    (``failstops``, ``retransmits``, ``duplicates``, ``delays``,
+    ``reorders``, ``recoveries``); only a run under a fault plan creates
+    it."""
+
+    __slots__ = (
+        "rank", "n_sends", "n_recvs", "bytes_sent", "bytes_received",
+        "compute_seconds", "collective_calls", "reduction_calls", "p2p_calls",
+        "faults",
+    )
+
+    def __init__(
+        self,
+        rank: int = 0,
+        n_sends: int = 0,
+        n_recvs: int = 0,
+        bytes_sent: int = 0,
+        bytes_received: int = 0,
+        compute_seconds: float = 0.0,
+        collective_calls: Counter | None = None,
+        reduction_calls: Counter | None = None,
+        p2p_calls: Counter | None = None,
+        faults: Counter | None = None,
+    ):
+        self.rank = rank
+        self.n_sends = n_sends
+        self.n_recvs = n_recvs
+        self.bytes_sent = bytes_sent
+        self.bytes_received = bytes_received
+        self.compute_seconds = compute_seconds
+        self.collective_calls = (
+            Counter() if collective_calls is None else collective_calls
+        )
+        self.reduction_calls = (
+            Counter() if reduction_calls is None else reduction_calls
+        )
+        self.p2p_calls = Counter() if p2p_calls is None else p2p_calls
+        self.faults = faults
 
     # -- recording hooks (called by the communicator/runtime) -------------
 

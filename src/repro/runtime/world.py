@@ -22,18 +22,21 @@ slowdown) covers every layer above without modification.
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable
+from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.core.kernels import default_cache
 from repro.errors import CommunicatorError
 from repro.mpi.schedule_cache import ScheduleCache
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer_null import NULL_TRACER
 from repro.runtime.channels import Envelope, Mailbox, Membership
 from repro.runtime.clock import VirtualClock
 from repro.runtime.costmodel import CostModel
 from repro.runtime.fabric import FLAT, Topology
 from repro.runtime.trace import Trace
 from repro.util.sizing import copy_for_transfer, payload_nbytes
+
+if TYPE_CHECKING:
+    from repro.obs.tracer import Tracer
 
 __all__ = ["World", "JobWorld", "RankContext", "cid_root"]
 

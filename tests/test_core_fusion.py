@@ -120,7 +120,6 @@ class TestReductionBucket:
     def test_byte_threshold_autoflush(self):
         """Crossing the table's ``fusion`` threshold flushes mid-stream:
         more than one wave, results still exact."""
-        import dataclasses
 
         from repro.mpi import tuning
 
@@ -132,8 +131,7 @@ class TestReductionBucket:
                 handles = [bucket.allreduce(xs, mpi.SUM) for _ in range(4)]
             return [h.result().tolist() for h in handles]
 
-        flush_at_600 = dataclasses.replace(
-            tuning.get_decision_table(),
+        flush_at_600 = tuning.get_decision_table().replace(
             fusion=(tuning.Band(1 << 62, ((600, "fuse"), (1 << 62, "flush"))),),
         )
         previous = tuning.set_decision_table(flush_at_600)

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import builtins
 import importlib
+import json
 import pydoc
+import textwrap
 
 import numpy as np
 import pytest
@@ -418,6 +420,99 @@ class TestImportSurface:
             ))
         """)
         assert out.strip() == "[]"
+
+
+#: What a cold start of each benchmark workload (``bench/workloads.py``)
+#: imports and runs before its first answer: the imports of its
+#: ``build()`` (the same for every workload), then one job.
+_BUILD_IMPORTS = """
+    from repro import (
+        Engine, global_reduce, global_reduce_many, global_scan, global_xscan,
+        spmd_run,
+    )
+    from repro.core.kernels import default_cache
+    from repro.core.reduce import accumulate_local, accumulate_local_many, wire_op
+    from repro.localview import LOCAL_ALLREDUCE, LOCAL_XSCAN
+    from repro.ops import CountsOp, MaxOp, MinKOp, SortedOp, SumOp
+"""
+_WORKLOAD_JOBS = {
+    "small_jobs": """
+        blocks = [np.arange(r, r + 64, dtype=np.float64) for r in range(8)]
+        op = SumOp()
+        with Engine(8) as engine:
+            engine.submit(lambda c: global_reduce(c, op, blocks[c.rank])).result()
+    """,
+    "accum_heavy": """
+        blocks = [np.arange(r, r + 4000, dtype=np.int64) for r in range(8)]
+        ops = [SumOp(), MaxOp(-(1 << 62)), MinKOp(10, 1 << 62)]
+        with Engine(8) as engine:
+            engine.submit(lambda c: tuple(global_reduce_many(
+                c, [(o, blocks[c.rank]) for o in ops]
+            ))).result()
+    """,
+    "wide_combine": """
+        blocks = [np.full((4, 32768), float(r)) for r in range(8)]
+        op = SumOp()
+        with Engine(8) as engine:
+            engine.submit(lambda c: global_reduce(c, op, blocks[c.rank])).result()
+    """,
+    "oneshot_scan": """
+        from repro.rsmpi import RSMPI_Reduceall, compile_operator
+
+        listing8 = compile_operator(LISTING_8)
+        cats = [np.arange(200) % 8 + 1 for _ in range(8)]
+        keys = [np.arange(r * 200, (r + 1) * 200) for r in range(8)]
+        counts, total, ordered = CountsOp(8), SumOp(), SortedOp()
+        spmd_run(lambda c: (
+            global_scan(c, counts, cats[c.rank]),
+            global_xscan(c, total, keys[c.rank]),
+            global_reduce(c, ordered, keys[c.rank]),
+            RSMPI_Reduceall(listing8, keys[c.rank], c),
+        ), 8)
+    """,
+}
+
+#: Lines of ``repro`` source (every loaded module, ``wc -l``) a cold start
+#: of each workload compiles — a ceiling, not a timing.  Before the
+#: cold halves of the job-path modules moved out (collectives, tuning,
+#: the multi-tier fabrics, the frame codec, the enabled tracer, ULFM,
+#: rate calibration) every workload loaded 10,442 lines, 12,657 with
+#: the DSL.
+COLD_PATH_LINES = {
+    "small_jobs": 9_000,
+    "accum_heavy": 9_000,
+    "wide_combine": 9_000,
+    "oneshot_scan": 11_200,
+}
+
+
+class TestColdPathBudget:
+    @pytest.mark.parametrize("workload", sorted(_WORKLOAD_JOBS))
+    def test_a_cold_start_compiles_within_its_budget(self, workload):
+        out = _fresh(
+            "import numpy as np\n"
+            + textwrap.dedent(_BUILD_IMPORTS)
+            + f"LISTING_8 = {LISTING_8_SORTED!r}\n"
+            + textwrap.dedent(_WORKLOAD_JOBS[workload])
+            + textwrap.dedent("""
+                import dataclasses, json, sys
+                mods = [m for n, m in sorted(sys.modules.items())
+                        if n == "repro" or n.startswith("repro.")]
+                lines = 0
+                for m in mods:
+                    with open(m.__file__, "rb") as f:
+                        lines += f.read().count(b"\\n")
+                dcs = sorted(
+                    f"{m.__name__}.{k}" for m in mods for k, v in vars(m).items()
+                    if isinstance(v, type) and v.__module__ == m.__name__
+                    and dataclasses.is_dataclass(v)
+                )
+                print(json.dumps({"lines": lines, "dataclasses": dcs}))
+            """)
+        )
+        got = json.loads(out)
+        assert got["dataclasses"] == []
+        assert got["lines"] <= COLD_PATH_LINES[workload], got["lines"]
 
 
 LISTING_8_SORTED = """

@@ -245,3 +245,47 @@ class TestRequestFaults:
             timeout=60.0,
         )
         assert clean.returns == lossy.returns
+
+
+class TestNoContextCycle:
+    """A rank's progress engine is cached on its context; it must not
+    point back at the context, or every job that issues a nonblocking
+    collective leaves its contexts (and their world) to the cyclic GC."""
+
+    def test_nonblocking_jobs_leave_no_cyclic_garbage(self):
+        import gc
+
+        from repro import Engine, global_reduce, global_reduce_many
+        from repro.mpi.request import ProgressEngine
+        from repro.ops import MaxOp, MinKOp, SumOp
+        from repro.runtime.world import RankContext
+
+        rng = np.random.default_rng(40)
+        wide = [rng.integers(-9, 9, (4, 32_768)).astype(np.float64) for _ in range(8)]
+        keys = [rng.integers(0, 1 << 40, 4_000) for _ in range(8)]
+        total = SumOp()
+        many = [SumOp(), MaxOp(np.iinfo(np.int64).min), MinKOp(10, np.iinfo(np.int64).max)]
+        jobs = [
+            lambda c: global_reduce(c, total, wide[c.rank]),   # overlapped reduce
+            lambda c: tuple(global_reduce_many(c, [(o, keys[c.rank]) for o in many])),
+        ]
+        with Engine(8) as engine:
+            for fn in jobs:   # warm: first-use caches are not garbage
+                engine.submit(fn).result()
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(3):
+                    for fn in jobs:
+                        engine.submit(fn).result()
+                gc.set_debug(gc.DEBUG_SAVEALL)
+                gc.collect()
+                cyclic = [
+                    type(o).__name__ for o in gc.garbage
+                    if isinstance(o, (RankContext, ProgressEngine))
+                ]
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.enable()
+        assert cyclic == []

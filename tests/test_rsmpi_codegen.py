@@ -12,7 +12,7 @@ from repro.core.operator import ReduceScanOp
 from repro.errors import DslSemanticError, OperatorError
 from repro.obs import Tracer
 from repro.obs.export import profile_counts
-from repro.rsmpi import compile_operator, compile_operator_spec
+from repro.rsmpi import RSMPI_Reduceall, compile_operator, compile_operator_spec
 from repro.rsmpi.library import OPERATOR_SOURCES, load_operator
 from repro.rsmpi.preprocessor.codegen import (
     C_CONSTANTS,
@@ -224,6 +224,89 @@ class TestTypedLocals:
         assert "k = 0" in compiled.source
         assert compiled.source.count("_c_store_int") == 1  # j = x only
         assert compiled.block_source.count("_to_int(x)") == 1
+
+
+class TestIntParameters:
+    """An argument passed to an ``int`` parameter converts at the call, as
+    in C: a double truncates toward zero, an integer stays as it is."""
+
+    HIST = """
+    rsmpi operator hist {
+      state { int h[4]; }
+      void accum(state s, int i) { s->h[i] += 1; }
+      void combine(state s1, state s2) {
+        int k;
+        for (k = 0; k < 4; k++) { s1->h[k] += s2->h[k]; }
+      }
+      int generate(state s) { return s->h[1] * 100 + s->h[2]; }
+    }
+    """
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_double_argument_indexes_as_an_int(self, as_array):
+        op = compile_operator(self.HIST)
+        values = np.array([1.7, 2.2, 1.0]) if as_array else [1.7, 2.2, 1.0]
+        loop = ReduceScanOp.accum_block(op, op.ident(), values)
+        block = op.accum_block(op.ident(), values)
+        assert loop.h == block.h == [0, 2, 1, 0]
+        out = spmd_run(lambda c: RSMPI_Reduceall(op, values, c), 2).returns
+        assert out == [402, 402]
+
+    def test_negative_doubles_truncate_toward_zero(self):
+        op = compile_operator("""
+        rsmpi operator last {
+          state { int v; }
+          void ident(state s) { s->v = 0; }
+          void accum(state s, int i) { s->v = s->v * 10 + i; }
+          void combine(state s1, state s2) { s1->v = s2->v; }
+          int generate(state s) { return s->v; }
+        }
+        """)
+        values = np.array([-1.9, 2.9, -0.5])
+        loop = ReduceScanOp.accum_block(op, op.ident(), values)
+        block = op.accum_block(op.ident(), values)
+        assert loop.v == block.v == (-1 * 10 + 2) * 10 + 0
+
+    def test_row_component_converts_by_its_parameter(self):
+        op = compile_operator("""
+        rsmpi operator pick {
+          state { double w[3]; }
+          void ident(state s) { int k; for (k = 0; k < 3; k++) s->w[k] = 0.0; }
+          void accum(state s, double x, int i) { s->w[i] += x; }
+          void combine(state s1, state s2) {
+            int k;
+            for (k = 0; k < 3; k++) s1->w[k] += s2->w[k];
+          }
+          double generate(state s) { return s->w[2]; }
+        }
+        """)
+        rows = np.array([[0.5, 2.6], [1.5, 0.0], [2.0, 2.0]])
+        loop = ReduceScanOp.accum_block(op, op.ident(), rows)
+        block = op.accum_block(op.ident(), rows)
+        assert loop.w == block.w == [1.5, 0.0, 2.5]
+
+    @pytest.mark.parametrize("values", [
+        np.arange(-50, 50, dtype=np.int64), np.linspace(-3, 3, 101),
+        [3, -2, 7.5, 0.25],
+    ], ids=["int64", "float64", "list"])
+    def test_library_folds_stay_pickle_identical(self, values):
+        for name in sorted(OPERATOR_SOURCES):
+            op = load_operator(name)
+            if type(op).accum_block is ReduceScanOp.accum_block:
+                continue   # left on the per-element loop
+            try:
+                loop = ReduceScanOp.accum_block(op, op.ident(), values)
+            except Exception:
+                continue   # an operator that does not take these inputs
+            block = op.accum_block(op.ident(), values)
+            assert pickle.dumps(loop) == pickle.dumps(block), name
+
+    def test_integer_blocks_skip_the_conversion(self):
+        c = generate_python(parse_operator(LISTING_8))
+        assert "_c_arg_int(i)" in c.source   # the per-element call converts
+        head, loop = c.block_source.split("try:")
+        assert "integer_block" in head       # decided once per block
+        assert "arguments" not in loop       # the int64 fold's loop is as it was
 
 
 class TestConstants:
