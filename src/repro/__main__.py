@@ -18,21 +18,6 @@
   ``repro.ops`` under random seeded fault plans (lossy links and
   combine-phase fail-stops) and check results against failure-free
   baselines (:mod:`repro.faults.chaos`).
-* ``python -m repro serve [--ranks P] [--clients N]
-  [--jobs-per-client K] [--job-ranks G] [--payload E]
-  [--metrics-port P] [--linger S] [--snapshot-out PATH]
-  [--trace-out PATH] [--chaos]`` — multi-tenant engine demo: N
-  concurrent clients submit job streams to one persistent
-  :class:`repro.engine.Engine` (:mod:`repro.engine.serve`); with
-  ``--metrics-port`` the engine's telemetry is served as Prometheus
-  text on ``/metrics`` and as JSON frames on ``/snapshot.json``;
-  ``--chaos`` adds a chaos tenant (fault-injected jobs under a
-  RetryPolicy) to demo the self-healing layer.
-* ``python -m repro top [--port P | --url URL] [--interval S]
-  [--once]`` — live terminal dashboard over a serving engine's
-  telemetry endpoint (:mod:`repro.engine.top`): queue depth, per-rank
-  utilization bars, effective capacity / quarantined ranks / degraded
-  status, lifecycle counters, p50/p95/p99 latency tails.
 """
 
 from __future__ import annotations
@@ -44,8 +29,7 @@ import sys
 from pathlib import Path
 
 # Each subcommand imports what it runs inside its handler, after its
-# arguments parse: ``top`` and ``--help`` load neither numpy nor the
-# runtime.
+# arguments parse: ``--help`` loads neither numpy nor the runtime.
 
 PAPER_DATA = [6, 7, 6, 3, 8, 2, 8, 4, 8, 3]
 
@@ -395,8 +379,8 @@ def _cmd_chaos(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Dispatch to the tour, profiler, tuner, chaos soak, engine serve
-    demo or telemetry dashboard; returns exit code."""
+    """Dispatch to the tour, profiler, tuner or chaos soak; returns exit
+    code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "profile":
         return _cmd_profile(argv[1:])
@@ -404,14 +388,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_tune(argv[1:])
     if argv and argv[0] == "chaos":
         return _cmd_chaos(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.engine.serve import run_serve
-
-        return run_serve(argv[1:])
-    if argv and argv[0] == "top":
-        from repro.engine.top import run_top
-
-        return run_top(argv[1:])
     return _cmd_tour(argv)
 
 

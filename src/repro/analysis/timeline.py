@@ -9,12 +9,6 @@ compute interval as a slice named by its label — plus instant markers
 for each message sent and received.  Use :func:`tracer_to_chrome_trace`
 for a whole profile (one Perfetto process per run) or
 :func:`to_chrome_trace` on a result whose ``profile`` is set.
-
-A second renderer lives on the **wall clock** rather than virtual time:
-:func:`engine_session_to_chrome_trace` renders an engine telemetry's
-per-rank busy intervals — which pool rank ran which job, when — as one
-Perfetto timeline for the whole service session
-(:mod:`repro.obs.telemetry`).
 """
 
 from __future__ import annotations
@@ -29,8 +23,6 @@ __all__ = [
     "to_chrome_trace",
     "tracer_to_chrome_trace",
     "write_chrome_trace",
-    "engine_session_to_chrome_trace",
-    "write_engine_session_trace",
 ]
 
 #: microseconds per virtual second in the output (trace format wants us)
@@ -164,59 +156,6 @@ def tracer_to_chrome_trace(tracer: Tracer) -> dict[str, Any]:
             ),
         },
     }
-
-
-def engine_session_to_chrome_trace(telemetry: Any) -> dict[str, Any]:
-    """Build one trace dict from an engine session's telemetry.
-
-    One Perfetto process ("engine pool"), one row per pool rank, and an
-    "X" slice per closed busy interval — i.e. per (job, member-rank)
-    execution — named by the job's label, on the **wall-clock** axis
-    (seconds since telemetry start).  This is the service-level
-    complement to the virtual-time run traces above: it shows
-    multiplexing, gang packing and idle gaps across jobs.
-    """
-    intervals = telemetry.intervals()
-    nprocs = getattr(telemetry, "nprocs", 0)
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "args": {"name": "engine pool (wall clock)"},
-        }
-    ]
-    events += _thread_meta(0, nprocs)
-    for rank, t0, t1, job_id, label in intervals:
-        events.append(
-            {
-                "name": label or f"job {job_id}",
-                "cat": "job",
-                "ph": "X",
-                "pid": 0,
-                "tid": rank,
-                "ts": t0 * _SCALE,
-                "dur": (t1 - t0) * _SCALE,
-                "args": {"job_id": job_id},
-            }
-        )
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "clock": "wall",
-            "nprocs": nprocs,
-            "intervals": len(intervals),
-            "interval_drops": getattr(telemetry, "interval_drops", 0),
-        },
-    }
-
-
-def write_engine_session_trace(telemetry: Any, path: str) -> None:
-    """Serialize an engine session's per-rank busy timeline to ``path``
-    (open in Perfetto)."""
-    with open(path, "w") as f:
-        json.dump(engine_session_to_chrome_trace(telemetry), f)
 
 
 def write_chrome_trace(result: SpmdResult | Tracer, path: str) -> None:

@@ -36,7 +36,7 @@ argument of Prajapati (arXiv 1801.05909).
 
 The process-wide :class:`KernelCache` memoizes classifications by
 ``(operator signature, dtype, shape class)``; hit/miss counts surface
-through ``stats()`` into engine telemetry, ``repro top`` and Prometheus.
+through ``stats()`` into ``Engine.stats()["kernel_cache"]``.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ def compile_kernel(op: ReduceScanOp, values: Any) -> Kernel:
 class KernelCache:
     """Kernel memo keyed by ``(operator signature, shape/dtype class)``.
     A classification depends on nothing but that key, so entries never
-    go stale.  Hit/miss counters feed engine telemetry and the benchmark
-    reports."""
+    go stale.  Hit/miss counters feed ``Engine.stats()`` and the
+    benchmark reports."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

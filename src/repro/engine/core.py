@@ -17,7 +17,7 @@ which ranks are free or quarantined is the
 per move, no thread.  This module keeps what needs a thread or a wait:
 the lock and condition every move runs under, the rank threads and their
 boxes, running a job's ranks and assembling its result, the process
-pool, the telemetry hooks, and ``submit`` / ``drain`` / ``shutdown``.
+pool, and ``submit`` / ``drain`` / ``shutdown``.
 The :class:`~repro.engine.resilience.Supervisor` thread paces the
 self-healing steps (:meth:`Engine.admit_due_retries`,
 :meth:`~Engine.reap_stuck_jobs`, :meth:`~Engine.probe_quarantined`,
@@ -46,7 +46,6 @@ from repro.errors import (
     SpmdTimeout,
 )
 from repro.mpi.comm import Communicator
-from repro.obs.telemetry_null import NULL_ENGINE_TELEMETRY
 from repro.obs.tracer_null import active_tracer
 from repro.runtime.costmodel import CostModel
 from repro.runtime.executor import SpmdResult
@@ -58,17 +57,6 @@ from repro.engine.job import JobHandle, _deadline, _Job, _remaining
 from repro.engine.scheduler import Scheduler
 
 __all__ = ["Engine", "Session"]
-
-
-def _resolve_telemetry(telemetry: Any, nprocs: int) -> Any:
-    """``True`` → a fresh :class:`EngineTelemetry`, falsy → the shared
-    null object, anything else is the caller's own instance.  The
-    telemetry stack is imported only by an engine that turns it on."""
-    if telemetry is True:
-        from repro.obs.telemetry import EngineTelemetry
-
-        return EngineTelemetry(nprocs)
-    return telemetry or NULL_ENGINE_TELEMETRY
 
 
 def _probe_fn(comm):
@@ -88,11 +76,6 @@ class Engine:
     :meth:`submit` (backpressure) or raises
     :class:`~repro.errors.EngineSaturated` for non-blocking submits.
 
-    ``telemetry`` enables the service-level observability layer
-    (:mod:`repro.obs.telemetry`): ``True`` builds a fresh
-    :class:`~repro.obs.telemetry.EngineTelemetry`, or pass your own;
-    off (default) keeps the submit/schedule hot path allocation-free.
-
     ``backend`` (``docs/backends.md``): ``"thread"`` (default) folds
     accumulate phases in-process — the bit-identity oracle;
     ``"process"`` offloads them to a
@@ -111,7 +94,6 @@ class Engine:
         *,
         cost_model: CostModel | None = None,
         queue_depth: int = 128,
-        telemetry: "bool | EngineTelemetry | None" = False,
         backend: str = "thread",
         topology: Any | None = None,
     ):
@@ -121,7 +103,6 @@ class Engine:
             raise ValueError(
                 f"backend must be 'thread' or 'process', got {backend!r}"
             )
-        self._telemetry = _resolve_telemetry(telemetry, nprocs)
         # The shared world validates nprocs >= 1 before any thread starts.
         self._world = World(nprocs, cost_model, topology=topology)
         self._backend = backend
@@ -142,7 +123,6 @@ class Engine:
         self._sched = Scheduler(nprocs, queue_depth, self._world.topology)
         self._joined = False
         self._join_clean = True
-        self._telemetry.bind(self)  # reads stats(): the books above exist
         self._boxes: list[queue.SimpleQueue] = [
             queue.SimpleQueue() for _ in range(nprocs)
         ]
@@ -179,36 +159,12 @@ class Engine:
         """The process backend's worker pool, or None (thread backend)."""
         return self._proc_pool
 
-    @property
-    def telemetry(self):
-        """The engine's :class:`~repro.obs.telemetry.EngineTelemetry`,
-        or the shared null object when telemetry is off (``.enabled``
-        distinguishes them)."""
-        return self._telemetry
-
-    def set_telemetry(
-        self, telemetry: "bool | EngineTelemetry | None"
-    ) -> None:
-        """Swap the telemetry layer on a live engine (``True`` builds a
-        fresh :class:`EngineTelemetry`; ``False``/``None`` disables).
-
-        Meant for quiescent points (after warm-up traffic, say): jobs
-        admitted before the swap carry lifecycles stamped by the old
-        telemetry but report their remaining transitions to the new one.
-        """
-        telemetry = _resolve_telemetry(telemetry, self._nprocs)
-        with self._lock:
-            old, self._telemetry = self._telemetry, telemetry
-        old.bind(None)
-        telemetry.bind(self)
-
     def stats(self) -> dict[str, Any]:
         """Scheduler, cache and self-healing counters, one consistent
         snapshot (``effective_capacity``: the pool minus quarantined)."""
         with self._lock:
             return {
                 "nprocs": self._nprocs,
-                "telemetry_enabled": self._telemetry.enabled,
                 **self._sched.stats(),
                 "schedule_cache": self._world.schedule_cache.stats(),
                 "kernel_cache": self._world.kernel_cache.stats(),
@@ -240,7 +196,6 @@ class Engine:
         tracer: Any | None = None,
         fault_plan: Any | None = None,
         label: str | None = None,
-        session: str | None = None,
         block: bool = True,
         queue_timeout: float | None = None,
         retry_policy: resilience.RetryPolicy | None = None,
@@ -269,15 +224,9 @@ class Engine:
         :class:`~repro.runtime.world.JobWorld` per attempt (an eventual
         success is bit-identical to a fault-free run).
 
-        ``session`` labels the job's telemetry lifecycle with the
-        submitting client (set automatically by :meth:`Session.submit`).
         Raises :class:`~repro.errors.EngineClosed` after :meth:`shutdown`.
         """
         nprocs = self._nprocs if nprocs is None else nprocs
-        tel = self._telemetry
-        # Entry stamp *before* any backpressure wait, so queued-submitted
-        # measures the admission stall (allocation-free when disabled).
-        t_submit = tel.now() if tel.enabled else 0.0
         if nprocs < 1:
             raise CommunicatorError(f"nprocs must be >= 1, got {nprocs}")
         if nprocs > self._nprocs:
@@ -294,7 +243,7 @@ class Engine:
         job = _Job(
             fn, args, nprocs,
             timeout=timeout, tracer=tracer, fault_plan=fault_plan,
-            label=label, retry_policy=retry_policy, session=session,
+            label=label, retry_policy=retry_policy,
         )
         sched = self._sched
         with self._cv:
@@ -308,24 +257,20 @@ class Engine:
                 expired = remaining is not None and remaining <= 0.0
                 if not block or expired:
                     sched.reject()
-                    if tel.enabled:
-                        tel.job_rejected(
-                            job.label, session, nprocs, t_submit
-                        )
                     exc_type, reason = refusal
                     if expired:
                         reason += f" (waited {queue_timeout} s)"
                     raise exc_type(reason)
                 self._cv.wait(remaining)
             sched.admit(job, time.perf_counter())
-            self._admitted_locked(job, t_submit)
+            self._dispatch_locked()
         return JobHandle(job, self)
 
-    def session(self, label: str | None = None) -> "Session":
+    def session(self) -> "Session":
         """A client handle that tracks its own submissions."""
         from repro.engine.session import Session
 
-        return Session(self, label=label)
+        return Session(self)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -411,23 +356,10 @@ class Engine:
 
     # -- executing the scheduler's moves (engine lock held) -----------------
 
-    def _admitted_locked(self, job: _Job, t_submit: float) -> None:
-        """``job`` just joined the pending queue (new, or a retry's next
-        attempt): give the attempt its lifecycle and place what fits."""
-        tel = self._telemetry
-        if tel.enabled:
-            job.lifecycle = tel.job_admitted(
-                job.job_id, job.label, job.session, job.nprocs,
-                job.fault_plan is not None, t_submit, attempt=job.attempt,
-            )
-        self._dispatch_locked()
-
     def _dispatch_locked(self) -> None:
         """Start every job the scheduler places: a fresh
         :class:`~repro.runtime.world.JobWorld`, one box item per member."""
         for job in self._sched.place():
-            if job.lifecycle is not None:
-                self._telemetry.job_assembled(job.lifecycle, job.members)
             job.start(self._world)
             done = self._rank_done
             for g, w in enumerate(job.members):
@@ -435,13 +367,8 @@ class Engine:
             self._cv.notify_all()  # queue space freed: wake submitters
 
     def _finished_locked(self, job: _Job) -> None:
-        """``job`` just went terminal: close its lifecycle (a job that
-        was parked has none — its failed attempt's closed as "retrying")
-        and wake its waiters, drain()ers and submitters."""
-        if job.lifecycle is not None:
-            self._telemetry.job_done(
-                job.lifecycle, job.status, job.virtual_seconds
-            )
+        """``job`` just went terminal: wake its waiters, drain()ers and
+        submitters."""
         job.done_event.set()
         self._cv.notify_all()
 
@@ -497,11 +424,6 @@ class Engine:
         brings its own)."""
         world = job.world
         mailbox = self._world.mailboxes[w]
-        lc = job.lifecycle
-        if lc is not None and lc.t_running is None:
-            # First member in stamps "running"; the t_running guard makes
-            # this a one-attribute check for every later member.
-            self._telemetry.job_running(lc)
         previous = mailbox.bind_job(world.membership, world.abort_event)
         try:
             try:
@@ -546,10 +468,6 @@ class Engine:
             )
             if status != "retrying":
                 self._finished_locked(job)
-            elif job.lifecycle is not None:
-                # This attempt is over; the next gets a fresh record.
-                self._telemetry.job_retried(job.lifecycle)
-                job.lifecycle = None
             self._dispatch_locked()
 
     def _finalize(
@@ -564,15 +482,16 @@ class Engine:
         is :meth:`Scheduler.settle`'s to decide, under the lock.
         """
         world = job.world
-        wall = time.perf_counter() - job.t0
+        t_end = time.perf_counter()
         clocks = [world.clocks[w].t for w in job.members]
-        job.virtual_seconds = max(clocks) if clocks else 0.0
         if world.run_capture is not None:
             # Finalize even on failure so a crashed job still leaves a
-            # usable (partial) profile behind.
+            # usable (partial) profile behind; the wall stamps make the
+            # run record the job node of the trace tree.
             job.tracer.finish_run(
                 world.run_capture, clocks,
                 label=getattr(job.fn, "__name__", None),
+                wall=(job.admitted_at, job.t0, t_end),
             )
         # Messages the job sent but never received (e.g. unwound mid-
         # collective) must not survive it: a persistent world would
@@ -593,7 +512,7 @@ class Engine:
             returns=job.returns,
             clocks=clocks,
             traces=[world.traces[w] for w in job.members],
-            wall_seconds=wall,
+            wall_seconds=t_end - job.t0,
             profile=world.run_capture,
             failed_ranks=frozenset(group_rank[w] for w in dead),
         ), None
@@ -622,7 +541,7 @@ class Engine:
                 continue
             with self._cv:
                 if self._sched.readmit(job, plan, time.perf_counter()):
-                    self._admitted_locked(job, self._telemetry.now())
+                    self._dispatch_locked()
 
     def reap_stuck_jobs(self) -> None:
         """Fail jobs stuck past their deadline, server-side: even with

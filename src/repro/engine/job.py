@@ -46,10 +46,8 @@ class _Job:
         "label", "status", "cancelled", "timed_out", "timeout_error", "lock",
         "done_event", "world", "members", "returns", "failures",
         "failure_states", "ranks_left", "t0", "result", "error",
-        "lifecycle", "virtual_seconds",
         # Self-healing fields (engine/resilience.py):
-        "retry_policy", "attempt", "fault_plan_source", "session",
-        "admitted_at",
+        "retry_policy", "attempt", "fault_plan_source", "admitted_at",
     )
 
     def __init__(
@@ -63,7 +61,6 @@ class _Job:
         fault_plan: Any,
         label: str | None,
         retry_policy: Any = None,
-        session: str | None = None,
     ):
         self.job_id = 0  # assigned at admission (a health probe keeps 0)
         self.fn = fn
@@ -90,17 +87,12 @@ class _Job:
         self.failures: dict[int, BaseException] = {}
         self.failure_states: list[dict] | None = None
         self.ranks_left = 0
-        self.t0 = 0.0
+        self.t0 = 0.0  # perf_counter at gang start
         self.result = None  # SpmdResult on success
         self.error: BaseException | None = None  # raised by JobHandle.result
-        #: JobLifecycle stamps when the engine has telemetry enabled;
-        #: None on the telemetry-off (allocation-free) path.
-        self.lifecycle = None
-        self.virtual_seconds = 0.0  # simulated makespan, set at finalize
         #: RetryPolicy, or None: failures are terminal on the first attempt.
         self.retry_policy = retry_policy
         self.attempt = 1  # 1-based; bumped at each retry re-admission
-        self.session = session
         self.admitted_at = 0.0  # perf_counter at (re-)admission
 
     def start(self, parent_world) -> None:
@@ -158,13 +150,6 @@ class JobHandle:
         """Which attempt (1-based) the job is on — above 1 only under a
         :class:`~repro.engine.resilience.RetryPolicy`."""
         return self._job.attempt
-
-    @property
-    def lifecycle(self):
-        """The live attempt's wall-clock
-        :class:`~repro.obs.telemetry.JobLifecycle` stamps; None without
-        telemetry, and while a retried job is parked in backoff."""
-        return self._job.lifecycle
 
     def done(self) -> bool:
         """True once the job has completed, failed or been cancelled."""

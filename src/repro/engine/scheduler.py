@@ -8,9 +8,9 @@ job is in exactly one container at every instant (state table:
 ``docs/engine.md``).
 
 State in, decisions out: ``now`` is passed in and nothing here waits,
-wakes, starts a thread or calls telemetry — the engine executes what a
-move returns, and ``tests/test_engine_scheduler.py`` drives every
-interleaving of moves without a thread.  The policy constants
+wakes or starts a thread — the engine executes what a move returns,
+and ``tests/test_engine_scheduler.py`` drives every interleaving of
+moves without a thread.  The policy constants
 ``REAP_GRACE``, ``PROBE_AFTER`` and ``CAPACITY_FLOOR`` are read here and
 nowhere else, through the module, at call time.
 """
@@ -345,7 +345,6 @@ class Scheduler:
         job.fault_plan = plan
         job.world, job.members = None, ()
         job.timed_out, job.timeout_error = False, None
-        job.virtual_seconds = 0.0
         self._enqueue(job, now)
         return True
 

@@ -29,9 +29,8 @@ class Session:
     sessions (threads) may share one engine.
     """
 
-    def __init__(self, engine: Engine, label: str | None = None):
+    def __init__(self, engine: Engine):
         self._engine = engine
-        self.label = label
         self._lock = threading.Lock()
         self._handles: list[JobHandle] = []
 
@@ -46,10 +45,7 @@ class Session:
             return list(self._handles)
 
     def submit(self, fn: Callable[..., Any], **kwargs: Any) -> JobHandle:
-        """Submit a job (same keywords as :meth:`Engine.submit`).  The
-        session's label rides along so telemetry lifecycles attribute
-        the job to this client."""
-        kwargs.setdefault("session", self.label)
+        """Submit a job (same keywords as :meth:`Engine.submit`)."""
         handle = self._engine.submit(fn, **kwargs)
         with self._lock:
             self._handles.append(handle)

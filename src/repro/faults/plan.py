@@ -316,9 +316,8 @@ class TransientPlan:
     deterministically, from the seed) draws whether a fail-stop strikes,
     so a job under a :class:`~repro.engine.resilience.RetryPolicy`
     eventually lands a clean attempt and completes bit-identically to a
-    fault-free run.  This is the chaos-tenant primitive used by
-    ``python -m repro serve --chaos`` and the chaos soak
-    (``tests/test_engine_resilience.py::TestChaosSoak``).
+    fault-free run.  This is the chaos-tenant primitive used by the
+    chaos soak (``tests/test_engine_resilience.py::TestChaosSoak``).
     """
 
     __slots__ = ("seed", "nprocs", "failstop_rate", "lossy", "max_drop")

@@ -1,5 +1,4 @@
-"""Observability: phase-level span tracing, profile exporters, and the
-engine's telemetry.
+"""Observability: phase-level span tracing and profile exporters.
 
 The paper's structural claim — a global-view reduction/scan is an
 **accumulate** phase, a **combine** phase, and a **generate** phase —
@@ -10,14 +9,9 @@ and the hot paths see only the no-op :data:`NULL_TRACER`.  The span
 profile is the only record a traced run writes: spans carry the facts
 their code decided as notes (schedule, radix, kernel route, sweep and
 wave widths), and :func:`repro.obs.export.profile_counts` counts them.
-
-Service-level telemetry for the persistent engine lives here too:
-:class:`EngineTelemetry` stamps wall-clock job lifecycles and scheduler
-gauges (:mod:`repro.obs.telemetry`) into a :class:`MetricsRegistry`
-(:mod:`repro.obs.metrics`), :class:`P2Quantile` / :class:`QuantileSet`
-give every :class:`Histogram` streaming p50/p95/p99
-(:mod:`repro.obs.quantiles`), and :func:`render_prometheus` serves it
-all as Prometheus text (:mod:`repro.obs.promexport`).
+A run's :class:`RunCapture` is the job node of the tree: an engine job
+seals it with its wall-clock queue wait and execution time beside the
+virtual makespan.
 
 >>> from repro import spmd_run, global_reduce
 >>> from repro.obs import Tracer, phase_summary
@@ -34,16 +28,9 @@ from repro import _lazy
 
 __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "critpath": ("CriticalPath", "PathStep", "critical_path"),
-    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
     "export": (
         "dumps_jsonl", "format_text_report", "iter_jsonl_records",
         "phase_summary", "phase_topmost_spans", "write_jsonl"
-    ),
-    "promexport": ("prom_name", "render_prometheus"),
-    "quantiles": ("DEFAULT_QUANTILES", "P2Quantile", "QuantileSet"),
-    "telemetry": (
-        "LIFECYCLE_STATES", "NULL_ENGINE_TELEMETRY", "EngineTelemetry",
-        "JobLifecycle", "SnapshotRing"
     ),
     "tracer": (
         "NULL_TRACER", "RankTracer", "RecvEdge", "RunCapture", "SendEdge",

@@ -162,6 +162,9 @@ def iter_jsonl_records(tracer: Tracer) -> Iterator[dict[str, Any]]:
             "label": run.label,
             "nprocs": run.nprocs,
             "makespan": run.makespan,
+            "queue_wait_s": run.queue_wait_s,
+            "exec_s": run.exec_s,
+            "wall_s": run.wall_s,
         }
         for span in run.spans():
             yield {
@@ -220,10 +223,16 @@ def format_text_report(tracer: Tracer) -> str:
     )
     for run in tracer.runs:
         label = f" [{run.label}]" if run.label else ""
-        lines.append(
+        line = (
             f"  run {run.index}{label}: {run.nprocs} ranks, makespan "
             f"{(run.makespan or 0.0) * 1e6:.1f} us"
         )
+        if run.wall_s is not None:
+            line += (
+                f"; wall queue_wait_s {run.queue_wait_s:.6f}, "
+                f"exec_s {run.exec_s:.6f}, wall_s {run.wall_s:.6f}"
+            )
+        lines.append(line)
     lines.append("")
     lines.append("per-operator phase breakdown (virtual rank-seconds, all runs)")
     header = (

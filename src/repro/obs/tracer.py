@@ -255,13 +255,19 @@ class RankTracer:
 
 class RunCapture(Record):
     """Everything one ``spmd_run`` recorded: per-rank tracers + metadata.
+    It is the job node of the trace tree (job → rank → span): one per
+    attempt of an engine job.
 
     ``traces`` are the run's per-rank :class:`~repro.runtime.trace.Trace`
     counters (the same objects ``SpmdResult.traces`` holds), for the
-    fault events a profile's counts include."""
+    fault events a profile's counts include.  ``t_admitted`` /
+    ``t_started`` / ``t_finished`` are the attempt's wall-clock stamps
+    (``time.perf_counter``: admission or re-admission, gang start,
+    finalize), None until the engine seals the run."""
 
     __slots__ = (
-        "index", "nprocs", "ranks", "label", "makespan", "clocks", "traces"
+        "index", "nprocs", "ranks", "label", "makespan", "clocks", "traces",
+        "t_admitted", "t_started", "t_finished",
     )
 
     def __init__(
@@ -273,6 +279,9 @@ class RunCapture(Record):
         makespan: float | None = None,
         clocks: list[float] | None = None,
         traces: list[Any] | None = None,
+        t_admitted: float | None = None,
+        t_started: float | None = None,
+        t_finished: float | None = None,
     ):
         self.index = index
         self.nprocs = nprocs
@@ -281,6 +290,30 @@ class RunCapture(Record):
         self.makespan = makespan
         self.clocks = clocks
         self.traces = traces
+        self.t_admitted = t_admitted
+        self.t_started = t_started
+        self.t_finished = t_finished
+
+    @property
+    def queue_wait_s(self) -> float | None:
+        """Wall seconds from (re-)admission to gang start."""
+        if self.t_finished is None:
+            return None
+        return self.t_started - self.t_admitted
+
+    @property
+    def exec_s(self) -> float | None:
+        """Wall seconds from gang start to finalize."""
+        if self.t_finished is None:
+            return None
+        return self.t_finished - self.t_started
+
+    @property
+    def wall_s(self) -> float | None:
+        """Wall seconds from (re-)admission to finalize."""
+        if self.t_finished is None:
+            return None
+        return self.t_finished - self.t_admitted
 
     def spans(self) -> Iterator[Span]:
         """All ranks' completed spans."""
@@ -313,12 +346,16 @@ class Tracer:
         return run
 
     def finish_run(self, run: RunCapture, clocks: list[float],
-                   label: str | None = None) -> None:
-        """Seal a run with its final per-rank virtual times."""
+                   label: str | None = None,
+                   wall: tuple[float, float, float] | None = None) -> None:
+        """Seal a run with its final per-rank virtual times and, from
+        the engine, its wall stamps ``(admitted, started, finished)``."""
         run.clocks = list(clocks)
         run.makespan = max(clocks) if clocks else 0.0
         if label is not None and run.label is None:
             run.label = label
+        if wall is not None:
+            run.t_admitted, run.t_started, run.t_finished = wall
 
     def spans(self) -> Iterator[Span]:
         """All spans across all runs."""

@@ -22,8 +22,7 @@ multi-tier :func:`multi_node` and :func:`fat_tree`, which live with
 Topologies are *shapes*, not allocations: ``node_of``/``rack_of`` are
 pure functions of the rank number, so one instance serves any world
 size.  Non-flat topologies also keep per-tier traffic counters
-(:meth:`Topology.stats`), surfaced as ``fabric.congestion.*`` telemetry
-by the engine.
+(:meth:`Topology.stats`), surfaced as ``Engine.stats()["fabric"]``.
 """
 
 from __future__ import annotations

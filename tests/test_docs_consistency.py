@@ -153,7 +153,7 @@ class TestApiDoc:
         """Every full signature of an audited callable quoted in api.md
         lists exactly the parameters of the function, in order — a
         removed option cannot live on in the docs, a new one cannot go
-        undocumented.  Elided forms (`Engine(..., telemetry=True)`) are
+        undocumented.  Elided forms (`Engine(..., backend="process")`) are
         examples, not signatures, and are skipped."""
         targets = _audited_callables()
         doc = " ".join(_read("docs/api.md").split())
@@ -295,8 +295,8 @@ class TestNoEnvironmentSwitches:
 
 
 class TestMetricCatalogue:
-    """docs/observability.md lists every metric an engine exports, and
-    nothing an engine does not."""
+    """docs/observability.md lists every key ``Engine.stats()`` returns
+    (a nested dict by its dotted keys), and nothing it does not."""
 
     @staticmethod
     def _documented() -> set[str]:
@@ -306,7 +306,7 @@ class TestMetricCatalogue:
         for row in re.findall(r"^\| (`[^|]+) \|", table, flags=re.M):
             first, *rest = re.findall(r"`([\w.]+)`", row)
             names.add(first)
-            # "`a.b.hits` / `.misses`" abbreviates a.b.misses.
+            # "`a.hits` / `.misses`" abbreviates a.misses.
             names.update(first.rsplit(".", 1)[0] + tail for tail in rest)
         return names
 
@@ -318,9 +318,12 @@ class TestMetricCatalogue:
         for options in (
             {}, {"topology": multi_node(2)}, {"backend": "process"},
         ):
-            with Engine(2, telemetry=True, **options) as engine:
+            with Engine(2, **options) as engine:
                 engine.submit(lambda comm: comm.rank).result()
-                metrics = engine.telemetry.snapshot()["metrics"]
-            for kind in ("counters", "gauges", "histograms"):
-                exported.update(metrics[kind])
+                stats = engine.stats()
+            for key, value in stats.items():
+                if isinstance(value, dict):
+                    exported.update(f"{key}.{sub}" for sub in value)
+                elif value is not None:
+                    exported.add(key)
         assert self._documented() == exported

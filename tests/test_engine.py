@@ -27,6 +27,7 @@ from repro.errors import (
 from repro.faults import FailStop, FaultPlan
 from repro.ops import SumOp
 from repro.runtime import spmd_run
+from tests.conftest import conserved, watch_conservation
 
 
 def sum_job(comm):
@@ -365,7 +366,7 @@ class TestLifecycle:
 class TestSession:
     def test_session_tracks_handles(self):
         with Engine(4) as engine:
-            with engine.session(label="tenant-a") as session:
+            with engine.session() as session:
                 assert isinstance(session, Session)
                 for _ in range(3):
                     session.submit(scan_job, nprocs=2)
@@ -377,14 +378,45 @@ class TestSession:
 
     def test_sessions_share_one_pool(self):
         with Engine(4) as engine:
-            a = engine.session(label="a")
-            b = engine.session(label="b")
+            a = engine.session()
+            b = engine.session()
             ha = [a.submit(scan_job, nprocs=2) for _ in range(4)]
             hb = [b.submit(scan_job, nprocs=2) for _ in range(4)]
             a.drain(timeout=30.0)
             b.drain(timeout=30.0)
             assert all(h.status == "done" for h in ha + hb)
             assert engine.stats()["completed"] == 8
+
+    def test_concurrent_sessions_balance_the_books(self):
+        """Six client threads, one session each, ten jobs each: every
+        submit and completion is counted once, and each session sees
+        exactly its own handles."""
+        n_clients, jobs_each = 6, 10
+        sessions = [None] * n_clients
+        with Engine(4) as engine, watch_conservation(engine):
+            def client(idx):
+                with engine.session() as s:
+                    for _ in range(jobs_each):
+                        s.submit(scan_job, nprocs=2)
+                    sessions[idx] = s
+
+            threads = [
+                threading.Thread(target=client, args=(i,))
+                for i in range(n_clients)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            stats = engine.stats()
+        total = n_clients * jobs_each
+        assert (stats["submitted"], stats["completed"]) == (total, total)
+        assert conserved(stats)
+        ids = [h.job_id for s in sessions for h in s.handles]
+        assert sorted(ids) == list(range(1, total + 1))
+        for s in sessions:
+            assert len(s.handles) == jobs_each
+            assert all(h.status == "done" for h in s.handles)
 
 
 class TestScheduleCache:

@@ -32,7 +32,7 @@ from repro.faults import (
     reseed,
     transient_plan,
 )
-from repro.obs.telemetry import EngineTelemetry
+from repro.obs import Tracer
 from repro.ops import MaxOp, SumOp
 from repro.runtime import spmd_run
 from tests.conftest import conserved, watch_conservation
@@ -230,12 +230,13 @@ class TestRetryExecution:
 
         monkeypatch.setattr(Scheduler, "readmit", spy)
         policy = RetryPolicy(max_attempts=3, backoff_base=0.2)
-        telemetry = EngineTelemetry(4)
-        with Engine(4, telemetry=telemetry) as engine:
+        tracer = Tracer()
+        with Engine(4) as engine:
             clean = engine.submit(raw_sum_job).result(timeout=30.0)
             t0 = time.perf_counter()
             handle = engine.submit(
-                raw_sum_job, fault_plan=KILL_RANK_1, retry_policy=policy
+                raw_sum_job, fault_plan=KILL_RANK_1, retry_policy=policy,
+                tracer=tracer,
             )
             res = handle.result(timeout=30.0)
             waited = time.perf_counter() - t0
@@ -246,18 +247,17 @@ class TestRetryExecution:
         assert (stats["retried"], stats["completed"], stats["failed"]) == (
             1, 2, 0
         )
-        # One lifecycle per attempt: the crashed one ends "retrying".
-        states = [
-            (lc.job_id, lc.attempt, lc.state) for lc in telemetry.recent_jobs()
-        ]
-        assert sorted(states) == [
-            (handle.job_id - 1, 1, "completed"),  # the fault-free run
-            (handle.job_id, 1, "retrying"),
-            (handle.job_id, 2, "completed"),
-        ]
-        counters = telemetry.snapshot()["metrics"]["counters"]
-        assert counters["engine.jobs.retried"] == 1
-        assert counters["engine.jobs.completed"] == 2
+        # One run record per attempt: the crashed one partial, the
+        # second complete, each with its own wall stamps — the second
+        # admitted again after the first finished and its backoff ran.
+        first, second = tracer.runs
+        assert first.clocks != clean.clocks
+        assert second.clocks == clean.clocks == res.clocks
+        for run in (first, second):
+            assert run.t_admitted <= run.t_started <= run.t_finished
+        assert second.t_admitted - first.t_finished >= (
+            policy.backoff_seconds(1, handle.job_id)
+        )
         for got, want in zip(res.returns, clean.returns):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         assert res.clocks == clean.clocks
@@ -282,12 +282,11 @@ class TestCancelInTheFinalizeWindow:
     """A ``cancel()`` that lands after the last rank's ``_finalize`` has
     returned and before ``_rank_done`` re-takes the engine lock used to
     find the job already marked "retrying", take it terminal, and then
-    be counted (and filed in the telemetry history) a second time when
-    ``_rank_done`` got the lock.  The transition out of "running" is one
-    critical section now, so the cancel is seen exactly once."""
+    be counted a second time when ``_rank_done`` got the lock.  The
+    transition out of "running" is one critical section now, so the
+    cancel is seen exactly once."""
 
-    @pytest.mark.parametrize("telemetry", [False, True])
-    def test_cancel_is_counted_once(self, monkeypatch, telemetry):
+    def test_cancel_is_counted_once(self, monkeypatch):
         def always_raises(comm):
             raise ValueError("boom")
 
@@ -301,8 +300,7 @@ class TestCancelInTheFinalizeWindow:
             return out
 
         monkeypatch.setattr(Engine, "_finalize", finalize_then_cancel)
-        tel = EngineTelemetry(2) if telemetry else None
-        with Engine(2, telemetry=tel) as engine, watch_conservation(engine):
+        with Engine(2) as engine, watch_conservation(engine):
             handle = engine.submit(
                 always_raises,
                 retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.2),
@@ -315,10 +313,6 @@ class TestCancelInTheFinalizeWindow:
         assert handle.status == "cancelled"
         assert (stats["submitted"], stats["cancelled"]) == (1, 1)
         assert (stats["retried"], stats["failed"]) == (0, 0)
-        if tel is not None:
-            history = tel.recent_jobs()
-            assert len(history) == 1 and history[0].state == "cancelled"
-            assert len(tel.intervals()) == 2  # one per member rank
 
 
 def _fails_once():
@@ -405,6 +399,42 @@ class TestNoStrandedJobs:
         assert stats["inflight"] == stats["pending"] == 0
         assert stats["cancelled"] == 3 and conserved(stats)
 
+    def test_shutdown_cancels_a_parked_job_once(self, monkeypatch):
+        """``shutdown(drain=False)`` with a job parked in retry backoff:
+        the job is cancelled once, the failed attempt it already paid
+        stays counted as retried, and its sealed run record is not
+        touched again."""
+        monkeypatch.setattr(resilience, "BACKOFF_MAX", 60.0)
+
+        def always_raises(comm):
+            raise ValueError("boom")
+
+        tracer = Tracer()
+        engine = Engine(4)
+        with watch_conservation(engine):
+            handle = engine.submit(
+                always_raises, tracer=tracer,
+                retry_policy=RetryPolicy(max_attempts=2, backoff_base=60.0),
+            )
+            deadline = time.monotonic() + 10.0
+            while engine.stats()["retry_backlog"] != 1:
+                assert time.monotonic() < deadline, "never parked"
+                time.sleep(0.005)
+            (sealed,) = tracer.runs
+            stamps = (sealed.t_admitted, sealed.t_started, sealed.t_finished)
+            assert engine.shutdown(drain=False)
+        with pytest.raises(JobCancelled):
+            handle.result()
+        stats = engine.stats()
+        assert (stats["submitted"], stats["cancelled"]) == (1, 1)
+        assert (stats["retried"], stats["failed"], stats["completed"]) == (
+            1, 0, 0
+        )
+        assert stats["retry_backlog"] == stats["pending"] == 0
+        assert conserved(stats)
+        assert tracer.runs == [sealed]
+        assert (sealed.t_admitted, sealed.t_started, sealed.t_finished) == stamps
+
 
 class TestRetryDeterminismGrid:
     """ISSUE 8 satellite: seeded plan x policy grid — eventual results
@@ -471,28 +501,20 @@ class TestChaosSoak:
 
 class TestLeakedMessages:
     def test_midcollective_failstop_counts_leaked_messages(self):
-        telemetry = EngineTelemetry(4)
-        with Engine(4, telemetry=telemetry) as engine:
+        with Engine(4) as engine:
             with pytest.raises(SpmdError):
                 engine.submit(
                     raw_sum_job, fault_plan=KILL_RANK_1
                 ).result(timeout=30.0)
             stats = engine.stats()
         # A rank died mid-collective: messages addressed to it were
-        # swept at finalize and must be visible in both surfaces.
+        # swept at finalize and counted.
         assert stats["leaked_messages_drained"] > 0
-        counters = telemetry.snapshot()["metrics"]["counters"]
-        assert (
-            counters["engine.jobs.leaked_messages"]
-            == stats["leaked_messages_drained"]
-        )
 
     def test_clean_jobs_leak_nothing(self):
-        telemetry = EngineTelemetry(4)
-        with Engine(4, telemetry=telemetry) as engine:
+        with Engine(4) as engine:
             engine.submit(raw_sum_job).result()
-        counters = telemetry.snapshot()["metrics"]["counters"]
-        assert counters["engine.jobs.leaked_messages"] == 0
+            assert engine.stats()["leaked_messages_drained"] == 0
 
 
 class TestQuarantineAndDegraded:

@@ -59,8 +59,7 @@ PARENT_EXPORTS = {
             "RankUtilization utilization format_utilization"
         ),
         "repro.analysis.timeline": (
-            "to_chrome_trace tracer_to_chrome_trace write_chrome_trace "
-            "engine_session_to_chrome_trace write_engine_session_trace"
+            "to_chrome_trace tracer_to_chrome_trace write_chrome_trace"
         ),
     },
     "repro.arrays": {
@@ -160,18 +159,11 @@ PARENT_EXPORTS = {
             "Span SendEdge RecvEdge RankTracer RunCapture Tracer NULL_TRACER "
             "profiling active_tracer active_profile"
         ),
-        "repro.obs.metrics": "Counter Gauge Histogram MetricsRegistry",
         "repro.obs.critpath": "CriticalPath PathStep critical_path",
         "repro.obs.export": (
             "phase_summary phase_topmost_spans iter_jsonl_records dumps_jsonl "
             "write_jsonl format_text_report"
         ),
-        "repro.obs.quantiles": "P2Quantile QuantileSet DEFAULT_QUANTILES",
-        "repro.obs.telemetry": (
-            "EngineTelemetry JobLifecycle SnapshotRing NULL_ENGINE_TELEMETRY "
-            "LIFECYCLE_STATES"
-        ),
-        "repro.obs.promexport": "render_prometheus prom_name",
     },
     "repro.ops": {
         "repro.ops.arithmetic": "SumOp ProdOp MinOp MaxOp UfuncOp",
@@ -253,9 +245,12 @@ class TestParity:
     def test_the_table_is_the_302_parent_exports(self):
         # The 302 names the eager facades exported, less ``TraceEvent``
         # (it went with the event log it belonged to), ``SupervisorConfig``
-        # (its seven fields are module constants) and ``NULL_METRICS``
-        # (traced runs keep no metrics registry to stand in for).
-        assert sum(len(_names(s)) for s in PARENT_EXPORTS.values()) == 299
+        # (its seven fields are module constants), ``NULL_METRICS``
+        # (traced runs keep no metrics registry to stand in for) and the
+        # 16 names of the removed service stack: the metrics registry,
+        # P² quantiles, engine telemetry, Prometheus text and the
+        # engine-session Chrome trace.
+        assert sum(len(_names(s)) for s in PARENT_EXPORTS.values()) == 283
 
     @pytest.mark.parametrize("facade", sorted(PARENT_EXPORTS))
     def test_names_resolve_to_the_defining_object(self, facade):
@@ -297,9 +292,9 @@ class TestParity:
             print(repro.core.fusion.global_reduce_many.__name__)
             print(repro.mpi.collectives.run_plan.__name__)
             print(repro.runtime.procworld.MISS is repro.runtime.channels.MISS)
-            print(repro.engine.top.run_top.__name__)
+            print(repro.engine.session.Session.__name__)
         """)
-        assert out.split() == ["global_reduce_many", "run_plan", "True", "run_top"]
+        assert out.split() == ["global_reduce_many", "run_plan", "True", "Session"]
 
     @pytest.mark.parametrize("first", ["import {sub}", "from {pkg} import {name}"])
     @pytest.mark.parametrize("pkg, name", [
@@ -320,17 +315,12 @@ class TestParity:
 
     def test_split_out_names_still_resolve_where_they_were(self):
         from repro.mpi import tuning, tuning_fit
-        from repro.obs import telemetry, telemetry_null
         from repro.runtime import channels, procworld
 
         assert tuning.fit_decision_table is tuning_fit.fit_decision_table
         assert tuning.DEFAULT_RANK_GRID is tuning_fit.DEFAULT_RANK_GRID
         assert tuning.DEFAULT_PAYLOAD_GRID is tuning_fit.DEFAULT_PAYLOAD_GRID
         assert "fit_decision_table" in dir(tuning)
-        assert (
-            telemetry.NULL_ENGINE_TELEMETRY
-            is telemetry_null.NULL_ENGINE_TELEMETRY
-        )
         assert procworld.MISS is channels.MISS
 
 
@@ -376,8 +366,7 @@ class TestConcurrentFirstTouch:
 COLD = (
     "multiprocessing", "socket", "logging", "pathlib", "json", "random",
     "repro.runtime.procworld",
-    "repro.obs.critpath", "repro.obs.export", "repro.obs.promexport",
-    "repro.obs.telemetry", "repro.obs.metrics", "repro.obs.quantiles",
+    "repro.obs.critpath", "repro.obs.export",
     "repro.mpi.tuning_fit",
     "repro.core.chapel", "repro.core.validation", "repro.core.functional",
     "repro.faults.", "repro.nas.", "repro.rsmpi.", "repro.arrays.",
@@ -477,12 +466,13 @@ _WORKLOAD_JOBS = {
 #: cold halves of the job-path modules moved out (collectives, tuning,
 #: the multi-tier fabrics, the frame codec, the enabled tracer, ULFM,
 #: rate calibration) every workload loaded 10,442 lines, 12,657 with
-#: the DSL.
+#: the DSL; with the null engine telemetry and its hooks still on the
+#: job path, 8,984 and 11,172.
 COLD_PATH_LINES = {
-    "small_jobs": 9_000,
-    "accum_heavy": 9_000,
-    "wide_combine": 9_000,
-    "oneshot_scan": 11_200,
+    "small_jobs": 8_806,
+    "accum_heavy": 8_806,
+    "wide_combine": 8_806,
+    "oneshot_scan": 10_994,
 }
 
 

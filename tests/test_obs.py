@@ -1,11 +1,11 @@
 """Tests for the observability subsystem: tracer, span notes and the
-counts read off them, the telemetry registry, critical path, exporters,
-timeline rendering, and the profiling CLI."""
+counts read off them, an engine job's wall stamps on its run record,
+critical path, exporters, timeline rendering, and the profiling CLI."""
 
 from __future__ import annotations
 
 import json
-import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,6 @@ from repro.core import global_reduce, global_reduce_many, global_scan, make_op
 from repro.faults import FailStop, FaultPlan, LinkFaults
 from repro.obs import (
     NULL_TRACER,
-    MetricsRegistry,
     RankTracer,
     RunCapture,
     Tracer,
@@ -28,8 +27,9 @@ from repro.obs import (
     phase_topmost_spans,
     profiling,
 )
+from repro.engine import Engine
+from repro.errors import EngineSaturated
 from repro.obs.export import profile_counts
-from repro.obs.metrics import Histogram
 from repro.ops import CountsOp, MaxOp, MinKOp, SumOp
 from repro.runtime import cluster_2006, spmd_run
 from repro.runtime.fabric import multi_node
@@ -51,71 +51,6 @@ def _program(comm):
     running = global_scan(comm, SumOp(), local)
     counts = global_reduce(comm, CountsOp(8), local)
     return total, tuple(running), tuple(counts.tolist())
-
-
-# -- metrics ---------------------------------------------------------------
-
-
-class TestHistogram:
-    def test_bucket_exponent_exact_powers_are_upper_bounds(self):
-        # bucket 2**k covers (2**(k-1), 2**k] — a power of two is the
-        # inclusive upper bound of its own bucket.
-        assert Histogram.bucket_exponent(1.0) == 0
-        assert Histogram.bucket_exponent(2.0) == 1
-        assert Histogram.bucket_exponent(0.5) == -1
-        assert Histogram.bucket_exponent(1024.0) == 10
-
-    def test_bucket_exponent_interior(self):
-        assert Histogram.bucket_exponent(3.0) == 2
-        assert Histogram.bucket_exponent(1.0001) == 1
-        assert Histogram.bucket_exponent(0.75) == 0
-
-    def test_zero_and_inf_get_dedicated_buckets(self):
-        h = Histogram()
-        h.observe(0.0)
-        h.observe(math.inf)
-        h.observe(4.0)
-        assert h.zero_count == 1
-        assert h.inf_count == 1
-        assert h.buckets() == [(0.0, 1), (4.0, 1), (math.inf, 1)]
-        assert h.count == 3
-        assert h.min == 0.0 and h.max == math.inf
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            Histogram().observe(-1.0)
-
-    def test_boundary_falls_in_lower_bucket(self):
-        h = Histogram()
-        h.observe(2.0)  # boundary of (1, 2] and (2, 4]
-        h.observe(2.0000001)
-        assert dict(h.buckets()) == {2.0: 1, 4.0: 1}
-
-    def test_summary_is_json_serializable(self):
-        h = Histogram()
-        for v in (0.0, 1.0, 3.0, math.inf):
-            h.observe(v)
-        s = json.dumps(h.summary())
-        assert "inf" in s
-
-
-class TestRegistry:
-    def test_instruments_accumulate(self):
-        m = MetricsRegistry()
-        m.counter("c").inc()
-        m.counter("c").inc(4)
-        m.gauge("g").set(2.5)
-        m.histogram("h").observe(3.0)
-        snap = m.snapshot()
-        assert snap["counters"] == {"c": 5}
-        assert snap["gauges"] == {"g": 2.5}
-        assert snap["histograms"]["h"]["count"] == 1
-
-    def test_type_conflict_raises(self):
-        m = MetricsRegistry()
-        m.counter("x")
-        with pytest.raises(TypeError, match="Counter"):
-            m.histogram("x")
 
 
 # -- span capture invariants -----------------------------------------------
@@ -664,6 +599,42 @@ class TestExporters:
             to_chrome_trace(res)
 
 
+class TestRunRecordWallStamps:
+    """A traced engine job's run record is the job node of the tree: it
+    carries the attempt's wall-clock queue wait and execution time
+    beside the virtual makespan, in the text report and the JSONL."""
+
+    def test_traced_engine_job_carries_its_wall_split(self):
+        tracer = Tracer()
+        with Engine(4) as eng:
+            eng.submit(_program, tracer=tracer).result()
+        (run,) = tracer.runs
+        assert run.t_admitted <= run.t_started <= run.t_finished
+        assert run.exec_s > 0.0 and run.queue_wait_s >= 0.0
+        assert run.queue_wait_s + run.exec_s == pytest.approx(run.wall_s)
+        (record,) = [
+            json.loads(line) for line in dumps_jsonl(tracer).splitlines()
+            if json.loads(line)["type"] == "run"
+        ]
+        assert (record["queue_wait_s"], record["exec_s"], record["wall_s"]) == (
+            run.queue_wait_s, run.exec_s, run.wall_s
+        )
+        line = format_text_report(tracer).splitlines()[1]
+        assert "makespan" in line
+        assert f"queue_wait_s {run.queue_wait_s:.6f}" in line
+        assert f"exec_s {run.exec_s:.6f}" in line
+        assert f"wall_s {run.wall_s:.6f}" in line
+
+    def test_an_unsealed_run_reports_no_wall_split(self):
+        tracer = Tracer()
+        tracer.runs.append(RunCapture(index=0, nprocs=2, ranks=[]))
+        run = tracer.runs[0]
+        assert run.queue_wait_s is run.exec_s is run.wall_s is None
+        record = json.loads(dumps_jsonl(tracer).splitlines()[0])
+        assert record["wall_s"] is None
+        assert "wall_s" not in format_text_report(tracer)
+
+
 # -- CLI -------------------------------------------------------------------
 
 
@@ -720,14 +691,15 @@ class TestProfileCli:
 
 
 class TestDisabledTracerAllocatesNothing:
-    """Satellite guarantee: with no profile active, the hot paths build
-    zero span or metric-instrument objects — the disabled branch is an
-    attribute check, not a null object per call."""
+    """Satellite guarantee: with no profile active, the hot paths and the
+    engine's submit → dispatch → worker → finalize path build zero run,
+    rank-tracer or span objects — the disabled branch is an attribute
+    check, not a null object per call, and an untraced job is stamped
+    with nothing beyond what the scheduler keeps."""
 
     @pytest.fixture
     def poisoned(self, monkeypatch):
         """Make every observability constructor raise if reached."""
-        from repro.obs import metrics as metrics_mod
         from repro.obs import tracer as tracer_mod
 
         def boom(*args, **kwargs):  # pragma: no cover - failure path
@@ -737,9 +709,8 @@ class TestDisabledTracerAllocatesNothing:
 
         monkeypatch.setattr(tracer_mod.Span, "__init__", boom)
         monkeypatch.setattr(tracer_mod._SpanContext, "__init__", boom)
-        monkeypatch.setattr(metrics_mod.Counter, "__init__", boom)
-        monkeypatch.setattr(metrics_mod.Gauge, "__init__", boom)
-        monkeypatch.setattr(metrics_mod.Histogram, "__init__", boom)
+        monkeypatch.setattr(tracer_mod.RankTracer, "__init__", boom)
+        monkeypatch.setattr(tracer_mod.RunCapture, "__init__", boom)
 
     def test_reduce_scan_paths(self, poisoned):
         import numpy as np
@@ -771,3 +742,29 @@ class TestDisabledTracerAllocatesNothing:
             return v, g, s
 
         assert len(spmd_run(prog, 4).returns) == 4
+
+    def test_submit_path_is_clean(self, poisoned):
+        with Engine(4) as eng:
+            handles = [eng.submit(_reduce_job, nprocs=2) for _ in range(4)]
+            results = [h.result() for h in handles]
+        assert all(res.profile is None for res in results)
+        assert len(results) == 4
+
+    def test_spmd_run_compat_shim_is_clean(self, poisoned):
+        res = spmd_run(_reduce_job, 4)
+        assert res.profile is None and len(res.returns) == 4
+
+    def test_saturated_path_is_clean(self, poisoned):
+        gate = threading.Event()
+        with Engine(2, queue_depth=1) as eng:
+            blocker = eng.submit(lambda comm: gate.wait(10.0), nprocs=2)
+            eng.submit(_reduce_job, nprocs=2, block=False)
+            with pytest.raises(EngineSaturated):
+                eng.submit(_reduce_job, nprocs=2, block=False)
+            gate.set()
+            blocker.result()
+            assert eng.stats()["rejected"] == 1
+
+
+def _reduce_job(comm):
+    return global_reduce(comm, SumOp(), np.arange(8.0) + comm.rank)

@@ -79,7 +79,8 @@ CASES = {
     "RunCapture": (
         RunCapture(0, 2, [], label="job"),
         "RunCapture(index=0, nprocs=2, ranks=[], label='job', makespan=None, "
-        "clocks=None, traces=None)",
+        "clocks=None, traces=None, t_admitted=None, t_started=None, "
+        "t_finished=None)",
         False,
     ),
     "Envelope": (

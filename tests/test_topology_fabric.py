@@ -671,35 +671,34 @@ class TestTopologyTuning:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry: placement + congestion gauges (docs/observability.md)
+# Engine.stats(): placement + congestion counts (docs/observability.md)
 # ---------------------------------------------------------------------------
 
 
-class TestFabricTelemetry:
-    def test_snapshot_exports_placement_and_congestion_gauges(self):
-        engine = Engine(8, topology=multi_node(2), telemetry=True)
+class TestFabricStats:
+    def test_stats_report_placement_and_congestion(self):
+        engine = Engine(8, topology=multi_node(2))
         try:
             engine.submit(
                 lambda comm: comm.allreduce(float(comm.rank), SUM),
                 nprocs=4,
             ).result()
-            frame = engine.telemetry.snapshot()
-            gauges = frame["metrics"]["gauges"]
-            assert gauges["engine.placement.gangs"] >= 1
-            assert gauges["engine.placement.gang_spread"] >= 1.0
-            assert "engine.placement.single_node_gangs" in gauges
-            assert gauges["fabric.congestion.intra_msgs"] > 0
-            assert frame["engine"]["topology"] == "multi_node:2"
+            stats = engine.stats()
+            placement = stats["placement"]
+            assert placement["gangs_placed"] >= 1
+            assert placement["mean_gang_spread"] >= 1.0
+            assert "single_node_gangs" in placement
+            assert stats["fabric"]["intra_msgs"] > 0
+            assert stats["topology"] == "multi_node:2"
         finally:
             engine.shutdown(drain=False)
 
-    def test_flat_snapshot_has_no_congestion_gauges(self):
-        engine = Engine(4, telemetry=True)
+    def test_flat_stats_have_no_congestion_counts(self):
+        engine = Engine(4)
         try:
             engine.submit(lambda comm: comm.rank).result()
-            gauges = engine.telemetry.snapshot()["metrics"]["gauges"]
-            assert not any(
-                name.startswith("fabric.congestion.") for name in gauges
-            )
+            stats = engine.stats()
+            assert stats["fabric"] == {}
+            assert stats["placement"]["gangs_placed"] == 0
         finally:
             engine.shutdown(drain=False)
