@@ -13,7 +13,7 @@ other figure) and persisted — fault event counts included — into
    agree / shrink / re-combine round, quantified the same way.  How far
    each survivor got before unwinding follows the thread schedule, so
    the recovered run's makespan varies between repeats — see
-   docs/fault_model.md — so it runs under its own tracer, apart from
+   docs/fault_model.md — so ``phase_metrics.leave_out`` keeps it out of
    the persisted file, which keeps only deterministic runs; its fault
    events are read off the run's traces.)
 """
@@ -25,7 +25,6 @@ import numpy as np
 from repro.core import global_reduce
 from repro.core.operator import state_equal
 from repro.faults import FailStop, FaultPlan, LinkFaults
-from repro.obs import Tracer
 from repro.ops import SumOp
 from repro.runtime import spmd_run
 
@@ -45,13 +44,13 @@ def _blocks():
     return [rng.random(N) for _ in range(P)]
 
 
-def _run(fault_plan=None, tracer=None):
+def _run(fault_plan=None):
     blocks = _blocks()
 
     def prog(comm):
         return global_reduce(comm, SumOp(), blocks[comm.rank])
 
-    return spmd_run(prog, P, fault_plan=fault_plan, tracer=tracer)
+    return spmd_run(prog, P, fault_plan=fault_plan)
 
 
 class TestFaultOverhead:
@@ -70,7 +69,7 @@ class TestFaultOverhead:
         print(f"\nlossy-link makespan overhead: {ratio:.2f}x "
               f"({base.time:.3e}s -> {lossy.time:.3e}s)")
 
-    def test_failstop_recovery_cost(self):
+    def test_failstop_recovery_cost(self, phase_metrics):
         blocks = _blocks()
         survivors = [b for q, b in enumerate(blocks) if q != 5]
 
@@ -78,8 +77,10 @@ class TestFaultOverhead:
             return global_reduce(comm, SumOp(), survivors[comm.rank])
 
         base = spmd_run(survivor_baseline, P - 1)
-        # Its own tracer keeps this run out of the persisted profile.
-        faulted = _run(FAILSTOP, tracer=Tracer())
+        # A fail-stop's makespan depends on the thread schedule: keep
+        # this run out of the persisted profile.
+        faulted = _run(FAILSTOP)
+        phase_metrics.leave_out(faulted)
         assert faulted.failed_ranks == {5}
         faults = faulted.summary_trace.faults
         assert faults["failstops"] == 1

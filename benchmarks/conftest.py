@@ -57,6 +57,17 @@ def _bench_json_name(nodeid: str) -> str:
     return f"BENCH_{file_part}.{test_part}".rstrip("_.")
 
 
+class _LeftOut:
+    """What :func:`phase_metrics` yields: the runs kept out of its file."""
+
+    def __init__(self) -> None:
+        self.runs: list = []
+
+    def leave_out(self, result) -> None:
+        """Keep ``result``'s run (an ``SpmdResult``) out of the file."""
+        self.runs.append(result.profile)
+
+
 @pytest.fixture(autouse=True)
 def phase_metrics(request, results_dir):
     """Trace every benchmark's simulated runs and persist the per-phase
@@ -70,17 +81,24 @@ def phase_metrics(request, results_dir):
     Reuses an already-installed profile (``python -m repro profile
     benchmarks/...``) when present; otherwise installs a fresh tracer
     for the duration of the test.  Tests that never enter ``spmd_run``
-    produce no file.
+    produce no file.  A test that asks for this fixture can keep one
+    run out of the file — a run whose figures depend on the thread
+    schedule, such as a fail-stop's makespan — with
+    ``phase_metrics.leave_out(result)``.
     """
     shared = active_tracer()
     tracer = shared if shared is not None else Tracer()
     start = len(tracer.runs)
+    left_out = _LeftOut()
     if shared is None:
         with profiling(tracer):
-            yield
+            yield left_out
     else:
-        yield
-    runs = tracer.runs[start:]
+        yield left_out
+    runs = [
+        run for run in tracer.runs[start:]
+        if not any(run is out for out in left_out.runs)
+    ]
     if not runs:
         return
     summary = phase_summary(runs)

@@ -11,8 +11,10 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
         "ElementwiseKernel", "FallbackKernel", "Kernel", "KernelCache",
         "SegmentedKernel", "batched_accumulate", "compile_kernel"
     ),
-    "operator": ("ReduceScanOp", "state_equal"),
+    "operator": ("ReduceScanOp",),
     "reduce": ("accumulate_local", "accumulate_local_many", "global_reduce"),
     "scan": ("global_scan", "global_xscan"),
-    "validation": ("check_operator", "sequential_reduce", "sequential_scan"),
+    "validation": (
+        "check_operator", "sequential_reduce", "sequential_scan", "state_equal"
+    ),
 })

@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.operator import ReduceScanOp, state_equal
+from repro.core.operator import ReduceScanOp
+from repro.core.validation import state_equal
 from repro.errors import OperatorError
 from repro.util.sizing import payload_nbytes
 

@@ -48,11 +48,11 @@ expense"):
 
 from __future__ import annotations
 
-from typing import Any, Generic, Iterable, Sequence, TypeVar
+from typing import Generic, Sequence, TypeVar
 
 import numpy as np
 
-from repro.errors import OperatorError
+from repro import _lazy
 
 __all__ = ["ReduceScanOp", "state_equal", "TILE_ELEMS"]
 
@@ -188,6 +188,8 @@ class ReduceScanOp(Generic[In, State, Out]):
 
     def state_eq(self, s1: State, s2: State) -> bool:
         """Equality of states (used by operator-law validation)."""
+        from repro.core.validation import state_equal
+
         return state_equal(s1, s2)
 
     def __repr__(self) -> str:
@@ -195,39 +197,5 @@ class ReduceScanOp(Generic[In, State, Out]):
         return f"{self.name}({kind})"
 
 
-def state_equal(a: Any, b: Any) -> bool:
-    """Structural equality that tolerates NumPy arrays and containers."""
-    if a is b:
-        return True
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a_arr, b_arr = np.asarray(a), np.asarray(b)
-        if a_arr.shape != b_arr.shape or a_arr.dtype.kind != b_arr.dtype.kind:
-            return False
-        if a_arr.dtype.kind == "f":
-            return bool(np.allclose(a_arr, b_arr, equal_nan=True))
-        return bool(np.array_equal(a_arr, b_arr))
-    if isinstance(a, float) and isinstance(b, float):
-        if a == b or (np.isnan(a) and np.isnan(b)):
-            return True
-        # relative tolerance for large magnitudes, absolute for values
-        # near zero (floating-point combines are associative only up to
-        # rounding — e.g. Chan-style mean/variance merging)
-        return abs(a - b) <= max(1e-12, 1e-12 * max(abs(a), abs(b)))
-    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
-        return len(a) == len(b) and all(state_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(state_equal(v, b[k]) for k, v in a.items())
-    if hasattr(a, "__dict__") and hasattr(b, "__dict__") and type(a) is type(b):
-        return state_equal(vars(a), vars(b))
-    if hasattr(type(a), "__slots__") and type(a) is type(b):
-        slots = type(a).__slots__
-        return all(
-            state_equal(getattr(a, s), getattr(b, s)) for s in slots
-        )
-    try:
-        return bool(a == b)
-    except Exception as exc:  # pragma: no cover - defensive
-        raise OperatorError(
-            f"cannot compare states of types {type(a).__name__} and "
-            f"{type(b).__name__}; override state_eq()"
-        ) from exc
+# ``state_equal`` lives beside ``check_operator`` in :mod:`repro.core.validation`.
+__getattr__, __dir__, _ = _lazy.attach(__name__, {"validation": ("state_equal",)})

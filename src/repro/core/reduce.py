@@ -132,19 +132,22 @@ def _accumulate_impl(
     elements: float,
     state: Any = _proc_MISS,
     sweep: int = 0,
+    counted: int | None = None,
 ) -> Any:
-    """The one fold of one block.  ``elements`` is what it reports and
-    is charged for: the block's length, or an overlapped column chunk's
-    share ``n·(hi-lo)/m`` of it.  ``state`` is the fold's result when a
-    batch has already produced it, and ``sweep`` (traced runs only) that
-    batch's :func:`~repro.core.kernels.sweep_width`.
+    """The one fold of one block.  ``elements`` is what it is charged
+    for: the block's length, or a column chunk's share ``n·(hi-lo)/m``;
+    its span reports ``counted`` (a chunk's integer share) if given.
+    ``state`` is the fold's result when a batch has already produced it,
+    and ``sweep`` (traced runs only) that batch's
+    :func:`~repro.core.kernels.sweep_width`.
 
     Under a tracer the accumulate span notes the fold's ``kernel`` route
     and, for a batch member, its ``sweep`` width (1: its own pass)."""
     tr = comm.tracer
     with (
         tr.span("accumulate", phase="accumulate", op=op.name,
-                nbytes=payload_nbytes(values), elements=elements)
+                nbytes=payload_nbytes(values),
+                elements=elements if counted is None else counted)
         if tr.enabled else NULL_SPAN
     ):
         n = len(values)
@@ -356,8 +359,9 @@ def _overlapped_allreduce(
     independent and the schedule is pinned per chunk.
 
     Cost accounting: each chunk charges its fraction ``n·(hi-lo)/m`` of
-    the accumulate elements at the operator's rate *before* the next
-    chunk's combine is issued, so chunk i's combine rounds progress
+    the accumulate elements (its span counts ``n·hi//m - n·lo//m``, so
+    the spans sum to ``n``) *before* the next chunk's combine is
+    issued, so chunk i's combine rounds progress
     (engine drains on every block) while chunk i+1 accumulates — the
     overlapped time shows up as merged, not summed, virtual time.
     """
@@ -396,7 +400,8 @@ def _overlapped_allreduce(
     for lo, hi in zip(bounds, bounds[1:]):
         view = out[lo:hi]
         np.copyto(view, _accumulate_impl(
-            comm, op, values[:, lo:hi], accum_rate, n * (hi - lo) / m
+            comm, op, values[:, lo:hi], accum_rate, n * (hi - lo) / m,
+            counted=n * hi // m - n * lo // m,
         ), casting="no")
         req = comm.iallreduce(
             _InPlace(view) if in_place else view, wop,

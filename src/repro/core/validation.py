@@ -33,11 +33,12 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.operator import ReduceScanOp
-from repro.errors import OperatorLawError
+from repro.errors import OperatorError, OperatorLawError
 from repro.util.sizing import copy_for_transfer
 
 __all__ = [
     "check_operator",
+    "state_equal",
     "check_identity_law",
     "check_associativity",
     "check_commutativity",
@@ -46,6 +47,44 @@ __all__ = [
     "sequential_reduce",
     "sequential_scan",
 ]
+
+
+def state_equal(a: Any, b: Any) -> bool:
+    """Structural equality that tolerates NumPy arrays and containers."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a_arr, b_arr = np.asarray(a), np.asarray(b)
+        if a_arr.shape != b_arr.shape or a_arr.dtype.kind != b_arr.dtype.kind:
+            return False
+        if a_arr.dtype.kind == "f":
+            return bool(np.allclose(a_arr, b_arr, equal_nan=True))
+        return bool(np.array_equal(a_arr, b_arr))
+    if isinstance(a, float) and isinstance(b, float):
+        if a == b or (np.isnan(a) and np.isnan(b)):
+            return True
+        # relative tolerance for large magnitudes, absolute for values
+        # near zero (floating-point combines are associative only up to
+        # rounding — e.g. Chan-style mean/variance merging)
+        return abs(a - b) <= max(1e-12, 1e-12 * max(abs(a), abs(b)))
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return len(a) == len(b) and all(state_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(state_equal(v, b[k]) for k, v in a.items())
+    if hasattr(a, "__dict__") and hasattr(b, "__dict__") and type(a) is type(b):
+        return state_equal(vars(a), vars(b))
+    if hasattr(type(a), "__slots__") and type(a) is type(b):
+        slots = type(a).__slots__
+        return all(
+            state_equal(getattr(a, s), getattr(b, s)) for s in slots
+        )
+    try:
+        return bool(a == b)
+    except Exception as exc:  # pragma: no cover - defensive
+        raise OperatorError(
+            f"cannot compare states of types {type(a).__name__} and "
+            f"{type(b).__name__}; override state_eq()"
+        ) from exc
 
 
 def _accumulate(op: ReduceScanOp, values: Sequence[Any]) -> Any:

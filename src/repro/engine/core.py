@@ -43,7 +43,6 @@ from repro.errors import (
     RankFailStop,
     RuntimeAbort,
     SpmdError,
-    SpmdTimeout,
 )
 from repro.mpi.comm import Communicator
 from repro.obs.tracer_null import active_tracer
@@ -51,22 +50,12 @@ from repro.runtime.costmodel import CostModel
 from repro.runtime.executor import SpmdResult
 from repro.runtime.world import World
 
+from repro import _lazy, engine
 from repro.engine import resilience
-from repro import _lazy
 from repro.engine.job import JobHandle, _deadline, _Job, _remaining
 from repro.engine.scheduler import Scheduler
 
 __all__ = ["Engine", "Session"]
-
-
-def _probe_fn(comm):
-    """Supervisor health probe: one self-send/recv round trip through
-    the rank's own mailbox — the minimal proof that the rank's worker
-    thread, mailbox and clock plumbing are serviceable again."""
-    token = ("engine-probe", comm.rank)
-    comm.send(token, comm.rank, tag=0)
-    echo = comm.recv(source=comm.rank, tag=0)
-    return "ok" if echo == token else "bad"
 
 
 class Engine:
@@ -161,21 +150,9 @@ class Engine:
 
     def stats(self) -> dict[str, Any]:
         """Scheduler, cache and self-healing counters, one consistent
-        snapshot (``effective_capacity``: the pool minus quarantined)."""
-        with self._lock:
-            return {
-                "nprocs": self._nprocs,
-                **self._sched.stats(),
-                "schedule_cache": self._world.schedule_cache.stats(),
-                "kernel_cache": self._world.kernel_cache.stats(),
-                "backend": self._backend,
-                "ipc": (
-                    self._proc_pool.ipc_stats()
-                    if self._proc_pool is not None else None
-                ),
-                "topology": self._world.topology.signature,
-                "fabric": self._world.topology.stats(),
-            }
+        snapshot (``effective_capacity``: the pool minus quarantined;
+        :func:`repro.engine.introspect.engine_stats`)."""
+        return engine.introspect.engine_stats(self)
 
     def status(self) -> str:
         """Coarse health: ``"ok"``, ``"degraded"`` (schedulable capacity
@@ -372,41 +349,6 @@ class Engine:
         job.done_event.set()
         self._cv.notify_all()
 
-    def _cancel_job(self, job: _Job) -> bool:
-        """Cancel ``job`` (see :meth:`JobHandle.cancel`)."""
-        with self._cv:
-            if self._sched.withdraw(
-                job, "cancelled", JobCancelled(f"job {job.job_id} cancelled")
-            ):
-                self._finished_locked(job)
-                return True
-            if not self._sched.flag_cancelled(job):
-                return False
-            world = job.world
-        # Abort outside the engine lock: it takes mailbox locks.
-        world.abort()
-        return True
-
-    def _abort_timed_out(
-        self, job: _Job, message: str, reaped: bool = False
-    ) -> SpmdTimeout:
-        """The one timeout-abort: a running job blew its deadline — as
-        seen by a client's ``result()`` or by the reaper — so record the
-        diagnosis (once; :meth:`Scheduler.settle` fails the job with it)
-        and unwind the job's ranks.  Returns the diagnosis."""
-        world = job.world
-        err = SpmdTimeout(
-            message,
-            rank_states=None if world is None else world.rank_states(),
-        )
-        with self._cv:
-            first = job.world is world and self._sched.time_out(
-                job, err, reaped
-            )
-        if first:
-            world.abort()
-        return err
-
     # -- worker side --------------------------------------------------------
 
     def _worker(self, world_rank: int) -> None:
@@ -555,8 +497,8 @@ class Engine:
             for job in self._sched.expire(now):
                 self._finished_locked(job)
         for job in overdue:
-            self._abort_timed_out(
-                job,
+            engine.recovery.abort_timed_out(
+                self, job,
                 f"job {job.job_id} exceeded its {job.timeout} s deadline; "
                 f"reaped by the engine supervisor (aborted and unwound)",
                 reaped=True,
@@ -568,7 +510,7 @@ class Engine:
         with self._cv:
             due = self._sched.probe_due(time.perf_counter())
         for w in due:
-            ok, swept = self._probe_rank(w)
+            ok, swept = engine.recovery.probe_rank(self, w)
             with self._cv:
                 if self._sched.revive(w, ok, time.perf_counter(), swept):
                     self._dispatch_locked()
@@ -583,38 +525,6 @@ class Engine:
             return
         for r in pool.dead_workers():
             pool.restart_worker(r)
-
-    def _probe_rank(self, w: int) -> tuple[bool, int]:
-        """One health probe of quarantined rank ``w``: sweep the stale
-        envelopes out of its mailbox, then run a 1-rank probe job on it
-        through the normal worker path.  The probe never enters the
-        scheduler: it runs *on* a withheld rank and reports to its own
-        ``done``.  Returns ``(passed, envelopes swept)``."""
-        if not self._threads[w].is_alive():
-            return False, 0
-        if self._proc_pool is not None and not self._proc_pool.ping(w):
-            # Process backend: a quarantined rank only counts revived
-            # when its offload worker answers too (restart first).
-            if not self._proc_pool.restart_worker(w):
-                return False, 0
-        swept = self._world.revive_rank(w)
-        job = _Job(
-            _probe_fn, (), 1,
-            timeout=None, tracer=None, fault_plan=None,
-            label=f"probe-rank-{w}",
-        )
-        job.members = (w,)
-        with self._cv:
-            if self._sched.closed:  # the box may already hold its sentinel
-                return False, swept
-            job.start(self._world)
-            self._boxes[w].put((job, 0, self._probe_done))
-        ok = job.done_event.wait(resilience.PROBE_TIMEOUT)
-        return ok and job.error is None and job.returns == ["ok"], swept
-
-    def _probe_done(self, job: _Job, w: int) -> None:
-        _, job.result, job.error = self._finalize(job)
-        job.done_event.set()
 
 
 # A client's handle over the engine; :meth:`Engine.session` imports it.

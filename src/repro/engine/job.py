@@ -14,7 +14,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro import _lazy
+from repro import _lazy, engine
 from repro.engine import resilience
 from repro.errors import SpmdTimeout
 from repro.runtime.world import JobWorld
@@ -165,7 +165,7 @@ class JobHandle:
         """Cancel the job.  A pending job is withdrawn from the queue; a
         running job is aborted (its ranks unwind and the pool ranks are
         reclaimed).  Returns False if the job had already finished."""
-        return self._engine._cancel_job(self._job)
+        return engine.recovery.cancel_job(self._engine, self._job)
 
     def result(self, timeout: float | None = None):
         """Block for the job's :class:`SpmdResult`.
@@ -184,14 +184,14 @@ class JobHandle:
                 # Not currently on any ranks: either never dispatched
                 # (queue stuck) or parked in retry backoff.  Aborting a
                 # world would be meaningless — withdraw the job instead.
-                self._engine._cancel_job(job)
+                engine.recovery.cancel_job(self._engine, job)
                 raise SpmdTimeout(
                     f"job {job.job_id} did not complete within {budget} s "
                     f"(queued or awaiting retry, attempt {job.attempt}); "
                     f"cancelled"
                 )
-            err = self._engine._abort_timed_out(
-                job,
+            err = engine.recovery.abort_timed_out(
+                self._engine, job,
                 f"SPMD run did not finish within {budget} s "
                 f"(possible deadlock); aborted",
             )

@@ -37,6 +37,7 @@ from __future__ import annotations
 import threading
 import weakref
 
+from repro import engine
 from repro.errors import SpmdError
 from repro.util.record import Record
 
@@ -118,15 +119,7 @@ class RetryPolicy(Record, frozen=True):
     def backoff_seconds(self, attempt: int, job_id: int) -> float:
         """Backoff after failed attempt ``attempt`` (1-based), jittered
         deterministically per ``(seed, job_id, attempt)``."""
-        delay = min(
-            BACKOFF_MAX, self.backoff_base * BACKOFF_FACTOR ** (attempt - 1)
-        )
-        if delay > 0.0:
-            import random
-
-            rng = random.Random(f"retry:{self.seed}:{job_id}:{attempt}")
-            delay *= 1.0 + JITTER * (2.0 * rng.random() - 1.0)
-        return delay
+        return engine.recovery.backoff_seconds(self, attempt, job_id)
 
     def fault_plan_for(self, source, attempt_index: int):
         """The fault plan for attempt ``attempt_index`` (0 = first).
@@ -134,15 +127,7 @@ class RetryPolicy(Record, frozen=True):
         ``source`` is whatever was passed to ``submit(fault_plan=...)``:
         None, a static plan, or a callable ``attempt -> plan``.
         """
-        if source is None:
-            return None
-        if callable(source):
-            return source(attempt_index)
-        if attempt_index == 0:
-            return source
-        from repro.faults.plan import reseed
-
-        return reseed(source, attempt_index)
+        return engine.recovery.fault_plan_for(self, source, attempt_index)
 
 
 class Supervisor:

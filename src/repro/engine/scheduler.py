@@ -21,6 +21,7 @@ import heapq
 from collections import deque
 from typing import Any, Iterable
 
+from repro import engine
 from repro.engine import resilience
 from repro.errors import (
     EngineDegraded,
@@ -131,24 +132,7 @@ class Scheduler:
         """The scheduler's share of ``Engine.stats()``.  Conservation:
         ``submitted == completed + failed + cancelled + pending +
         inflight + retry_backlog``, on every read."""
-        return {
-            **self.counts,
-            "pending": len(self.pending),
-            "inflight": len(self.running),
-            "retry_backlog": len(self.parked),
-            "free_ranks": len(self.free),
-            "quarantined_ranks": sorted(self.quarantined),
-            "effective_capacity": self.capacity(),
-            "degraded": self.degraded(),
-            "status": self.status(),
-            "placement": {
-                "gangs_placed": self._gangs,
-                "mean_gang_spread": (
-                    self._spread_sum / self._gangs if self._gangs else 0.0
-                ),
-                "single_node_gangs": self._single_node_gangs,
-            },
-        }
+        return engine.introspect.scheduler_stats(self)
 
     # -- admission ----------------------------------------------------------
 
@@ -264,38 +248,19 @@ class Scheduler:
     def flag_cancelled(self, job: Any) -> bool:
         """Mark a running job — only — so :meth:`settle` takes it
         "cancelled" whatever its ranks return; the engine aborts it."""
-        if job.status != "running":
-            return False
-        job.cancelled = True
-        return True
+        return engine.recovery.flag_cancelled(self, job)
 
     def time_out(self, job: Any, err: SpmdTimeout, reaped: bool) -> bool:
         """Record that a running job blew its deadline, once: ``err`` is
         what :meth:`settle` fails it with unless a rank failed first."""
-        if job.status != "running" or job.timed_out:
-            return False
-        job.timed_out, job.timeout_error = True, err
-        self.counts["reaped"] += reaped
-        return True
+        return engine.recovery.time_out(self, job, err, reaped)
 
     # -- jobs that hold no ranks --------------------------------------------
 
     def withdraw(self, job: Any, status: str, error: BaseException) -> bool:
         """pending | parked → ``status`` ("cancelled" or "failed"); False
         when the job is anywhere else."""
-        if job.status == "pending":
-            self.pending.remove(job)
-        elif job.status == "retrying":
-            self._unpark(job)
-        else:
-            return False
-        job.cancelled = status == "cancelled"
-        self._finish(job, status, error)
-        return True
-
-    def _unpark(self, job: Any) -> None:
-        self.parked = [e for e in self.parked if e[2] is not job]
-        heapq.heapify(self.parked)
+        return engine.recovery.withdraw(self, job, status, error)
 
     def expire(self, now: float) -> list:
         """pending → failed for every queued job past its deadline plus
@@ -338,15 +303,7 @@ class Scheduler:
         """parked → pending as attempt ``attempt + 1`` under ``plan``
         (resolved by the caller *before* this step).  False when the job
         was withdrawn while the plan was being resolved."""
-        if job.status != "retrying":
-            return False
-        self._unpark(job)
-        job.attempt += 1
-        job.fault_plan = plan
-        job.world, job.members = None, ()
-        job.timed_out, job.timeout_error = False, None
-        self._enqueue(job, now)
-        return True
+        return engine.recovery.readmit(self, job, plan, now)
 
     # -- rank health --------------------------------------------------------
 
@@ -371,16 +328,7 @@ class Scheduler:
     def revive(self, rank: int, ok: bool, now: float, swept: int) -> bool:
         """A probe of ``rank`` came back: quarantined → free when it
         passed, else the cool-down re-arms.  True when revived."""
-        self.counts["revival_swept_messages"] += swept
-        if self.closed or rank not in self.quarantined:
-            return False
-        if ok:
-            del self.quarantined[rank]
-            self.free.add(rank)
-            self.counts["revivals"] += 1
-        else:
-            self.quarantined[rank] = now
-        return ok
+        return engine.recovery.revive(self, rank, ok, now, swept)
 
     # -- closing ------------------------------------------------------------
 

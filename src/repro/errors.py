@@ -8,6 +8,8 @@ for instance) propagate unchanged.
 
 from __future__ import annotations
 
+from repro import _lazy
+
 __all__ = [
     "ReproError",
     "RuntimeAbort",
@@ -104,25 +106,6 @@ class DeadlockError(ReproError):
     """
 
 
-def format_rank_states(rank_states: list[dict] | None) -> str:
-    """Render per-rank diagnostic dicts (as produced by
-    ``JobWorld.rank_states()``) into an indented multi-line block."""
-    if not rank_states:
-        return ""
-    lines = []
-    for st in rank_states:
-        wait = st.get("waiting_for")
-        wait_s = (
-            f" waiting on (source={wait[0]}, tag={wait[1]!r})"
-            if wait is not None else ""
-        )
-        lines.append(
-            f"  rank {st['rank']}: {st['status']}{wait_s}, "
-            f"t={st['clock']:.6e}s, pending={st['pending_count']}"
-        )
-    return "\n".join(lines)
-
-
 class SpmdError(ReproError):
     """One or more ranks of an SPMD run raised an exception.
 
@@ -149,6 +132,8 @@ class SpmdError(ReproError):
             f"SPMD run failed on rank(s) {ranks}; "
             f"first failure (rank {first_rank}): {type(first).__name__}: {first}"
         )
+        from repro.runtime.diagnostics import format_rank_states
+
         diag = format_rank_states(rank_states)
         if diag:
             msg += "\nper-rank state at failure:\n" + diag
@@ -168,6 +153,8 @@ class SpmdTimeout(ReproError):
     """
 
     def __init__(self, message: str, rank_states: list[dict] | None = None):
+        from repro.runtime.diagnostics import format_rank_states
+
         self.rank_states = rank_states
         diag = format_rank_states(rank_states)
         if diag:
@@ -263,3 +250,9 @@ class DslSemanticError(PreprocessorError):
 
 class VerificationError(ReproError):
     """A benchmark kernel failed its verification phase."""
+
+
+# Rendering rank states is hang diagnosis: :mod:`repro.runtime.diagnostics`.
+__getattr__, __dir__, _ = _lazy.attach(
+    __name__, {"runtime.diagnostics": ("format_rank_states",)}
+)

@@ -42,9 +42,10 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro import ops as _ops
-from repro.core.operator import ReduceScanOp, state_equal
+from repro.core.operator import ReduceScanOp
 from repro.core.reduce import global_reduce
 from repro.core.scan import global_scan
+from repro.core.validation import state_equal
 from repro.errors import OperatorError, SpmdError
 from repro.faults.plan import FailStop, FaultPlan, LinkFaults
 from repro.runtime.executor import spmd_run

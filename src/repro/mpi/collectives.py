@@ -6,24 +6,23 @@ Every collective is built from point-to-point messages on a
 closed-form formula — the property that lets the figure benchmarks
 reproduce the paper's performance shapes honestly.
 
-This module holds the plans ``algorithm="auto"`` picks on a flat fabric
-and the :class:`Schedule` registry of every algorithm:
+This module holds the :class:`Schedule` registry of every algorithm
+and the plan every reduce job runs: recursive doubling allreduce with
+the MPICH non-power-of-two fold-in, order-preserving throughout, at a
+power-of-two ``radix`` — each level fans out to ``radix - 1`` peers and
+folds locally in the doubling rounds' own association, so the radix
+moves rounds and message counts, never bytes of the result
+(``algorithm="auto"`` fits it).
 
-* allreduce: recursive doubling with the MPICH non-power-of-two fold-in,
-  order-preserving throughout; Rabenseifner (reduce-scatter +
-  allgather) for large splittable payloads;
-* scan/exscan: simultaneous binomial (recursive doubling) parallel
-  prefix, order-preserving;
-* both doubling schedules take a power-of-two ``radix``: each level
-  fans out to ``radix - 1`` peers and folds locally in the doubling
-  rounds' own association, so the radix moves rounds and message
-  counts, never bytes of the result (``algorithm="auto"`` fits it).
-
-The other registered plans (the reduce trees and ring, the ring and
-hierarchical allreduce, the linear-chain scan, the data-movement
-collectives) live in :mod:`repro.mpi.collectives_cold`: their records
-name them, the module is imported the first time one runs, and each
-name also resolves here.
+Every other plan lives elsewhere and its record names it: the module is
+imported the first time the plan runs, and each name also resolves
+here.  The two other plans ``auto`` picks on a flat fabric have a
+module each — :mod:`repro.mpi.scan_binomial` (the simultaneous binomial
+scan, radix as above) and :mod:`repro.mpi.rabenseifner`
+(reduce-scatter + allgather for large splittable payloads); the rest
+(the reduce trees and ring, the ring and hierarchical allreduce, the
+linear-chain scan, the data-movement collectives) are in
+:mod:`repro.mpi.collectives_cold`.
 
 All rank arguments are *group* ranks; the channel translates to world
 ranks.  Non-commutative operations always receive the lower-rank operand
@@ -40,7 +39,6 @@ from repro import _lazy
 from repro.errors import CommunicatorError
 from repro.mpi.op import Op
 from repro.util.record import Record
-from repro.util.sizing import copy_for_transfer
 
 if TYPE_CHECKING:
     from repro.mpi.collectives_cold import CollChannel
@@ -288,157 +286,6 @@ def allreduce_recursive_doubling_plan(
 
 
 # --------------------------------------------------------------------------
-# Scans
-# --------------------------------------------------------------------------
-
-
-def scan_simultaneous_binomial_plan(
-    ch: CollChannel,
-    value: Any,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    exclusive: bool = False,
-    identity: Callable[[], Any] | None = None,
-    combine_seconds: float = 0.0,
-    radix: int = 2,
-) -> Plan:
-    """Parallel prefix over ranks by simultaneous binomial (recursive
-    doubling): ceil(log2 p) rounds, order-preserving.
-
-    With ``radix = 2^j`` each level stands for ``j`` binomial rounds: a
-    rank sends its window to up to ``radix - 1`` ranks above it and
-    replays those rounds locally on the windows it receives, in the same
-    association — ceil(log_radix p) levels, byte-identical results.
-
-    For ``exclusive=True``, rank 0 returns ``identity()`` if an identity
-    function is given, else ``None`` (the MPI_Exscan "undefined" slot —
-    the paper's local-view abstraction requires the identity function
-    precisely so that this slot is well-defined).
-    """
-    rank, size = ch.rank, ch.size
-    _check_radix(radix)
-    full = value
-    partial = None if exclusive else value
-    s = 1
-    while s < size:
-        # One level stands for the log2(radix) binomial rounds at
-        # distances s, 2s, 4s, ...: every window those rounds would have
-        # relayed is fetched from its origin at once.
-        for i in range(1, radix):
-            if rank + i * s >= size:
-                break
-            ch.send(rank + i * s, full)
-        # wins[i] covers the s ranks ending at rank - i*s.
-        wins = [full]
-        for i in range(1, radix):
-            if rank - i * s < 0:
-                break
-            wins.append((yield Recv(rank - i * s)))
-        n = len(wins) - 1
-        h = 1
-        while h <= n:
-            # Replay the round at distance h*s: first what the ranks
-            # 2h*s, 4h*s, ... below me folded in it (their results reach
-            # me in later rounds), then my own fold.
-            for i in range(2 * h, n - h + 1, 2 * h):
-                wins[i] = op(wins[i + h], wins[i])
-                _charge_combine(ch, combine_seconds)
-            theirs = wins[h]  # covers ranks [rank-2hs+1 .. rank-hs]
-            # A combine may mutate its left operand (the Chapel/RSMPI
-            # contract), and ``theirs`` feeds two combines — isolate one use.
-            if partial is None:
-                partial = theirs
-                theirs_for_full = copy_for_transfer(theirs)
-            else:
-                theirs_for_full = copy_for_transfer(theirs)
-                partial = op(theirs, partial)
-                _charge_combine(ch, combine_seconds)
-            full = op(theirs_for_full, full)
-            _charge_combine(ch, combine_seconds)
-            h <<= 1
-        s *= radix
-    if exclusive and partial is None:
-        # rank 0's exclusive prefix: the identity, if one is known
-        # (MPI_Exscan leaves it undefined; the paper's LOCAL_XSCAN takes
-        # the identity function so that it is well-defined).
-        partial = identity() if identity is not None else None
-    return partial
-
-
-# --------------------------------------------------------------------------
-# Segmenting allreduce
-# --------------------------------------------------------------------------
-
-
-def allreduce_rabenseifner_plan(
-    ch: CollChannel,
-    value,
-    op: Op | Callable[[Any, Any], Any],
-    *,
-    combine_seconds: float = 0.0,
-) -> Plan:
-    """Rabenseifner-style all-reduce: recursive-*halving* reduce-scatter
-    followed by recursive-*doubling* allgather over the same pairs.
-
-    Moves ~``2 n (p-1)/p`` bytes per rank like the ring, but in
-    ``2 log2(p)`` rounds instead of ``2(p-1)`` — the classic large-payload
-    schedule when latency still matters.  Non-power-of-two sizes fold the
-    first ``2*(p - pof2)`` ranks pairwise first (the MPICH approach).
-    Segments are combined independently, so the operation must be
-    **commutative and elementwise** over splittable NumPy payloads.
-    """
-    _require_commutative(op, "allreduce_rabenseifner")
-    rank, size = ch.rank, ch.size
-    arr, scalar = _as_vector(value)
-    if size == 1:
-        return _from_vector(arr, scalar)
-
-    pof2 = 1 << (size.bit_length() - 1)
-    rem = size - pof2
-    arr, newrank = yield from _fold_in(ch, arr, op, rem, combine_seconds)
-    if newrank >= 0:
-        bounds = _segment_bounds(len(arr), pof2)
-        slo, shi = 0, pof2  # my current segment block, in segment units
-        steps: list[tuple[int, int, int]] = []  # (partner, sent_lo, sent_hi)
-        dist = pof2 >> 1
-        # Recursive halving reduce-scatter: each round exchanges half of
-        # the current block with the partner and combines the kept half.
-        while dist >= 1:
-            partner = newrank ^ dist
-            mid = (slo + shi) // 2
-            if newrank < partner:  # I am in the lower half: keep low segs
-                sent_lo, sent_hi = mid, shi
-                keep = slice(int(bounds[slo]), int(bounds[mid]))
-                slo, shi = slo, mid
-            else:
-                sent_lo, sent_hi = slo, mid
-                keep = slice(int(bounds[mid]), int(bounds[shi]))
-                slo, shi = mid, shi
-            peer = _unfolded(partner, rem)
-            ch.send(peer, arr[bounds[sent_lo] : bounds[sent_hi]])
-            got = yield Recv(peer)
-            if partner < newrank:
-                arr[keep] = op(got, arr[keep])
-            else:
-                arr[keep] = op(arr[keep], got)
-            _charge_combine(ch, combine_seconds)
-            steps.append((partner, sent_lo, sent_hi))
-            dist >>= 1
-        # Recursive doubling allgather: replay the exchanges in reverse;
-        # the partner of each round owns exactly the block sent away then.
-        for partner, sent_lo, sent_hi in reversed(steps):
-            peer = _unfolded(partner, rem)
-            ch.send(peer, arr[bounds[slo] : bounds[shi]])
-            got = yield Recv(peer)
-            arr[bounds[sent_lo] : bounds[sent_hi]] = got
-            slo, shi = min(slo, sent_lo), max(shi, sent_hi)
-
-    # Un-fold: odd folded ranks forward the full result to their pair.
-    arr = yield from _fold_out(ch, arr, rem)
-    return _from_vector(arr, scalar)
-
-
-# --------------------------------------------------------------------------
 # The schedule registry
 # --------------------------------------------------------------------------
 #
@@ -471,8 +318,8 @@ class Schedule(Record, frozen=True):
       ``False`` marks a blocking function (no ``i*`` form, never chosen
       by ``"auto"``).
 
-    A plan of :mod:`repro.mpi.collectives_cold` is given by its function
-    name; :attr:`plan` imports it the first time it is read and keeps it.
+    A plan kept in another module is given by its function name;
+    :attr:`plan` imports it the first time it is read and keeps it.
     """
 
     __slots__ = (
@@ -501,9 +348,7 @@ class Schedule(Record, frozen=True):
     def plan(self) -> Callable[..., Any]:
         plan = self._plan
         if plan.__class__ is str:
-            from repro.mpi import collectives_cold
-
-            plan = getattr(collectives_cold, plan)
+            plan = __getattr__(plan)  # this module's lazy export
             object.__setattr__(self, "_plan", plan)
         return plan
 
@@ -547,13 +392,13 @@ for _s in (
         order_preserving=False, segments=True,
     ),
     Schedule(
-        "allreduce", "rabenseifner", allreduce_rabenseifner_plan,
+        "allreduce", "rabenseifner", "allreduce_rabenseifner_plan",
         order_preserving=False, segments=True,
     ),
     Schedule(
         "allreduce", "hierarchical", "allreduce_hierarchical_plan", groups=True
     ),
-    Schedule("scan", "binomial", scan_simultaneous_binomial_plan, radix=True),
+    Schedule("scan", "binomial", "scan_simultaneous_binomial_plan", radix=True),
     SCAN_CHAIN,
     Schedule(
         "reduce_scatter", "ring", "reduce_scatter_ring_plan",
@@ -602,4 +447,8 @@ def schedule(
     raise CommunicatorError(f"{problem}; choose {choices}")
 
 
-__getattr__, __dir__, _ = _lazy.attach(__name__, {"collectives_cold": _COLD})
+__getattr__, __dir__, _ = _lazy.attach(__name__, {
+    "collectives_cold": _COLD,
+    "rabenseifner": ("allreduce_rabenseifner_plan",),
+    "scan_binomial": ("scan_simultaneous_binomial_plan",),
+})

@@ -37,9 +37,9 @@ from repro.mpi.collectives import (
     _from_vector,
     _require_commutative,
     _segment_bounds,
-    allreduce_rabenseifner_plan,
     allreduce_recursive_doubling_plan,
 )
+from repro.mpi.rabenseifner import allreduce_rabenseifner_plan
 from repro.mpi.op import Op
 from repro.mpi.topology import kary_tree
 from repro.util.sizing import copy_for_transfer

@@ -16,11 +16,11 @@ lowest level, exactly once.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
+from repro import mpi as _mpi
 from repro.errors import CommunicatorError
 from repro.mpi import collectives as _coll
-from repro.mpi import request as _req
 from repro.mpi import tuning as _tuning
 from repro.mpi.op import Op
 from repro.obs.tracer_null import NULL_SPAN
@@ -29,7 +29,13 @@ from repro.runtime.fabric import contiguous_node_groups
 from repro.runtime.world import RankContext
 from repro.util.sizing import cheap_nbytes
 
+if TYPE_CHECKING:
+    from repro.mpi.request import Request
+
 __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
+
+#: What a reduction or scan entry point accepts as its operation.
+OpLike = Op | Callable[[Any, Any], Any]
 
 
 def _reroot_plan(ch: "_Channel", plan, root: int):
@@ -175,19 +181,12 @@ class Communicator:
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Send ``obj`` to group rank ``dest`` (eager/non-blocking)."""
-        self._ctx.trace.on_p2p("send")
-        self._ctx.send_raw(self._world_rank(dest), ("u", self._cid, tag), obj)
+        _mpi.comm_cold.send(self, obj, dest, tag)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Receive from group rank ``source`` (or any member) and return
         the payload.  Blocks until a matching message arrives."""
-        self._ctx.trace.on_p2p("recv")
-        wsource = ANY_SOURCE if source == ANY_SOURCE else self._world_rank(source)
-        # ANY_TAG stays inside the tag tuple: the mailbox treats a
-        # trailing wildcard as "any user tag *on this communicator*",
-        # which both scopes the match correctly and lets revocation of
-        # this communicator release the wait.
-        return self._ctx.recv_raw(wsource, ("u", self._cid, tag))
+        return _mpi.comm_cold.recv(self, source, tag)
 
     def sendrecv(
         self,
@@ -203,9 +202,7 @@ class Communicator:
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True if a matching message is already queued (non-blocking)."""
-        wsource = ANY_SOURCE if source == ANY_SOURCE else self._world_rank(source)
-        wtag = ("u", self._cid, tag)  # trailing ANY_TAG = scoped wildcard
-        return self._ctx.world.mailboxes[self._ctx.rank].probe(wsource, wtag)
+        return _mpi.comm_cold.probe(self, source, tag)
 
     # -- collective plumbing -------------------------------------------------
 
@@ -341,7 +338,7 @@ class Communicator:
             if root != 0:
                 plan = _reroot_plan(ch, plan, root)
             if request:
-                return _req.Request(self._ctx, ch, plan, name=name)
+                return _mpi.request.Request(self._ctx, ch, plan, name=name)
             return _coll.run_plan(ch, plan)
 
     # -- collectives ----------------------------------------------------------
@@ -373,7 +370,7 @@ class Communicator:
     def reduce(
         self,
         value: Any,
-        op: Op | Callable[[Any, Any], Any],
+        op: OpLike,
         root: int = 0,
         *,
         fanout: int = 2,
@@ -413,7 +410,7 @@ class Communicator:
     def allreduce(
         self,
         value: Any,
-        op: Op | Callable[[Any, Any], Any],
+        op: OpLike,
         *,
         combine_seconds: float = 0.0,
         algorithm: str = "auto",
@@ -440,7 +437,7 @@ class Communicator:
     def reduce_scatter(
         self,
         value: Any,
-        op: Op | Callable[[Any, Any], Any],
+        op: OpLike,
         *,
         combine_seconds: float = 0.0,
     ) -> tuple[Any, tuple[int, int]]:
@@ -459,7 +456,7 @@ class Communicator:
     def scan(
         self,
         value: Any,
-        op: Op | Callable[[Any, Any], Any],
+        op: OpLike,
         *,
         combine_seconds: float = 0.0,
         algorithm: str = "auto",
@@ -478,7 +475,7 @@ class Communicator:
     def exscan(
         self,
         value: Any,
-        op: Op | Callable[[Any, Any], Any],
+        op: OpLike,
         *,
         identity: Callable[[], Any] | None = None,
         combine_seconds: float = 0.0,
@@ -504,11 +501,11 @@ class Communicator:
     def iallreduce(
         self,
         value: Any,
-        op: Op | Callable[[Any, Any], Any],
+        op: OpLike,
         *,
         combine_seconds: float = 0.0,
         algorithm: str = "auto",
-    ) -> _req.Request:
+    ) -> Request:
         """Nonblocking :meth:`allreduce`: issues the same schedule as the
         blocking call (first-round sends leave immediately) and returns a
         :class:`repro.mpi.request.Request`; ``wait()`` yields the value
@@ -522,12 +519,12 @@ class Communicator:
     def ireduce(
         self,
         value: Any,
-        op: Op | Callable[[Any, Any], Any],
+        op: OpLike,
         root: int = 0,
         *,
         combine_seconds: float = 0.0,
         algorithm: str = "auto",
-    ) -> _req.Request:
+    ) -> Request:
         """Nonblocking :meth:`reduce`.  ``wait()`` returns the reduction
         on ``root`` and ``None`` elsewhere.  The availability-order
         ``"kary"`` schedule has no resumable plan form and is rejected."""
@@ -539,11 +536,11 @@ class Communicator:
     def iscan(
         self,
         value: Any,
-        op: Op | Callable[[Any, Any], Any],
+        op: OpLike,
         *,
         combine_seconds: float = 0.0,
         algorithm: str = "auto",
-    ) -> _req.Request:
+    ) -> Request:
         """Nonblocking :meth:`scan`."""
         return self._collective(
             "iscan", "scan", value, op, algorithm=algorithm, request=True,
@@ -553,12 +550,12 @@ class Communicator:
     def iexscan(
         self,
         value: Any,
-        op: Op | Callable[[Any, Any], Any],
+        op: OpLike,
         *,
         identity: Callable[[], Any] | None = None,
         combine_seconds: float = 0.0,
         algorithm: str = "auto",
-    ) -> _req.Request:
+    ) -> Request:
         """Nonblocking :meth:`exscan`."""
         if identity is None and isinstance(op, Op):
             identity = op.identity
@@ -568,7 +565,7 @@ class Communicator:
             combine_seconds=combine_seconds,
         )
 
-    def ibarrier(self) -> _req.Request:
+    def ibarrier(self) -> Request:
         """Nonblocking :meth:`barrier`: ``wait()`` completes once every
         member has *entered* the barrier (they need not have waited)."""
         return self._collective("ibarrier", "barrier", request=True)
@@ -577,9 +574,7 @@ class Communicator:
         """Advance any outstanding nonblocking collectives through rounds
         whose messages have already been delivered (never blocks).  See
         :mod:`repro.mpi.request` for the determinism caveat."""
-        eng = self._ctx._progress
-        if eng is not None:
-            eng.drain_delivered()
+        _mpi.comm_cold.progress(self)
 
     def fused(self) -> "ReductionBucket":
         """A :class:`repro.core.fusion.ReductionBucket` bound to this
@@ -602,10 +597,7 @@ class Communicator:
     @property
     def failed_ranks(self) -> frozenset[int]:
         """Group ranks of members the failure detector knows to be dead."""
-        dead = self._ctx.world.membership.dead_snapshot()
-        return frozenset(
-            g for g, w in enumerate(self._members) if w in dead
-        )
+        return _mpi.comm_cold.failed_ranks(self)
 
     @property
     def is_revoked(self) -> bool:
@@ -627,36 +619,21 @@ class Communicator:
     def shrink(self) -> "Communicator":
         """A new communicator over the surviving members (ULFM
         ``MPI_Comm_shrink``; :func:`repro.mpi.comm_cold.shrink`)."""
-        from repro.mpi.comm_cold import shrink
-
-        return shrink(self)
+        return _mpi.comm_cold.shrink(self)
 
     def agree(self, flag: bool = True) -> bool:
         """Fault-tolerant agreement on the logical AND of ``flag`` across
         surviving members (ULFM ``MPI_Comm_agree``;
         :func:`repro.mpi.comm_cold.agree`)."""
-        from repro.mpi.comm_cold import agree
-
-        return agree(self, flag)
+        return _mpi.comm_cold.agree(self, flag)
 
     # -- communicator management ----------------------------------------------
 
     def dup(self) -> "Communicator":
         """A new communicator with the same group but isolated tags."""
-        self._split_seq += 1
-        cid = ("dup", self._cid, self._split_seq)
-        return Communicator(self._ctx, self._members, cid)
+        return _mpi.comm_cold.dup(self)
 
     def split(self, color: int, key: int | None = None) -> "Communicator":
         """Partition the communicator by ``color``; order within each new
         group follows ``(key, old rank)`` (like ``MPI_Comm_split``)."""
-        if key is None:
-            key = self.rank
-        self._split_seq += 1
-        entries = self.allgather((color, key, self.rank))
-        mine = sorted(
-            (k, r) for (c, k, r) in entries if c == color
-        )
-        members = tuple(self._world_rank(r) for (_k, r) in mine)
-        cid = ("split", self._cid, self._split_seq, color)
-        return Communicator(self._ctx, members, cid)
+        return _mpi.comm_cold.split(self, color, key)

@@ -1,17 +1,67 @@
-"""The ULFM half of the communicator: ``shrink`` and ``agree``.
-
-Only recovery from a fail-stop runs them (:mod:`repro.core.resilient`,
-the chaos drivers), so :class:`~repro.mpi.comm.Communicator` keeps
-one-line methods that import this module on first use, and a cold start
-without faults never compiles it.  ``self`` is the communicator.
-"""
+"""The communicator surface the global-view drivers never call:
+point-to-point, ``progress``, ``dup`` / ``split`` and the ULFM half that
+only fail-stop recovery runs.  ``Communicator`` keeps one-line methods
+that call these with ``self``."""
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.errors import CommunicatorError, RankFailedError
 from repro.mpi.comm import Communicator
+from repro.runtime.channels import ANY_SOURCE
 
-__all__ = ["shrink", "agree"]
+__all__ = ["send", "recv", "probe", "progress", "failed_ranks", "dup", "split",
+           "shrink", "agree"]
+
+
+def send(self: Communicator, obj: Any, dest: int, tag: int) -> None:
+    self._ctx.trace.on_p2p("send")
+    self._ctx.send_raw(self._world_rank(dest), ("u", self._cid, tag), obj)
+
+
+def recv(self: Communicator, source: int, tag: int) -> Any:
+    self._ctx.trace.on_p2p("recv")
+    wsource = ANY_SOURCE if source == ANY_SOURCE else self._world_rank(source)
+    # ANY_TAG stays inside the tag tuple: the mailbox treats a trailing
+    # wildcard as "any user tag *on this communicator*", which both
+    # scopes the match correctly and lets revocation of this
+    # communicator release the wait.
+    return self._ctx.recv_raw(wsource, ("u", self._cid, tag))
+
+
+def probe(self: Communicator, source: int, tag: int) -> bool:
+    wsource = ANY_SOURCE if source == ANY_SOURCE else self._world_rank(source)
+    wtag = ("u", self._cid, tag)  # trailing ANY_TAG = scoped wildcard
+    return self._ctx.world.mailboxes[self._ctx.rank].probe(wsource, wtag)
+
+
+def progress(self: Communicator) -> None:
+    eng = self._ctx._progress
+    if eng is not None:
+        eng.drain_delivered()
+
+
+def failed_ranks(self: Communicator) -> frozenset[int]:
+    dead = self._ctx.world.membership.dead_snapshot()
+    return frozenset(g for g, w in enumerate(self._members) if w in dead)
+
+
+def dup(self: Communicator) -> Communicator:
+    self._split_seq += 1
+    cid = ("dup", self._cid, self._split_seq)
+    return Communicator(self._ctx, self._members, cid)
+
+
+def split(self: Communicator, color: int, key: int | None = None) -> Communicator:
+    if key is None:
+        key = self.rank
+    self._split_seq += 1
+    entries = self.allgather((color, key, self.rank))
+    mine = sorted((k, r) for (c, k, r) in entries if c == color)
+    members = tuple(self._world_rank(r) for (_k, r) in mine)
+    cid = ("split", self._cid, self._split_seq, color)
+    return Communicator(self._ctx, members, cid)
 
 
 def shrink(self: Communicator) -> Communicator:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import threading
 
+from repro import mpi as _mpi
 from repro.mpi import tuning as _tuning
 
 __all__ = ["ScheduleCache"]
@@ -170,34 +171,11 @@ class ScheduleCache:
         ``radix`` band (``ranks <= max_ranks``, ``bytes <= max_bytes``)
         it was read from.  The per-call guards may still lower a
         recorded radix to 2 for a given call."""
-        with self._lock:
-            spans = sorted(self._spans.items())
-        out = []
-        for key, (lo, hi, algorithm, radix) in spans:
-            kind, nprocs, commutative, splittable, _, topology = key
-            record = {
-                "kind": kind, "nprocs": nprocs, "commutative": commutative,
-                "splittable": splittable, "topology": topology,
-                "bytes": [lo, hi], "algorithm": algorithm,
-            }
-            if _tuning.RADIX_SCHEDULES.get(kind) == algorithm:
-                band = _tuning.radix_band(lo, nprocs, topology=topology)
-                record["radix"] = radix
-                record["radix_band"] = {
-                    "max_ranks": band[0], "max_bytes": band[1],
-                }
-            out.append(record)
-        return out
+        return _mpi.tuning_cold.cache_decisions(self)
 
     def stats(self) -> dict[str, int | float]:
         """Hit/miss counters plus entry count (best-effort under load)."""
-        total = self.hits + self.misses
-        return {
-            "entries": len(self._spans),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": (self.hits / total) if total else 0.0,
-        }
+        return _mpi.tuning_cold.cache_stats(self)
 
     def clear(self) -> None:
         """Drop every cached span (counters are kept)."""

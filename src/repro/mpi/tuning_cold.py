@@ -10,7 +10,7 @@ re-exports each name.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.mpi import collectives as _coll
 from repro.mpi import tuning as _t
@@ -29,6 +29,9 @@ from repro.mpi.tuning import (
     get_decision_table,
 )
 from repro.runtime.costmodel import CostModel
+
+if TYPE_CHECKING:
+    from repro.mpi.schedule_cache import ScheduleCache
 
 __all__ = [
     "set_decision_table",
@@ -290,3 +293,36 @@ def radix_band(
         max_ranks if max_ranks < _UNBOUNDED else None,
         hi if hi < _UNBOUNDED else None,
     )
+
+
+def cache_decisions(self: ScheduleCache) -> list[dict]:
+    """:meth:`ScheduleCache.decisions <repro.mpi.schedule_cache.ScheduleCache.decisions>`."""
+    with self._lock:
+        spans = sorted(self._spans.items())
+    out = []
+    for key, (lo, hi, algorithm, radix) in spans:
+        kind, nprocs, commutative, splittable, _, topology = key
+        record = {
+            "kind": kind, "nprocs": nprocs, "commutative": commutative,
+            "splittable": splittable, "topology": topology,
+            "bytes": [lo, hi], "algorithm": algorithm,
+        }
+        if _t.RADIX_SCHEDULES.get(kind) == algorithm:
+            band = radix_band(lo, nprocs, topology=topology)
+            record["radix"] = radix
+            record["radix_band"] = {
+                "max_ranks": band[0], "max_bytes": band[1],
+            }
+        out.append(record)
+    return out
+
+
+def cache_stats(self: ScheduleCache) -> dict[str, int | float]:
+    """:meth:`ScheduleCache.stats <repro.mpi.schedule_cache.ScheduleCache.stats>`."""
+    total = self.hits + self.misses
+    return {
+        "entries": len(self._spans),
+        "hits": self.hits,
+        "misses": self.misses,
+        "hit_rate": (self.hits / total) if total else 0.0,
+    }

@@ -13,7 +13,8 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "histogram": ("HistogramOp",),
     "location": ("MaxiOp", "MiniOp"),
     "logical": ("AllOp", "AnyOp", "BandOp", "BorOp", "BxorOp", "XorOp"),
-    "mink": ("MaxKOp", "MinKOp", "TranslateMinKOp"),
+    "mink": ("MinKOp",),
+    "mink_variants": ("MaxKOp", "TranslateMinKOp"),
     "recurrence": ("AffineOp", "LogSumExpOp", "linear_recurrence"),
     "segmented": ("SegmentedOp",),
     "sorted_op": ("DishonestCommutativeSortedOp", "SortedOp", "SortedState"),

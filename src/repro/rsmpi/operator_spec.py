@@ -48,7 +48,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.core.operator import ReduceScanOp, state_equal
+from repro.core.operator import ReduceScanOp
 from repro.errors import DslSemanticError, OperatorError
 from repro.util.sizing import payload_nbytes
 
@@ -247,6 +247,8 @@ class _SpecOp(ReduceScanOp):
         # field-wise comparison with float tolerance (exact == would
         # flag floating-point drift in e.g. Chan-style combines as a
         # law violation)
+        from repro.core.validation import state_equal
+
         return state_equal(s1._fields, s2._fields)
 
 

@@ -46,6 +46,7 @@ from collections import deque
 from typing import Any, Hashable
 
 from repro import _lazy
+from repro import runtime as _runtime
 from repro.errors import DeadlockError, RankFailedError, RevokedError, RuntimeAbort
 from repro.util.record import Record
 
@@ -267,35 +268,9 @@ class Membership:
     # -- diagnostics --------------------------------------------------------
 
     def rank_states(self) -> list[dict]:
-        """Per-rank diagnostic dicts for SpmdError/SpmdTimeout messages.
-
-        One entry per *member*, labeled with the member's group rank;
-        internal state is keyed by world rank, which is how the engine
-        records it.
-        """
-        with self.lock:
-            dead, done = set(self.dead), set(self.done)
-            blocked = dict(self.blocked)
-        out = []
-        for g, r in enumerate(self.members):
-            if r in dead:
-                status = "failed"
-            elif r in done:
-                status = "done"
-            elif r in blocked:
-                status = "blocked"
-            else:
-                status = "running"
-            out.append({
-                "rank": g,
-                "status": status,
-                "waiting_for": blocked.get(r),
-                "clock": self.clocks[r].t if self.clocks else 0.0,
-                "pending_count": (
-                    self.mailboxes[r].pending_count() if self.mailboxes else 0
-                ),
-            })
-        return out
+        """Per-rank diagnostic dicts for SpmdError/SpmdTimeout messages
+        (:func:`repro.runtime.diagnostics.rank_states`)."""
+        return _runtime.diagnostics.rank_states(self)
 
 
 class Mailbox:

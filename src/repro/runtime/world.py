@@ -99,23 +99,6 @@ class World:
             self._next_cid += 1
             return cid
 
-    def revive_rank(self, rank: int) -> int:
-        """Sweep every envelope still queued in a pool rank's mailbox;
-        return how many were removed.
-
-        Called by the engine supervisor before probing a quarantined
-        rank: a dead rank can be left holding messages no live job will
-        ever receive (finalize sweeps only tags the *finished* job
-        owns).  There is no failure record to clear — a fail-stop is
-        recorded in the :class:`JobWorld` membership of the job that saw
-        it, which keeps that view forever.
-        """
-        if not 0 <= rank < self.nprocs:
-            raise CommunicatorError(
-                f"rank {rank} out of range for world of size {self.nprocs}"
-            )
-        return self.mailboxes[rank].drain_where(lambda src, tag: True)
-
 
 class JobWorld:
     """The state of one run on ``members`` of a pool :class:`World`.

@@ -592,6 +592,22 @@ class TestExporters:
         pids = {e["pid"] for e in doc["traceEvents"]}
         assert pids == {run.index for run in tracer.runs}
 
+    def test_text_report_of_an_overlapped_reduce(self):
+        # Each column chunk's accumulate span counts an integer share of
+        # the block's rows, so the shares of one rank sum to n and the
+        # text report's integer column renders.
+        tracer = Tracer()
+        spmd_run(_overlapped_reduce, 8, tracer=tracer)
+        text = format_text_report(tracer)
+        assert "accumulate" in text
+        spans = [
+            s for s in tracer.runs[0].ranks[0].spans if s.name == "accumulate"
+        ]
+        assert len(spans) == 8
+        assert all(isinstance(s.elements, int) for s in spans)
+        cell = phase_summary(tracer)["ops"]["sum"]["accumulate"]
+        assert cell["elements"] == 4 * 8 and isinstance(cell["elements"], int)
+
     def test_no_events_no_profile_raises(self):
         res = spmd_run(_program, 2)
         assert res.profile is None
